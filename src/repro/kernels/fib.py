@@ -55,18 +55,19 @@ def reference(n: int) -> int:
     """The nth Fibonacci number (fib(0)=0, fib(1)=1), fast-doubling."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    return _fib_pair(n)[0]
 
-    def _fd(k: int) -> tuple[int, int]:
-        if k == 0:
-            return (0, 1)
-        a, b = _fd(k >> 1)
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        if k & 1:
-            return (d, c + d)
-        return (c, d)
 
-    return _fd(n)[0]
+def _fib_pair(k: int) -> tuple[int, int]:
+    """(fib(k), fib(k+1)) by fast doubling."""
+    if k == 0:
+        return (0, 1)
+    a, b = _fib_pair(k >> 1)
+    c = a * (2 * b - a)
+    d = a * a + b * b
+    if k & 1:
+        return (d, c + d)
+    return (c, d)
 
 
 def task_count(n: int) -> int:
@@ -90,16 +91,24 @@ def graph(n: int) -> TaskGraph:
     if n + 10 > limit:
         sys.setrecursionlimit(n + 50)
 
-    def rec(k: int, dep: tuple[int, ...]) -> int:
-        if k < 2:
-            return g.add(LEAF_WORK, deps=dep, tag="leaf")
-        s = g.add(SPAWN_WORK, deps=dep, tag="spawn")
-        c1 = rec(k - 1, (s,))
-        c2 = rec(k - 2, (s,))
-        return g.add(CONT_WORK, deps=(c1, c2), tag="cont")
-
-    rec(n, ())
+    _elaborate(g.add, n, ())
     return g
+
+
+def _elaborate(add: Callable[..., int], k: int, dep: tuple[int, ...]) -> int:
+    """Add ``fib(k)``'s frame below ``dep`` through ``add`` (a bound
+    :meth:`TaskGraph.add`) and return the id of its last task.
+
+    A module-level function rather than a closure: a recursive closure
+    refers to itself, and that reference cycle would keep the graph
+    alive until the cyclic collector runs.
+    """
+    if k < 2:
+        return add(LEAF_WORK, deps=dep, tag="leaf")
+    s = add(SPAWN_WORK, deps=dep, tag="spawn")
+    c1 = _elaborate(add, k - 1, (s,))
+    c2 = _elaborate(add, k - 2, (s,))
+    return add(CONT_WORK, deps=(c1, c2), tag="cont")
 
 
 def program(version: str, *, machine: Machine, n: int = DEFAULT_SIM_N) -> Program:

@@ -397,6 +397,22 @@ def run_mpi_loop(
 # ---------------------------------------------------------------------------
 # task-graph executors
 # ---------------------------------------------------------------------------
+def _hpx_worker(pe_free: list[float], ready: float) -> int:
+    """The worker an HPX continuation ready at ``ready`` runs on.
+
+    Greedy earliest start, lowest index on ties: the worker minimizing
+    ``(max(pe_free[k], ready), k)``.  When every worker is still busy at
+    ``ready`` that is the first worker to free up; otherwise it is the
+    first worker already idle at ``ready``.
+    """
+    first_free = min(pe_free)
+    if first_free <= ready:
+        for k, free in enumerate(pe_free):
+            if free <= ready:
+                return k
+    return pe_free.index(first_free)
+
+
 def _run_amt_graph(
     graph: TaskGraph,
     nthreads: int,
@@ -424,6 +440,10 @@ def _run_amt_graph(
     machine = ctx.machine
     active = min(ntasks, p)
     speed = machine.compute_speed(active)
+    # ``active`` is fixed for the region, so a task's duration depends
+    # only on its (work, membytes, locality)
+    region_duration = ctx.memory.duration
+    durations: dict[tuple[float, float, float], float] = {}
 
     pe_free = [0.0] * p
     finish = [0.0] * ntasks
@@ -470,9 +490,17 @@ def _run_amt_graph(
             pre = (costs.hpx_future_create + costs.hpx_continuation
                    + len(t.deps) * costs.hpx_future_get)
             post = 0.0
-            pe = min(range(p), key=lambda k: (max(pe_free[k], ready), k))
+            pe = _hpx_worker(pe_free, ready)
         start = max(pe_free[pe], ready)
-        dur = ctx.memory.duration(t.work, t.membytes, t.locality, active) if speed else t.work
+        if speed:
+            key = (t.work, t.membytes, t.locality)
+            dur = durations.get(key)
+            if dur is None:
+                dur = durations[key] = region_duration(
+                    t.work, t.membytes, t.locality, active
+                )
+        else:
+            dur = t.work
         if faults is not None:
             stall = faults.stall(pe, start)
             if stall > 0.0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Union
 
+from repro.perf.gcpause import paused_gc
 from repro.runtime.base import ExecContext
 from repro.runtime.threadpool import run_threadpool_graph, run_threadpool_loop
 from repro.runtime.worksharing import run_worksharing_loop
@@ -219,6 +220,7 @@ def _apply_timeout(res: RegionResult, fdoc, timeout: float, mode: str) -> dict:
     return fdoc
 
 
+@paused_gc
 def run_program(
     program: Program,
     nthreads: int,

@@ -57,6 +57,31 @@ __all__ = [
 _BUSY, _IDLE, _WAKING = 0, 1, 2
 
 
+def _fast_duration(machine, nthreads: int):
+    """A ``duration(work, membytes, locality, active)`` for up to
+    ``nthreads`` active workers that replicates
+    :meth:`MemoryModel.duration` operation-for-operation (same IEEE ops
+    in the same order), with the per-call model construction and
+    Machine method dispatch memoized."""
+    speed = [1.0] + [machine.compute_speed(a) for a in range(1, nthreads + 1)]
+    bws: dict[tuple[int, float], float] = {}
+
+    def duration(work: float, membytes: float, locality: float, active: int) -> float:
+        if active < 1:
+            active = 1
+        compute = work / speed[active]
+        if membytes == 0.0:
+            return compute
+        key = (active, locality)
+        bw = bws.get(key)
+        if bw is None:
+            bw = bws[key] = machine.bandwidth_per_thread(active, locality)
+        mem = membytes / bw
+        return max(compute, mem)
+
+    return duration
+
+
 class StealingScheduler:
     """One work-stealing execution of a :class:`TaskGraph`.
 
@@ -174,34 +199,13 @@ class StealingScheduler:
         self._fail_time = 0.0
         # tier-1 fast path: memoized duration inputs (bit-identical to
         # MemoryModel.duration — Machine methods are pure, so caching
-        # their outputs per (active, locality) changes nothing but speed)
+        # their outputs per (active, locality) changes nothing but speed).
+        # Neither choice refers back to the scheduler, so no reference
+        # cycle keeps it (and its graph) alive after the region.
         if ctx.fidelity <= 1:
-            machine = ctx.machine
-            self._speed = [1.0] + [
-                machine.compute_speed(a) for a in range(1, nthreads + 1)
-            ]
-            self._bw: dict[tuple[int, float], float] = {}
-            self._duration = self._fast_duration
+            self._duration = _fast_duration(ctx.machine, nthreads)
         else:
-            self._duration = ctx.duration
-
-    def _fast_duration(
-        self, work: float, membytes: float, locality: float, active: int
-    ) -> float:
-        """Replicates :meth:`MemoryModel.duration` operation-for-operation
-        (same IEEE ops in the same order), with the per-call model
-        construction and Machine method dispatch memoized."""
-        if active < 1:
-            active = 1
-        compute = work / self._speed[active]
-        if membytes == 0.0:
-            return compute
-        key = (active, locality)
-        bw = self._bw.get(key)
-        if bw is None:
-            bw = self._bw[key] = self.ctx.machine.bandwidth_per_thread(active, locality)
-        mem = membytes / bw
-        return max(compute, mem)
+            self._duration = ctx.memory.duration
 
     # ------------------------------------------------------------------
     def run(self) -> RegionResult:

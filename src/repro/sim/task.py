@@ -96,20 +96,20 @@ class TaskGraph:
         spawn_cost: float = 0.0,
     ) -> int:
         """Append a task and return its id."""
-        tid = len(self.tasks)
-        deps_t = tuple(deps)
+        tasks = self.tasks
+        successors = self.successors
+        tid = len(tasks)
+        deps_t = deps if type(deps) is tuple else tuple(deps)
         for d in deps_t:
             if not 0 <= d < tid:
                 raise ValueError(f"task {tid} depends on unknown/future task {d}")
-            self.successors[d].append(tid)
+            successors[d].append(tid)
         if work < 0 or membytes < 0 or spawn_cost < 0:
             raise ValueError("work, membytes and spawn_cost must be non-negative")
         if not 0.0 <= locality <= 1.0:
             raise ValueError("locality must be in [0, 1]")
-        self.tasks.append(
-            Task(tid, work, membytes, locality, deps_t, tag, spawn_cost)
-        )
-        self.successors.append([])
+        tasks.append(Task(tid, work, membytes, locality, deps_t, tag, spawn_cost))
+        successors.append([])
         return tid
 
     def __len__(self) -> int:
@@ -135,7 +135,11 @@ class TaskGraph:
         """
         finish = [0.0] * len(self.tasks)
         for t in self.tasks:
-            start = max((finish[d] for d in t.deps), default=0.0)
+            start = 0.0
+            for d in t.deps:
+                f = finish[d]
+                if f > start:
+                    start = f
             finish[t.tid] = start + t.work
         return max(finish, default=0.0)
 

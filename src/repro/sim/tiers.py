@@ -43,6 +43,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
+from repro.perf.gcpause import paused_gc
 from repro.perf.spans import span as _perf_span
 from repro.sim.task import IterSpace, LoopRegion, Program, SerialRegion, TaskRegion
 from repro.sim.trace import RegionResult, SimResult, WorkerStats
@@ -178,20 +179,21 @@ def _ws_dispatch_estimate(space: IterSpace, p: int, ctx, params: dict) -> Region
 def _cilk_leaf_count(niter: int, grainsize: int) -> int:
     """Exact leaf count of the halving splitter recursion (memoized on
     range size — each recursion level has at most two distinct sizes)."""
-    counts: dict[int, int] = {}
+    return _leaf_count(niter, grainsize, {})
 
-    def rec(n: int) -> int:
-        if n <= grainsize:
-            return 1
-        cached = counts.get(n)
-        if cached is not None:
-            return cached
-        m = n // 2
-        r = rec(m) + rec(n - m)
-        counts[n] = r
-        return r
 
-    return rec(niter)
+def _leaf_count(n: int, grainsize: int, counts: dict[int, int]) -> int:
+    # a module-level recursion: a recursive closure would be a
+    # reference cycle, left for the (paused) cyclic collector
+    if n <= grainsize:
+        return 1
+    cached = counts.get(n)
+    if cached is not None:
+        return cached
+    m = n // 2
+    r = _leaf_count(m, grainsize, counts) + _leaf_count(n - m, grainsize, counts)
+    counts[n] = r
+    return r
 
 
 def _cilk_leaf_edges(niter: int, grainsize: int) -> np.ndarray:
@@ -547,6 +549,7 @@ def estimate_region(region, nthreads: int, ctx) -> tuple[str, RegionResult]:
     return "exact", execute_region(region, p, ctx)
 
 
+@paused_gc
 def estimate_program(
     program: Program,
     nthreads: int,

@@ -20,6 +20,7 @@ from repro.models.hpx import async_for, future_graph
 from repro.models.mpi import rank_for, rank_graph
 from repro.obs.tracer import Tracer
 from repro.runtime.amt import (
+    _hpx_worker,
     run_charm_graph,
     run_charm_loop,
     run_hpx_graph,
@@ -167,6 +168,36 @@ class TestGraphExecutors:
             prog = get_workload("fib").build(version, ctx.machine, n=12)
             res = run_program(prog, 8, ctx, version=version, validate=True)
             assert res.time > 0
+
+
+def reference_hpx_worker(pe_free, ready):
+    """The original one-line greedy placement, kept as the oracle."""
+    p = len(pe_free)
+    return min(range(p), key=lambda k: (max(pe_free[k], ready), k))
+
+
+class TestHpxPlacement:
+    def test_matches_reference_on_random_vectors(self):
+        rng = np.random.default_rng(2017)
+        for _ in range(5000):
+            p = int(rng.integers(1, 40))
+            # few distinct values: exact ties between workers, and a
+            # ``ready`` that often equals some pe_free[k] exactly
+            levels = rng.uniform(0.0, 1e-3, size=int(rng.integers(1, 6)))
+            pe_free = [float(x) for x in rng.choice(levels, size=p)]
+            ready = float(rng.choice([*levels, 0.0, levels.min() / 2, 2e-3]))
+            assert _hpx_worker(pe_free, ready) == reference_hpx_worker(pe_free, ready)
+
+    @pytest.mark.parametrize("pe_free,ready,expected", [
+        ([0.0, 0.0, 0.0], 0.0, 0),        # all idle: lowest index
+        ([3.0, 1.0, 1.0], 0.5, 1),        # all busy: first to free up
+        ([3.0, 2.0, 1.0], 2.5, 1),        # idle workers: lowest index, not the earliest
+        ([3.0, 2.0, 1.0], 2.0, 1),        # ready equal to a free time counts as idle
+        ([5.0], 1.0, 0),
+    ])
+    def test_rule(self, pe_free, ready, expected):
+        assert _hpx_worker(pe_free, ready) == expected
+        assert reference_hpx_worker(pe_free, ready) == expected
 
 
 class TestFaultSemantics:

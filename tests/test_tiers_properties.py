@@ -141,7 +141,7 @@ def test_reference_context_uses_reference_duration():
     g = TaskGraph()
     g.add(1e-8)
     sched = StealingScheduler(g, 4, CTX2)
-    assert sched._duration == CTX2.duration
+    assert sched._duration == CTX2.memory.duration
 
 
 # ---------------------------------------------------------------------------
