@@ -1,11 +1,10 @@
 """Engine tiers: wall-clock cost of producing one result per fidelity.
 
-The tiered-fidelity contract is an accuracy/cost trade, and the accuracy
-half is pinned by ``tests/test_tiers_accuracy.py`` /
-``test_tiers_properties.py``.  This benchmark pins the cost half: on a
-representative sweep cell the tier-0 analytic estimate must be at least
-an order of magnitude cheaper than the tier-2 reference simulation, and
-the tier-1 fast paths must beat tier 2 while staying bit-identical.
+The estimate-vs-simulate contract is an accuracy/cost trade, and the
+accuracy half is pinned by ``tests/test_tiers_accuracy.py``.  This
+benchmark pins the cost half: on a representative sweep cell the tier-0
+analytic estimate must be at least an order of magnitude cheaper than
+the tier-2 simulation.
 
 Times here are *host* wall-clock seconds (``perf_counter``, best of
 several repeats), not simulated seconds.
@@ -40,15 +39,11 @@ def bench_engine_tiers(benchmark, ctx, save):
     spec = WORKLOADS[WORKLOAD]
     params = dict(spec.default_params)
     program = spec.build(VERSION, ctx.machine, **params)
-    ctx1 = ctx.with_fidelity(1)
 
     def measure():
         out = {}
-        out["tier 2 (reference DES)"] = _best_of(
+        out["tier 2 (DES)"] = _best_of(
             lambda: run_program(spec.build(VERSION, ctx.machine, **params), P, ctx, VERSION)
-        )
-        out["tier 1 (vectorized DES)"] = _best_of(
-            lambda: run_program(spec.build(VERSION, ctx.machine, **params), P, ctx1, VERSION)
         )
         out["tier 0 (analytic)"] = _best_of(
             lambda: estimate_program(spec.build(VERSION, ctx.machine, **params), P, ctx, VERSION)
@@ -56,8 +51,7 @@ def bench_engine_tiers(benchmark, ctx, save):
         return out
 
     out = run_once(benchmark, measure)
-    t2 = out["tier 2 (reference DES)"]
-    t1 = out["tier 1 (vectorized DES)"]
+    t2 = out["tier 2 (DES)"]
     t0 = out["tier 0 (analytic)"]
     est = estimate_program(program, P, ctx, VERSION)
     save(
@@ -66,14 +60,11 @@ def bench_engine_tiers(benchmark, ctx, save):
         f"host cost per result, best of {REPEATS}\n"
         + "\n".join(f"  {k:26s} {v * 1e3:9.2f} ms" for k, v in out.items())
         + f"\ntier-0 cost ratio {t2 / t0:7.1f}x  (declared error bound "
-        f"{est.error_bound:.3f})"
-        + f"\ntier-1 cost ratio {t2 / t1:7.2f}x  (bit-identical)",
+        f"{est.error_bound:.3f})",
     )
 
     # the headline acceptance: an analytic estimate is >= 10x cheaper
     # than simulating the cell (in practice well past 100x at paper sizes)
     assert t2 / t0 >= 10.0
-    # the tier-1 fast paths must actually pay for themselves
-    assert t2 / t1 > 1.05
     # and the estimate still carries a usable (sub-100%) error bound
     assert 0.0 < est.error_bound < 1.0

@@ -15,6 +15,7 @@ Usage:  python examples/scheduler_traces.py
 
 from repro import ExecContext
 from repro.kernels import fib
+from repro.obs.tracer import Tracer
 from repro.runtime.workstealing import (
     StealingScheduler,
     cilk_for_graph,
@@ -31,7 +32,7 @@ def show(title: str, sched: StealingScheduler) -> None:
     print("=" * 78)
     print(f"{title}  (t={res.time * 1e3:.3f} ms, steals={res.meta['steals']}, "
           f"lock wait={res.meta['lock_wait'] * 1e6:.1f} us)")
-    print(render_gantt(res.meta["intervals"], P, width=70))
+    print(render_gantt(sched.tracer.intervals(), P, width=70))
     print()
 
 
@@ -41,16 +42,16 @@ def main() -> None:
 
     g = cilk_for_graph(space, 500, ctx)
     show("cilk_for splitter tree (s=split, c=chunk)",
-         StealingScheduler(g, P, ctx, deque="the", record=True))
+         StealingScheduler(g, P, ctx, deque="the", tracer=Tracer()))
 
     g = flat_chunk_graph(space, 4 * P, ctx)
     show("omp task flat chunks, master-spawned",
-         StealingScheduler(g, P, ctx, deque="locked", record=True))
+         StealingScheduler(g, P, ctx, deque="locked", tracer=Tracer()))
 
     for deque in ("the", "locked"):
         g = fib.graph(14)
         show(f"fib(14) spawn tree on {deque!r} deques",
-             StealingScheduler(g, P, ctx, deque=deque, record=True))
+             StealingScheduler(g, P, ctx, deque=deque, tracer=Tracer()))
 
 
 if __name__ == "__main__":

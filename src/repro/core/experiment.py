@@ -124,10 +124,9 @@ def run_experiment(
     - ``refresh`` — ignore (and overwrite) existing cache entries;
     - ``trace``  — attach the observability tracer to every run;
     - ``validate`` — run the invariant audit on every simulated run;
-    - ``fidelity`` — simulation tier (:mod:`repro.sim.tiers`):
-      ``None`` inherits the context's tier, ``2`` reference, ``1``
-      bit-identical fast paths, ``0`` closed-form estimates, ``"auto"``
-      the cheapest tier the sweep's options allow.
+    - ``fidelity`` — (:mod:`repro.sim.tiers`): ``None`` inherits the
+      context's, ``2`` simulates, ``0`` estimates in closed form,
+      ``"auto"`` estimates unless the sweep's options need events.
 
     Serial, parallel and cached executions are bit-identical.  A
     :class:`~repro.runtime.base.ThreadExplosionError` (the C++11 fib

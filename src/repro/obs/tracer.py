@@ -14,9 +14,7 @@ One :class:`Tracer` instance collects everything a run emits:
 The tracer is the single instrumentation API: :class:`~repro.sim.engine.Engine`,
 :class:`~repro.sim.engine.SimLock`, both deque models and all four
 executors emit into it, and the validation subsystem
-(:func:`repro.validate.invariants.check_trace`) consumes it.  It
-subsumes the scattered ``enable_audit`` lists of the first validation
-PR, which remain as deprecated shims.
+(:func:`repro.validate.invariants.check_trace`) consumes it.
 
 Cost discipline: executors hold ``tracer=None`` by default and guard
 every emission with one ``if tracer is not None`` branch, so the
@@ -170,9 +168,8 @@ class Tracer:
         return [s for s in self.spans if s.kind == kind]
 
     def intervals(self, kinds: Optional[frozenset] = None) -> list[tuple[int, float, float, str]]:
-        """Spans as ``(worker, start, end, tag)`` tuples — the format of
-        the legacy ``record=True`` interval lists and of
-        :func:`repro.sim.trace.render_gantt`."""
+        """Execution spans as ``(worker, start, end, tag)`` tuples — the
+        input format of :func:`repro.sim.trace.render_gantt`."""
         use = EXEC_KINDS if kinds is None else kinds
         return [
             (s.worker, s.start, s.end, s.name or s.kind)

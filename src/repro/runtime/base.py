@@ -55,13 +55,15 @@ class ExecContext:
     matching the paper's "system hangs" threshold."""
 
     fidelity: int = 2
-    """Simulation fidelity tier (:mod:`repro.sim.tiers`).  ``2`` is the
-    reference scalar discrete-event simulation; ``1`` enables the
-    vectorized/batched fast paths, which are bit-identical to tier 2
-    (pinned by the golden-trace and equivalence suites); ``0`` marks a
-    context used for closed-form tier-0 *estimates* — the executors
-    themselves treat it like tier 1 (tier-0 results come from
-    :func:`repro.sim.tiers.estimate_program`, not ``run_program``)."""
+    """Simulation fidelity (:mod:`repro.sim.tiers`): ``2`` simulate (the
+    discrete-event simulation), ``0`` estimate (closed-form, from
+    :func:`repro.sim.tiers.estimate_program`).  No executor reads it; it
+    travels with the context so sweep cells and cache keys can tell an
+    estimate from a simulation."""
+
+    def __post_init__(self) -> None:
+        if self.fidelity not in (0, 2):
+            raise ValueError(f"fidelity must be 0 or 2, got {self.fidelity!r}")
 
     @property
     def memory(self) -> MemoryModel:
@@ -75,9 +77,7 @@ class ExecContext:
         return replace(self, machine=machine)
 
     def with_fidelity(self, fidelity: int) -> "ExecContext":
-        """Context running at another fidelity tier (see :mod:`repro.sim.tiers`)."""
-        if fidelity not in (0, 1, 2):
-            raise ValueError(f"fidelity must be 0, 1 or 2, got {fidelity!r}")
+        """Context at another fidelity, 0 or 2 (see :mod:`repro.sim.tiers`)."""
         return replace(self, fidelity=fidelity)
 
     def duration(

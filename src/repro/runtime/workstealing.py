@@ -123,11 +123,6 @@ class StealingScheduler:
         (successful and failed probes), engine event times and per-deque
         lock grants.  This is the one observability hook; disabled
         (``None``) it costs a single branch at each emission site.
-    audit:
-        Deprecated (pre-tracer) validation logs: per-deque ``SimLock``
-        grant triples and the engine's processed-event times, exposed
-        through the result meta (``lock_audit``, ``event_times``) for
-        the old :mod:`repro.validate` entry points.  Still honoured.
     """
 
     def __init__(
@@ -142,10 +137,8 @@ class StealingScheduler:
         undeferred_single: bool = False,
         per_task_overhead: float = 0.0,
         reducer: bool = False,
-        record: bool = False,
         central_queue: bool = False,
         work_first: bool = False,
-        audit: bool = False,
         tracer=None,
         faults=None,
         error_mode: str = "poison",
@@ -166,12 +159,9 @@ class StealingScheduler:
         self.tracer = tracer
 
         self.engine = Engine(tracer=tracer)
-        self.audit = audit
-        if audit:
-            self.engine.enable_audit()
         self.rng = random.Random(ctx.seed ^ (len(graph) * 2654435761 % (1 << 30)))
         self.deques = [
-            make_deque(deque, w, ctx.costs, audit=audit, tracer=tracer)
+            make_deque(deque, w, ctx.costs, tracer=tracer)
             for w in range(nthreads)
         ]
         self.stats = [WorkerStats() for _ in range(nthreads)]
@@ -183,10 +173,8 @@ class StealingScheduler:
         self.active = 0
         self.steal_views = 0
         self._idle: list[int] = []
-        self.record = record
         self.central_queue = central_queue
         self.work_first = work_first
-        self.intervals: list[tuple[int, float, float, str]] = []
         # fault-injection state (all inert when faults is None)
         self.faults = faults
         self.error_mode = error_mode
@@ -197,15 +185,12 @@ class StealingScheduler:
         self._fail_tid: Optional[int] = None
         self._fail_err: Optional[str] = None
         self._fail_time = 0.0
-        # tier-1 fast path: memoized duration inputs (bit-identical to
-        # MemoryModel.duration — Machine methods are pure, so caching
-        # their outputs per (active, locality) changes nothing but speed).
-        # Neither choice refers back to the scheduler, so no reference
-        # cycle keeps it (and its graph) alive after the region.
-        if ctx.fidelity <= 1:
-            self._duration = _fast_duration(ctx.machine, nthreads)
-        else:
-            self._duration = ctx.memory.duration
+        # memoized duration inputs (bit-identical to MemoryModel.duration
+        # — Machine methods are pure, so caching their outputs per
+        # (active, locality) changes nothing but speed).  The closure does
+        # not refer back to the scheduler, so no reference cycle keeps it
+        # (and its graph) alive after the region.
+        self._duration = _fast_duration(ctx.machine, nthreads)
 
     # ------------------------------------------------------------------
     def run(self) -> RegionResult:
@@ -250,13 +235,6 @@ class StealingScheduler:
         meta.update(self._expected_meta())
         if self.faults is not None:
             meta["fault"] = self._fault_meta()
-        if self.record:
-            meta["intervals"] = self.intervals
-        if self.audit:
-            meta["lock_audit"] = [
-                (d.lock.name, list(d.lock.log)) for d in self.deques if d.lock.log
-            ]
-            meta["event_times"] = list(self.engine.audit or ())
         return RegionResult(time=finish, nthreads=self.p, workers=self.stats, meta=meta)
 
     def _expected_meta(self) -> dict:
@@ -373,8 +351,6 @@ class StealingScheduler:
                     self._fail_tid = tid
         st.busy += dur
         st.tasks += 1
-        if self.record:
-            self.intervals.append((w, t0, t0 + dur, task.tag or "task"))
         if self.tracer is not None:
             self.tracer.span(w, t0, t0 + dur, "task", task.tag or "task")
         self.engine.at(t0 + dur, partial(self._finish, w, tid))
@@ -558,7 +534,7 @@ def cilk_for_graph_batched(
     bytes_penalty: float = 1.0,
     work_scale: float = 1.0,
 ) -> TaskGraph:
-    """Tier-1 fast path for :func:`cilk_for_graph`: identical tree
+    """Fast builder for :func:`cilk_for_graph`: identical tree
     (same task ids, deps, tags, creation order), with the per-leaf
     ``chunk_cost`` interpolation batched through numpy.
 
@@ -704,8 +680,6 @@ def run_stealing_loop(
     exit_cost: Optional[float] = None,
     apply_scatter_penalty: bool = True,
     undeferred_single: bool = False,
-    record: bool = False,
-    audit: bool = False,
     tracer=None,
     faults=None,
     error_mode: str = "none",
@@ -730,8 +704,9 @@ def run_stealing_loop(
         penalty = (
             scatter_penalty(space, nleaves, nthreads, ctx) if apply_scatter_penalty else 1.0
         )
-        build = cilk_for_graph_batched if ctx.fidelity <= 1 else cilk_for_graph
-        graph = build(space, gsize, ctx, bytes_penalty=penalty, work_scale=work_scale)
+        graph = cilk_for_graph_batched(
+            space, gsize, ctx, bytes_penalty=penalty, work_scale=work_scale
+        )
         exit_c = costs.taskwait if exit_cost is None else exit_cost
     elif style == "flat":
         nck = nchunks if nchunks is not None else nthreads * max(1, chunks_per_thread)
@@ -752,8 +727,6 @@ def run_stealing_loop(
         per_task_overhead=per_task_overhead,
         reducer=reducer,
         undeferred_single=undeferred_single,
-        record=record,
-        audit=audit,
         tracer=tracer,
         faults=faults,
         error_mode=error_mode,
@@ -783,8 +756,6 @@ def run_stealing_graph(
     undeferred_single: bool = False,
     central_queue: bool = False,
     work_first: bool = False,
-    record: bool = False,
-    audit: bool = False,
     tracer=None,
     faults=None,
     error_mode: str = "poison",
@@ -803,8 +774,6 @@ def run_stealing_graph(
         undeferred_single=undeferred_single,
         central_queue=central_queue,
         work_first=work_first,
-        record=record,
-        audit=audit,
         tracer=tracer,
         faults=faults,
         error_mode=error_mode,

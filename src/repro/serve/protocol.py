@@ -78,8 +78,8 @@ class MatrixQuery:
     def __post_init__(self) -> None:
         if not self.workload or not isinstance(self.workload, str):
             raise ProtocolError("workload must be a non-empty string")
-        if self.fidelity not in (0, 1, 2):
-            raise ProtocolError(f"fidelity must be 0, 1 or 2, got {self.fidelity!r}")
+        if type(self.fidelity) is not int or self.fidelity not in (0, 2):
+            raise ProtocolError(f"fidelity must be 0 or 2, got {self.fidelity!r}")
         if not self.threads:
             raise ProtocolError("threads must be non-empty")
         object.__setattr__(self, "threads", tuple(int(p) for p in self.threads))
@@ -113,14 +113,33 @@ class MatrixQuery:
             raise ProtocolError("query is missing 'workload'")
         kwargs: dict[str, Any] = {"workload": doc["workload"]}
         if doc.get("versions") is not None:
-            kwargs["versions"] = tuple(doc["versions"])
+            kwargs["versions"] = tuple(_typed_list(doc, "versions", str))
         if doc.get("threads") is not None:
-            kwargs["threads"] = tuple(doc["threads"])
-        kwargs["params"] = dict(doc.get("params") or {})
-        kwargs["fidelity"] = int(doc.get("fidelity", 2))
-        kwargs["trace"] = bool(doc.get("trace", False))
-        kwargs["refresh"] = bool(doc.get("refresh", False))
+            kwargs["threads"] = tuple(_typed_list(doc, "threads", int))
+        params = doc.get("params") or {}
+        if not isinstance(params, Mapping):
+            raise ProtocolError(f"params must be an object, got {params!r}")
+        kwargs["params"] = params
+        kwargs["fidelity"] = doc.get("fidelity", 2)
+        for flag in ("trace", "refresh"):
+            value = doc.get(flag, False)
+            if not isinstance(value, bool):
+                raise ProtocolError(f"{flag} must be a boolean, got {value!r}")
+            kwargs[flag] = value
         return cls(**kwargs)
+
+
+def _typed_list(doc: Mapping[str, Any], name: str, kind: type) -> list:
+    """``doc[name]`` as a JSON array whose items are all ``kind`` (a
+    JSON ``true`` is not an int here)."""
+    value = doc[name]
+    if not isinstance(value, list) or not all(
+        type(item) is kind for item in value
+    ):
+        raise ProtocolError(
+            f"{name} must be an array of {kind.__name__}s, got {value!r}"
+        )
+    return value
 
 
 def context_digest(ctx) -> str:

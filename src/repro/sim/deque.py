@@ -45,11 +45,10 @@ class WorkDeque:
         self,
         owner: int,
         name: str = "deque",
-        audit: bool = False,
         tracer: Optional[Any] = None,
     ) -> None:
         self.items: _pydeque[int] = _pydeque()
-        self.lock = SimLock(f"{name}[{owner}]", audit=audit, tracer=tracer)
+        self.lock = SimLock(f"{name}[{owner}]", tracer=tracer)
         self.owner = owner
         self.pushes = 0
         self.pops = 0
@@ -87,10 +86,9 @@ class THEDeque(WorkDeque):
         owner: int,
         costs: CostModel,
         name: str = "the",
-        audit: bool = False,
         tracer: Optional[Any] = None,
     ) -> None:
-        super().__init__(owner, name, audit=audit, tracer=tracer)
+        super().__init__(owner, name, tracer=tracer)
         self._costs = costs
 
     def push(self, t: float, tid: int) -> float:
@@ -133,10 +131,9 @@ class LockedDeque(WorkDeque):
         owner: int,
         costs: CostModel,
         name: str = "locked",
-        audit: bool = False,
         tracer: Optional[Any] = None,
     ) -> None:
-        super().__init__(owner, name, audit=audit, tracer=tracer)
+        super().__init__(owner, name, tracer=tracer)
         self._costs = costs
 
     def push(self, t: float, tid: int) -> float:
@@ -166,20 +163,15 @@ class LockedDeque(WorkDeque):
 
 
 def make_deque(
-    kind: str,
-    owner: int,
-    costs: CostModel,
-    audit: bool = False,
-    tracer: Optional[Any] = None,
+    kind: str, owner: int, costs: CostModel, tracer: Optional[Any] = None
 ) -> WorkDeque:
     """Factory: ``kind`` is ``"the"`` (Cilk) or ``"locked"`` (OpenMP).
 
     ``tracer`` routes the per-deque :class:`SimLock` grants into the
-    observability layer; ``audit=True`` keeps the deprecated per-lock
-    ``log`` list for the old validation entry points.
+    observability layer.
     """
     if kind == "the":
-        return THEDeque(owner, costs, audit=audit, tracer=tracer)
+        return THEDeque(owner, costs, tracer=tracer)
     if kind == "locked":
-        return LockedDeque(owner, costs, audit=audit, tracer=tracer)
+        return LockedDeque(owner, costs, tracer=tracer)
     raise ValueError(f"unknown deque kind {kind!r} (expected 'the' or 'locked')")

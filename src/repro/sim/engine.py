@@ -33,41 +33,17 @@ class Engine:
     can verify the clock advanced monotonically and ties were broken by
     insertion order.  The hook is off by default — it costs one branch
     per event when disabled.
-
-    ``audit`` is the pre-tracer form of the same log, kept as a working
-    deprecated shim: :meth:`enable_audit` attaches a private tracer and
-    exposes its event list under the old attribute.
     """
 
-    __slots__ = (
-        "now", "_heap", "_seq", "_events_processed", "audit", "tracer",
-        "interrupted",
-    )
+    __slots__ = ("now", "_heap", "_seq", "_events_processed", "tracer", "interrupted")
 
     def __init__(self, tracer: Optional[Any] = None) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq: int = 0
         self._events_processed: int = 0
-        self.audit: Optional[list[tuple[float, int]]] = None
         self.tracer: Optional[Any] = tracer
         self.interrupted: Optional[str] = None
-
-    def enable_audit(self) -> list[tuple[float, int]]:
-        """Start recording ``(time, seq)`` per processed event.
-
-        .. deprecated:: PR 2
-            Attach a :class:`~repro.obs.tracer.Tracer` instead; this
-            shim now routes through one and returns its
-            ``engine_events`` list (same contents as before).
-        """
-        if self.audit is None:
-            if self.tracer is None:
-                from repro.obs.tracer import Tracer
-
-                self.tracer = Tracer()
-            self.audit = self.tracer.engine_events
-        return self.audit
 
     def at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run at absolute simulated ``time``.
@@ -189,23 +165,17 @@ class SimLock:
     keyed by the lock's name; the validation subsystem checks
     exclusivity (no two grant windows overlap) and causality (no grant
     before its request) on that log, and the Chrome-trace exporter
-    renders it as a per-lock track.  ``audit=True`` keeps the pre-tracer
-    per-lock :attr:`log` list working (deprecated shim).
+    renders it as a per-lock track.
     """
 
-    __slots__ = (
-        "name", "busy_until", "acquisitions", "wait_time", "hold_time", "log", "tracer",
-    )
+    __slots__ = ("name", "busy_until", "acquisitions", "wait_time", "hold_time", "tracer")
 
-    def __init__(
-        self, name: str = "lock", audit: bool = False, tracer: Optional[Any] = None
-    ) -> None:
+    def __init__(self, name: str = "lock", tracer: Optional[Any] = None) -> None:
         self.name = name
         self.busy_until: float = 0.0
         self.acquisitions: int = 0
         self.wait_time: float = 0.0
         self.hold_time: float = 0.0
-        self.log: Optional[list[tuple[float, float, float]]] = [] if audit else None
         self.tracer: Optional[Any] = tracer
 
     def acquire(self, t: float, hold: float) -> float:
@@ -222,8 +192,6 @@ class SimLock:
         self.acquisitions += 1
         self.wait_time += grant - t
         self.hold_time += hold
-        if self.log is not None:
-            self.log.append((t, grant, hold))
         if self.tracer is not None:
             self.tracer.lock_event(self.name, t, grant, hold)
         return grant

@@ -1,16 +1,11 @@
-"""Tiered-fidelity simulation: closed-form tier-0 estimates.
+"""Fidelity: closed-form tier-0 estimates beside the simulation.
 
-The reproduction has three fidelity tiers:
+The reproduction has two fidelities:
 
-- **tier 2** (reference): the scalar discrete-event simulation — every
-  steal, lock grant and chunk dispatch is an event.  This is what the
-  validators, tracers and golden tests pin.
-- **tier 1** (fast): the same simulation with vectorized/batched fast
-  paths (batched ``cilk_for`` graph construction, memoized duration
-  model, branch-hoisted engine drain).  Tier 1 is **bit-identical** to
-  tier 2 — same event stream, same ``SimResult`` — which the
-  equivalence property suite and the golden traces enforce.
-- **tier 0** (analytic, this module): no events at all.  Makespan is
+- **simulate** (tier 2, the reference): the discrete-event simulation —
+  every steal, lock grant and chunk dispatch is an event.  This is what
+  the validators, tracers and golden tests pin.
+- **estimate** (tier 0, this module): no events at all.  Makespan is
   predicted from closed-form terms — the iteration space's block
   profile against the roofline memory model, Amdahl/greedy-scheduling
   bounds (``max(T1/p, T_inf)``), and the per-model overhead constants
@@ -50,7 +45,6 @@ from repro.sim.trace import RegionResult, SimResult, WorkerStats
 
 __all__ = [
     "TIER_ANALYTIC",
-    "TIER_FAST",
     "TIER_REFERENCE",
     "Tier0Result",
     "Calibration",
@@ -61,7 +55,6 @@ __all__ = [
 ]
 
 TIER_ANALYTIC = 0
-TIER_FAST = 1
 TIER_REFERENCE = 2
 
 

@@ -140,9 +140,9 @@ def render_gantt(
 ) -> str:
     """ASCII Gantt chart of an execution trace.
 
-    ``intervals`` are ``(worker, start, end, tag)`` tuples as recorded
-    by :class:`~repro.runtime.workstealing.StealingScheduler` with
-    ``record=True``.  Each worker gets one row; busy time is drawn with
+    ``intervals`` are ``(worker, start, end, tag)`` tuples, e.g. from
+    :meth:`Tracer.intervals() <repro.obs.tracer.Tracer.intervals>`.
+    Each worker gets one row; busy time is drawn with
     the first letter of the interval's tag, idle time with ``.``.
     """
     if nworkers <= 0:

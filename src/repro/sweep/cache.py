@@ -13,9 +13,8 @@ output*:
   payload, so they address different entries);
 - the fault-injection plan and recovery policy, when the sweep injects
   faults (fault-free cells hash exactly as before);
-- the fidelity tier, when below the tier-2 reference (tier-2 cells hash
-  exactly as before tiers existed; tier-0 estimates and tier-1 fast-path
-  runs address their own entries);
+- the fidelity, when it is the tier-0 estimate (tier-2 simulations hash
+  exactly as before tiers existed; estimates address their own entries);
 - the code-relevant package version and the cache format version.
 
 Because the simulator is deterministic, two runs with equal keys are

@@ -38,10 +38,13 @@ class SweepCell:
     faults: Optional[Mapping[str, Any]] = None
     policy: Optional[Mapping[str, Any]] = None
     fidelity: int = 2
-    """Simulation fidelity tier (:mod:`repro.sim.tiers`): ``2`` reference
-    scalar DES, ``1`` vectorized fast paths (bit-identical results, but a
-    distinct cache address), ``0`` closed-form analytic estimate.  The
+    """Simulation fidelity (:mod:`repro.sim.tiers`): ``2`` simulate (the
+    discrete-event simulation), ``0`` estimate (closed-form).  The
     default keeps tier-2 cells hashing exactly as before tiers existed."""
+
+    def __post_init__(self) -> None:
+        if self.fidelity not in (0, 2):
+            raise ValueError(f"fidelity must be 0 or 2, got {self.fidelity!r}")
 
     @property
     def key(self) -> tuple[str, int]:
@@ -64,7 +67,7 @@ def expand_cells(
     serial loop of ``run_experiment``; the executor may *complete* cells
     in any order but reports progress in this canonical one.  A fault
     plan / recovery policy (already in canonical dict form) and the
-    fidelity tier apply to every cell of the sweep.
+    fidelity apply to every cell of the sweep.
     """
     params = dict(config.params)
     return [

@@ -2,8 +2,7 @@
 
 The sweep cache and the process-pool executor both move finished
 :class:`~repro.sim.trace.SimResult` objects across a JSON boundary
-(to disk, or from a worker process back to the parent).  Unlike the
-lossy summary format of :mod:`repro.core.serialize`, this codec
+(to disk, or from a worker process back to the parent).  The codec
 round-trips *everything* the simulator recorded — per-region worker
 stats, executor meta, and the complete observability trace (spans,
 instants, engine events, lock grants) — so that a decoded result is

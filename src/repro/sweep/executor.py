@@ -14,12 +14,11 @@ each one through exactly one of three paths:
   lacks ``fork``, cells run in-process through the same
   :func:`~repro.runtime.run.run_program` the legacy loop used.
 
-The ``fidelity`` tier (:mod:`repro.sim.tiers`) selects *what* runs at
-each cell: the reference scalar simulation (2), the bit-identical
-vectorized fast paths (1), or the closed-form tier-0 estimator (0,
-always in-process — an estimate costs microseconds).  The tier is part
-of the cell's cache address and is stamped into the stored payload, so
-an estimate can never be replayed as a simulation.
+The ``fidelity`` (:mod:`repro.sim.tiers`) selects *what* runs at each
+cell: the discrete-event simulation (2) or the closed-form tier-0
+estimator (0, always in-process — an estimate costs microseconds).  The
+fidelity is part of the cell's cache address and is stamped into the
+stored payload, so an estimate can never be replayed as a simulation.
 
 All three paths are bit-identical: the simulator is deterministic, and
 the JSON codec round-trips floats exactly, so a parallel or replayed
@@ -331,13 +330,12 @@ def run_sweep(
     fidelity:
         Simulation fidelity tier (:mod:`repro.sim.tiers`).  ``None``
         (the default) inherits ``ctx.fidelity`` (tier 2 for a default
-        context); ``2`` is the reference scalar simulation, ``1`` the
-        bit-identical vectorized fast paths, ``0`` the closed-form
-        analytic estimator (cells return
+        context); ``2`` is the discrete-event simulation, ``0`` the
+        closed-form analytic estimator (cells return
         :class:`~repro.sim.tiers.Tier0Result` with calibrated error
         bounds, always in-process — estimates are far cheaper than
         process fan-out).  ``"auto"`` picks tier 0 for plain timing
-        sweeps and tier 1 whenever exact event semantics are required
+        sweeps and tier 2 whenever exact event semantics are required
         (tracing, validation, or fault injection).  Requesting tier 0
         *explicitly* together with those options is a ``ValueError`` —
         an estimate has no events to trace, audit or fault.  The tier
@@ -387,15 +385,15 @@ def run_sweep(
     if fidelity is None:
         fid = ctx.fidelity
     elif fidelity == "auto":
-        fid = 1 if needs_events else 0
-    elif fidelity in (0, 1, 2):
+        fid = 2 if needs_events else 0
+    elif fidelity in (0, 2):
         fid = int(fidelity)
     else:
-        raise ValueError(f"fidelity must be 'auto', 0, 1 or 2, got {fidelity!r}")
+        raise ValueError(f"fidelity must be 'auto', 0 or 2, got {fidelity!r}")
     if fid == 0 and needs_events:
         raise ValueError(
             "fidelity=0 is an analytic estimate with no event stream; "
-            "tracing, validation and fault injection need fidelity 1 or 2 "
+            "tracing, validation and fault injection need fidelity 2 "
             "(or fidelity='auto' to pick for you)"
         )
     if server is None:

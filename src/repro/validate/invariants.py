@@ -287,10 +287,9 @@ def check_region(
 
     Structural checks always run; work conservation and throughput caps
     additionally need ``ctx`` (for the machine model) and the
-    ``expected_work``/``expected_bytes`` meta the executors record;
-    interval / lock / event audits run whenever the region carries the
-    corresponding logs (``meta["intervals"]``, ``meta["lock_audit"]``,
-    ``meta["event_times"]``).
+    ``expected_work``/``expected_bytes`` meta the executors record.
+    Interval, lock and event audits run on the region's event trace
+    (:func:`check_trace`).
     """
     rep = report if report is not None else ValidationReport()
     meta = region.meta or {}
@@ -398,29 +397,6 @@ def check_region(
             f"(work {expected:.9g}, bytes {membytes:.9g}) — work was invented",
         )
 
-    intervals = meta.get("intervals")
-    if intervals is not None:
-        check_intervals(intervals, p_eff, horizon=time, report=rep, where=where)
-        # Cross-check: recorded intervals must account for exactly the
-        # busy seconds in the worker stats.
-        if not aggregate:
-            sums = [0.0] * len(region.workers)
-            for w, s, e, _tag in intervals:
-                if 0 <= w < len(sums):
-                    sums[w] += e - s
-            for i, (w, got) in enumerate(zip(region.workers, sums)):
-                rep.check(
-                    abs(w.busy - got) <= _tol(w.busy),
-                    "interval-busy-mismatch",
-                    f"{where} worker[{i}]",
-                    f"stats busy {w.busy:.9g} != recorded intervals {got:.9g}",
-                )
-
-    for name, log in meta.get("lock_audit", ()):
-        check_lock_log(log, report=rep, where=f"{where} {name}")
-    events = meta.get("event_times")
-    if events is not None:
-        check_event_times(events, report=rep, where=where)
     return rep
 
 

@@ -8,7 +8,9 @@ seeded :class:`random.Random` so every failure is reproducible from its
 program index alone.  Each generated program is executed at several
 thread counts (including an SMT-oversubscribed one on a deliberately
 tiny machine), audited with :func:`repro.validate.invariants.check_result`,
-and re-run to confirm determinism.
+and re-run region by region with a tracer attached to confirm
+determinism and audit each region's event stream
+(:func:`~repro.validate.invariants.check_trace`).
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.obs.tracer import Tracer
 from repro.runtime.base import ExecContext
-from repro.runtime.run import run_program
+from repro.runtime.run import execute_region, run_program
 from repro.sim.machine import Machine
 from repro.sim.task import (
     IterSpace,
@@ -29,8 +32,8 @@ from repro.sim.task import (
     TaskGraph,
     TaskRegion,
 )
-from repro.sim.trace import SimResult
-from repro.validate.invariants import ValidationReport, check_result
+from repro.sim.trace import RegionResult
+from repro.validate.invariants import ValidationReport, check_result, check_trace
 
 __all__ = [
     "SMALL_MACHINE",
@@ -114,8 +117,6 @@ def _random_region(rng: random.Random):
             {
                 "style": rng.choice(["cilk_for", "flat"]),
                 "deque": rng.choice(["the", "locked"]),
-                "record": True,
-                "audit": True,
             },
         )
     if kind == "threadpool":
@@ -132,8 +133,6 @@ def _random_region(rng: random.Random):
                 "deque": rng.choice(["the", "locked"]),
                 "work_first": rng.random() < 0.5,
                 "central_queue": rng.random() < 0.2,
-                "record": True,
-                "audit": True,
             },
         )
     return TaskRegion(random_graph(rng), "threadpool_graph", {"mode": "async"})
@@ -147,16 +146,10 @@ def random_program(rng: random.Random, index: int = 0) -> Program:
     return prog
 
 
-def _snapshot(res: SimResult) -> tuple:
+def _snapshot(res: RegionResult) -> tuple:
     return (
         res.time,
-        tuple(
-            (
-                r.time,
-                tuple((w.busy, w.overhead, w.tasks, w.steals, w.failed_steals) for w in r.workers),
-            )
-            for r in res.regions
-        ),
+        tuple((w.busy, w.overhead, w.tasks, w.steals, w.failed_steals) for w in res.workers),
     )
 
 
@@ -178,11 +171,17 @@ def run_property_suite(
             where = f"prop[seed={seed} i={i}] p={p}"
             res = run_program(prog, p, ctx)
             check_result(res, ctx=ctx, report=rep, where=where)
-            rerun = run_program(prog, p, ctx)
-            rep.check(
-                _snapshot(res) == _snapshot(rerun),
-                "determinism",
-                where,
-                f"repeated runs disagree: {res.time!r} vs {rerun.time!r}",
-            )
+            # one tracer per region: an engine may drain past its region's
+            # reported end, so event streams are audited region by region
+            for r, (region, first) in enumerate(zip(prog, res.regions)):
+                tracer = Tracer()
+                rerun = execute_region(region, p, ctx, tracer=tracer)
+                rtag = f"{where} region[{r}]"
+                rep.check(
+                    _snapshot(first) == _snapshot(rerun),
+                    "determinism",
+                    rtag,
+                    f"repeated runs disagree: {first.time!r} vs {rerun.time!r}",
+                )
+                check_trace(tracer, horizon=rerun.time, report=rep, where=rtag)
     return rep

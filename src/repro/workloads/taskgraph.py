@@ -266,8 +266,8 @@ def met_sweep(
 
     Runs the same graph shape at every ``grain`` for every version and
     returns per-version :class:`GrainPoint` lists (ascending grain).
-    ``fidelity`` selects the simulation tier (0 = analytic estimate,
-    1/2 = event-driven).
+    ``fidelity`` is 0 (analytic estimate) or 2 (event-driven
+    simulation).
     """
     from repro.runtime.base import ExecContext
     from repro.runtime.run import run_program
@@ -275,8 +275,7 @@ def met_sweep(
 
     if ctx is None:
         ctx = ExecContext()
-    if fidelity in (1, 2):
-        ctx = ctx.with_fidelity(fidelity)
+    ctx = ctx.with_fidelity(fidelity)
     params = dict(extra or {})
     curves: dict[str, list[GrainPoint]] = {v: [] for v in versions}
     for grain in sorted(grains):

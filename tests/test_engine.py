@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine, SimLock
 
 
@@ -125,23 +126,19 @@ class TestEngineAudit:
         eng = Engine()
         eng.at(1.0, lambda: None)
         eng.run()
-        assert eng.audit is None
+        assert eng.tracer is None
 
     def test_audit_records_time_and_seq(self):
-        eng = Engine()
-        log = eng.enable_audit()
+        tracer = Tracer()
+        eng = Engine(tracer=tracer)
         eng.at(2.0, lambda: None)
         eng.at(1.0, lambda: None)
         eng.at(1.0, lambda: None)
         eng.run()
+        log = tracer.engine_events
         assert log == [(1.0, 2), (1.0, 3), (2.0, 1)]
         times = [t for t, _ in log]
         assert times == sorted(times)
-
-    def test_enable_audit_is_idempotent(self):
-        eng = Engine()
-        log = eng.enable_audit()
-        assert eng.enable_audit() is log
 
 
 class TestSimLock:
@@ -189,12 +186,14 @@ class TestSimLock:
     def test_audit_log_off_by_default(self):
         lock = SimLock()
         lock.acquire(0.0, 1.0)
-        assert lock.log is None
+        assert lock.tracer is None
 
     def test_audit_log_records_request_grant_hold(self):
-        lock = SimLock(audit=True)
+        tracer = Tracer()
+        lock = SimLock(tracer=tracer)
         lock.acquire(0.0, 2.0)
         lock.acquire(1.0, 0.5)  # contended: granted at 2.0
-        assert lock.log == [(0.0, 0.0, 2.0), (1.0, 2.0, 0.5)]
-        for req, grant, hold in lock.log:
+        log = tracer.lock_events["lock"]
+        assert log == [(0.0, 0.0, 2.0), (1.0, 2.0, 0.5)]
+        for req, grant, hold in log:
             assert grant >= req and hold >= 0.0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.tracer import Tracer
 from repro.runtime.base import ExecContext
 from repro.runtime.workstealing import StealingScheduler
 from repro.sim.machine import Machine
@@ -20,11 +21,16 @@ def wide_graph(n, work=10e-6):
     return g
 
 
+def traced_run(graph, nthreads):
+    """Run ``graph`` with a tracer attached; return (result, intervals)."""
+    tracer = Tracer()
+    res = StealingScheduler(graph, nthreads, CTX, tracer=tracer).run()
+    return res, tracer.intervals()
+
+
 class TestRecording:
     def test_intervals_recorded_when_asked(self):
-        sched = StealingScheduler(wide_graph(16), 4, CTX, record=True)
-        res = sched.run()
-        intervals = res.meta["intervals"]
+        _res, intervals = traced_run(wide_graph(16), 4)
         assert len(intervals) == 16
         for w, s, e, tag in intervals:
             assert 0 <= w < 4
@@ -32,20 +38,20 @@ class TestRecording:
             assert tag == "body"
 
     def test_not_recorded_by_default(self):
-        res = StealingScheduler(wide_graph(8), 2, CTX).run()
-        assert "intervals" not in res.meta
+        sched = StealingScheduler(wide_graph(8), 2, CTX)
+        res = sched.run()
+        assert res.time > 0
+        assert sched.tracer is None and sched.engine.tracer is None
 
     def test_busy_time_matches_intervals(self):
-        sched = StealingScheduler(wide_graph(20), 4, CTX, record=True)
-        res = sched.run()
-        interval_busy = sum(e - s for _w, s, e, _t in res.meta["intervals"])
+        res, intervals = traced_run(wide_graph(20), 4)
+        interval_busy = sum(e - s for _w, s, e, _t in intervals)
         assert interval_busy == pytest.approx(res.total_busy, rel=1e-9)
 
     def test_intervals_per_worker_disjoint(self):
-        sched = StealingScheduler(wide_graph(32), 4, CTX, record=True)
-        res = sched.run()
+        _res, intervals = traced_run(wide_graph(32), 4)
         by_worker: dict[int, list] = {}
-        for w, s, e, _t in res.meta["intervals"]:
+        for w, s, e, _t in intervals:
             by_worker.setdefault(w, []).append((s, e))
         for spans in by_worker.values():
             spans.sort()
@@ -55,17 +61,15 @@ class TestRecording:
 
 class TestGanttRendering:
     def test_rows_per_worker(self):
-        sched = StealingScheduler(wide_graph(16), 4, CTX, record=True)
-        res = sched.run()
-        text = render_gantt(res.meta["intervals"], 4, width=40)
+        _res, intervals = traced_run(wide_graph(16), 4)
+        text = render_gantt(intervals, 4, width=40)
         lines = text.splitlines()
         assert len(lines) == 5  # header + 4 workers
         assert lines[1].startswith("w0")
 
     def test_busy_marks_present(self):
-        sched = StealingScheduler(wide_graph(16), 2, CTX, record=True)
-        res = sched.run()
-        text = render_gantt(res.meta["intervals"], 2, width=30)
+        _res, intervals = traced_run(wide_graph(16), 2)
+        text = render_gantt(intervals, 2, width=30)
         assert "b" in text  # tag "body" initial
 
     def test_empty_trace(self):

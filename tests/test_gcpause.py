@@ -184,7 +184,6 @@ def graph_refs(monkeypatch):
     return refs
 
 
-@pytest.mark.parametrize("fidelity", [1, 2])
 @pytest.mark.parametrize("workload,version,p,params", [
     ("lud", "omp_task", 16, {}),
     ("bfs", "cilk_for", 8, {}),
@@ -192,9 +191,9 @@ def graph_refs(monkeypatch):
     ("fib", "hpx", 8, {"n": 12}),
 ])
 def test_graphs_die_with_their_region(
-    graph_refs, collector_enabled, fidelity, workload, version, p, params
+    graph_refs, collector_enabled, workload, version, p, params
 ):
-    ctx = ExecContext(fidelity=fidelity)
+    ctx = ExecContext()
     program = get_workload(workload).build(version, ctx.machine, **params)
     gc.disable()
     try:

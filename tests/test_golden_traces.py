@@ -2,7 +2,8 @@
 
 Committed golden JSON traces (``tests/goldens/``) pin the simulator's
 *exact* event streams — span intervals, instants, engine events, lock
-grants — and final times for small axpy and fib runs at p in {1, 4}.
+grants — and final times for small axpy and fib runs at p in {1, 4},
+plus lud/cilk_for and bfs/omp_task at p=4.
 Three execution paths must reproduce each golden bit-for-bit:
 
 1. a direct serial :func:`~repro.runtime.run.run_program` call;
@@ -37,17 +38,24 @@ from repro.sweep.codec import tracer_to_dict
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
-#: (workload, version, params, nthreads) — small enough to commit, rich
-#: enough to cover a worksharing loop (axpy) and a work-stealing task
-#: tree with engine events and lock grants (fib).
-CASES = [
-    ("axpy", "omp_for", {"n": 120_000}, 1),
-    ("axpy", "omp_for", {"n": 120_000}, 4),
-    ("fib", "cilk_spawn", {"n": 10}, 1),
-    ("fib", "cilk_spawn", {"n": 10}, 4),
+#: (workload, version, params, threads) — small enough to commit, rich
+#: enough to cover a worksharing loop (axpy), a work-stealing task tree
+#: with engine events and lock grants (fib), batched cilk_for graphs
+#: over skewed triangular iteration spaces (lud), and flat chunk tasks
+#: on locked deques (bfs).  One golden per thread count.
+SWEEPS = [
+    ("axpy", "omp_for", {"n": 120_000}, (1, 4)),
+    ("fib", "cilk_spawn", {"n": 10}, (1, 4)),
+    ("lud", "cilk_for", {"n": 128, "block": 32}, (4,)),
+    ("bfs", "omp_task", {"n_nodes": 30_000}, (4,)),
 ]
 
+#: (workload, version, params, nthreads) — one per golden file.
+CASES = [(w, v, params, p) for w, v, params, threads in SWEEPS for p in threads]
+
 CASE_IDS = [f"{w}-{v}-p{p}" for w, v, params, p in CASES]
+
+SWEEP_IDS = [w for w, _v, _params, _threads in SWEEPS]
 
 
 def golden_path(workload: str, version: str, nthreads: int) -> pathlib.Path:
@@ -94,41 +102,35 @@ def test_serial_run_matches_golden(workload, version, params, nthreads, update_g
     assert payload == golden
 
 
-@pytest.mark.parametrize(
-    "workload,version,params",
-    [("axpy", "omp_for", {"n": 120_000}), ("fib", "cilk_spawn", {"n": 10})],
-    ids=["axpy", "fib"],
-)
-def test_parallel_sweep_matches_golden(workload, version, params, update_goldens):
+@pytest.mark.parametrize("workload,version,params,threads", SWEEPS, ids=SWEEP_IDS)
+def test_parallel_sweep_matches_golden(workload, version, params, threads, update_goldens):
     if update_goldens:
         pytest.skip("golden update run")
     sweep = run_sweep(
-        workload, versions=[version], threads=(1, 4), params=params, jobs=2, trace=True
+        workload, versions=[version], threads=threads, params=params, jobs=2, trace=True
     )
-    for p in (1, 4):
+    for p in threads:
         golden = load_golden(workload, version, p)
         res = sweep.results[(version, p)]
         assert res.time == golden["time"]
         assert tracer_to_dict(res.trace) == golden["trace"]
 
 
-@pytest.mark.parametrize(
-    "workload,version,params",
-    [("axpy", "omp_for", {"n": 120_000}), ("fib", "cilk_spawn", {"n": 10})],
-    ids=["axpy", "fib"],
-)
-def test_cache_replay_matches_golden(workload, version, params, tmp_path, update_goldens):
+@pytest.mark.parametrize("workload,version,params,threads", SWEEPS, ids=SWEEP_IDS)
+def test_cache_replay_matches_golden(
+    workload, version, params, threads, tmp_path, update_goldens
+):
     if update_goldens:
         pytest.skip("golden update run")
     kwargs = dict(
-        versions=[version], threads=(1, 4), params=params, cache=tmp_path, trace=True
+        versions=[version], threads=threads, params=params, cache=tmp_path, trace=True
     )
     first = run_sweep(workload, **kwargs)
-    assert first.counter("simulations") == 2
+    assert first.counter("simulations") == len(threads)
     replay = run_sweep(workload, **kwargs)
     assert replay.counter("simulations") == 0
-    assert replay.counter("cache_hits") == 2
-    for p in (1, 4):
+    assert replay.counter("cache_hits") == len(threads)
+    for p in threads:
         golden = load_golden(workload, version, p)
         res = replay.results[(version, p)]
         assert res.time == golden["time"]
@@ -376,91 +378,3 @@ def test_amt_fault_goldens_pin_table3_semantics():
         d["mode"] == "rank_fail" and d["cancelled"] and d["failed"]
         for d in mpi
     )
-
-
-# ---------------------------------------------------------------------------
-# tiered fidelity: tier-1 fast paths must reproduce the same goldens
-# ---------------------------------------------------------------------------
-#: Cases chosen to drive the tier-1 fast paths hard: lud/cilk_for builds
-#: batched cilk_for graphs over skewed triangular iteration spaces;
-#: bfs/omp_task runs flat chunk tasks on locked deques through the
-#: engine's fast drain with memoized durations.
-TIER1_CASES = [
-    ("lud", "cilk_for", 4),
-    ("bfs", "omp_task", 4),
-]
-
-TIER1_IDS = [f"{w}-{v}-p{p}" for w, v, p in TIER1_CASES]
-
-
-def tier1_golden_path(workload: str, version: str, nthreads: int) -> pathlib.Path:
-    return GOLDEN_DIR / f"{workload}_{version}_p{nthreads}_tier1.json"
-
-
-def tier1_serial_payload(workload: str, version: str, nthreads: int) -> dict:
-    """Golden document for one tier-1 (vectorized fast-path) run."""
-    ctx = ExecContext().with_fidelity(1)
-    spec = get_workload(workload)
-    params = dict(spec.validation_params or spec.default_params)
-    program = spec.build(version, ctx.machine, **params)
-    res = run_program(program, nthreads, ctx, version, trace=True)
-    return {
-        "workload": workload,
-        "version": version,
-        "nthreads": nthreads,
-        "params": params,
-        "fidelity": 1,
-        "time": res.time,
-        "trace": tracer_to_dict(res.trace),
-    }
-
-
-@pytest.mark.parametrize("workload,version,nthreads", TIER1_CASES, ids=TIER1_IDS)
-def test_tier1_run_matches_golden(workload, version, nthreads, update_goldens):
-    payload = tier1_serial_payload(workload, version, nthreads)
-    path = tier1_golden_path(workload, version, nthreads)
-    if update_goldens:
-        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        pytest.skip(f"updated {path.name}")
-    if not path.exists():
-        pytest.fail(
-            f"missing golden {path}; generate with "
-            "`pytest tests/test_golden_traces.py --update-goldens`"
-        )
-    assert payload == json.loads(path.read_text())
-
-
-@pytest.mark.parametrize("workload,version,nthreads", TIER1_CASES, ids=TIER1_IDS)
-def test_tier1_golden_equals_tier2_reference(workload, version, nthreads, update_goldens):
-    """The committed tier-1 goldens must be exactly what the tier-2
-    scalar reference produces — the on-disk form of the bit-identity
-    contract between the fast paths and the reference simulation."""
-    if update_goldens:
-        pytest.skip("golden update run")
-    ctx = ExecContext()
-    spec = get_workload(workload)
-    params = dict(spec.validation_params or spec.default_params)
-    program = spec.build(version, ctx.machine, **params)
-    res = run_program(program, nthreads, ctx, version, trace=True)
-    path = tier1_golden_path(workload, version, nthreads)
-    golden = json.loads(path.read_text())
-    assert res.time == golden["time"]
-    assert tracer_to_dict(res.trace) == golden["trace"]
-
-
-@pytest.mark.parametrize("workload,version,params,nthreads", CASES, ids=CASE_IDS)
-def test_existing_goldens_reproduce_at_fidelity1(
-    workload, version, params, nthreads, update_goldens
-):
-    """The original tier-2 goldens, re-run with the tier-1 fast paths
-    enabled, must reproduce bit-for-bit — same files, no new goldens."""
-    if update_goldens:
-        pytest.skip("golden update run")
-    ctx = ExecContext().with_fidelity(1)
-    spec = get_workload(workload)
-    program = spec.build(version, ctx.machine, **params)
-    res = run_program(program, nthreads, ctx, version, trace=True)
-    golden = load_golden(workload, version, nthreads)
-    assert res.time == golden["time"]
-    assert tracer_to_dict(res.trace) == golden["trace"]

@@ -274,26 +274,3 @@ class TestAttribution:
         assert "bottleneck attribution" in text
         assert "work-stealing overhead" in text
         assert "=> dominated by" in text
-
-
-class TestEngineAuditShim:
-    def test_enable_audit_still_returns_event_list(self):
-        from repro.sim.engine import Engine
-
-        eng = Engine()
-        log = eng.enable_audit()
-        eng.after(0.0, lambda: None)
-        eng.after(1.0, lambda: None)
-        eng.run()
-        assert len(log) == 2
-        assert log is eng.tracer.engine_events
-
-    def test_simlock_audit_log_still_works(self):
-        from repro.sim.engine import SimLock
-
-        tr = Tracer()
-        lock = SimLock("l", audit=True, tracer=tr)
-        lock.acquire(0.0, 1.0)
-        lock.acquire(0.5, 1.0)
-        assert lock.log == [(0.0, 0.0, 1.0), (0.5, 1.0, 1.0)]
-        assert tr.lock_events["l"] == lock.log

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import threading
 import time
 
@@ -32,7 +33,7 @@ from tests.test_sweep_executor import sweep_fingerprint
 
 KWARGS = dict(
     versions=["omp_for", "cxx_thread"], threads=(1, 4), params={"n": 120_000},
-    fidelity=1,
+    fidelity=2,
 )
 NCELLS = 4  # 2 versions x 2 thread counts
 
@@ -68,7 +69,7 @@ def running_server(cache, **kwargs):
 class TestProtocol:
     def test_query_round_trips(self):
         query = MatrixQuery("axpy", versions=("omp_for",), threads=(1, 4),
-                            params={"n": 10}, fidelity=1, trace=True,
+                            params={"n": 10}, fidelity=0, trace=True,
                             refresh=True)
         assert MatrixQuery.from_dict(query.to_dict()) == query
 
@@ -81,8 +82,9 @@ class TestProtocol:
             MatrixQuery.from_dict({"threads": [1]})
 
     def test_bad_fidelity_rejected(self):
-        with pytest.raises(ProtocolError, match="fidelity"):
-            MatrixQuery("axpy", fidelity=3)
+        for fidelity in (1, 3, True, 2.0, "2", None):
+            with pytest.raises(ProtocolError, match="fidelity"):
+                MatrixQuery("axpy", fidelity=fidelity)
 
     def test_decode_event_rejects_garbage(self):
         with pytest.raises(ProtocolError, match="undecodable"):
@@ -261,6 +263,33 @@ class TestServeRefusals:
             client = SweepClient(srv.url)
             with pytest.raises(ServerError, match="400"):
                 list(client.query(MatrixQuery("no_such_workload")))
+            assert srv.perf.counters["serve.bad_request"] == 1
+
+    @pytest.mark.parametrize("body", [
+        {"fidelity": None},
+        {"fidelity": True},
+        {"fidelity": 2.9},
+        {"fidelity": 1},
+        {"threads": 5},
+        {"threads": [None]},
+        {"threads": ["four"]},
+        {"params": [1]},
+        {"versions": 3},
+        {"trace": "yes"},
+    ], ids=repr)
+    def test_malformed_query_is_a_400(self, tmp_path, body):
+        """Wrong field types answer 400 and count as a bad request —
+        never a dropped connection, never a silent coercion."""
+        with running_server(tmp_path) as srv:
+            conn = SweepClient(srv.url)._connection()
+            try:
+                conn.request("POST", "/sweep",
+                             body=json.dumps({"workload": "axpy", **body}))
+                resp = conn.getresponse()
+                detail = resp.read()
+            finally:
+                conn.close()
+            assert resp.status == 400, detail
             assert srv.perf.counters["serve.bad_request"] == 1
 
     def test_unknown_route_is_a_404(self, tmp_path):

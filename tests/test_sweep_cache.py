@@ -544,9 +544,32 @@ class TestFidelityAddressing:
             cache_key(
                 SweepCell("axpy", "omp_for", 4, {"n": 120_000}, fidelity=f), ctx
             )
-            for f in (0, 1, 2)
+            for f in (0, 2)
         }
-        assert len(keys) == 3
+        assert len(keys) == 2
+
+    @pytest.mark.parametrize("bad", [1, 3])
+    def test_only_estimate_and_simulate_exist(self, bad):
+        from repro.sweep import run_sweep
+
+        with pytest.raises(ValueError, match="fidelity"):
+            SweepCell("axpy", "omp_for", 4, {"n": 120_000}, fidelity=bad)
+        with pytest.raises(ValueError, match="fidelity"):
+            ExecContext().with_fidelity(bad)
+        with pytest.raises(ValueError, match="fidelity"):
+            run_sweep("axpy", threads=(1,), fidelity=bad)
+
+    def test_auto_with_events_simulates_at_tier2(self, tmp_path):
+        """`fidelity="auto"` on a traced sweep resolves to the tier-2
+        simulation, so it replays entries a tier-2 sweep stored."""
+        from repro.sweep import run_sweep
+
+        kwargs = dict(versions=["omp_for"], threads=(1, 4),
+                      params={"n": 120_000}, cache=tmp_path, trace=True)
+        run_sweep("axpy", fidelity=2, **kwargs)
+        auto = run_sweep("axpy", fidelity="auto", **kwargs)
+        assert auto.counter("cache_hits") == 2
+        assert auto.counter("simulations") == 0
 
     def test_tier2_key_is_the_legacy_key(self):
         """A default (tier-2) cell must hash exactly as cells did before
@@ -609,7 +632,6 @@ class TestFidelityAddressing:
         assert payload["fidelity"] == 0
         assert _decode_entry(payload, 0) is not None
         assert _decode_entry(payload, 2) is None
-        assert _decode_entry(payload, 1) is None
         # graft the tier-0 payload under the tier-2 address: the guard
         # still refuses to serve it
         cell = SweepCell("axpy", "omp_for", 1, {"n": 120_000})

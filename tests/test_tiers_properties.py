@@ -1,22 +1,26 @@
-"""Tier-1 equivalence properties: the fast paths must be bit-identical.
+"""Fast-path equivalence properties: the fast paths must be bit-identical.
 
-Tier 1 replaces scalar hot loops with vectorized/batched equivalents —
-the engine's branch-hoisted drain, the memoized duration model, the
-batched ``cilk_for`` graph builder.  "Equivalent" here means **bit
-identical**: same final time, same per-worker statistics, same executor
-meta, same complete trace event stream, down to the last ULP of every
-timestamp.  These properties pin that on seeded random programs (every
-executor, nested regions, skewed spaces), under fault injection, and on
-the batched builders directly.
+The simulator replaces scalar hot loops with vectorized/batched
+equivalents — the engine's branch-hoisted drain, the memoized duration
+model, the batched ``cilk_for`` graph builder.  "Equivalent" here means
+**bit identical** to the scalar reference each one replicates
+(:func:`scalar_reference`): same final time, same per-worker
+statistics, same executor meta, same complete trace event stream, down
+to the last ULP of every timestamp.  These properties pin that on
+seeded random programs (every executor, nested regions, skewed spaces),
+under fault injection, and on the batched builders directly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import numpy as np
 import pytest
 
+from repro.obs.tracer import Tracer
+from repro.runtime import workstealing
 from repro.runtime.base import ExecContext
 from repro.runtime.run import run_program
 from repro.runtime.workstealing import cilk_for_graph, cilk_for_graph_batched
@@ -25,15 +29,30 @@ from repro.sweep.codec import result_to_dict
 from repro.validate.properties import SMALL_MACHINE, random_program
 
 CTX2 = ExecContext(machine=SMALL_MACHINE)
-CTX1 = CTX2.with_fidelity(1)
 
 THREADS = (1, 2, 5, 9)
 SEEDS = (0, 1, 2, 3, 4, 5, 6, 7)
 
 
+@contextlib.contextmanager
+def scalar_reference():
+    """Run the work-stealing scheduler on the scalar reference paths:
+    :meth:`MemoryModel.duration` per task instead of the memoized
+    duration, and the recursive :func:`cilk_for_graph` builder instead
+    of the batched one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            workstealing, "_fast_duration",
+            lambda machine, nthreads: ExecContext(machine=machine).memory.duration,
+        )
+        mp.setattr(workstealing, "cilk_for_graph_batched", cilk_for_graph)
+        yield
+
+
 def _identical(program, p, **kwargs) -> None:
-    ref = run_program(program, p, CTX2, trace=True, **kwargs)
-    fast = run_program(program, p, CTX1, trace=True, **kwargs)
+    with scalar_reference():
+        ref = run_program(program, p, CTX2, trace=True, **kwargs)
+    fast = run_program(program, p, CTX2, trace=True, **kwargs)
     assert type(fast.time) is float and fast.time == ref.time
     # full-fidelity comparison: regions, worker stats, meta, every
     # span/instant/engine/lock event — the codec dict covers it all
@@ -57,9 +76,9 @@ def test_random_programs_identical_under_fault_injection(seed):
         _identical(program, p, faults="fail:task=3", policy=policy)
 
 
-def test_fidelity0_context_runs_like_fidelity1():
-    """Executors treat a fidelity-0 context as tier 1 (estimates come
-    from ``estimate_program``, never from ``run_program``)."""
+def test_fidelity0_context_runs_like_fidelity2():
+    """Executors do not read the fidelity (estimates come from
+    ``estimate_program``, never from ``run_program``)."""
     rng = random.Random(99)
     program = random_program(rng, 99)
     r0 = run_program(program, 5, CTX2.with_fidelity(0), trace=True)
@@ -122,26 +141,32 @@ def test_fast_duration_bit_equal_to_memory_model():
 
     g = TaskGraph()
     g.add(1e-8)
-    sched = StealingScheduler(g, 9, CTX1)
+    sched = StealingScheduler(g, 9, CTX2)
     rng = np.random.default_rng(13)
     for _ in range(500):
         work = float(rng.uniform(0, 1e-6))
         membytes = float(rng.choice([0.0, 8.0, 64.0, 4096.0]))
         locality = float(rng.choice([0.1, 0.5, 1.0]))
         active = int(rng.integers(0, 10))
-        assert sched._duration(work, membytes, locality, active) == CTX1.duration(
+        assert sched._duration(work, membytes, locality, active) == CTX2.duration(
             work, membytes, locality, active
         )
 
 
 def test_reference_context_uses_reference_duration():
+    """The reference side of :func:`_identical` really is the scalar
+    path (otherwise every equivalence property compares a run with
+    itself)."""
     from repro.runtime.workstealing import StealingScheduler
     from repro.sim.task import TaskGraph
 
     g = TaskGraph()
     g.add(1e-8)
-    sched = StealingScheduler(g, 4, CTX2)
-    assert sched._duration == CTX2.memory.duration
+    with scalar_reference():
+        assert StealingScheduler(g, 4, CTX2)._duration == CTX2.memory.duration
+        assert workstealing.cilk_for_graph_batched is cilk_for_graph
+    assert StealingScheduler(g, 4, CTX2)._duration != CTX2.memory.duration
+    assert workstealing.cilk_for_graph_batched is cilk_for_graph_batched
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +185,7 @@ def test_engine_fast_drain_matches_general_loop():
     fast_order = build(fast)
     fast_end = fast.run()
 
-    slow = Engine()
-    slow.enable_audit()  # tracer attached -> general loop
+    slow = Engine(tracer=Tracer())  # tracer attached -> general loop
     slow_order = build(slow)
     slow_end = slow.run()
 

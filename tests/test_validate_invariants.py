@@ -3,6 +3,7 @@
 import pytest
 
 from repro.kernels import axpy, fib
+from repro.obs.tracer import Tracer
 from repro.runtime.base import ExecContext
 from repro.runtime.run import run_program
 from repro.runtime.workstealing import run_stealing_graph, run_stealing_loop
@@ -18,6 +19,7 @@ from repro.validate.invariants import (
     check_lock_log,
     check_region,
     check_result,
+    check_trace,
 )
 
 CTX = ExecContext()
@@ -139,16 +141,19 @@ class TestBusyEnvelope:
 class TestCheckRegion:
     def test_real_stealing_run_passes(self):
         space = axpy.space(CTX.machine, 200_000)
-        res = run_stealing_loop(space, 4, CTX, record=True, audit=True)
+        tracer = Tracer()
+        res = run_stealing_loop(space, 4, CTX, tracer=tracer)
         rep = check_region(res, ctx=CTX)
+        check_trace(tracer, horizon=res.time, report=rep)
         assert rep.ok, rep.describe()
         assert rep.checks > 100  # intervals + locks + events all audited
 
     def test_tampered_overlapping_interval_caught(self):
         space = axpy.space(CTX.machine, 200_000)
-        res = run_stealing_loop(space, 4, CTX, record=True, audit=True)
-        res.meta["intervals"].append((0, 0.0, res.time, "tamper"))
-        rep = check_region(res, ctx=CTX)
+        tracer = Tracer()
+        res = run_stealing_loop(space, 4, CTX, tracer=tracer)
+        tracer.span(0, 0.0, res.time, "task", "tamper")
+        rep = check_trace(tracer, horizon=res.time)
         assert any(v.invariant == "interval-overlap" for v in rep.violations)
 
     def test_dropped_work_caught(self):
@@ -222,15 +227,16 @@ class TestRunProgramValidate:
 
         real = run_mod.run_stealing_graph
 
-        def tampered(graph, nthreads, ctx, **kw):
-            res = real(graph, nthreads, ctx, **kw)
-            res.meta["intervals"] = [(0, 0.0, 1.0, "x"), (0, 0.5, 1.5, "x")]
+        def tampered(graph, nthreads, ctx, *, tracer, **kw):
+            res = real(graph, nthreads, ctx, tracer=tracer, **kw)
+            tracer.span(0, 0.0, 1e-6, "task", "x")
+            tracer.span(0, 0.5e-6, 1.5e-6, "task", "x")
             return res
 
         monkeypatch.setattr(run_mod, "run_stealing_graph", tampered)
         prog = fib.program("cilk_spawn", machine=CTX.machine, n=10)
         with pytest.raises(SimulationInvariantError, match="interval-overlap"):
-            run_program(prog, 4, CTX, validate=True)
+            run_program(prog, 4, CTX, validate=True, trace=True)
 
     def test_validate_on_small_machine(self):
         ctx = ExecContext(machine=Machine(sockets=1, cores_per_socket=2, smt=2))
