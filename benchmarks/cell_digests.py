@@ -1,0 +1,89 @@
+"""Bit-identity check: hash every registry cell and compare with a
+committed baseline.
+
+    PYTHONPATH=src python benchmarks/cell_digests.py            # check
+    PYTHONPATH=src python benchmarks/cell_digests.py --write    # regenerate
+
+Every workload x version of the registry is swept at p in {1, 3, 16, 36}
+at fidelity 0 (estimate) and 2 (simulate), plus one traced p3 pass at
+fidelity 2.  Each cell's codec document (times, worker stats, executor
+meta, and for the traced pass the full event streams) is serialized the
+way the result store writes it and hashed with SHA-256; a cell that
+fails with an expected error (the modelled C++11 thread explosion)
+hashes its error message instead.
+
+The baseline is ``benchmarks/baselines/cell_digests.json``.  A change
+meant to be behaviour-preserving must leave every digest unchanged;
+regenerate the file only for a change that is meant to move results.
+Exit status: 0 all digests match, 1 a mismatch (each is listed).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import pathlib
+import sys
+import time
+
+BASELINE = pathlib.Path(__file__).resolve().parent / "baselines" / "cell_digests.json"
+
+THREADS = (1, 3, 16, 36)
+FIDELITIES = (0, 2)
+TRACED_THREADS = (3,)
+
+
+def _digest(doc) -> str:
+    blob = json.dumps(doc, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _sweep_digests(name: str, threads, fidelity: int, trace: bool) -> dict[str, str]:
+    from repro.sweep import codec, run_sweep
+
+    sweep = run_sweep(name, threads=threads, fidelity=fidelity, trace=trace, cache=None)
+    tag = "trace" if trace else f"f{fidelity}"
+    out = {}
+    for (v, p), res in sweep.results.items():
+        out[f"{name}/{v}/p{p}/{tag}"] = _digest(codec.result_to_dict(res))
+    for (v, p), err in sweep.errors.items():
+        out[f"{name}/{v}/p{p}/{tag}"] = _digest({"error": err})
+    return out
+
+
+def cell_digests() -> dict[str, str]:
+    """Digest of every cell, keyed ``workload/version/p<n>/<f0|f2|trace>``."""
+    from repro.core.registry import WORKLOADS
+
+    digests: dict[str, str] = {}
+    for name in WORKLOADS:
+        for fid in FIDELITIES:
+            digests.update(_sweep_digests(name, THREADS, fid, trace=False))
+        digests.update(_sweep_digests(name, TRACED_THREADS, 2, trace=True))
+    return dict(sorted(digests.items()))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--write", action="store_true", help="regenerate the baseline")
+    args = ap.parse_args(argv)
+
+    t0 = time.perf_counter()
+    digests = cell_digests()
+    wall = time.perf_counter() - t0
+    if args.write:
+        BASELINE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(digests)} cell digests to {BASELINE} ({wall:.1f} s)")
+        return 0
+    expected = json.loads(BASELINE.read_text())
+    bad = sorted(k for k in expected.keys() | digests.keys()
+                 if expected.get(k) != digests.get(k))
+    for k in bad:
+        print(f"MISMATCH {k}: expected {expected.get(k)} got {digests.get(k)}")
+    print(f"{len(digests)} cells hashed in {wall:.1f} s, {len(bad)} mismatches")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,14 +6,16 @@ One :class:`Tracer` instance collects everything a run emits:
   execution, steal attempts (successful and failed probes), lock waits,
   barrier waiting, host<->device transfers;
 - **instants** — point events (worker wake-ups, joins);
-- **engine events** — every ``(time, seq)`` pair the discrete-event
-  engine processed, for monotonicity/tie-order audits;
+- **engine events** — every ``(time, seq)`` pair the work-stealing
+  event loop (:class:`~repro.runtime.workstealing.StealingScheduler`)
+  popped from its ``(time, seq, worker, kind)`` heap, for
+  monotonicity/tie-order audits;
 - **lock events** — every :class:`~repro.sim.engine.SimLock` grant as a
   ``(request, grant, hold)`` triple keyed by lock name.
 
-The tracer is the single instrumentation API: :class:`~repro.sim.engine.Engine`,
-:class:`~repro.sim.engine.SimLock`, both deque models and all four
-executors emit into it, and the validation subsystem
+The tracer is the single instrumentation API: the work-stealing event
+loop, :class:`~repro.sim.engine.SimLock`, both deque models and all
+four executors emit into it, and the validation subsystem
 (:func:`repro.validate.invariants.check_trace`) consumes it.
 
 Cost discipline: executors hold ``tracer=None`` by default and guard

@@ -15,6 +15,9 @@ disables the collector and the last to leave restores the state the
 first one found, so a caller that disabled the collector itself keeps
 it disabled, and overlapping simulations on several threads leave it
 enabled once all of them finish.  A forked child starts unpaused.
+When the last pause ends, a young collection the pause held back runs
+at once, so its host time lands inside the paused run's span rather
+than in whatever the caller does next.
 
 Because cycles are left for later while a simulation runs, executors
 and graph builders must not create them: a cycle through a graph (a
@@ -54,9 +57,30 @@ class _PausedGC(ContextDecorator):
         global _depth
         with _lock:
             _depth -= 1
-            if _depth == 0 and _was_enabled:
+            resumed = _depth == 0 and _was_enabled
+            if resumed:
                 gc.enable()
+        if resumed:
+            _run_held_back_collection()
         return False
+
+
+def _run_held_back_collection() -> None:
+    """Run the young collection the pause held back, now rather than at
+    the caller's next allocation.
+
+    Objects a paused run leaves alive (its results) still count toward
+    the collector's thresholds, so the first allocation after the pause
+    would trigger the collection the run made due — wherever that lands
+    in the caller.  Running it here charges it to the paused run's own
+    host-time span.  The generation is the one the automatic trigger
+    would pick; when a full collection may be due, the decision (which
+    needs collector state Python cannot read) is left to the trigger.
+    """
+    count0, count1, count2 = gc.get_count()
+    limit0, limit1, limit2 = gc.get_threshold()
+    if limit0 and count0 > limit0 and count2 <= limit2:
+        gc.collect(1 if count1 > limit1 else 0)
 
 
 paused_gc = _PausedGC()

@@ -456,6 +456,9 @@ def _run_amt_graph(
     skipped = 0
     overhead = 0.0
     stalled = 0.0
+    # per-task future costs, summed in the order the model adds them
+    hpx_pre = costs.hpx_future_create + costs.hpx_continuation
+    hpx_get = costs.hpx_future_get
 
     for t in graph.tasks:
         tid = t.tid
@@ -486,12 +489,18 @@ def _run_amt_graph(
             pre = costs.charm_msg_recv + costs.charm_entry_dispatch
             post = len(graph.successors[tid]) * costs.charm_msg_send
         else:  # hpx: continuation stolen by the earliest-free worker
-            ready = max((finish[d] for d in t.deps), default=0.0)
-            pre = (costs.hpx_future_create + costs.hpx_continuation
-                   + len(t.deps) * costs.hpx_future_get)
+            deps = t.deps
+            ready = 0.0
+            for d in deps:
+                arr = finish[d]
+                if arr > ready:
+                    ready = arr
+            pre = hpx_pre + len(deps) * hpx_get
             post = 0.0
             pe = _hpx_worker(pe_free, ready)
-        start = max(pe_free[pe], ready)
+        start = pe_free[pe]
+        if ready > start:
+            start = ready
         if speed:
             key = (t.work, t.membytes, t.locality)
             dur = durations.get(key)

@@ -30,16 +30,17 @@ bandwidth-bound, placement matters less).
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
-from functools import partial
+from time import perf_counter, process_time
 from typing import Optional
 
 import numpy as np
 
+from repro.perf.spans import current as _perf_current
 from repro.runtime.base import ExecContext
 from repro.sim.deque import make_deque
-from repro.sim.engine import Engine
 from repro.sim.task import IterSpace, TaskGraph
 from repro.sim.trace import RegionResult, WorkerStats
 
@@ -55,6 +56,8 @@ __all__ = [
 ]
 
 _BUSY, _IDLE, _WAKING = 0, 1, 2
+#: event kind of a wake-up (a finish event's kind is the task id)
+_WAKE = -1
 
 
 def _fast_duration(machine, nthreads: int):
@@ -123,6 +126,10 @@ class StealingScheduler:
         (successful and failed probes), engine event times and per-deque
         lock grants.  This is the one observability hook; disabled
         (``None``) it costs a single branch at each emission site.
+
+    The simulation is one discrete-event loop (:meth:`_drain`) over a
+    binary heap of ``(time, seq, worker, kind)`` entries; ties in time
+    fire in insertion (``seq``) order, so a run is deterministic.
     """
 
     def __init__(
@@ -158,7 +165,8 @@ class StealingScheduler:
         self.reducer = reducer
         self.tracer = tracer
 
-        self.engine = Engine(tracer=tracer)
+        self._heap: list[tuple[float, int, int, int]] = []
+        self.events = 0
         self.rng = random.Random(ctx.seed ^ (len(graph) * 2654435761 % (1 << 30)))
         self.deques = [
             make_deque(deque, w, ctx.costs, tracer=tracer)
@@ -166,13 +174,9 @@ class StealingScheduler:
         ]
         self.stats = [WorkerStats() for _ in range(nthreads)]
         self.steal_time = 0.0
-        self.state = [_IDLE] * nthreads
-        self.remaining = graph.indegrees()
         self.done = 0
         self.finish_time = 0.0
-        self.active = 0
         self.steal_views = 0
-        self._idle: list[int] = []
         self.central_queue = central_queue
         self.work_first = work_first
         # fault-injection state (all inert when faults is None)
@@ -182,7 +186,6 @@ class StealingScheduler:
         self.poisoned = False     # spawn tree poisoned: nothing new issues
         self.poison_time = 0.0
         self.issued_after_poison = 0
-        self._fail_tid: Optional[int] = None
         self._fail_err: Optional[str] = None
         self._fail_time = 0.0
         # memoized duration inputs (bit-identical to MemoryModel.duration
@@ -200,9 +203,7 @@ class StealingScheduler:
         if self.p == 1 and self.undeferred_single:
             return self._run_serial_undeferred()
 
-        # Workers 1..p-1 begin idle; worker 0 seeds the deque.
-        for w in range(1, self.p):
-            self._idle.append(w)
+        # Worker 0 seeds its deque; workers 1..p-1 begin idle.
         t = 0.0
         dq = self.deques[0]
         pushed = 0
@@ -213,9 +214,20 @@ class StealingScheduler:
             t = dq.push(t, tid)
             pushed += 1
         self.stats[0].overhead += t
-        self._wake_idlers(pushed, t)
-        self._acquire(0, t)
-        self.engine.run(max_events=self.ctx.max_events)
+        # Host telemetry: with a repro.perf recording active the loop's
+        # host cost lands in an ``engine.drain`` span and its event count
+        # in an ``engine.events`` counter; one predicate per region.
+        rec = _perf_current()
+        if rec is None:
+            self._drain(pushed, t)
+        else:
+            t0 = perf_counter()
+            c0 = process_time()
+            try:
+                self._drain(pushed, t)
+            finally:
+                rec.add_span("engine.drain", perf_counter() - t0, process_time() - c0)
+                rec.count("engine.events", self.events)
         if self.done != len(graph) and not self.poisoned:
             raise RuntimeError(
                 f"deadlock: {self.done}/{len(graph)} tasks completed in {graph.name}"
@@ -229,7 +241,7 @@ class StealingScheduler:
             "lock_wait": sum(d.lock.wait_time for d in self.deques),
             "steal_time": self.steal_time,
             "max_deque_depth": max(d.max_depth for d in self.deques),
-            "events": self.engine.events_processed,
+            "events": self.events,
             "reducer_views": self.steal_views,
         }
         meta.update(self._expected_meta())
@@ -324,149 +336,208 @@ class StealingScheduler:
         return RegionResult(time=t, nthreads=1, workers=self.stats, meta=meta)
 
     # ------------------------------------------------------------------
-    def _start(self, w: int, tid: int, t: float) -> None:
-        self.state[w] = _BUSY
-        self.active += 1
-        task = self.graph.tasks[tid]
-        dur = self._duration(task.work, task.membytes, task.locality, min(self.active, self.p))
-        st = self.stats[w]
-        t0 = max(t, self.engine.now)
-        if self.faults is not None:
-            if self.poisoned:
-                self.issued_after_poison += 1
-            ordinal = self.started
-            self.started += 1
-            stall = self.faults.stall(w, t0)
-            if stall > 0.0:
-                if self.tracer is not None:
-                    self.tracer.span(w, t0, t0 + stall, "stall", "worker_stall")
-                st.overhead += stall
-                t0 += stall
-            dur *= self.faults.slow_factor(t0)
-            if self._fail_err is None:
-                failure = self.faults.fail_task(ordinal, t0)
-                if failure is not None:
-                    self._fail_err = failure
-                    self._fail_time = t0 + dur
-                    self._fail_tid = tid
-        st.busy += dur
-        st.tasks += 1
-        if self.tracer is not None:
-            self.tracer.span(w, t0, t0 + dur, "task", task.tag or "task")
-        self.engine.at(t0 + dur, partial(self._finish, w, tid))
+    def _drain(self, pushed: int, t: float) -> None:
+        """The event loop: worker 0 has seeded ``pushed`` roots by time
+        ``t``; wake idlers for them, then run events until the heap
+        drains or a poisoned tree goes quiet.
 
-    def _own_deque(self, w: int):
-        return self.deques[0] if self.central_queue else self.deques[w]
+        Heap entries are ``(time, seq, worker, kind)``: ``kind`` is the
+        id of the task ``worker`` finishes at ``time``, or ``_WAKE`` for
+        a wake-up.  ``seq`` counts pushes and breaks time ties in
+        insertion order.  Each pass of the outer loop does what a worker
+        does at time ``t`` — wake one idler per pushed task, then start
+        the task it dives into or pop/steal one — and the inner loop
+        pops the next event and applies its finish (push ready
+        successors) or wake-up.
+        """
+        p = self.p
+        tasks = self.graph.tasks
+        successors = self.graph.successors
+        remaining = self.graph.indegrees()
+        deques = self.deques
+        own = [deques[0]] * p if self.central_queue else deques
+        own_push = [d.push for d in own]
+        own_pop = [d.pop for d in own]
+        items = [d.items for d in deques]
+        stats = self.stats
+        state = [_IDLE] * p
+        idle = list(range(1, p))  # worker 0 seeded the roots
+        heap = self._heap
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        duration = self._duration
+        randrange = self.rng.randrange
+        tracer = self.tracer
+        faults = self.faults
+        workers = range(p)
+        spawn_cost = self.spawn_cost
+        per_task_overhead = self.per_task_overhead
+        work_first = self.work_first
+        central_queue = self.central_queue
+        reducer = self.reducer
+        costs = self.ctx.costs
+        steal_latency = costs.steal_latency
+        wake_latency = costs.wake_latency
+        poison_on_fail = self.error_mode in ("poison", "cancel")
+        max_events = self.ctx.max_events
+        # the check runs after each event, so a limit below 0 acts as 0
+        limit = math.inf if max_events is None else max(max_events, 0)
 
-    def _finish(self, w: int, tid: int) -> None:
-        self.active -= 1
-        t = self.engine.now
-        t0 = t
-        if tid == self._fail_tid and not self.poisoned and self.error_mode in ("poison", "cancel"):
-            # the exception (or `omp cancel taskgroup`) surfaces when the
-            # failing strand completes: poison the spawn tree — in-flight
-            # tasks drain, continuations and queued tasks are abandoned
-            # at the implicit sync
-            self.poisoned = True
-            self.poison_time = t
-            if self.tracer is not None:
-                self.tracer.instant(w, t, "cancel")
-        if self.poisoned:
-            self.done += 1
-            if t > self.finish_time:
-                self.finish_time = t
-            self._acquire(w, t)
-            return
-        dq = self._own_deque(w)
-        pushed = 0
-        dive: Optional[int] = None
-        for succ in self.graph.successors[tid]:
-            self.remaining[succ] -= 1
-            if self.remaining[succ] == 0:
-                task = self.graph.tasks[succ]
-                spawn = task.spawn_cost if task.spawn_cost > 0 else self.spawn_cost
-                t += spawn
-                if self.work_first and dive is None:
-                    dive = succ  # execute-on-creation: no deque round-trip
+        now = 0.0
+        seq = 0
+        processed = 0
+        active = 0
+        done = 0
+        finish_time = 0.0
+        steal_time = 0.0
+        steal_views = 0
+        poisoned = False
+        fail_tid = None
+        quiet = False
+        w = 0
+        dive = None
+        while True:
+            # -- worker w at time t: wake idlers, then run a task ------
+            if pushed:
+                wake_at = (now if now > t else t) + wake_latency
+                while pushed > 0 and idle:
+                    v = idle.pop()
+                    state[v] = _WAKING
+                    seq += 1
+                    heappush(heap, (wake_at, seq, v, _WAKE))
+                    pushed -= 1
+            tid = dive
+            if tid is None:
+                if poisoned:
+                    # poisoned tree: nothing new is popped or stolen; once
+                    # the last in-flight task drains the execution aborts
+                    state[w] = _IDLE
+                    idle.append(w)
+                    if active == 0:
+                        quiet = True
                 else:
-                    t = dq.push(t, succ)
-                    pushed += 1
-        if self.per_task_overhead:
-            t += self.per_task_overhead
-        self.stats[w].overhead += t - t0
-        self.done += 1
-        if t > self.finish_time:
-            self.finish_time = t
-        if pushed:
-            self._wake_idlers(pushed, t)
-        if dive is not None:
-            self._start(w, dive, t)
-        else:
-            self._acquire(w, t)
-
-    def _acquire(self, w: int, t: float) -> None:
-        """Pop own deque (or the central queue) or steal; go idle when
-        the system looks empty."""
-        if self.poisoned:
-            # poisoned tree: nothing new is popped or stolen; once the
-            # last in-flight task drains the whole execution aborts
-            self.state[w] = _IDLE
-            self._idle.append(w)
-            if self.active == 0:
-                self.engine.interrupt("poisoned")
-            return
-        tid, t2 = self._own_deque(w).pop(t)
-        if tid is not None:
-            self.stats[w].overhead += t2 - t
-            self._start(w, tid, t2)
-            return
-        victim = None if self.central_queue else self._pick_victim(w)
-        if victim is not None:
-            t_probe = t + self.ctx.costs.steal_latency
-            tid, t2 = self.deques[victim].steal(t_probe)
+                    tid, t2 = own_pop[w](t)
+                    if tid is not None:
+                        stats[w].overhead += t2 - t
+                        t = t2
+                    elif not central_queue:
+                        # random victim among non-empty deques
+                        candidates = [v for v in workers if v != w and items[v]]
+                        if candidates:
+                            victim = candidates[randrange(len(candidates))]
+                            tid, t2 = deques[victim].steal(t + steal_latency)
+                            st = stats[w]
+                            st.overhead += t2 - t
+                            steal_time += t2 - t
+                            if tid is not None:
+                                st.steals += 1
+                                if reducer:
+                                    t2 += costs.reducer_view
+                                    steal_views += 1
+                                if tracer is not None:
+                                    tracer.span(w, t, t2, "steal", f"steal<-w{victim}")
+                            else:
+                                st.failed_steals += 1
+                                if tracer is not None:
+                                    tracer.span(w, t, t2, "steal_fail", f"probe->w{victim}")
+                            t = t2
+                    if tid is None:
+                        state[w] = _IDLE
+                        idle.append(w)
             if tid is not None:
-                st = self.stats[w]
-                st.steals += 1
-                st.overhead += t2 - t
-                self.steal_time += t2 - t
-                if self.reducer:
-                    t2 += self.ctx.costs.reducer_view
-                    self.steal_views += 1
-                if self.tracer is not None:
-                    self.tracer.span(w, t, t2, "steal", f"steal<-w{victim}")
-                self._start(w, tid, t2)
-                return
-            self.stats[w].failed_steals += 1
-            self.stats[w].overhead += t2 - t
-            self.steal_time += t2 - t
-            if self.tracer is not None:
-                self.tracer.span(w, t, t2, "steal_fail", f"probe->w{victim}")
-            t = t2
-        self.state[w] = _IDLE
-        self._idle.append(w)
+                state[w] = _BUSY
+                active += 1
+                task = tasks[tid]
+                dur = duration(task.work, task.membytes, task.locality,
+                               active if active < p else p)
+                st = stats[w]
+                t0 = now if now > t else t
+                if faults is not None:
+                    if poisoned:
+                        self.issued_after_poison += 1
+                    ordinal = self.started
+                    self.started += 1
+                    stall = faults.stall(w, t0)
+                    if stall > 0.0:
+                        if tracer is not None:
+                            tracer.span(w, t0, t0 + stall, "stall", "worker_stall")
+                        st.overhead += stall
+                        t0 += stall
+                    dur *= faults.slow_factor(t0)
+                    if self._fail_err is None:
+                        failure = faults.fail_task(ordinal, t0)
+                        if failure is not None:
+                            self._fail_err = failure
+                            self._fail_time = t0 + dur
+                            fail_tid = tid
+                st.busy += dur
+                st.tasks += 1
+                if tracer is not None:
+                    tracer.span(w, t0, t0 + dur, "task", task.tag or "task")
+                end = t0 + dur
+                if end < now:
+                    raise ValueError(f"cannot schedule at {end} before now={now}")
+                seq += 1
+                heappush(heap, (end, seq, w, tid))
 
-    def _pick_victim(self, w: int) -> Optional[int]:
-        """Random victim among non-empty deques (deterministic RNG)."""
-        candidates = [v for v in range(self.p) if v != w and self.deques[v].items]
-        if not candidates:
-            return None
-        return candidates[self.rng.randrange(len(candidates))]
-
-    def _wake_idlers(self, count: int, t: float) -> None:
-        wake_at = max(t, self.engine.now) + self.ctx.costs.wake_latency
-        while count > 0 and self._idle:
-            w = self._idle.pop()
-            self.state[w] = _WAKING
-            self.engine.at(wake_at, partial(self._woken, w))
-            count -= 1
-
-    def _woken(self, w: int) -> None:
-        if self.state[w] != _WAKING:
-            return
-        if self.tracer is not None:
-            self.tracer.instant(w, self.engine.now, "wake")
-        self._acquire(w, self.engine.now)
-
+            # -- next event ---------------------------------------------
+            while True:
+                if processed > limit:
+                    raise RuntimeError(f"simulation exceeded {max_events} events")
+                if quiet or not heap:
+                    self.events = processed
+                    self.done = done
+                    self.finish_time = finish_time
+                    self.steal_time = steal_time
+                    self.steal_views = steal_views
+                    return
+                now, s, w, kind = heappop(heap)
+                processed += 1
+                if tracer is not None:
+                    tracer.engine_event(now, s)
+                t = now
+                pushed = 0
+                dive = None
+                if kind == _WAKE:
+                    if state[w] != _WAKING:
+                        continue
+                    if tracer is not None:
+                        tracer.instant(w, now, "wake")
+                    break
+                # worker w finished task `kind`
+                active -= 1
+                if kind == fail_tid and not poisoned and poison_on_fail:
+                    # the exception (or `omp cancel taskgroup`) surfaces
+                    # when the failing strand completes: poison the spawn
+                    # tree — in-flight tasks drain, continuations and
+                    # queued tasks are abandoned at the implicit sync
+                    poisoned = self.poisoned = True
+                    self.poison_time = t
+                    if tracer is not None:
+                        tracer.instant(w, t, "cancel")
+                done += 1
+                if poisoned:
+                    if t > finish_time:
+                        finish_time = t
+                    break
+                push = own_push[w]
+                for succ in successors[kind]:
+                    left = remaining[succ] - 1
+                    remaining[succ] = left
+                    if left == 0:
+                        sc = tasks[succ].spawn_cost
+                        t += sc if sc > 0 else spawn_cost
+                        if work_first and dive is None:
+                            dive = succ  # execute-on-creation: no deque round-trip
+                        else:
+                            t = push(t, succ)
+                            pushed += 1
+                if per_task_overhead:
+                    t += per_task_overhead
+                stats[w].overhead += t - now
+                if t > finish_time:
+                    finish_time = t
+                break
 
 # ---------------------------------------------------------------------------
 # Graph front-ends

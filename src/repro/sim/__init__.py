@@ -15,13 +15,14 @@ provides:
   (tasks, task graphs, iteration spaces, programs).
 - :mod:`repro.sim.deque` -- work-stealing deque models (THE protocol and
   lock-based) with per-operation cost accounting.
-- :mod:`repro.sim.engine` -- the event queue / simulated clock.
+- :mod:`repro.sim.engine` -- FIFO lock resources (:class:`SimLock`); the
+  event loop lives in :mod:`repro.runtime.workstealing`.
 - :mod:`repro.sim.trace` -- execution traces and derived statistics.
 """
 
 from repro.sim.costs import CostModel
 from repro.sim.device import Device
-from repro.sim.engine import Engine, SimLock
+from repro.sim.engine import SimLock
 from repro.sim.machine import Machine
 from repro.sim.memory import MemoryModel
 from repro.sim.task import (
@@ -38,7 +39,6 @@ from repro.sim.trace import SimResult, WorkerStats
 __all__ = [
     "CostModel",
     "Device",
-    "Engine",
     "SimLock",
     "IterSpace",
     "LoopRegion",

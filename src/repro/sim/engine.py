@@ -1,9 +1,10 @@
-"""Discrete-event engine: simulated clock, event queue, lock resources.
+"""Lock resources for the simulated runtimes.
 
-The engine is deliberately minimal: a binary heap of ``(time, seq,
-callback)`` entries with a monotonically advancing clock.  Determinism is
-guaranteed by the insertion sequence number used as a tie-breaker, so two
-runs of the same workload produce identical schedules.
+The discrete-event loop itself lives in the one scheduler that needs
+it, :class:`~repro.runtime.workstealing.StealingScheduler`: a binary heap
+of ``(time, seq, worker, kind)`` entries with a monotonically advancing
+clock, where the insertion sequence number breaks time ties so two runs
+of the same workload produce identical schedules.
 
 :class:`SimLock` models a mutual-exclusion resource (a deque lock, a
 shared loop counter, a reducer) as a FIFO server: callers ask to hold the
@@ -15,140 +16,9 @@ work-stealing distribution of loop chunks.
 
 from __future__ import annotations
 
-import heapq
-from time import perf_counter, process_time
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro.perf.spans import current as _perf_current
-
-__all__ = ["Engine", "SimLock"]
-
-
-class Engine:
-    """A deterministic discrete-event simulator clock and queue.
-
-    ``tracer`` is the observability hook (:mod:`repro.obs`): when a
-    :class:`~repro.obs.tracer.Tracer` is attached, :meth:`run` records
-    one ``(time, seq)`` engine event per processed entry, so checkers
-    can verify the clock advanced monotonically and ties were broken by
-    insertion order.  The hook is off by default — it costs one branch
-    per event when disabled.
-    """
-
-    __slots__ = ("now", "_heap", "_seq", "_events_processed", "tracer", "interrupted")
-
-    def __init__(self, tracer: Optional[Any] = None) -> None:
-        self.now: float = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq: int = 0
-        self._events_processed: int = 0
-        self.tracer: Optional[Any] = tracer
-        self.interrupted: Optional[str] = None
-
-    def at(self, time: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` to run at absolute simulated ``time``.
-
-        Scheduling in the past raises: it would break the monotonic clock.
-        """
-        if time < self.now:
-            raise ValueError(f"cannot schedule at {time} before now={self.now}")
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, callback))
-
-    def after(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` ``delay`` seconds after the current time."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self.at(self.now + delay, callback)
-
-    def interrupt(self, reason: str = "interrupt") -> None:
-        """Stop :meth:`run` before its next event (fault/abort hook).
-
-        The current callback finishes; queued events stay queued.  A
-        scheduler that has decided no further event can do useful work
-        (e.g. its spawn tree is poisoned and every worker is idle) calls
-        this instead of letting the queue drain.
-        """
-        self.interrupted = reason
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Process events in time order until the queue drains.
-
-        Parameters
-        ----------
-        until:
-            Stop once the next event would be later than this time.
-        max_events:
-            Safety valve against runaway simulations; raises
-            ``RuntimeError`` when exceeded.
-
-        Returns the final clock value.  Stops early (without raising)
-        when a callback invoked :meth:`interrupt`.
-
-        Host telemetry: with a :mod:`repro.perf` recording active the
-        drain's host wall/CPU cost lands in an ``engine.drain`` span
-        and its event count in an ``engine.events`` counter — one
-        predicate per :meth:`run` call, never per event, so the
-        disabled path keeps the hot loop untouched.
-        """
-        rec = _perf_current()
-        if rec is None:
-            return self._drain(until, max_events)
-        t0 = perf_counter()
-        c0 = process_time()
-        n0 = self._events_processed
-        try:
-            return self._drain(until, max_events)
-        finally:
-            rec.add_span("engine.drain", perf_counter() - t0, process_time() - c0)
-            rec.count("engine.events", self._events_processed - n0)
-
-    def _drain(self, until: Optional[float], max_events: Optional[int]) -> float:
-        heap = self._heap
-        tracer = self.tracer
-        processed = 0
-        self.interrupted = None
-        if tracer is None and until is None:
-            # Fast drain: same pop/clock/callback sequence with the
-            # tracer/until branches hoisted out of the loop and the
-            # peek-then-pop collapsed into a single pop.
-            pop = heapq.heappop
-            limit = float("inf") if max_events is None else max_events
-            while heap and self.interrupted is None:
-                time, _seq, callback = pop(heap)
-                self.now = time
-                callback()
-                processed += 1
-                if processed > limit:
-                    raise RuntimeError(f"simulation exceeded {max_events} events")
-            self._events_processed += processed
-            return self.now
-        while heap:
-            if self.interrupted is not None:
-                break
-            time, _seq, callback = heap[0]
-            if until is not None and time > until:
-                break
-            heapq.heappop(heap)
-            self.now = time
-            if tracer is not None:
-                tracer.engine_event(time, _seq)
-            callback()
-            processed += 1
-            if max_events is not None and processed > max_events:
-                raise RuntimeError(f"simulation exceeded {max_events} events")
-        self._events_processed += processed
-        return self.now
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self._heap)
-
-    @property
-    def events_processed(self) -> int:
-        """Total events executed by :meth:`run` so far."""
-        return self._events_processed
+__all__ = ["SimLock"]
 
 
 class SimLock:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,8 +53,7 @@ class TaskState(enum.IntEnum):
     CANCELLED = 5
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     """One schedulable unit of work.
 
     ``work`` is seconds of compute on one unshared core; ``membytes`` is
@@ -62,6 +61,13 @@ class Task:
     (1.0 = streaming); ``deps`` are task ids that must complete before
     this task becomes ready.  ``spawn_cost`` is charged to the worker
     that makes the task ready (models task-descriptor creation).
+
+    A task is an immutable named tuple: fields cannot be assigned, it
+    hashes by value, and it compares equal to a plain tuple holding the
+    same fields in the same order (``Task(0, 1.0) == (0, 1.0, 0.0, 1.0,
+    (), "", 0.0)``).  Graphs hold tens of thousands of tasks, and a
+    tuple is about three times cheaper to build than a frozen dataclass
+    and about half the size.
     """
 
     tid: int
@@ -95,19 +101,22 @@ class TaskGraph:
         tag: str = "",
         spawn_cost: float = 0.0,
     ) -> int:
-        """Append a task and return its id."""
+        """Append a task and return its id; bad input raises
+        ``ValueError`` and leaves the graph unchanged."""
         tasks = self.tasks
         successors = self.successors
         tid = len(tasks)
-        deps_t = deps if type(deps) is tuple else tuple(deps)
-        for d in deps_t:
-            if not 0 <= d < tid:
-                raise ValueError(f"task {tid} depends on unknown/future task {d}")
-            successors[d].append(tid)
         if work < 0 or membytes < 0 or spawn_cost < 0:
             raise ValueError("work, membytes and spawn_cost must be non-negative")
         if not 0.0 <= locality <= 1.0:
             raise ValueError("locality must be in [0, 1]")
+        deps_t = deps if type(deps) is tuple else tuple(deps)
+        for d in deps_t:
+            if not 0 <= d < tid:
+                for prior in deps_t[:deps_t.index(d)]:
+                    successors[prior].pop()
+                raise ValueError(f"task {tid} depends on unknown/future task {d}")
+            successors[d].append(tid)
         tasks.append(Task(tid, work, membytes, locality, deps_t, tag, spawn_cost))
         successors.append([])
         return tid

@@ -77,6 +77,11 @@ __all__ = ["PAYLOAD_FORMAT", "run_sweep"]
 #: Version stamp of the cached cell payload layout.
 PAYLOAD_FORMAT = 1
 
+#: The context of a sweep that names none.  Contexts are immutable, and
+#: building one validates every cost constant, which would otherwise be
+#: tens of microseconds of unattributed host time per sweep.
+_DEFAULT_CONTEXT = ExecContext()
+
 #: ``progress`` callback signature: (done, total, cell, status) with
 #: status one of "hit", "run", "error".
 ProgressFn = Callable[[int, int, SweepCell, str], None]
@@ -366,7 +371,7 @@ def run_sweep(
         for v in versions:
             if v not in spec.versions:
                 raise ValueError(f"{workload} has no version {v!r}")
-    ctx = ctx or ExecContext()
+    ctx = ctx or _DEFAULT_CONTEXT
     config = ExperimentConfig(
         workload, tuple(versions), tuple(threads), dict(params or {})
     )
@@ -419,7 +424,8 @@ def run_sweep(
             metrics=metrics,
             progress=progress,
         )
-    ctx = ctx.with_fidelity(fid)
+    if ctx.fidelity != fid:
+        ctx = ctx.with_fidelity(fid)
     reg = metrics if metrics is not None else MetricsRegistry()
     store = _coerce_cache(cache)
 
@@ -466,8 +472,10 @@ def _run_sweep_cells(
     """Drive every cell through probe / simulate / assemble (see run_sweep)."""
     cells = expand_cells(config, fault_doc, policy_doc, fid)
     reg.counter("sweep_cells").inc(len(cells))
-    with perf_span("cache.key"):
-        keys = [cache_key(c, ctx, trace=trace) for c in cells] if store is not None else []
+    keys = []
+    if store is not None:
+        with perf_span("cache.key"):
+            keys = [cache_key(c, ctx, trace=trace) for c in cells]
 
     #: per-cell outcome: (SimResult | None, error message | None)
     outcomes: list[Optional[tuple[Optional[SimResult], Optional[str]]]]

@@ -418,11 +418,11 @@ def check_trace(
     grant log is checked for causality and mutual exclusion, and the
     engine event stream for a monotonic clock.
 
-    A program tracer concatenates events from several
-    :class:`~repro.sim.engine.Engine` incarnations (one per event-driven
-    region), so the strict same-time insertion-order tie-break is only
-    asserted per engine by :func:`check_event_times`; here ties are just
-    required to be distinct ``(time, seq)`` pairs.
+    A program tracer concatenates events from several event loops (one
+    per work-stealing region, each numbering its pushes from 1), so the
+    strict same-time insertion-order tie-break is only asserted per loop
+    by :func:`check_event_times`; here ties are just required to be
+    distinct ``(time, seq)`` pairs.
     """
     rep = report if report is not None else ValidationReport()
     p = nworkers if nworkers is not None else max(1, tracer.nworkers)

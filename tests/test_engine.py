@@ -1,144 +1,164 @@
-"""Tests for the discrete-event engine and the SimLock resource."""
+"""Tests for the work-stealing event loop and the SimLock resource.
+
+The discrete-event loop lives in :class:`StealingScheduler` (one heap of
+``(time, seq, worker, kind)`` entries), so its clock, tie order, event
+count and guards are tested through scheduler runs.
+"""
+
+import re
 
 import pytest
 
+from repro.faults.plan import FaultPlan
 from repro.obs.tracer import Tracer
-from repro.sim.engine import Engine, SimLock
+from repro.runtime.base import ExecContext
+from repro.runtime.workstealing import StealingScheduler, run_stealing_graph
+from repro.sim.engine import SimLock
+from repro.sim.task import TaskGraph
+
+CTX = ExecContext()
+
+
+def wide(n=40, work=1e-6):
+    g = TaskGraph("wide")
+    for _ in range(n):
+        g.add(work)
+    return g
+
+
+def chain(n, work=1e-6):
+    g = TaskGraph("chain")
+    prev = ()
+    for _ in range(n):
+        prev = (g.add(work, deps=prev),)
+    return g
+
+
+def traced(graph, p, ctx=CTX, **kw):
+    tracer = Tracer()
+    sched = StealingScheduler(graph, p, ctx, tracer=tracer, **kw)
+    res = sched.run()
+    return sched, res, tracer
 
 
 class TestEngine:
+    """The event loop's clock, queue and tie order."""
+
     def test_events_fire_in_time_order(self):
-        eng = Engine()
-        seen = []
-        eng.at(3.0, lambda: seen.append("c"))
-        eng.at(1.0, lambda: seen.append("a"))
-        eng.at(2.0, lambda: seen.append("b"))
-        eng.run()
-        assert seen == ["a", "b", "c"]
-        assert eng.now == 3.0
+        _s, _r, tracer = traced(wide(), 4)
+        times = [t for t, _ in tracer.engine_events]
+        assert times and times == sorted(times)
 
     def test_ties_break_by_insertion_order(self):
-        eng = Engine()
-        seen = []
-        for tag in ("first", "second", "third"):
-            eng.at(1.0, lambda t=tag: seen.append(t))
-        eng.run()
-        assert seen == ["first", "second", "third"]
+        # identical tasks: the wake-ups pushed together share one time
+        _s, _r, tracer = traced(wide(), 4)
+        log = tracer.engine_events
+        ties = [(a, b) for a, b in zip(log, log[1:]) if a[0] == b[0]]
+        assert ties
+        assert all(b[1] > a[1] for a, b in ties)
 
     def test_callbacks_can_schedule_more(self):
-        eng = Engine()
-        seen = []
-
-        def chain(k):
-            seen.append(k)
-            if k < 5:
-                eng.after(1.0, lambda: chain(k + 1))
-
-        eng.at(0.0, lambda: chain(0))
-        eng.run()
-        assert seen == [0, 1, 2, 3, 4, 5]
-        assert eng.now == 5.0
+        # each finish makes the next link ready and starts it
+        _s, res, tracer = traced(chain(6), 1)
+        log = tracer.engine_events
+        assert res.meta["events"] == len(log) == 6
+        assert [seq for _, seq in log] == [1, 2, 3, 4, 5, 6]
+        assert all(b[0] > a[0] for a, b in zip(log, log[1:]))
 
     def test_cannot_schedule_in_past(self):
-        eng = Engine()
-        eng.at(5.0, lambda: eng.at(1.0, lambda: None))
-        with pytest.raises(ValueError):
-            eng.run()
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            Engine().after(-1.0, lambda: None)
-
-    def test_run_until_stops_early(self):
-        eng = Engine()
-        seen = []
-        eng.at(1.0, lambda: seen.append(1))
-        eng.at(10.0, lambda: seen.append(10))
-        eng.run(until=5.0)
-        assert seen == [1]
-        assert eng.pending == 1
-        eng.run()
-        assert seen == [1, 10]
-
-    def test_max_events_guard(self):
-        eng = Engine()
-
-        def forever():
-            eng.after(1.0, forever)
-
-        eng.at(0.0, forever)
-        with pytest.raises(RuntimeError, match="exceeded"):
-            eng.run(max_events=100)
-
-    def test_events_processed_counter(self):
-        eng = Engine()
-        for i in range(7):
-            eng.at(float(i), lambda: None)
-        eng.run()
-        assert eng.events_processed == 7
-
-    def test_empty_run_returns_now(self):
-        eng = Engine()
-        assert eng.run() == 0.0
+        sched = StealingScheduler(wide(4), 2, CTX)
+        sched._duration = lambda *args: -1.0
+        with pytest.raises(ValueError, match="before now=0.0"):
+            sched.run()
 
     def test_direct_at_in_past_after_clock_advanced(self):
-        eng = Engine()
-        eng.at(5.0, lambda: None)
-        eng.run()
-        assert eng.now == 5.0
-        with pytest.raises(ValueError, match="before now"):
-            eng.at(4.999, lambda: None)
-        eng.at(5.0, lambda: None)  # exactly now is fine
+        sched = StealingScheduler(chain(4), 1, CTX)
+        real = sched._duration
+        calls = []
 
-    def test_negative_absolute_time_rejected(self):
-        with pytest.raises(ValueError):
-            Engine().at(-0.001, lambda: None)
+        def duration(*args):
+            calls.append(args)
+            return real(*args) if len(calls) < 3 else -1.0
 
-    def test_negative_delay_after_advance_rejected(self):
-        eng = Engine()
-        eng.at(3.0, lambda: None)
-        eng.run()
-        with pytest.raises(ValueError):
-            eng.after(-1.0, lambda: None)
-        eng.after(0.0, lambda: None)  # zero delay is fine
+        sched._duration = duration
+        with pytest.raises(ValueError, match="before now") as info:
+            sched.run()
+        now = float(re.search(r"now=(\S+)$", str(info.value)).group(1))
+        assert now > 0.0
+
+    def test_empty_run_returns_now(self):
+        sched = StealingScheduler(TaskGraph(), 4, CTX)
+        assert sched.run().time == 0.0
+        assert sched.events == 0 and len(sched._heap) == 0
+
+    def test_events_processed_counter(self):
+        _s, res, tracer = traced(wide(), 4)
+        # every task finishes once; the rest are wake-ups
+        wakes = sum(1 for i in tracer.instants if i.name == "wake")
+        assert res.meta["events"] == len(tracer.engine_events) == 40 + wakes
+        assert StealingScheduler(wide(), 4, CTX).run().meta["events"] == res.meta["events"]
+
+    def test_max_events_guard(self):
+        with pytest.raises(RuntimeError, match="exceeded 10 events"):
+            run_stealing_graph(wide(), 4, ExecContext(max_events=10))
+
+    def test_max_events_guard_traced(self):
+        tracer = Tracer()
+        with pytest.raises(RuntimeError, match="exceeded 10 events"):
+            run_stealing_graph(wide(), 4, ExecContext(max_events=10), tracer=tracer)
+        # the guard trips after the event that crosses the limit
+        assert len(tracer.engine_events) == 11
+
+    def test_max_events_allows_exact_budget(self):
+        events = StealingScheduler(wide(), 4, CTX).run().meta["events"]
+        ctx = ExecContext(max_events=events)
+        assert StealingScheduler(wide(), 4, ctx).run().meta["events"] == events
 
     def test_tie_breaker_is_deterministic_across_runs(self):
-        def run_once():
-            eng = Engine()
-            seen = []
-            # interleave equal-time events from top level and callbacks
-            for i in range(5):
-                eng.at(1.0, lambda i=i: seen.append(("top", i)))
-            eng.at(0.5, lambda: [eng.at(1.0, lambda j=j: seen.append(("cb", j)))
-                                 for j in range(5)])
-            eng.run()
-            return seen
-
-        first = run_once()
-        assert first == run_once()
-        # insertion order within the tie: top-level events were queued first
-        assert first[:5] == [("top", i) for i in range(5)]
-        assert first[5:] == [("cb", j) for j in range(5)]
+        _s1, r1, t1 = traced(wide(), 4)
+        _s2, r2, t2 = traced(wide(), 4)
+        assert t1.engine_events == t2.engine_events
+        assert t1.spans == t2.spans
+        assert r1.time == r2.time
 
 
 class TestEngineAudit:
     def test_audit_off_by_default(self):
-        eng = Engine()
-        eng.at(1.0, lambda: None)
-        eng.run()
-        assert eng.tracer is None
+        sched = StealingScheduler(wide(), 4, CTX)
+        res = sched.run()
+        assert sched.tracer is None
+        assert res.meta["events"] > 0
 
     def test_audit_records_time_and_seq(self):
-        tracer = Tracer()
-        eng = Engine(tracer=tracer)
-        eng.at(2.0, lambda: None)
-        eng.at(1.0, lambda: None)
-        eng.at(1.0, lambda: None)
-        eng.run()
+        sched, res, tracer = traced(wide(), 4)
         log = tracer.engine_events
-        assert log == [(1.0, 2), (1.0, 3), (2.0, 1)]
-        times = [t for t, _ in log]
-        assert times == sorted(times)
+        # (time, seq) strictly increases: the clock never runs back and
+        # ties fire in insertion order; seq itself is not monotonic,
+        # since a later push can carry an earlier time
+        assert all(b > a for a, b in zip(log, log[1:]))
+        seqs = [seq for _, seq in log]
+        assert sorted(seqs) == list(range(1, len(log) + 1))
+        assert len(sched._heap) == 0
+
+
+class TestPoisonedStop:
+    def test_poisoned_tree_stops_with_events_queued(self):
+        # the failing task finishes before the wake-ups its siblings
+        # triggered fire; the tree goes quiet with those still queued
+        faults = FaultPlan.parse("fail:task=0").for_region("r", 0)
+        sched, res, tracer = traced(wide(8, 1e-9), 4, faults=faults, error_mode="poison")
+        assert sched.poisoned
+        assert res.meta["events"] == len(tracer.engine_events) == 1
+        assert len(sched._heap) == 3
+        assert [i.name for i in tracer.instants] == ["cancel"]
+        assert res.meta["fault"]["skipped"] == 7
+
+    def test_unpoisoned_failure_drains_the_queue(self):
+        faults = FaultPlan.parse("fail:task=0").for_region("r", 0)
+        sched, res, _t = traced(wide(8, 1e-9), 4, faults=faults, error_mode="none")
+        assert not sched.poisoned
+        assert len(sched._heap) == 0
+        assert res.meta["fault"]["skipped"] == 0
 
 
 class TestSimLock:

@@ -41,7 +41,9 @@ class TestRecording:
         sched = StealingScheduler(wide_graph(8), 2, CTX)
         res = sched.run()
         assert res.time > 0
-        assert sched.tracer is None and sched.engine.tracer is None
+        assert sched.tracer is None
+        assert all(d.lock.tracer is None for d in sched.deques)
+        assert res.meta["events"] > 0  # the loop counts events untraced too
 
     def test_busy_time_matches_intervals(self):
         res, intervals = traced_run(wide_graph(20), 4)

@@ -96,6 +96,27 @@ class TestPause:
             assert not gc.isenabled()
         assert gc.isenabled()
 
+    def test_held_back_collection_runs_when_the_pause_ends(self, collector_enabled):
+        limit0 = gc.get_threshold()[0]
+        gc.collect()
+        survivors = []
+        with paused_gc:
+            survivors.extend([] for _ in range(3 * limit0))
+            assert gc.get_count()[0] > limit0
+        # collected on the way out, not at the caller's next allocation
+        assert gc.get_count()[0] < limit0
+        assert len(survivors) == 3 * limit0
+
+    def test_no_collection_when_the_caller_disabled_it(self, collector_enabled):
+        limit0 = gc.get_threshold()[0]
+        gc.collect()
+        gc.disable()
+        survivors = []
+        with paused_gc:
+            survivors.extend([] for _ in range(3 * limit0))
+        assert gc.get_count()[0] > limit0
+        assert not gc.isenabled()
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_unpaused(self, collector_enabled):
         with paused_gc:

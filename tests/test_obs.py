@@ -119,12 +119,56 @@ class TestZeroOverheadPath:
     @pytest.mark.parametrize(
         "workload,version",
         [("fib", "cilk_spawn"), ("fib", "omp_task"), ("matmul", "cilk_for"),
-         ("axpy", "omp_for"), ("sum", "cxx_async")],
+         ("axpy", "omp_for"), ("sum", "cxx_async"),
+         # a reducer on every steal, and the three AMT graph walks
+         ("sum", "cilk_for"), ("fib", "hpx"), ("fib", "charm"), ("fib", "mpi")],
     )
     def test_traced_run_is_bit_identical(self, workload, version):
         a = plain_run(workload, version, 8)
         b = traced_run(workload, version, 8)
         assert snapshot(a) == snapshot(b)
+
+    @pytest.mark.parametrize(
+        "p,options",
+        [
+            (4, {"deque": "the"}),
+            (4, {"deque": "locked"}),
+            (4, {"deque": "the", "work_first": True}),
+            (4, {"deque": "locked", "central_queue": True}),
+            (4, {"deque": "the", "reducer": True}),
+            (1, {"deque": "locked", "undeferred_single": True}),
+            (4, {"deque": "the", "faults": "fail:task=5", "error_mode": "poison"}),
+            (4, {"deque": "locked", "faults": "fail:task=5", "error_mode": "none"}),
+            (4, {"deque": "the", "faults": "stall:worker=1,at=2e-6,duration=5e-6"}),
+        ],
+        ids=["the", "locked", "work_first", "central_queue", "reducer",
+             "undeferred_single", "fault-poison", "fault-none", "stall"],
+    )
+    def test_traced_scheduler_is_bit_identical(self, p, options):
+        """Every branch of the work-stealing event loop, traced and not."""
+        from repro.faults.plan import FaultPlan
+        from repro.runtime.workstealing import StealingScheduler
+
+        spec = get_workload("fib")
+        prog = spec.build("cilk_spawn", CTX.machine, n=12)
+        graph = next(r for r in prog if hasattr(r, "graph_for")).graph_for(p)
+        options = dict(options)
+        spec_text = options.pop("faults", None)
+
+        def run(tracer):
+            faults = FaultPlan.parse(spec_text).for_region("r", 0) if spec_text else None
+            sched = StealingScheduler(graph, p, CTX, tracer=tracer, faults=faults, **options)
+            res = sched.run()
+            return (res.time, res.meta, len(sched._heap),
+                    [(w.busy, w.overhead, w.tasks, w.steals, w.failed_steals)
+                     for w in res.workers])
+
+        tracer = Tracer()
+        plain = run(None)
+        assert plain == run(tracer)
+        assert tracer.engine_events or p == 1
+        if options.get("error_mode") == "poison":
+            assert plain[1]["fault"]["cancelled"]
 
     def test_untraced_result_carries_no_trace(self):
         res = plain_run("fib", "cilk_spawn", 4)

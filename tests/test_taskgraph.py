@@ -25,6 +25,7 @@ import pytest
 from repro.core.registry import WORKLOADS, get_workload
 from repro.runtime.base import ExecContext
 from repro.runtime.run import run_program
+from repro.sim.task import Task
 from repro.sweep import run_sweep
 from repro.sweep.codec import result_to_dict, tracer_to_dict
 from repro.workloads.taskgraph import (
@@ -158,6 +159,65 @@ def test_registry_builder_dispatch(ctx):
     assert prog.meta["kernel"] == "taskbench"
     with pytest.raises(KeyError):
         build_taskgraph_program("lattice", "omp_task", ctx.machine)
+
+
+# ---------------------------------------------------------------------------
+# the task record: an immutable named tuple with the old dataclass's fields
+# ---------------------------------------------------------------------------
+TASK_FIELDS = ("tid", "work", "membytes", "locality", "deps", "tag", "spawn_cost")
+
+
+def test_task_fields_cannot_be_assigned():
+    t = Task(0, 1.0)
+    for name in TASK_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(t, name, getattr(t, name))
+    assert t == Task(0, 1.0)
+
+
+def test_task_field_order_and_defaults():
+    assert Task._fields == TASK_FIELDS
+    assert Task._field_defaults == {
+        "membytes": 0.0, "locality": 1.0, "deps": (), "tag": "", "spawn_cost": 0.0,
+    }
+    t = Task(7, 2.5, 64.0, 0.5, (1, 3), "leaf", 1e-7)
+    assert [getattr(t, name) for name in TASK_FIELDS] == [7, 2.5, 64.0, 0.5, (1, 3), "leaf", 1e-7]
+    with pytest.raises(TypeError):
+        Task(0)  # work has no default
+
+
+def test_task_hashes_and_compares_as_a_tuple():
+    t = Task(3, 1.0, deps=(1, 2), tag="x")
+    plain = (3, 1.0, 0.0, 1.0, (1, 2), "x", 0.0)
+    assert t == plain and hash(t) == hash(plain)
+    assert len({t, Task(3, 1.0, deps=(1, 2), tag="x"), Task(4, 1.0)}) == 2
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"work": 1.0, "deps": (5,)}, "unknown/future"),
+        ({"work": 1.0, "deps": (0, 2)}, "unknown/future"),
+        ({"work": 1.0, "deps": (-1,)}, "unknown/future"),
+        ({"work": -1.0}, "non-negative"),
+        ({"work": 1.0, "membytes": -8.0}, "non-negative"),
+        ({"work": 1.0, "spawn_cost": -1e-9}, "non-negative"),
+        ({"work": 1.0, "locality": 1.5}, "locality"),
+        ({"work": 1.0, "locality": -0.1}, "locality"),
+        ({"work": -1.0, "deps": (0,)}, "non-negative"),
+    ],
+)
+def test_graph_add_rejects_bad_input(kwargs, match):
+    from repro.sim.task import TaskGraph
+
+    g = TaskGraph()
+    g.add(1.0)
+    g.add(1.0, deps=(0,))
+    before = (list(g.tasks), [list(s) for s in g.successors])
+    with pytest.raises(ValueError, match=match):
+        g.add(**kwargs)
+    # a rejected add leaves the graph as it was
+    assert (list(g.tasks), [list(s) for s in g.successors]) == before
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.obs.tracer import Tracer
 from repro.runtime import workstealing
 from repro.runtime.base import ExecContext
 from repro.runtime.run import run_program
@@ -167,54 +166,3 @@ def test_reference_context_uses_reference_duration():
         assert workstealing.cilk_for_graph_batched is cilk_for_graph
     assert StealingScheduler(g, 4, CTX2)._duration != CTX2.memory.duration
     assert workstealing.cilk_for_graph_batched is cilk_for_graph_batched
-
-
-# ---------------------------------------------------------------------------
-# the engine fast drain
-# ---------------------------------------------------------------------------
-def test_engine_fast_drain_matches_general_loop():
-    from repro.sim.engine import Engine
-
-    def build(engine):
-        order = []
-        for i, t in enumerate([5e-6, 1e-6, 1e-6, 3e-6]):
-            engine.at(t, lambda i=i: order.append((engine.now, i)))
-        return order
-
-    fast = Engine()
-    fast_order = build(fast)
-    fast_end = fast.run()
-
-    slow = Engine(tracer=Tracer())  # tracer attached -> general loop
-    slow_order = build(slow)
-    slow_end = slow.run()
-
-    assert fast_order == slow_order
-    assert fast_end == slow_end
-    assert fast.events_processed == slow.events_processed == 4
-
-
-def test_engine_fast_drain_honours_max_events():
-    from repro.sim.engine import Engine
-
-    eng = Engine()
-
-    def reschedule():
-        eng.after(1e-6, reschedule)
-
-    eng.after(1e-6, reschedule)
-    with pytest.raises(RuntimeError, match="exceeded"):
-        eng.run(max_events=100)
-
-
-def test_engine_fast_drain_honours_interrupt():
-    from repro.sim.engine import Engine
-
-    eng = Engine()
-    seen = []
-    eng.at(1e-6, lambda: (seen.append("a"), eng.interrupt("stop")))
-    eng.at(2e-6, lambda: seen.append("b"))
-    eng.run()
-    assert seen == ["a"]
-    assert eng.interrupted == "stop"
-    assert eng.pending == 1
