@@ -6,11 +6,15 @@ committed baseline.
 
 Every workload x version of the registry is swept at p in {1, 3, 16, 36}
 at fidelity 0 (estimate) and 2 (simulate), plus one traced p3 pass at
-fidelity 2.  Each cell's codec document (times, worker stats, executor
-meta, and for the traced pass the full event streams) is serialized the
-way the result store writes it and hashed with SHA-256; a cell that
-fails with an expected error (the modelled C++11 thread explosion)
-hashes its error message instead.
+fidelity 2.  Two fault passes at p in {1, 4} pin the error-handling
+paths: one injects a task failure and a worker stall under a retrying,
+degrading policy (reaching every Table III mode: cancel, poison,
+rethrow, none and the AMT message/future/rank faults), the other runs
+fault-free under a tiny region timeout.  Each cell's codec document
+(times, worker stats, executor meta, and for the traced pass the full
+event streams) is serialized the way the result store writes it and
+hashed with SHA-256; a cell that fails with an expected error (the
+modelled C++11 thread explosion) hashes its error message instead.
 
 The baseline is ``benchmarks/baselines/cell_digests.json``.  A change
 meant to be behaviour-preserving must leave every digest unchanged;
@@ -32,6 +36,14 @@ BASELINE = pathlib.Path(__file__).resolve().parent / "baselines" / "cell_digests
 THREADS = (1, 3, 16, 36)
 FIDELITIES = (0, 2)
 TRACED_THREADS = (3,)
+FAULT_THREADS = (1, 4)
+FAULT_PASSES = {
+    "fault": dict(
+        faults="fail:task=1;stall:worker=0,duration=1e-6",
+        policy={"max_retries": 1, "backoff": 1e-6, "on_failure": "continue"},
+    ),
+    "timeout": dict(policy={"timeout": 1e-6, "on_failure": "continue"}),
+}
 
 
 def _digest(doc) -> str:
@@ -39,11 +51,13 @@ def _digest(doc) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _sweep_digests(name: str, threads, fidelity: int, trace: bool) -> dict[str, str]:
+def _sweep_digests(name: str, threads, fidelity: int, trace: bool,
+                   tag: str = "", **faults) -> dict[str, str]:
     from repro.sweep import codec, run_sweep
 
-    sweep = run_sweep(name, threads=threads, fidelity=fidelity, trace=trace, cache=None)
-    tag = "trace" if trace else f"f{fidelity}"
+    sweep = run_sweep(name, threads=threads, fidelity=fidelity, trace=trace,
+                      cache=None, **faults)
+    tag = tag or ("trace" if trace else f"f{fidelity}")
     out = {}
     for (v, p), res in sweep.results.items():
         out[f"{name}/{v}/p{p}/{tag}"] = _digest(codec.result_to_dict(res))
@@ -53,7 +67,8 @@ def _sweep_digests(name: str, threads, fidelity: int, trace: bool) -> dict[str, 
 
 
 def cell_digests() -> dict[str, str]:
-    """Digest of every cell, keyed ``workload/version/p<n>/<f0|f2|trace>``."""
+    """Digest of every cell, keyed
+    ``workload/version/p<n>/<f0|f2|trace|fault|timeout>``."""
     from repro.core.registry import WORKLOADS
 
     digests: dict[str, str] = {}
@@ -61,6 +76,8 @@ def cell_digests() -> dict[str, str]:
         for fid in FIDELITIES:
             digests.update(_sweep_digests(name, THREADS, fid, trace=False))
         digests.update(_sweep_digests(name, TRACED_THREADS, 2, trace=True))
+        for tag, kw in FAULT_PASSES.items():
+            digests.update(_sweep_digests(name, FAULT_THREADS, 2, False, tag, **kw))
     return dict(sorted(digests.items()))
 
 

@@ -33,7 +33,7 @@ accumulates after the failure and in whether the error propagates
 
 from __future__ import annotations
 
-from repro.faults.accounting import fault_summary
+from repro.faults.accounting import fault_doc, fault_summary
 from repro.faults.plan import FAULT_KINDS, Fault, FaultPlan, RegionFaults
 from repro.faults.policy import Policy, RegionFailedError
 from repro.faults.semantics import ERROR_MODES, error_mode
@@ -47,5 +47,6 @@ __all__ = [
     "RegionFailedError",
     "RegionFaults",
     "error_mode",
+    "fault_doc",
     "fault_summary",
 ]

@@ -21,15 +21,52 @@ Each region attempt executed under a fault plan carries a plain-JSON
 ``attempt``             0-based attempt index under a retry policy
 ``triggered``           list of ``[kind, time]`` pairs that fired
 
+Every executor builds the document with :func:`fault_doc`;
 :func:`fault_summary` folds these into one program-level document used
 by the CLI, the metrics layer, and CI smoke assertions.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable, Optional
 
-__all__ = ["fault_summary"]
+__all__ = ["fault_doc", "fault_summary"]
+
+
+def fault_doc(
+    triggered: Iterable[tuple[str, float]],
+    err: Optional[str],
+    err_time: float,
+    mode: str,
+    busy: float,
+    *,
+    cancelled: bool = False,
+    cancel_time: float = 0.0,
+    issued_after_cancel: int = 0,
+    skipped: int = 0,
+) -> dict[str, Any]:
+    """The ``meta["fault"]`` document of one region attempt.
+
+    ``triggered`` is the live fault set's ``(kind, time)`` list (empty
+    when nothing was injected), ``err`` the injected failure message or
+    ``None``, ``err_time`` when it fired and ``busy`` the attempt's total
+    busy seconds: all useful without a failure, all wasted with one.
+    """
+    triggered = [[k, t] for k, t in triggered]
+    return {
+        "kind": "task_fail" if err is not None else (triggered[0][0] if triggered else ""),
+        "error": err or "",
+        "mode": mode,
+        "time": err_time if err is not None else 0.0,
+        "failed": err is not None and mode != "none",
+        "cancelled": cancelled,
+        "cancel_time": cancel_time if cancelled else 0.0,
+        "issued_after_cancel": issued_after_cancel,
+        "skipped": skipped,
+        "useful": 0.0 if err is not None else busy,
+        "wasted": busy if err is not None else 0.0,
+        "triggered": triggered,
+    }
 
 
 def fault_summary(result: Any) -> dict[str, Any]:

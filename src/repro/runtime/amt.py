@@ -51,6 +51,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.faults import fault_doc
 from repro.runtime.base import ExecContext
 from repro.sim.task import IterSpace, TaskGraph
 from repro.sim.trace import RegionResult, WorkerStats
@@ -68,20 +69,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-def _loop_chunks(space: IterSpace, n: int, active: int, ctx: ExecContext,
-                 work_scale: float) -> np.ndarray:
-    """Roofline duration of ``n`` even chunks with ``active`` workers."""
-    edges = np.linspace(0, space.niter, n + 1).astype(np.int64)
-    edges[0], edges[-1] = 0, space.niter
-    work, membytes = space.chunk_costs(edges)
-    work = work * work_scale
-    speed = ctx.machine.compute_speed(active)
-    bw = ctx.machine.bandwidth_per_thread(active, space.locality)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mem = np.where(membytes > 0, membytes / bw, 0.0)
-    return np.maximum(work / speed, mem)
-
-
 def _chunk_count(requested: Optional[int], default: int, niter: int) -> int:
     n = requested if requested is not None else default
     return max(1, min(n, niter))
@@ -94,26 +81,13 @@ def _collective(costs, p: int) -> float:
     return costs.mpi_allreduce_base + costs.mpi_allreduce_per_step * math.ceil(math.log2(p))
 
 
-def _fault_doc(faults, err, err_time, mode: str, busy: float, *,
-               cancelled: bool = False, cancel_time: float = 0.0,
-               skipped: int = 0) -> dict:
-    kind = "task_fail" if err is not None else (
-        faults.triggered[0][0] if faults.triggered else ""
-    )
-    return {
-        "kind": kind,
-        "error": err or "",
-        "mode": mode,
-        "time": err_time if err is not None else 0.0,
-        "failed": err is not None and mode != "none",
-        "cancelled": cancelled,
-        "cancel_time": cancel_time,
-        "issued_after_cancel": 0,
-        "skipped": skipped,
-        "useful": 0.0 if err is not None else busy,
-        "wasted": busy if err is not None else 0.0,
-        "triggered": [[k, t] for k, t in faults.triggered],
-    }
+def _even_chunks(space: IterSpace, n: int, active: int, ctx: ExecContext,
+                 work_scale: float) -> np.ndarray:
+    """Duration of each of ``n`` even chunks with ``active`` workers."""
+    edges = np.linspace(0, space.niter, n + 1).astype(np.int64)
+    edges[0], edges[-1] = 0, space.niter
+    work, membytes = space.chunk_costs(edges)
+    return ctx.memory.durations(work * work_scale, membytes, space.locality, active)
 
 
 def _loop_meta(mode: str, n: int, space: IterSpace, work_scale: float) -> dict:
@@ -121,9 +95,7 @@ def _loop_meta(mode: str, n: int, space: IterSpace, work_scale: float) -> dict:
         "mode": mode,
         "nthreads_created": 0,  # AMT workers persist across the program
         "ntasks_created": n,
-        "expected_work": space.total_work * work_scale,
-        "expected_bytes": space.total_bytes,
-        "expected_locality": space.locality,
+        **space.expected_meta(work_scale),
     }
 
 
@@ -158,7 +130,7 @@ def run_charm_loop(
     costs = ctx.costs
     n = _chunk_count(nchares, 4 * p, space.niter)
     active = min(p, n)
-    durations = _loop_chunks(space, n, active, ctx, work_scale)
+    durations = _even_chunks(space, n, active, ctx, work_scale)
     recv = costs.charm_msg_recv + costs.charm_entry_dispatch
     depth = math.ceil(math.log2(p)) if p > 1 else 0
     arrival = costs.charm_chare_create + costs.charm_msg_send * (1 + depth)
@@ -202,7 +174,7 @@ def run_charm_loop(
     meta = _loop_meta("charm", n, space, work_scale)
     if faults is not None:
         busy = sum(w.busy for w in workers)
-        meta["fault"] = _fault_doc(faults, err, err_time, error_mode, busy)
+        meta["fault"] = fault_doc(faults.triggered, err, err_time, error_mode, busy)
     return RegionResult(time=time, nthreads=nthreads, workers=workers, meta=meta)
 
 
@@ -234,7 +206,7 @@ def run_hpx_loop(
     costs = ctx.costs
     n = _chunk_count(nchunks, 4 * p, space.niter)
     active = min(p, n)
-    durations = _loop_chunks(space, n, active, ctx, work_scale)
+    durations = _even_chunks(space, n, active, ctx, work_scale)
     create = costs.hpx_future_create
     cont = costs.hpx_continuation
 
@@ -279,7 +251,7 @@ def run_hpx_loop(
     meta = _loop_meta("hpx", n, space, work_scale)
     if faults is not None:
         busy = sum(w.busy for w in workers)
-        meta["fault"] = _fault_doc(faults, err, err_time, error_mode, busy)
+        meta["fault"] = fault_doc(faults.triggered, err, err_time, error_mode, busy)
     return RegionResult(time=t_join, nthreads=nthreads, workers=workers, meta=meta)
 
 
@@ -313,7 +285,7 @@ def run_mpi_loop(
     costs = ctx.costs
     n = _chunk_count(nchunks, p, space.niter)
     active = min(p, n)
-    durations = _loop_chunks(space, n, active, ctx, work_scale)
+    durations = _even_chunks(space, n, active, ctx, work_scale)
 
     # pass 1: per-rank serial chunk layout with stall/slow/fail hooks
     starts = [0.0] * n
@@ -387,8 +359,8 @@ def run_mpi_loop(
     meta = _loop_meta("mpi", n, space, work_scale)
     if faults is not None:
         busy = sum(w.busy for w in workers)
-        meta["fault"] = _fault_doc(
-            faults, err, err_time, error_mode, busy,
+        meta["fault"] = fault_doc(
+            faults.triggered, err, err_time, error_mode, busy,
             cancelled=cancelled, cancel_time=cancel_time, skipped=skipped,
         )
     return RegionResult(time=time, nthreads=nthreads, workers=workers, meta=meta)
@@ -432,18 +404,15 @@ def _run_amt_graph(
     free time and its dependencies' arrival — exactly the one-message-
     at-a-time scheduler all three runtimes share.
     """
+    if nthreads <= 0:
+        raise ValueError("nthreads must be positive")
     ntasks = len(graph)
     if ntasks == 0:
         return RegionResult(time=0.0, nthreads=nthreads, workers=[])
-    p = max(1, nthreads)
+    p = nthreads
     costs = ctx.costs
-    machine = ctx.machine
     active = min(ntasks, p)
-    speed = machine.compute_speed(active)
-    # ``active`` is fixed for the region, so a task's duration depends
-    # only on its (work, membytes, locality)
-    region_duration = ctx.memory.duration
-    durations: dict[tuple[float, float, float], float] = {}
+    duration = ctx.memory.memoized(active)
 
     pe_free = [0.0] * p
     finish = [0.0] * ntasks
@@ -501,15 +470,7 @@ def _run_amt_graph(
         start = pe_free[pe]
         if ready > start:
             start = ready
-        if speed:
-            key = (t.work, t.membytes, t.locality)
-            dur = durations.get(key)
-            if dur is None:
-                dur = durations[key] = region_duration(
-                    t.work, t.membytes, t.locality, active
-                )
-        else:
-            dur = t.work
+        dur = duration(t.work, t.membytes, t.locality, active)
         if faults is not None:
             stall = faults.stall(pe, start)
             if stall > 0.0:
@@ -580,21 +541,16 @@ def _run_amt_graph(
             tracer.instant(0, cancel_time, "cancel")
 
     w = WorkerStats(busy=busy, overhead=overhead + stalled, tasks=executed)
-    byte_locs = [t.locality for t in graph.tasks if t.membytes > 0]
     meta = {
         "mode": kind,
         "nthreads_created": 0,
         "ntasks_created": executed,
         "aggregate_workers": True,
-        "expected_work": graph.total_work(),
-        "expected_bytes": float(sum(t.membytes for t in graph.tasks)),
-        "expected_locality": max(byte_locs) if byte_locs else 1.0,
-        "expected_locality_min": min(byte_locs) if byte_locs else 1.0,
-        "critical_path": graph.critical_path(),
+        **graph.expected_meta(),
     }
     if faults is not None:
-        meta["fault"] = _fault_doc(
-            faults, err, err_time, error_mode, busy,
+        meta["fault"] = fault_doc(
+            faults.triggered, err, err_time, error_mode, busy,
             cancelled=cancelled, cancel_time=cancel_time, skipped=skipped,
         )
     return RegionResult(time=time, nthreads=nthreads, workers=[w], meta=meta)

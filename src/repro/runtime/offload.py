@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.faults import fault_doc
 from repro.runtime.base import ExecContext
 from repro.sim.device import Device, K40
 from repro.sim.task import IterSpace
@@ -60,6 +61,8 @@ def run_offload_loop(
     to the host), while ``"none"`` models unchecked CUDA/OpenACC
     launches — identical timing, all device work reported as wasted.
     """
+    if nthreads <= 0:
+        raise ValueError("nthreads must be positive")
     dev = device if device is not None else K40
     kernel = dev.kernel_time(space)
     if resident:
@@ -109,23 +112,13 @@ def run_offload_loop(
         "resident": resident,
     }
     if faults is not None:
-        kind = "task_fail" if err is not None else (
-            faults.triggered[0][0] if faults.triggered else ""
+        # a detected kernel failure cancels the copy-back
+        cancelled = err is not None and error_mode != "none"
+        meta["fault"] = fault_doc(
+            faults.triggered, err, kernel_start + kernel, error_mode, w.busy,
+            cancelled=cancelled, cancel_time=kernel_start + kernel,
+            skipped=1 if cancelled and not resident else 0,
         )
-        meta["fault"] = {
-            "kind": kind,
-            "error": err or "",
-            "mode": error_mode,
-            "time": kernel_start + kernel if err is not None else 0.0,
-            "failed": err is not None and error_mode != "none",
-            "cancelled": err is not None and error_mode != "none",
-            "cancel_time": kernel_start + kernel if err is not None and error_mode != "none" else 0.0,
-            "issued_after_cancel": 0,
-            "skipped": 1 if err is not None and error_mode != "none" and not resident else 0,
-            "useful": 0.0 if err is not None else w.busy,
-            "wasted": w.busy if err is not None else 0.0,
-            "triggered": [[k, t] for k, t in faults.triggered],
-        }
     return RegionResult(
         time=total,
         nthreads=nthreads,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Union
 
+from repro.faults import fault_doc
 from repro.perf.gcpause import paused_gc
 from repro.runtime.base import ExecContext
 from repro.runtime.threadpool import run_threadpool_graph, run_threadpool_loop
@@ -93,23 +94,9 @@ def execute_region(
             stall = faults.stall(0, 0.0)
             dur *= faults.slow_factor(stall)
             err = faults.fail_task(0, stall)
-            kind = "task_fail" if err is not None else (
-                faults.triggered[0][0] if faults.triggered else ""
+            meta["fault"] = fault_doc(
+                faults.triggered, err, stall + dur, error_mode or "rethrow", dur
             )
-            meta["fault"] = {
-                "kind": kind,
-                "error": err or "",
-                "mode": error_mode or "rethrow",
-                "time": stall + dur if err is not None else 0.0,
-                "failed": err is not None and error_mode != "none",
-                "cancelled": False,
-                "cancel_time": 0.0,
-                "issued_after_cancel": 0,
-                "skipped": 0,
-                "useful": 0.0 if err is not None else dur,
-                "wasted": dur if err is not None else 0.0,
-                "triggered": [[k, t] for k, t in faults.triggered],
-            }
         w = WorkerStats(busy=dur, overhead=stall, tasks=1)
         if tracer is not None and stall > 0:
             tracer.span(0, 0.0, stall, "stall", "worker_stall")
@@ -195,21 +182,7 @@ def _apply_timeout(res: RegionResult, fdoc, timeout: float, mode: str) -> dict:
     that merely ran long has its busy time reclassified as wasted.
     """
     if fdoc is None:
-        fdoc = {
-            "kind": "",
-            "error": "",
-            "mode": mode,
-            "time": 0.0,
-            "failed": False,
-            "cancelled": False,
-            "cancel_time": 0.0,
-            "issued_after_cancel": 0,
-            "skipped": 0,
-            "useful": res.total_busy,
-            "wasted": 0.0,
-            "triggered": [],
-        }
-        res.meta["fault"] = fdoc
+        fdoc = res.meta["fault"] = fault_doc((), None, 0.0, mode, res.total_busy)
     if not fdoc.get("failed"):
         fdoc["failed"] = True
         fdoc["kind"] = "timeout"

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.faults import fault_doc
 from repro.runtime.base import ExecContext, ThreadExplosionError
 from repro.sim.task import IterSpace, TaskGraph
 from repro.sim.trace import RegionResult, WorkerStats
@@ -90,13 +91,8 @@ def run_threadpool_loop(
     edges = np.linspace(0, space.niter, n + 1).astype(np.int64)
     edges[0], edges[-1] = 0, space.niter
     work, membytes = space.chunk_costs(edges)
-    work = work * work_scale
-    active = n  # every chunk gets its own software thread
-    speed = ctx.machine.compute_speed(active)
-    bw = ctx.machine.bandwidth_per_thread(active, space.locality)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mem = np.where(membytes > 0, membytes / bw, 0.0)
-    durations = np.maximum(work / speed, mem)
+    # every chunk gets its own software thread: n are active
+    durations = ctx.memory.durations(work * work_scale, membytes, space.locality, n)
 
     workers = [WorkerStats() for _ in range(n)]
     meta_fault = None
@@ -128,9 +124,7 @@ def run_threadpool_loop(
         "mode": mode,
         "nthreads_created": 0 if persistent else n,
         "persistent": persistent,
-        "expected_work": space.total_work * work_scale,
-        "expected_bytes": space.total_bytes,
-        "expected_locality": space.locality,
+        **space.expected_meta(work_scale),
     }
     if meta_fault is not None:
         meta["fault"] = meta_fault
@@ -203,25 +197,11 @@ def _faulted_pool_walk(
                 tracer.span(i, starts[i] + stalls[i], ends[i], "chunk", tag)
     if tracer is not None and cancelled:
         tracer.instant(0, cancel_time, "cancel")
-    busy_total = sum(w.busy for w in workers)
-    kind = "task_fail" if err is not None else (
-        faults.triggered[0][0] if faults.triggered else ""
+    fdoc = fault_doc(
+        faults.triggered, err, err_time, mode, sum(w.busy for w in workers),
+        cancelled=cancelled, cancel_time=cancel_time, skipped=skipped,
     )
-    fault_doc = {
-        "kind": kind,
-        "error": err or "",
-        "mode": mode,
-        "time": err_time if err is not None else 0.0,
-        "failed": err is not None and mode != "none",
-        "cancelled": cancelled,
-        "cancel_time": cancel_time,
-        "issued_after_cancel": 0,
-        "skipped": skipped,
-        "useful": 0.0 if err is not None else busy_total,
-        "wasted": busy_total if err is not None else 0.0,
-        "triggered": [[k, t] for k, t in faults.triggered],
-    }
-    return t_join, fault_doc
+    return t_join, fdoc
 
 
 def run_threadpool_graph(
@@ -243,6 +223,8 @@ def run_threadpool_graph(
     creation costs) and the machine's aggregate throughput bound under
     oversubscription.
     """
+    if nthreads <= 0:
+        raise ValueError("nthreads must be positive")
     if mode not in ("thread", "async"):
         raise ValueError(f"unknown threadpool mode {mode!r}")
     ntasks = len(graph)
@@ -258,7 +240,7 @@ def run_threadpool_graph(
     finalize = costs.thread_join if mode == "thread" else costs.future_get
     machine = ctx.machine
     active = min(ntasks, machine.hw_threads * 4)
-    speed = machine.compute_speed(max(1, active))
+    duration = ctx.memory.memoized(active)
 
     # Critical path with creation costs: each task starts after its deps
     # finish plus one creation slot; children of the same parent are
@@ -275,8 +257,7 @@ def run_threadpool_graph(
             child_rank[key] = child_rank.get(key, 0) + 1
             rank = child_rank[key]
         start = max((finish[d] for d in t.deps), default=0.0) + rank * create
-        dur = ctx.memory.duration(t.work, t.membytes, t.locality, active) \
-            if speed else t.work
+        dur = duration(t.work, t.membytes, t.locality, active)
         if faults is not None:
             stall = faults.stall(t.tid, start)
             start += stall
@@ -302,37 +283,16 @@ def run_threadpool_graph(
         overhead=ntasks * (create + finalize),
         tasks=ntasks,
     )
-    byte_locs = [t.locality for t in graph.tasks if t.membytes > 0]
     meta = {
         "mode": mode,
         "nthreads_created": ntasks,
         # one WorkerStats sums over all created threads, so per-worker
         # wall-clock caps do not apply to it
         "aggregate_workers": True,
-        "expected_work": graph.total_work(),
-        "expected_bytes": float(sum(t.membytes for t in graph.tasks)),
-        "expected_locality": max(byte_locs) if byte_locs else 1.0,
-        "expected_locality_min": min(byte_locs) if byte_locs else 1.0,
-        "critical_path": graph.critical_path(),
+        **graph.expected_meta(),
     }
     if faults is not None:
-        kind = "task_fail" if err is not None else (
-            faults.triggered[0][0] if faults.triggered else ""
-        )
-        meta["fault"] = {
-            "kind": kind,
-            "error": err or "",
-            "mode": error_mode,
-            "time": err_time if err is not None else 0.0,
-            "failed": err is not None and error_mode != "none",
-            "cancelled": False,
-            "cancel_time": 0.0,
-            "issued_after_cancel": 0,
-            "skipped": 0,
-            "useful": 0.0 if err is not None else w.busy,
-            "wasted": w.busy if err is not None else 0.0,
-            "triggered": [[k, t] for k, t in faults.triggered],
-        }
+        meta["fault"] = fault_doc(faults.triggered, err, err_time, error_mode, w.busy)
     return RegionResult(
         time=time,
         nthreads=nthreads,

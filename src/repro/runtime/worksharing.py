@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.faults import fault_doc
 from repro.runtime.base import ExecContext
 from repro.sim.task import IterSpace
 from repro.sim.trace import RegionResult, WorkerStats
@@ -45,19 +46,6 @@ def chunk_edges(niter: int, chunk: int) -> np.ndarray:
     if edges.size >= 2 and edges[-2] == niter:
         edges = edges[:-1]
     return edges
-
-
-def _chunk_durations(
-    space: IterSpace, edges: np.ndarray, nthreads: int, ctx: ExecContext, work_scale: float
-) -> np.ndarray:
-    """Roofline duration of every chunk with ``nthreads`` active."""
-    work, membytes = space.chunk_costs(edges)
-    work = work * work_scale
-    speed = ctx.machine.compute_speed(nthreads)
-    compute = work / speed
-    bw = ctx.machine.bandwidth_per_thread(nthreads, space.locality)
-    mem = membytes / bw
-    return np.maximum(compute, mem)
 
 
 def run_worksharing_loop(
@@ -116,66 +104,38 @@ def run_worksharing_loop(
     workers = [WorkerStats() for _ in range(p)]
     fork_t = costs.fork_cost(p) if fork else 0.0
 
-    if faults is not None:
-        if schedule == "static":
-            if chunk is None:
-                edges = np.linspace(0, space.niter, p + 1).astype(np.int64)
-                edges[0], edges[-1] = 0, space.niter
-            else:
-                edges = chunk_edges(space.niter, chunk)
-            durations = _chunk_durations(space, edges, p, ctx, work_scale)
-            owner = np.arange(durations.size) % p
-            loop_time, lock_wait, fault_doc = _faulted_walk(
-                durations, owner, p, 0.0, costs.static_chunk, workers,
-                faults=faults, mode=error_mode, tracer=tracer, t0=fork_t,
-                tag=space.name,
-            )
-            meta = {"schedule": "static", "nchunks": int(durations.size)}
-        elif schedule in ("dynamic", "guided"):
-            edges = _dispatch_edges(space, schedule, chunk, p)
-            durations = _chunk_durations(space, edges, p, ctx, work_scale)
-            loop_time, lock_wait, fault_doc = _faulted_walk(
-                durations, None, p, costs.dynamic_dispatch, 0.0, workers,
-                faults=faults, mode=error_mode, tracer=tracer, t0=fork_t,
-                tag=space.name,
-            )
-            meta = {
-                "schedule": schedule,
-                "nchunks": int(durations.size),
-                "lock_wait": lock_wait,
-            }
+    static = schedule == "static"
+    if static:
+        if chunk is None:
+            edges = np.linspace(0, space.niter, p + 1).astype(np.int64)
+            edges[0], edges[-1] = 0, space.niter
         else:
-            raise ValueError(f"unknown schedule {schedule!r}")
+            edges = chunk_edges(space.niter, chunk)
+    elif schedule in ("dynamic", "guided"):
+        edges = _dispatch_edges(space, schedule, chunk, p)
+    else:
+        raise ValueError(f"unknown schedule {schedule!r}")
+    work, membytes = space.chunk_costs(edges)
+    durations = ctx.memory.durations(work * work_scale, membytes, space.locality, p)
+    # static: chunk i runs on thread i % p (round-robin for a chunk clause)
+    owner = np.arange(durations.size) % p if static else None
+    meta = {"schedule": schedule, "nchunks": int(durations.size)}
+
+    if faults is not None:
+        loop_time, lock_wait, fdoc = _faulted_walk(
+            durations, owner, p,
+            0.0 if static else costs.dynamic_dispatch,
+            costs.static_chunk if static else 0.0, workers,
+            faults=faults, mode=error_mode, tracer=tracer, t0=fork_t,
+            tag=space.name,
+        )
+        if not static:
+            meta["lock_wait"] = lock_wait
         if tracer is not None and barrier:
             bar_end = fork_t + loop_time + costs.barrier_cost(p)
             for w in range(p):
                 tracer.span(w, fork_t + loop_time, bar_end, "barrier", "barrier")
-        total = loop_time
-        if fork:
-            total += costs.fork_cost(p)
-        if barrier:
-            total += costs.barrier_cost(p)
-        if reduction:
-            total += p * costs.reduction_per_thread
-            for w in workers:
-                w.overhead += costs.reduction_per_thread
-        meta["loop_time"] = loop_time
-        meta["expected_work"] = space.total_work * work_scale
-        meta["expected_bytes"] = space.total_bytes
-        meta["expected_locality"] = space.locality
-        meta["fault"] = fault_doc
-        return RegionResult(time=total, nthreads=p, workers=workers, meta=meta)
-
-    if schedule == "static":
-        if chunk is None:
-            edges = np.linspace(0, space.niter, p + 1).astype(np.int64)
-            edges[0], edges[-1] = 0, space.niter
-            durations = _chunk_durations(space, edges, p, ctx, work_scale)
-            owner = np.arange(durations.size) % p
-        else:
-            edges = chunk_edges(space.niter, chunk)
-            durations = _chunk_durations(space, edges, p, ctx, work_scale)
-            owner = np.arange(durations.size) % p  # round-robin assignment
+    elif static:
         busy = np.bincount(owner, weights=durations, minlength=p)
         counts = np.bincount(owner, minlength=p)
         overhead = counts * costs.static_chunk
@@ -200,18 +160,11 @@ def run_worksharing_loop(
                 for w in range(p):
                     if cursor[w] < bar_end:
                         tracer.span(w, cursor[w], bar_end, "barrier", "barrier")
-        meta = {"schedule": "static", "nchunks": int(durations.size)}
-    elif schedule in ("dynamic", "guided"):
-        edges = _dispatch_edges(space, schedule, chunk, p)
-        nchunks = edges.size - 1
-        durations = _chunk_durations(space, edges, p, ctx, work_scale)
-        loop_time, lock_wait = _dispatch(
+    else:
+        loop_time, meta["lock_wait"] = _dispatch(
             durations, p, costs.dynamic_dispatch, workers,
             tracer=tracer, t0=fork_t, tag=space.name,
         )
-        meta = {"schedule": schedule, "nchunks": nchunks, "lock_wait": lock_wait}
-    else:
-        raise ValueError(f"unknown schedule {schedule!r}")
 
     total = loop_time
     if fork:
@@ -219,16 +172,13 @@ def run_worksharing_loop(
     if barrier:
         total += costs.barrier_cost(p)
     if reduction:
-        combine = p * costs.reduction_per_thread
-        total += combine
+        total += p * costs.reduction_per_thread
         for w in workers:
             w.overhead += costs.reduction_per_thread
     meta["loop_time"] = loop_time
-    # Useful-work accounting for the invariant checker: worker busy time
-    # must conserve exactly this iteration space.
-    meta["expected_work"] = space.total_work * work_scale
-    meta["expected_bytes"] = space.total_bytes
-    meta["expected_locality"] = space.locality
+    meta.update(space.expected_meta(work_scale))
+    if faults is not None:
+        meta["fault"] = fdoc
     return RegionResult(time=total, nthreads=p, workers=workers, meta=meta)
 
 
@@ -287,7 +237,6 @@ def _faulted_walk(
     cancel_time = 0.0
     err: Optional[str] = None
     err_time = 0.0
-    issued_after_cancel = 0
     skipped = 0
     lock_busy = t0
     lock_wait = 0.0
@@ -351,25 +300,11 @@ def _faulted_walk(
             heapq.heappush(heap, (done, w))
         else:
             cursor[w] = done
-    busy_total = sum(w.busy for w in workers)
-    kind = "task_fail" if err is not None else (
-        faults.triggered[0][0] if faults.triggered else ""
+    fdoc = fault_doc(
+        faults.triggered, err, err_time, mode, sum(w.busy for w in workers),
+        cancelled=cancelled, cancel_time=cancel_time, skipped=skipped,
     )
-    fault_doc = {
-        "kind": kind,
-        "error": err or "",
-        "mode": mode,
-        "time": err_time if err is not None else 0.0,
-        "failed": err is not None and mode != "none",
-        "cancelled": cancelled,
-        "cancel_time": cancel_time if cancelled else 0.0,
-        "issued_after_cancel": issued_after_cancel,
-        "skipped": skipped,
-        "useful": 0.0 if err is not None else busy_total,
-        "wasted": busy_total if err is not None else 0.0,
-        "triggered": [[k, t] for k, t in faults.triggered],
-    }
-    return finish - t0, lock_wait, fault_doc
+    return finish - t0, lock_wait, fdoc
 
 
 def _dispatch(

@@ -38,6 +38,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.faults import fault_doc
 from repro.perf.spans import current as _perf_current
 from repro.runtime.base import ExecContext
 from repro.sim.deque import make_deque
@@ -58,31 +59,6 @@ __all__ = [
 _BUSY, _IDLE, _WAKING = 0, 1, 2
 #: event kind of a wake-up (a finish event's kind is the task id)
 _WAKE = -1
-
-
-def _fast_duration(machine, nthreads: int):
-    """A ``duration(work, membytes, locality, active)`` for up to
-    ``nthreads`` active workers that replicates
-    :meth:`MemoryModel.duration` operation-for-operation (same IEEE ops
-    in the same order), with the per-call model construction and
-    Machine method dispatch memoized."""
-    speed = [1.0] + [machine.compute_speed(a) for a in range(1, nthreads + 1)]
-    bws: dict[tuple[int, float], float] = {}
-
-    def duration(work: float, membytes: float, locality: float, active: int) -> float:
-        if active < 1:
-            active = 1
-        compute = work / speed[active]
-        if membytes == 0.0:
-            return compute
-        key = (active, locality)
-        bw = bws.get(key)
-        if bw is None:
-            bw = bws[key] = machine.bandwidth_per_thread(active, locality)
-        mem = membytes / bw
-        return max(compute, mem)
-
-    return duration
 
 
 class StealingScheduler:
@@ -188,12 +164,7 @@ class StealingScheduler:
         self.issued_after_poison = 0
         self._fail_err: Optional[str] = None
         self._fail_time = 0.0
-        # memoized duration inputs (bit-identical to MemoryModel.duration
-        # — Machine methods are pure, so caching their outputs per
-        # (active, locality) changes nothing but speed).  The closure does
-        # not refer back to the scheduler, so no reference cycle keeps it
-        # (and its graph) alive after the region.
-        self._duration = _fast_duration(ctx.machine, nthreads)
+        self._duration = ctx.memory.memoized(nthreads)
 
     # ------------------------------------------------------------------
     def run(self) -> RegionResult:
@@ -244,53 +215,23 @@ class StealingScheduler:
             "events": self.events,
             "reducer_views": self.steal_views,
         }
-        meta.update(self._expected_meta())
-        if self.faults is not None:
-            meta["fault"] = self._fault_meta()
-        return RegionResult(time=finish, nthreads=self.p, workers=self.stats, meta=meta)
-
-    def _expected_meta(self) -> dict:
-        """Useful-work accounting for the invariant checker.
-
-        ``expected_work``/``expected_bytes`` are what the workers' busy
-        time must conserve (every task executed exactly once);
-        ``critical_path`` is a makespan lower bound because per-task
-        durations can only inflate ``work`` (compute speed <= 1).
-        """
-        g = self.graph
-        byte_locs = [t.locality for t in g.tasks if t.membytes > 0]
-        return {
-            "expected_work": g.total_work(),
-            "expected_bytes": float(sum(t.membytes for t in g.tasks)),
-            # best locality bounds bandwidth from above (envelope lower
-            # edge); worst bounds it from below (upper edge)
-            "expected_locality": max(byte_locs) if byte_locs else 1.0,
-            "expected_locality_min": min(byte_locs) if byte_locs else 1.0,
-            "critical_path": g.critical_path(),
-        }
-
-    def _fault_meta(self) -> dict:
-        """Plain-JSON fault/degradation accounting for this execution."""
-        faults = self.faults
-        err = self._fail_err
-        busy_total = sum(s.busy for s in self.stats)
-        kind = "task_fail" if err is not None else (
-            faults.triggered[0][0] if faults.triggered else ""
+        return RegionResult(
+            time=finish, nthreads=self.p, workers=self.stats, meta=self._accounted(meta)
         )
-        return {
-            "kind": kind,
-            "error": err or "",
-            "mode": self.error_mode,
-            "time": self._fail_time if err is not None else 0.0,
-            "failed": err is not None and self.error_mode != "none",
-            "cancelled": self.poisoned,
-            "cancel_time": self.poison_time if self.poisoned else 0.0,
-            "issued_after_cancel": self.issued_after_poison,
-            "skipped": len(self.graph) - self.done,
-            "useful": 0.0 if err is not None else busy_total,
-            "wasted": busy_total if err is not None else 0.0,
-            "triggered": [[k, t] for k, t in faults.triggered],
-        }
+
+    def _accounted(self, meta: dict) -> dict:
+        """``meta`` plus the useful-work meta and, under faults, the fault
+        document."""
+        meta.update(self.graph.expected_meta())
+        if self.faults is not None:
+            meta["fault"] = fault_doc(
+                self.faults.triggered, self._fail_err, self._fail_time, self.error_mode,
+                sum(s.busy for s in self.stats), cancelled=self.poisoned,
+                cancel_time=self.poison_time,
+                issued_after_cancel=self.issued_after_poison,
+                skipped=len(self.graph) - self.done,
+            )
+        return meta
 
     def _run_serial_undeferred(self) -> RegionResult:
         """One thread, tasks executed immediately at creation."""
@@ -329,10 +270,7 @@ class StealingScheduler:
                             tracer.instant(0, self._fail_time, "cancel")
                         break
         self.finish_time = t
-        meta = {"steals": 0, "undeferred": True}
-        meta.update(self._expected_meta())
-        if faults is not None:
-            meta["fault"] = self._fault_meta()
+        meta = self._accounted({"steals": 0, "undeferred": True})
         return RegionResult(time=t, nthreads=1, workers=self.stats, meta=meta)
 
     # ------------------------------------------------------------------
@@ -765,6 +703,8 @@ def run_stealing_loop(
     data parallelism no cancellation story, so an injected failure lets
     the loop run to completion and is only surfaced in the accounting.
     """
+    if nthreads <= 0:
+        raise ValueError("nthreads must be positive")
     costs = ctx.costs
     if reducer:
         # Reducer hyperobject updates cost a hypermap lookup per access.

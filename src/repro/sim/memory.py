@@ -11,14 +11,30 @@ machine's SMT/oversubscription speed, memory time by the per-thread
 bandwidth share, and the task takes the roofline maximum of the two
 (compute and memory transfer overlap on out-of-order cores).
 
-This model is what produces the scaling plateaus the paper observes for
-bandwidth-bound workloads (Axpy, BFS) without any change to the
-schedulers; ``benchmarks/bench_ablation_bandwidth.py`` ablates it.
+This is the only module that turns (work, bytes, locality, active) into
+seconds; every executor and tier-0 estimator calls one of its three
+entry points, so a task costs the same under every runtime:
+
+- :meth:`MemoryModel.duration` — the scalar reference;
+- :meth:`MemoryModel.memoized` — the same formula as a per-region
+  closure with the machine lookups cached (the event-driven executors'
+  per-task hot path);
+- :meth:`MemoryModel.durations` — the same formula over arrays, with a
+  scalar or per-task locality (the analytic executors and estimators).
+
+All three perform the same IEEE operations in the same order, so they
+agree bit for bit.  This model is what produces the scaling plateaus the
+paper observes for bandwidth-bound workloads (Axpy, BFS) without any
+change to the schedulers; ``benchmarks/bench_ablation_bandwidth.py``
+ablates it by running on a :class:`Machine` with 1e18 B/s of bandwidth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Union
+
+import numpy as np
 
 from repro.sim.machine import Machine
 
@@ -27,24 +43,9 @@ __all__ = ["MemoryModel"]
 
 @dataclass(frozen=True)
 class MemoryModel:
-    """Task duration model bound to a :class:`~repro.sim.machine.Machine`.
-
-    Parameters
-    ----------
-    machine:
-        The machine whose bandwidth/SMT parameters to use.
-    enabled:
-        When False, memory traffic is ignored and a task's duration is its
-        compute time only (used by the bandwidth ablation).
-    overlap:
-        When True (default) compute and memory time overlap (duration is
-        their max); when False they serialize (duration is their sum),
-        modelling in-order cores.
-    """
+    """Task duration model bound to a :class:`~repro.sim.machine.Machine`."""
 
     machine: Machine
-    enabled: bool = True
-    overlap: bool = True
 
     def duration(
         self,
@@ -72,20 +73,65 @@ class MemoryModel:
             raise ValueError("work and membytes must be non-negative")
         active = max(1, active)
         compute = work / self.machine.compute_speed(active)
-        if not self.enabled or membytes == 0.0:
+        if membytes == 0.0:
             return compute
-        bw = self.machine.bandwidth_per_thread(active, locality)
-        mem = membytes / bw
-        if self.overlap:
-            return max(compute, mem)
-        return compute + mem
+        mem = membytes / self.machine.bandwidth_per_thread(active, locality)
+        return max(compute, mem)
 
-    def loop_chunk_duration(
+    def memoized(self, max_active: int) -> Callable[[float, float, float, int], float]:
+        """:meth:`duration` for one region with at most ``max_active``
+        threads active, as a ``duration(work, membytes, locality,
+        active)`` closure.
+
+        Machine methods are pure, so the compute speed per ``active`` and
+        the bandwidth per ``(active, locality)`` are cached; the result is
+        bit-identical to :meth:`duration` (inputs are not re-validated).
+        The closure holds no reference to its caller, so it never keeps
+        a region's graph alive in a reference cycle.
+        """
+        machine = self.machine
+        speed = [1.0] + [machine.compute_speed(a) for a in range(1, max_active + 1)]
+        bws: dict[tuple[int, float], float] = {}
+
+        def duration(work: float, membytes: float, locality: float, active: int) -> float:
+            if active < 1:
+                active = 1
+            compute = work / speed[active]
+            if membytes == 0.0:
+                return compute
+            key = (active, locality)
+            bw = bws.get(key)
+            if bw is None:
+                bw = bws[key] = machine.bandwidth_per_thread(active, locality)
+            mem = membytes / bw
+            return max(compute, mem)
+
+        return duration
+
+    def durations(
         self,
-        work: float,
-        membytes: float,
-        locality: float,
+        work: np.ndarray,
+        membytes: np.ndarray,
+        locality: Union[float, np.ndarray],
         active: int,
-    ) -> float:
-        """Alias of :meth:`duration` for readability at loop call sites."""
-        return self.duration(work, membytes, locality, active)
+    ) -> np.ndarray:
+        """:meth:`duration` of every task in equal-length arrays, all with
+        ``active`` threads active.
+
+        ``locality`` is one value for all tasks (a loop's iteration
+        space) or a per-task array (a task graph); each distinct value is
+        looked up once.  Tasks without memory traffic take their compute
+        time, as in the scalar form.
+        """
+        machine = self.machine
+        active = max(1, active)
+        compute = work / machine.compute_speed(active)
+        if np.ndim(locality) == 0:
+            return np.maximum(compute, membytes / machine.bandwidth_per_thread(active, locality))
+        if not membytes.any():
+            return compute
+        for loc in np.unique(locality):
+            mask = locality == loc
+            bw = machine.bandwidth_per_thread(active, float(loc))
+            compute[mask] = np.maximum(compute[mask], membytes[mask] / bw)
+        return compute

@@ -152,6 +152,25 @@ class TaskGraph:
             finish[t.tid] = start + t.work
         return max(finish, default=0.0)
 
+    def expected_meta(self) -> dict:
+        """Useful-work accounting for the invariant checker.
+
+        ``expected_work``/``expected_bytes`` are what the workers' busy
+        time must conserve (every task executed exactly once);
+        ``critical_path`` is a makespan lower bound because per-task
+        durations can only inflate ``work`` (compute speed <= 1).
+        """
+        byte_locs = [t.locality for t in self.tasks if t.membytes > 0]
+        return {
+            "expected_work": self.total_work(),
+            "expected_bytes": float(sum(t.membytes for t in self.tasks)),
+            # best locality bounds bandwidth from above (envelope lower
+            # edge); worst bounds it from below (upper edge)
+            "expected_locality": max(byte_locs) if byte_locs else 1.0,
+            "expected_locality_min": min(byte_locs) if byte_locs else 1.0,
+            "critical_path": self.critical_path(),
+        }
+
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on violation."""
         for t in self.tasks:
@@ -303,6 +322,16 @@ class IterSpace:
     @property
     def total_bytes(self) -> float:
         return float(self._cum_bytes[-1])
+
+    def expected_meta(self, work_scale: float = 1.0) -> dict:
+        """Useful-work accounting for the invariant checker: worker busy
+        time must conserve exactly this iteration space, its work scaled
+        by ``work_scale``."""
+        return {
+            "expected_work": self.total_work * work_scale,
+            "expected_bytes": self.total_bytes,
+            "expected_locality": self.locality,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -117,18 +117,6 @@ class Calibration:
 # ---------------------------------------------------------------------------
 # Region estimators
 # ---------------------------------------------------------------------------
-def _block_durations(
-    space: IterSpace, active: int, ctx, work_scale: float = 1.0, bytes_scale: float = 1.0
-) -> np.ndarray:
-    """Roofline duration of every profile block with ``active`` threads."""
-    machine = ctx.machine
-    speed = machine.compute_speed(active)
-    bw = machine.bandwidth_per_thread(active, space.locality)
-    bwork = np.diff(space._cum_work) * work_scale
-    bbytes = np.diff(space._cum_bytes) * bytes_scale
-    return np.maximum(bwork / speed, bbytes / bw)
-
-
 def _aggregate_result(
     time: float, p: int, busy: float, overhead: float, tasks: int
 ) -> RegionResult:
@@ -145,12 +133,15 @@ def _ws_dispatch_estimate(space: IterSpace, p: int, ctx, params: dict) -> Region
     lock-bound (every dispatch serializes through the loop counter),
     plus a tail term of the largest chunk.
     """
-    from repro.runtime.worksharing import _chunk_durations, _dispatch_edges
+    from repro.runtime.worksharing import _dispatch_edges
 
     costs = ctx.costs
     schedule = params.get("schedule", "static")
     edges = _dispatch_edges(space, schedule, params.get("chunk"), p)
-    durations = _chunk_durations(space, edges, p, ctx, params.get("work_scale", 1.0))
+    work, membytes = space.chunk_costs(edges)
+    durations = ctx.memory.durations(
+        work * params.get("work_scale", 1.0), membytes, space.locality, p
+    )
     n = int(durations.size)
     total_dur = float(durations.sum())
     dmax = float(durations.max()) if n else 0.0
@@ -211,17 +202,6 @@ def _cilk_leaf_edges(niter: int, grainsize: int) -> np.ndarray:
     return np.asarray(los, dtype=np.float64)
 
 
-def _edge_durations(
-    space: IterSpace, edges: np.ndarray, active: int, ctx, work_scale: float, bytes_scale: float
-) -> np.ndarray:
-    """Roofline duration of each chunk between consecutive ``edges``."""
-    machine = ctx.machine
-    work, membytes = space.chunk_costs(edges)
-    speed = machine.compute_speed(active)
-    bw = machine.bandwidth_per_thread(active, space.locality)
-    return np.maximum(work * work_scale / speed, membytes * bytes_scale / bw)
-
-
 def _steal_cilkfor_estimate(
     space: IterSpace, p: int, ctx, params: dict, entry: float, exit_c: float
 ) -> RegionResult:
@@ -229,7 +209,6 @@ def _steal_cilkfor_estimate(
     from repro.runtime.workstealing import default_grainsize, scatter_penalty
 
     costs = ctx.costs
-    machine = ctx.machine
     work_scale = params.get("work_scale", 1.0)
     if params.get("reducer", False):
         space = space.with_extra_work_per_iter(costs.reducer_access)
@@ -244,21 +223,21 @@ def _steal_cilkfor_estimate(
     leaves = _cilk_leaf_count(space.niter, gsize)
     # no more workers can be concurrently busy than there are leaves
     active = min(p, leaves) if p > 1 else 1
-    speed = machine.compute_speed(active)
-    if leaves <= 1 << 17:
-        leaf_dur = _edge_durations(
-            space, _cilk_leaf_edges(space.niter, gsize), active, ctx, work_scale, penalty
-        )
-        busy = float(leaf_dur.sum())
-        leaf_max = float(leaf_dur.max())
-    else:  # pathological grainsize: block-profile approximation
-        block_dur = _block_durations(space, active, ctx, work_scale, penalty)
-        busy = float(block_dur.sum())
+    memory = ctx.memory
+    by_block = leaves > 1 << 17  # pathological grainsize: block-profile approximation
+    if by_block:
+        work, membytes = np.diff(space._cum_work), np.diff(space._cum_bytes)
+    else:
+        work, membytes = space.chunk_costs(_cilk_leaf_edges(space.niter, gsize))
+    dur = memory.durations(work * work_scale, membytes * penalty, space.locality, active)
+    busy = float(dur.sum())
+    leaf_max = float(dur.max())
+    if by_block:
         iters_per_block = space.niter / space.nblocks
-        leaf_max = float(block_dur.max()) / iters_per_block * min(gsize, space.niter)
+        leaf_max = leaf_max / iters_per_block * min(gsize, space.niter)
     splits = leaves - 1
     ntasks = leaves + splits
-    split_dur = costs.cilk_split / speed
+    split_dur = memory.duration(costs.cilk_split, active=active)
     spawn = costs.cilk_spawn if params.get("deque", "the") == "the" else costs.omp_task_spawn
     if params.get("deque", "the") == "the":
         push, pop, steal = costs.the_push, costs.the_pop, costs.the_steal
@@ -308,7 +287,8 @@ def _steal_flat_estimate(
     # no more workers can be concurrently busy than there are chunks
     active = min(p, nck) if p > 1 else 1
     edges = (np.arange(nck + 1, dtype=np.int64) * space.niter) // nck
-    chunk_dur = _edge_durations(space, edges.astype(np.float64), active, ctx, work_scale, 1.0)
+    work, membytes = space.chunk_costs(edges.astype(np.float64))
+    chunk_dur = ctx.memory.durations(work * work_scale, membytes, space.locality, active)
     busy = float(chunk_dur.sum())
     if p <= 1:
         if params.get("undeferred_single", False):
@@ -349,7 +329,6 @@ def _steal_graph_estimate(
     greedy-scheduling bound ``max(T1/p, T_inf)`` on roofline-inflated
     durations plus per-task queue overheads."""
     costs = ctx.costs
-    machine = ctx.machine
     g = region.graph_for(p)
     n = len(g)
     if n == 0:
@@ -364,17 +343,7 @@ def _steal_graph_estimate(
         push, pop, steal = costs.locked_push, costs.locked_pop, costs.locked_steal
     pto = params.get("per_task_overhead", 0.0)
     active = p if p > 1 else 1
-    speed = machine.compute_speed(active)
-    works = np.fromiter((t.work for t in g.tasks), np.float64, count=n)
-    mbytes = np.fromiter((t.membytes for t in g.tasks), np.float64, count=n)
-    durs = works / speed
-    if mbytes.any():
-        locs = np.fromiter((t.locality for t in g.tasks), np.float64, count=n)
-        for loc in np.unique(locs):
-            bw = machine.bandwidth_per_thread(active, float(loc))
-            mask = locs == loc
-            durs[mask] = np.maximum(durs[mask], mbytes[mask] / bw)
-    busy = float(durs.sum())
+    busy = float(ctx.memory.durations(*_task_columns(g), active).sum())
     total_spawn = float(
         sum(t.spawn_cost if t.spawn_cost > 0 else default_spawn for t in g.tasks)
     )
@@ -387,7 +356,8 @@ def _steal_graph_estimate(
     else:
         t1 = g.total_work()
         tinf = g.critical_path()
-        inflation = busy / t1 if t1 > 0 else 1.0 / speed
+        # a work-free graph inflates like a unit of pure compute
+        inflation = busy / t1 if t1 > 0 else ctx.memory.duration(1.0, active=active)
         steals = min(n, p * max(1.0, math.log2(n)))
         overhead = total_spawn + n * (push + pop + pto)
         chain = math.log2(p) * (steal + costs.steal_latency + costs.wake_latency)
@@ -395,22 +365,14 @@ def _steal_graph_estimate(
     return _aggregate_result(entry + time + exit_c, p, busy=busy, overhead=overhead, tasks=n)
 
 
-def _graph_durations(g, p: int, ctx) -> np.ndarray:
-    """Roofline-inflated duration of every task with ``p`` workers."""
-    machine = ctx.machine
+def _task_columns(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-task ``(work, membytes, locality)`` arrays of a graph."""
     n = len(g)
-    active = min(n, p) if p > 1 else 1
-    speed = machine.compute_speed(active)
-    works = np.fromiter((t.work for t in g.tasks), np.float64, count=n)
-    mbytes = np.fromiter((t.membytes for t in g.tasks), np.float64, count=n)
-    durs = works / speed
-    if mbytes.any():
-        locs = np.fromiter((t.locality for t in g.tasks), np.float64, count=n)
-        for loc in np.unique(locs):
-            bw = machine.bandwidth_per_thread(active, float(loc))
-            mask = locs == loc
-            durs[mask] = np.maximum(durs[mask], mbytes[mask] / bw)
-    return durs
+    return (
+        np.fromiter((t.work for t in g.tasks), np.float64, count=n),
+        np.fromiter((t.membytes for t in g.tasks), np.float64, count=n),
+        np.fromiter((t.locality for t in g.tasks), np.float64, count=n),
+    )
 
 
 def _amt_graph_estimate(region: TaskRegion, p: int, ctx, kind: str) -> RegionResult:
@@ -430,7 +392,7 @@ def _amt_graph_estimate(region: TaskRegion, p: int, ctx, kind: str) -> RegionRes
     n = len(g)
     if n == 0:
         return _aggregate_result(0.0, p, busy=0.0, overhead=0.0, tasks=0)
-    durs = _graph_durations(g, p, ctx)
+    durs = ctx.memory.durations(*_task_columns(g), min(n, p) if p > 1 else 1)
     busy = float(durs.sum())
 
     if kind == "amt_hpx":

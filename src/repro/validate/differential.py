@@ -242,7 +242,6 @@ def _check_case(
             check_trace(trace, horizon=r1.time, report=rep, where=f"{where} p={p}")
             _check_trace_busy(rep, r1, trace, f"{where} p={p}")
         results[p] = r1
-    t1 = results[min(threads)].time if 1 in threads else None
     if 1 in threads:
         t1 = results[1].time
         if serial is not None:

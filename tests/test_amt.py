@@ -84,11 +84,6 @@ class TestLoopExecutors:
         ]
 
     @pytest.mark.parametrize("version", AMT_VERSIONS)
-    def test_rejects_nonpositive_threads(self, ctx, version):
-        with pytest.raises(ValueError):
-            LOOP_RUNNERS[version](flat_space(), 0, ctx)
-
-    @pytest.mark.parametrize("version", AMT_VERSIONS)
     def test_busy_matches_chunk_spans(self, ctx, version):
         tracer = Tracer()
         res = LOOP_RUNNERS[version](flat_space(), 4, ctx, tracer=tracer)

@@ -51,21 +51,3 @@ class TestDuration:
             mem.duration(-1.0)
         with pytest.raises(ValueError):
             mem.duration(1.0, membytes=-5)
-
-
-class TestModes:
-    def test_disabled_ignores_memory(self):
-        mem = MemoryModel(PAPER_MACHINE, enabled=False)
-        assert mem.duration(1e-3, 1e12) == pytest.approx(1e-3)
-
-    def test_no_overlap_sums(self):
-        over = MemoryModel(PAPER_MACHINE, overlap=True)
-        seq = MemoryModel(PAPER_MACHINE, overlap=False)
-        work, membytes = 1e-3, 1e7
-        assert seq.duration(work, membytes) > over.duration(work, membytes)
-        mem_t = membytes / PAPER_MACHINE.bandwidth_per_thread(1)
-        assert seq.duration(work, membytes) == pytest.approx(work + mem_t)
-
-    def test_loop_chunk_alias(self):
-        mem = MemoryModel(PAPER_MACHINE)
-        assert mem.loop_chunk_duration(1e-3, 1e6, 0.5, 4) == mem.duration(1e-3, 1e6, 0.5, 4)

@@ -3,8 +3,22 @@
 import pytest
 
 from repro.models import cilk, cxx11, openmp
+from repro.runtime import amt
+from repro.runtime.offload import run_offload_loop
 from repro.runtime.run import execute_region, run_program
+from repro.runtime.threadpool import run_threadpool_graph, run_threadpool_loop
+from repro.runtime.worksharing import run_worksharing_loop
+from repro.runtime.workstealing import run_stealing_graph, run_stealing_loop
 from repro.sim.task import IterSpace, LoopRegion, Program, SerialRegion, TaskGraph, TaskRegion
+
+LOOP_EXECUTORS = (
+    run_worksharing_loop, run_stealing_loop, run_threadpool_loop, run_offload_loop,
+    amt.run_charm_loop, amt.run_hpx_loop, amt.run_mpi_loop,
+)
+GRAPH_EXECUTORS = (
+    run_stealing_graph, run_threadpool_graph,
+    amt.run_charm_graph, amt.run_hpx_graph, amt.run_mpi_graph,
+)
 
 
 @pytest.fixture
@@ -109,3 +123,19 @@ class TestProgram:
     def test_empty_program(self, ctx):
         res = run_program(Program("empty"), 4, ctx)
         assert res.time == 0.0
+
+
+@pytest.mark.parametrize("nthreads", [0, -2], ids=["zero", "negative"])
+@pytest.mark.parametrize(
+    "executor", LOOP_EXECUTORS + GRAPH_EXECUTORS, ids=lambda f: f.__name__
+)
+def test_executor_rejects_nonpositive_threads(executor, nthreads, space, ctx):
+    """Every public executor refuses a thread count below one, instead of
+    returning a result for ``nthreads=0`` or dividing by zero."""
+    if executor in GRAPH_EXECUTORS:
+        work = TaskGraph("g")
+        work.add(1e-6)
+    else:
+        work = space
+    with pytest.raises(ValueError, match="nthreads must be positive"):
+        executor(work, nthreads, ctx)

@@ -23,6 +23,8 @@ from repro.runtime import workstealing
 from repro.runtime.base import ExecContext
 from repro.runtime.run import run_program
 from repro.runtime.workstealing import cilk_for_graph, cilk_for_graph_batched
+from repro.sim.machine import PAPER_MACHINE
+from repro.sim.memory import MemoryModel
 from repro.sim.task import IterSpace
 from repro.sweep.codec import result_to_dict
 from repro.validate.properties import SMALL_MACHINE, random_program
@@ -35,15 +37,13 @@ SEEDS = (0, 1, 2, 3, 4, 5, 6, 7)
 
 @contextlib.contextmanager
 def scalar_reference():
-    """Run the work-stealing scheduler on the scalar reference paths:
+    """Run the executors on the scalar reference paths:
     :meth:`MemoryModel.duration` per task instead of the memoized
-    duration, and the recursive :func:`cilk_for_graph` builder instead
-    of the batched one."""
+    duration (work stealing, thread-per-task and AMT graphs), and the
+    recursive :func:`cilk_for_graph` builder instead of the batched
+    one."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            workstealing, "_fast_duration",
-            lambda machine, nthreads: ExecContext(machine=machine).memory.duration,
-        )
+        mp.setattr(MemoryModel, "memoized", lambda self, max_active: self.duration)
         mp.setattr(workstealing, "cilk_for_graph_batched", cilk_for_graph)
         yield
 
@@ -135,6 +135,10 @@ def test_batched_builder_falls_back_past_exactness_guard():
 # the memoized duration fast path
 # ---------------------------------------------------------------------------
 def test_fast_duration_bit_equal_to_memory_model():
+    """The memoized and vectorized forms agree with the scalar
+    reference element by element: zero and nonzero bytes, ``active``
+    from below 1 to beyond ``hw_threads`` (oversubscription), scalar and
+    mixed per-task locality."""
     from repro.runtime.workstealing import StealingScheduler
     from repro.sim.task import TaskGraph
 
@@ -151,6 +155,25 @@ def test_fast_duration_bit_equal_to_memory_model():
             work, membytes, locality, active
         )
 
+    for machine in (SMALL_MACHINE, PAPER_MACHINE):
+        mem = MemoryModel(machine)
+        n = 400
+        work = rng.uniform(0, 1e-6, n)
+        membytes = rng.choice([0.0, 8.0, 64.0, 4096.0, 1e7], n)
+        locality = rng.choice([0.0, 0.1, 0.5, 1.0], n)
+        for active in (0, 1, 3, machine.hw_threads, machine.hw_threads + 1,
+                       4 * machine.hw_threads):
+            mixed = mem.durations(work, membytes, locality, active)
+            scalar_loc = mem.durations(work, membytes, 0.5, active)
+            no_bytes = mem.durations(work, np.zeros(n), locality, active)
+            for i in range(n):
+                ref = mem.duration(float(work[i]), float(membytes[i]),
+                                   float(locality[i]), active)
+                assert mixed[i] == ref
+                assert scalar_loc[i] == mem.duration(
+                    float(work[i]), float(membytes[i]), 0.5, active)
+                assert no_bytes[i] == mem.duration(float(work[i]), 0.0, 1.0, active)
+
 
 def test_reference_context_uses_reference_duration():
     """The reference side of :func:`_identical` really is the scalar
@@ -162,7 +185,9 @@ def test_reference_context_uses_reference_duration():
     g = TaskGraph()
     g.add(1e-8)
     with scalar_reference():
+        assert CTX2.memory.memoized(4) == CTX2.memory.duration
         assert StealingScheduler(g, 4, CTX2)._duration == CTX2.memory.duration
         assert workstealing.cilk_for_graph_batched is cilk_for_graph
+    assert CTX2.memory.memoized(4) != CTX2.memory.duration
     assert StealingScheduler(g, 4, CTX2)._duration != CTX2.memory.duration
     assert workstealing.cilk_for_graph_batched is cilk_for_graph_batched
