@@ -10,7 +10,10 @@ fidelity 2.  Two fault passes at p in {1, 4} pin the error-handling
 paths: one injects a task failure and a worker stall under a retrying,
 degrading policy (reaching every Table III mode: cancel, poison,
 rethrow, none and the AMT message/future/rank faults), the other runs
-fault-free under a tiny region timeout.  Each cell's codec document
+fault-free under a tiny region timeout.  A ``graphs`` pass runs the
+``add``-built task graphs outside the registry (UTS, the wavefront,
+a ``tbb::pipeline`` and 40 random programs from one ``Random(0)``
+stream) at p in {1, 4}, plus one traced p4 run each.  Each cell's codec document
 (times, worker stats, executor meta, and for the traced pass the full
 event streams) is serialized the way the result store writes it and
 hashed with SHA-256; a cell that fails with an expected error (the
@@ -66,9 +69,57 @@ def _sweep_digests(name: str, threads, fidelity: int, trace: bool,
     return out
 
 
+GRAPH_THREADS = (1, 4)
+GRAPH_TRACED_THREADS = (4,)
+RANDOM_PROGRAMS = 40
+
+
+def _graph_programs():
+    """``(label, program, ctx)`` for the task-graph programs the registry
+    does not reach, at small sizes."""
+    import random
+
+    from repro.extensions import uts, wavefront
+    from repro.models import tbb
+    from repro.runtime.base import ExecContext
+    from repro.sim.task import Program
+    from repro.validate.properties import SMALL_MACHINE, random_program
+
+    ctx = ExecContext()
+    for v in ("omp_task", "cilk_spawn", "tbb_task"):
+        yield f"uts/{v}", uts.program(v, machine=ctx.machine, max_nodes=20_000), ctx
+    for v in ("omp_depend", "cxx_future"):
+        yield f"wavefront/{v}", wavefront.program(v, machine=ctx.machine, nb=24), ctx
+    pipe = Program("tbb-pipeline").add(
+        tbb.pipeline([2e-6, 5e-6, 1e-6], [True, False, True], 200))
+    yield "tbb_pipeline/tbb", pipe, ctx
+    small = ExecContext(machine=SMALL_MACHINE)
+    rng = random.Random(0)
+    for i in range(RANDOM_PROGRAMS):
+        yield f"random/{i}", random_program(rng, i), small
+
+
+def graph_digests() -> dict[str, str]:
+    """Digest of every ``graphs``-pass run, keyed
+    ``graphs/<program>/p<n>/<f2|trace>``."""
+    from repro.runtime.run import run_program
+    from repro.sweep import codec
+
+    out = {}
+    for label, program, ctx in _graph_programs():
+        for p in GRAPH_THREADS:
+            res = run_program(program, p, ctx)
+            out[f"graphs/{label}/p{p}/f2"] = _digest(codec.result_to_dict(res))
+        for p in GRAPH_TRACED_THREADS:
+            res = run_program(program, p, ctx, trace=True)
+            out[f"graphs/{label}/p{p}/trace"] = _digest(codec.result_to_dict(res))
+    return out
+
+
 def cell_digests() -> dict[str, str]:
     """Digest of every cell, keyed
-    ``workload/version/p<n>/<f0|f2|trace|fault|timeout>``."""
+    ``workload/version/p<n>/<f0|f2|trace|fault|timeout>``, plus the
+    ``graphs`` pass."""
     from repro.core.registry import WORKLOADS
 
     digests: dict[str, str] = {}
@@ -78,6 +129,7 @@ def cell_digests() -> dict[str, str]:
         digests.update(_sweep_digests(name, TRACED_THREADS, 2, trace=True))
         for tag, kw in FAULT_PASSES.items():
             digests.update(_sweep_digests(name, FAULT_THREADS, 2, False, tag, **kw))
+    digests.update(graph_digests())
     return dict(sorted(digests.items()))
 
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 import sys
 from typing import Callable
 
+import numpy as np
+
 from repro.models import charm, cilk, cxx11, hpx, mpi, openmp
 from repro.sim.machine import Machine
 from repro.sim.task import Program, TaskGraph, TaskRegion
@@ -77,8 +79,19 @@ def task_count(n: int) -> int:
     return 3 * reference(n + 1) - 2
 
 
+_LEAF, _SPAWN, _CONT = 0, 1, 2
+_TAG_NAMES = ("leaf", "spawn", "cont")
+_TAG_WORK = np.array([LEAF_WORK, SPAWN_WORK, CONT_WORK])
+
+
 def graph(n: int) -> TaskGraph:
-    """Build the spawn/continuation DAG for ``fib(n)``."""
+    """Build the spawn/continuation DAG for ``fib(n)``.
+
+    Task ids follow the recursive elaboration in preorder: a frame is
+    its spawn task, then ``fib(k-1)``'s frame, then ``fib(k-2)``'s, then
+    its continuation (deps: the two child frames' last tasks).  Frames
+    are assembled bottom-up as arrays, so the build needs no recursion.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if task_count(n) > 5_000_000:
@@ -86,29 +99,33 @@ def graph(n: int) -> TaskGraph:
             f"fib({n}) elaborates to {task_count(n)} tasks; "
             "simulate a smaller n and scale (see module docstring)"
         )
-    g = TaskGraph(f"fib({n})")
-    limit = sys.getrecursionlimit()
-    if n + 10 > limit:
-        sys.setrecursionlimit(n + 50)
+    tags, dep0, dep1 = _frame(n)
+    deps = np.stack((dep0, dep1), axis=1)
+    dep_ptr = np.zeros(tags.size + 1, dtype=np.int64)
+    np.cumsum((deps >= 0).sum(axis=1), out=dep_ptr[1:])
+    return TaskGraph.from_columns(
+        f"fib({n})", _TAG_WORK[tags], tag_id=tags, tag_names=_TAG_NAMES,
+        dep_ptr=dep_ptr, dep_idx=deps[deps >= 0],
+    )
 
-    _elaborate(g.add, n, ())
-    return g
 
-
-def _elaborate(add: Callable[..., int], k: int, dep: tuple[int, ...]) -> int:
-    """Add ``fib(k)``'s frame below ``dep`` through ``add`` (a bound
-    :meth:`TaskGraph.add`) and return the id of its last task.
-
-    A module-level function rather than a closure: a recursive closure
-    refers to itself, and that reference cycle would keep the graph
-    alive until the cyclic collector runs.
-    """
-    if k < 2:
-        return add(LEAF_WORK, deps=dep, tag="leaf")
-    s = add(SPAWN_WORK, deps=dep, tag="spawn")
-    c1 = _elaborate(add, k - 1, (s,))
-    c2 = _elaborate(add, k - 2, (s,))
-    return add(CONT_WORK, deps=(c1, c2), tag="cont")
+def _frame(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fib(n)``'s frame as ``(tag, dep0, dep1)`` arrays over its tasks
+    in id order, ids relative to the frame's first task; ``-1`` marks
+    no dep, and the first task's ``dep0`` (its parent's spawn) is -1."""
+    leaf = (np.array([_LEAF], dtype=np.int8), np.array([-1]), np.array([-1]))
+    prev, cur = leaf, leaf  # frames k-2 and k-1
+    for _ in range(2, n + 1):
+        (t1, a1, b1), (t2, a2, b2) = cur, prev
+        f1, f2 = t1.size, t2.size
+        off2 = 1 + f1  # id of the second child's first task
+        dep0 = np.concatenate(([-1], a1 + 1, a2 + off2, [f1]))
+        dep0[off2] = 0  # both children hang off the spawn task
+        dep1 = np.concatenate(([-1], np.where(b1 >= 0, b1 + 1, -1),
+                               np.where(b2 >= 0, b2 + off2, -1), [f1 + f2]))
+        tags = np.concatenate(([_SPAWN], t1, t2, [_CONT])).astype(np.int8)
+        prev, cur = cur, (tags, dep0, dep1)
+    return cur
 
 
 def program(version: str, *, machine: Machine, n: int = DEFAULT_SIM_N) -> Program:

@@ -1,13 +1,15 @@
 """Pause Python's cyclic garbage collector while a program simulates.
 
-A simulated cell builds task graphs of about three GC-tracked objects
-per task (the :class:`~repro.sim.task.Task`, its ``deps`` tuple and its
-successor list) and drops them all when the cell ends.  None of them
-is part of a reference cycle, so reference counting frees every one;
-the cyclic collector only re-walks them, and its full (generation-2)
-passes over a growing 86k-task Fibonacci graph can cost as much as
-building it.  :data:`paused_gc` holds automatic collections off for
-the duration of :func:`~repro.runtime.run.run_program` and
+A simulated cell creates hundreds of thousands of short-lived
+GC-tracked containers (event-heap entries, the AMT walk's per-task
+records, trace spans) and drops them all when the cell ends.  None of
+them is part of a reference cycle, so reference counting frees every
+one; the cyclic collector only re-walks them, and its full
+(generation-2) passes over them can cost as much as the simulation.
+A :class:`~repro.sim.task.TaskGraph` adds only its column lists: the
+floats and ints inside them are not tracked.  :data:`paused_gc` holds
+automatic collections off for the duration of
+:func:`~repro.runtime.run.run_program` and
 :func:`~repro.sim.tiers.estimate_program`.
 
 The pause is counted across threads: the first caller to enter

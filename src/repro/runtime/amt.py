@@ -428,11 +428,16 @@ def _run_amt_graph(
     # per-task future costs, summed in the order the model adds them
     hpx_pre = costs.hpx_future_create + costs.hpx_continuation
     hpx_get = costs.hpx_future_get
+    dep_ptr = graph.dep_ptr
+    dep_idx = graph.dep_idx
+    if kind != "hpx":  # the HPX walk reads no successors
+        succ_ptr, succ_idx = graph.successor_index()
+    columns = zip(graph.work, graph.membytes, graph.locality)
 
-    for t in graph.tasks:
-        tid = t.tid
+    for tid, (work, membytes, locality) in enumerate(columns):
+        deps = dep_idx[dep_ptr[tid]:dep_ptr[tid + 1]]
         if err is not None and kind == "hpx" and (
-            tid in dead or any(d in dead for d in t.deps)
+            tid in dead or any(d in dead for d in deps)
         ):
             # poisoned dataflow: the dependent future never fires
             dead.add(tid)
@@ -441,10 +446,11 @@ def _run_amt_graph(
             continue
         if kind == "mpi":
             pe = tid * p // ntasks
-            cross_in = sum(1 for d in t.deps if d * p // ntasks != pe)
-            cross_out = sum(1 for s in graph.successors[tid] if s * p // ntasks != pe)
+            cross_in = sum(1 for d in deps if d * p // ntasks != pe)
+            cross_out = sum(1 for s in succ_idx[succ_ptr[tid]:succ_ptr[tid + 1]]
+                            if s * p // ntasks != pe)
             ready = 0.0
-            for d in t.deps:
+            for d in deps:
                 arr = finish[d]
                 if d * p // ntasks != pe:
                     arr += costs.mpi_latency
@@ -453,12 +459,11 @@ def _run_amt_graph(
             post = cross_out * costs.mpi_msg_overhead
         elif kind == "charm":
             pe = tid % p
-            ready = max((finish[d] for d in t.deps),
+            ready = max((finish[d] for d in deps),
                         default=costs.charm_chare_create + costs.charm_msg_send)
             pre = costs.charm_msg_recv + costs.charm_entry_dispatch
-            post = len(graph.successors[tid]) * costs.charm_msg_send
+            post = (succ_ptr[tid + 1] - succ_ptr[tid]) * costs.charm_msg_send
         else:  # hpx: continuation stolen by the earliest-free worker
-            deps = t.deps
             ready = 0.0
             for d in deps:
                 arr = finish[d]
@@ -470,7 +475,7 @@ def _run_amt_graph(
         start = pe_free[pe]
         if ready > start:
             start = ready
-        dur = duration(t.work, t.membytes, t.locality, active)
+        dur = duration(work, membytes, locality, active)
         if faults is not None:
             stall = faults.stall(pe, start)
             if stall > 0.0:
@@ -489,7 +494,7 @@ def _run_amt_graph(
         pe_free[pe] = end
         finish[tid] = end
         overhead += pre + post
-        records.append((pe, start, pre, end, t.work))
+        records.append((pe, start, pre, end, work))
 
     cancelled = err is not None and kind == "mpi" and error_mode == "rank_fail"
     cancel_time = err_time if cancelled else 0.0

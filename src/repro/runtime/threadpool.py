@@ -249,31 +249,36 @@ def run_threadpool_graph(
     child_rank: dict[int, int] = {}
     err = None
     err_time = 0.0
-    for t in graph.tasks:
+    dep_ptr = graph.dep_ptr
+    dep_idx = graph.dep_idx
+    tags = graph.tag_names
+    columns = zip(graph.work, graph.membytes, graph.locality, graph.tag_id)
+    for tid, (work, membytes, locality, tag) in enumerate(columns):
+        deps = dep_idx[dep_ptr[tid]:dep_ptr[tid + 1]]
         rank = 1
-        if t.deps:
+        if deps:
             # serial creation among siblings sharing the first dep
-            key = t.deps[0]
+            key = deps[0]
             child_rank[key] = child_rank.get(key, 0) + 1
             rank = child_rank[key]
-        start = max((finish[d] for d in t.deps), default=0.0) + rank * create
-        dur = duration(t.work, t.membytes, t.locality, active)
+        start = max((finish[d] for d in deps), default=0.0) + rank * create
+        dur = duration(work, membytes, locality, active)
         if faults is not None:
-            stall = faults.stall(t.tid, start)
+            stall = faults.stall(tid, start)
             start += stall
             dur *= faults.slow_factor(start)
             if err is None:
-                failure = faults.fail_task(t.tid, start)
+                failure = faults.fail_task(tid, start)
                 if failure is not None:
                     # the future stores the exception; it rethrows at the
                     # blocking get, so every already-launched thread runs
                     err = failure
                     err_time = start + dur
-        finish[t.tid] = start + dur + finalize
+        finish[tid] = start + dur + finalize
         if tracer is not None:
             # one trace row per software thread (tid); the model has no
             # hardware-context placement, so the row IS the thread
-            tracer.span(t.tid, start, start + dur, "task", t.tag or f"t{t.tid}")
+            tracer.span(tid, start, start + dur, "task", tags[tag] or f"t{tid}")
     cp = max(finish)
     throughput_bound = graph.total_work() / (machine.compute_speed(active) * active) \
         + ntasks * (create + finalize) / max(1, nthreads)

@@ -177,11 +177,11 @@ class StealingScheduler:
         # Worker 0 seeds its deque; workers 1..p-1 begin idle.
         t = 0.0
         dq = self.deques[0]
+        spawn_cost = graph.spawn_cost
         pushed = 0
         for tid in graph.roots:
-            task = graph.tasks[tid]
-            spawn = task.spawn_cost if task.spawn_cost > 0 else self.spawn_cost
-            t += spawn
+            sc = spawn_cost[tid]
+            t += sc if sc > 0 else self.spawn_cost
             t = dq.push(t, tid)
             pushed += 1
         self.stats[0].overhead += t
@@ -239,9 +239,13 @@ class StealingScheduler:
         st = self.stats[0]
         tracer = self.tracer
         faults = self.faults
-        for ordinal, task in enumerate(self.graph.tasks):  # creation order is topological
-            spawn = task.spawn_cost if task.spawn_cost > 0 else self.spawn_cost
-            dur = self._duration(task.work, task.membytes, task.locality, 1)
+        g = self.graph
+        tags = g.tag_names
+        columns = zip(g.work, g.membytes, g.locality, g.spawn_cost, g.tag_id)
+        # creation order is topological
+        for ordinal, (work, membytes, locality, sc, tag) in enumerate(columns):
+            spawn = sc if sc > 0 else self.spawn_cost
+            dur = self._duration(work, membytes, locality, 1)
             if faults is not None:
                 stall = faults.stall(0, t + spawn)
                 if stall > 0.0:
@@ -251,7 +255,7 @@ class StealingScheduler:
                     t += stall
                 dur *= faults.slow_factor(t + spawn)
             if tracer is not None:
-                tracer.span(0, t + spawn, t + spawn + dur, "task", task.tag or "task")
+                tracer.span(0, t + spawn, t + spawn + dur, "task", tags[tag] or "task")
             t += spawn + dur + self.per_task_overhead
             st.busy += dur
             st.overhead += spawn + self.per_task_overhead
@@ -289,9 +293,15 @@ class StealingScheduler:
         successors) or wake-up.
         """
         p = self.p
-        tasks = self.graph.tasks
-        successors = self.graph.successors
-        remaining = self.graph.indegrees()
+        graph = self.graph
+        work = graph.work
+        membytes = graph.membytes
+        locality = graph.locality
+        task_spawn = graph.spawn_cost
+        tag_id = graph.tag_id
+        tags = graph.tag_names
+        succ_ptr, succ_idx = graph.successor_index()
+        remaining = graph.indegrees()
         deques = self.deques
         own = [deques[0]] * p if self.central_queue else deques
         own_push = [d.push for d in own]
@@ -385,8 +395,7 @@ class StealingScheduler:
             if tid is not None:
                 state[w] = _BUSY
                 active += 1
-                task = tasks[tid]
-                dur = duration(task.work, task.membytes, task.locality,
+                dur = duration(work[tid], membytes[tid], locality[tid],
                                active if active < p else p)
                 st = stats[w]
                 t0 = now if now > t else t
@@ -411,7 +420,7 @@ class StealingScheduler:
                 st.busy += dur
                 st.tasks += 1
                 if tracer is not None:
-                    tracer.span(w, t0, t0 + dur, "task", task.tag or "task")
+                    tracer.span(w, t0, t0 + dur, "task", tags[tag_id[tid]] or "task")
                 end = t0 + dur
                 if end < now:
                     raise ValueError(f"cannot schedule at {end} before now={now}")
@@ -459,11 +468,11 @@ class StealingScheduler:
                         finish_time = t
                     break
                 push = own_push[w]
-                for succ in successors[kind]:
+                for succ in succ_idx[succ_ptr[kind]:succ_ptr[kind + 1]]:
                     left = remaining[succ] - 1
                     remaining[succ] = left
                     if left == 0:
-                        sc = tasks[succ].spawn_cost
+                        sc = task_spawn[succ]
                         t += sc if sc > 0 else spawn_cost
                         if work_first and dive is None:
                             dive = succ  # execute-on-creation: no deque round-trip
@@ -550,9 +559,10 @@ def cilk_for_graph_batched(
     The first pass replays the splitter recursion with integers only,
     recording node order and leaf bounds; leaf costs are then computed
     in one vectorized sweep whose float ops mirror the scalar
-    ``_cum_at`` exactly.  When ``niter * nblocks`` approaches 2**53 the
-    float64 product is no longer exact and we fall back to the scalar
-    builder rather than risk a one-ulp divergence.
+    ``_cum_at`` exactly, and the graph is built from whole columns
+    (:meth:`TaskGraph.from_columns`).  When ``niter * nblocks``
+    approaches 2**53 the float64 product is no longer exact and we fall
+    back to the scalar builder rather than risk a one-ulp divergence.
     """
     niter = space.niter
     nblocks = space.nblocks
@@ -560,54 +570,44 @@ def cilk_for_graph_batched(
         return cilk_for_graph(
             space, grainsize, ctx, bytes_penalty=bytes_penalty, work_scale=work_scale
         )
-    split_cost = ctx.costs.cilk_split
     # pass 1: integer-only replay of the recursion
-    nodes: list[tuple[bool, int, int, int]] = []  # (is_leaf, lo, hi, dep)
+    nodes: list[tuple[bool, int, int, int]] = []  # (is_leaf, lo, hi, parent)
     stack = [(0, niter, -1)]
     tid = 0
     while stack:
-        lo, hi, dep = stack.pop()
+        lo, hi, parent = stack.pop()
         if hi - lo <= grainsize:
-            nodes.append((True, lo, hi, dep))
-            tid += 1
+            nodes.append((True, lo, hi, parent))
         else:
-            nodes.append((False, lo, hi, dep))
+            nodes.append((False, lo, hi, parent))
             mid = (lo + hi) // 2
             stack.append((lo, mid, tid))
             stack.append((mid, hi, tid))
-            tid += 1
+        tid += 1
+    is_leaf, lo_a, hi_a, parent = (np.array(col) for col in zip(*nodes))
     # pass 2: batched leaf costs (scalar chunk_cost op order)
-    leaf_lo = np.array([lo for leaf, lo, _, _ in nodes if leaf], dtype=np.float64)
-    leaf_hi = np.array([hi for leaf, _, hi, _ in nodes if leaf], dtype=np.float64)
+    lo_a = lo_a[is_leaf].astype(np.float64)
+    hi_a = hi_a[is_leaf].astype(np.float64)
     cw, cb = space._cum_work, space._cum_bytes
     works = np.maximum(
-        _cum_at_vec(cw, leaf_hi, nblocks, niter) - _cum_at_vec(cw, leaf_lo, nblocks, niter),
-        0.0,
+        _cum_at_vec(cw, hi_a, nblocks, niter) - _cum_at_vec(cw, lo_a, nblocks, niter), 0.0
     )
     membytes = np.maximum(
-        _cum_at_vec(cb, leaf_hi, nblocks, niter) - _cum_at_vec(cb, leaf_lo, nblocks, niter),
-        0.0,
+        _cum_at_vec(cb, hi_a, nblocks, niter) - _cum_at_vec(cb, lo_a, nblocks, niter), 0.0
     )
-    works = works.tolist()
-    membytes = membytes.tolist()
-    # pass 3: identical graph construction
-    g = TaskGraph(f"cilk_for[{space.name}]")
-    locality = space.locality
-    li = 0
-    for is_leaf, lo, hi, dep in nodes:
-        deps = () if dep < 0 else (dep,)
-        if is_leaf:
-            g.add(
-                works[li] * work_scale,
-                membytes[li] * bytes_penalty,
-                locality,
-                deps=deps,
-                tag="chunk",
-            )
-            li += 1
-        else:
-            g.add(split_cost, deps=deps, tag="split")
-    return g
+    # pass 3: the columns; splits take add()'s defaults
+    work_col = np.full(is_leaf.size, ctx.costs.cilk_split)
+    work_col[is_leaf] = works * work_scale
+    bytes_col = np.zeros(is_leaf.size)
+    bytes_col[is_leaf] = membytes * bytes_penalty
+    dep_ptr = np.zeros(is_leaf.size + 1, dtype=np.int64)
+    np.cumsum(parent >= 0, out=dep_ptr[1:])
+    return TaskGraph.from_columns(
+        f"cilk_for[{space.name}]", work_col, bytes_col,
+        np.where(is_leaf, space.locality, 1.0),
+        tag_id=is_leaf, tag_names=("split", "chunk"),
+        dep_ptr=dep_ptr, dep_idx=parent[parent >= 0],
+    )
 
 
 def flat_chunk_graph(

@@ -115,8 +115,9 @@ class MemoryModel:
         locality: Union[float, np.ndarray],
         active: int,
     ) -> np.ndarray:
-        """:meth:`duration` of every task in equal-length arrays, all with
-        ``active`` threads active.
+        """:meth:`duration` of every task in equal-length arrays (or
+        sequences, such as a task graph's columns), all with ``active``
+        threads active.
 
         ``locality`` is one value for all tasks (a loop's iteration
         space) or a per-task array (a task graph); each distinct value is
@@ -125,9 +126,12 @@ class MemoryModel:
         """
         machine = self.machine
         active = max(1, active)
+        work = np.asarray(work, dtype=np.float64)
+        membytes = np.asarray(membytes, dtype=np.float64)
         compute = work / machine.compute_speed(active)
         if np.ndim(locality) == 0:
             return np.maximum(compute, membytes / machine.bandwidth_per_thread(active, locality))
+        locality = np.asarray(locality, dtype=np.float64)
         if not membytes.any():
             return compute
         for loc in np.unique(locality):

@@ -14,13 +14,31 @@ thousand blocks regardless of the logical trip count), so a 100-million
 iteration Axpy loop costs a handful of kilobytes to represent while any
 chunk ``[lo, hi)`` still gets an accurate cost via prefix-sum
 interpolation.
+
+Task graphs are columnar, after Task Bench's graphs of array indices
+rather than objects: a :class:`TaskGraph` holds one list per task field
+(``work``, ``membytes``, ``locality``, ``spawn_cost``, a tag id into a
+small name table) and its dependencies in CSR form (``dep_ptr``,
+``dep_idx``).  The successor CSR is built from the deps on first use
+(again after a later ``add``), with a stable order: each task lists its
+successors in increasing id, the order the work-stealing loop pushes
+them in.  A graph grows one task at a time through
+:meth:`TaskGraph.add` or arrives whole through
+:meth:`TaskGraph.from_columns` (the Fibonacci and ``cilk_for``
+builders); both reject the same bad input with the same errors, and
+:meth:`TaskGraph.validate` re-checks a graph in O(edges).  Executors
+and estimators index the columns; ``graph.tasks`` is a read-only view
+that builds :class:`Task` records on demand, for tests and debugging.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from itertools import islice
+from operator import sub
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -54,7 +72,7 @@ class TaskState(enum.IntEnum):
 
 
 class Task(NamedTuple):
-    """One schedulable unit of work.
+    """One schedulable unit of work, as a record.
 
     ``work`` is seconds of compute on one unshared core; ``membytes`` is
     memory traffic past private caches with access-pattern ``locality``
@@ -62,12 +80,12 @@ class Task(NamedTuple):
     this task becomes ready.  ``spawn_cost`` is charged to the worker
     that makes the task ready (models task-descriptor creation).
 
-    A task is an immutable named tuple: fields cannot be assigned, it
-    hashes by value, and it compares equal to a plain tuple holding the
-    same fields in the same order (``Task(0, 1.0) == (0, 1.0, 0.0, 1.0,
-    (), "", 0.0)``).  Graphs hold tens of thousands of tasks, and a
-    tuple is about three times cheaper to build than a frozen dataclass
-    and about half the size.
+    A :class:`TaskGraph` stores its tasks as columns, not records;
+    ``graph.tasks[i]`` builds this record on demand for tests and
+    debugging.  It is an immutable named tuple: fields cannot be
+    assigned, it hashes by value, and it compares equal to a plain tuple
+    holding the same fields in the same order (``Task(0, 1.0) == (0,
+    1.0, 0.0, 1.0, (), "", 0.0)``).
     """
 
     tid: int
@@ -79,18 +97,91 @@ class Task(NamedTuple):
     spawn_cost: float = 0.0
 
 
-class TaskGraph:
-    """A DAG of :class:`Task` with dependency bookkeeping.
+def _check_columns(work, membytes, locality, spawn_cost, tag_id, ntags, dep_ptr, dep_idx):
+    """:meth:`TaskGraph.add`'s checks over whole column arrays (one value
+    may stand for a whole column).  Raises ``ValueError`` on the first
+    failure, with ``add``'s message where ``add`` has the same check."""
+    n = work.size
+    if (work.ndim != 1 or dep_ptr.shape != (n + 1,) or dep_ptr[0] != 0
+            or dep_ptr[-1] != dep_idx.size
+            or any(a.ndim and a.shape != (n,) for a in (membytes, locality, spawn_cost, tag_id))):
+        raise ValueError("columns must have equal length")
+    if (work < 0).any() or (membytes < 0).any() or (spawn_cost < 0).any():
+        raise ValueError("work, membytes and spawn_cost must be non-negative")
+    if not ((locality >= 0.0) & (locality <= 1.0)).all():
+        raise ValueError("locality must be in [0, 1]")
+    if n and not (0 <= tag_id.min() and tag_id.max() < ntags):
+        raise ValueError("tag ids must index tag_names")
+    if (np.diff(dep_ptr) < 0).any():
+        raise ValueError("dep_ptr must be non-decreasing")
+    owner = _owners(dep_ptr)
+    bad = (dep_idx < 0) | (dep_idx >= owner)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"task {owner[k]} depends on unknown/future task {dep_idx[k]}")
 
-    Tasks must be added in a topological order: every dependency must
-    name an already-added task.  This makes cycles impossible by
-    construction and keeps validation O(edges).
+
+def _owners(dep_ptr: np.ndarray) -> np.ndarray:
+    """The task id of every edge of a dependency CSR."""
+    n = dep_ptr.size - 1
+    return np.repeat(np.arange(n, dtype=np.int64), np.diff(dep_ptr))
+
+
+def _successor_csr(dep_ptr: np.ndarray, dep_idx: np.ndarray) -> tuple[list[int], list[int]]:
+    """The successor CSR ``(succ_ptr, succ_idx)`` of a dependency CSR,
+    each source's successors in increasing task id: the edges are listed
+    in task order, and a stable sort by source keeps that order."""
+    n = dep_ptr.size - 1
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dep_idx, minlength=n), out=ptr[1:])
+    return ptr.tolist(), _owners(dep_ptr)[np.argsort(dep_idx, kind="stable")].tolist()
+
+
+class _TaskView(Sequence):
+    """Read-only sequence of :class:`Task` records over a graph's
+    columns; each record is built when it is read."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: "TaskGraph") -> None:
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.work)
+
+    def __getitem__(self, i):
+        g = self._graph
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(g.work))[i]]
+        i = range(len(g.work))[i]  # negative ids count from the end, as in a list
+        dp = g.dep_ptr
+        return Task(i, g.work[i], g.membytes[i], g.locality[i],
+                    tuple(g.dep_idx[dp[i]:dp[i + 1]]), g.tag_names[g.tag_id[i]],
+                    g.spawn_cost[i])
+
+
+class TaskGraph:
+    """A DAG of tasks stored as parallel per-task columns (see the
+    module docstring).
+
+    Task ``t``'s fields are ``work[t]``, ``membytes[t]``, ``locality[t]``,
+    ``spawn_cost[t]`` and ``tag_names[tag_id[t]]``; its dependencies are
+    ``dep_idx[dep_ptr[t]:dep_ptr[t + 1]]``.  Columns are Python lists, so
+    executors index them without boxing.  Every dependency names an
+    earlier task, so cycles are unrepresentable.
     """
 
     def __init__(self, name: str = "graph") -> None:
         self.name = name
-        self.tasks: list[Task] = []
-        self.successors: list[list[int]] = []
+        self.work: list[float] = []
+        self.membytes: list[float] = []
+        self.locality: list[float] = []
+        self.spawn_cost: list[float] = []
+        self.tag_id: list[int] = []
+        self.tag_names: list[str] = []
+        self.dep_ptr: list[int] = [0]
+        self.dep_idx: list[int] = []
+        self._succ: Optional[tuple[list[int], list[int]]] = None
 
     def add(
         self,
@@ -103,9 +194,7 @@ class TaskGraph:
     ) -> int:
         """Append a task and return its id; bad input raises
         ``ValueError`` and leaves the graph unchanged."""
-        tasks = self.tasks
-        successors = self.successors
-        tid = len(tasks)
+        tid = len(self.work)
         if work < 0 or membytes < 0 or spawn_cost < 0:
             raise ValueError("work, membytes and spawn_cost must be non-negative")
         if not 0.0 <= locality <= 1.0:
@@ -113,43 +202,117 @@ class TaskGraph:
         deps_t = deps if type(deps) is tuple else tuple(deps)
         for d in deps_t:
             if not 0 <= d < tid:
-                for prior in deps_t[:deps_t.index(d)]:
-                    successors[prior].pop()
                 raise ValueError(f"task {tid} depends on unknown/future task {d}")
-            successors[d].append(tid)
-        tasks.append(Task(tid, work, membytes, locality, deps_t, tag, spawn_cost))
-        successors.append([])
+        try:
+            tag_id = self.tag_names.index(tag)
+        except ValueError:
+            tag_id = len(self.tag_names)
+            self.tag_names.append(tag)
+        self.work.append(work)
+        self.membytes.append(membytes)
+        self.locality.append(locality)
+        self.spawn_cost.append(spawn_cost)
+        self.tag_id.append(tag_id)
+        self.dep_idx.extend(deps_t)
+        self.dep_ptr.append(len(self.dep_idx))
+        self._succ = None
         return tid
 
+    @classmethod
+    def from_columns(
+        cls,
+        name: str,
+        work,
+        membytes=0.0,
+        locality=1.0,
+        spawn_cost=0.0,
+        *,
+        tag_id=0,
+        tag_names: Sequence[str] = ("",),
+        dep_ptr=None,
+        dep_idx=(),
+    ) -> "TaskGraph":
+        """A graph from whole columns, validated in one vectorized pass.
+
+        ``work`` fixes the task count; ``membytes``, ``locality``,
+        ``spawn_cost`` and ``tag_id`` are per-task arrays or one value
+        for every task.  Deps are the CSR pair ``dep_ptr`` (``n + 1``
+        offsets; ``None`` for no deps) and ``dep_idx``.  Bad input
+        raises the ``ValueError`` :meth:`add` would.
+        """
+        work, membytes, locality, spawn_cost = (
+            np.asarray(a, dtype=np.float64) for a in (work, membytes, locality, spawn_cost))
+        tag_id = np.asarray(tag_id, dtype=np.int64)
+        n = work.size
+        if dep_ptr is None:
+            dep_ptr = np.zeros(n + 1, dtype=np.int64)
+        dep_ptr = np.asarray(dep_ptr, dtype=np.int64)
+        dep_idx = np.asarray(dep_idx, dtype=np.int64).ravel()
+        _check_columns(work, membytes, locality, spawn_cost, tag_id, len(tag_names),
+                       dep_ptr, dep_idx)
+        g = cls(name)
+        # one value stands for every task by reference, not as n objects
+        g.work, g.membytes, g.locality, g.spawn_cost, g.tag_id = (
+            a.tolist() if a.ndim else [a.item()] * n
+            for a in (work, membytes, locality, spawn_cost, tag_id)
+        )
+        g.tag_names = list(tag_names)
+        g.dep_ptr, g.dep_idx = dep_ptr.tolist(), dep_idx.tolist()
+        return g
+
     def __len__(self) -> int:
-        return len(self.tasks)
+        return len(self.work)
+
+    @property
+    def tasks(self) -> Sequence[Task]:
+        """Read-only :class:`Task` records, built on demand."""
+        return _TaskView(self)
+
+    def successor_index(self) -> tuple[list[int], list[int]]:
+        """Successor CSR ``(succ_ptr, succ_idx)``: task ``t``'s successors
+        are ``succ_idx[succ_ptr[t]:succ_ptr[t + 1]]``, in increasing id."""
+        if self._succ is None:
+            self._succ = _successor_csr(np.asarray(self.dep_ptr, dtype=np.int64),
+                                        np.asarray(self.dep_idx, dtype=np.int64))
+        return self._succ
+
+    @property
+    def successors(self) -> list[list[int]]:
+        """Successor lists per task (a copy of :meth:`successor_index`)."""
+        ptr, idx = self.successor_index()
+        return [idx[ptr[t]:ptr[t + 1]] for t in range(len(self))]
 
     @property
     def roots(self) -> list[int]:
         """Task ids with no dependencies, in creation order."""
-        return [t.tid for t in self.tasks if not t.deps]
+        return [tid for tid, n in enumerate(self.indegrees()) if not n]
 
     def indegrees(self) -> list[int]:
         """Number of unmet dependencies per task (for a fresh execution)."""
-        return [len(t.deps) for t in self.tasks]
+        dp = self.dep_ptr
+        return list(map(sub, islice(dp, 1, None), dp))
 
     def total_work(self) -> float:
         """T_1: total compute seconds over all tasks (spawn costs excluded)."""
-        return float(sum(t.work for t in self.tasks))
+        return float(sum(self.work))
 
     def critical_path(self) -> float:
         """T_inf: the longest dependency chain, by task ``work``.
 
         Tasks are stored topologically, so a single forward pass suffices.
         """
-        finish = [0.0] * len(self.tasks)
-        for t in self.tasks:
+        finish: list[float] = []
+        append = finish.append
+        di = self.dep_idx
+        lo = 0
+        for hi, work in zip(islice(self.dep_ptr, 1, None), self.work):
             start = 0.0
-            for d in t.deps:
-                f = finish[d]
+            while lo < hi:
+                f = finish[di[lo]]
                 if f > start:
                     start = f
-            finish[t.tid] = start + t.work
+                lo += 1
+            append(start + work)
         return max(finish, default=0.0)
 
     def expected_meta(self) -> dict:
@@ -160,10 +323,13 @@ class TaskGraph:
         ``critical_path`` is a makespan lower bound because per-task
         durations can only inflate ``work`` (compute speed <= 1).
         """
-        byte_locs = [t.locality for t in self.tasks if t.membytes > 0]
+        membytes = self.membytes
+        byte_locs = (
+            [loc for loc, b in zip(self.locality, membytes) if b > 0] if any(membytes) else []
+        )
         return {
             "expected_work": self.total_work(),
-            "expected_bytes": float(sum(t.membytes for t in self.tasks)),
+            "expected_bytes": float(sum(membytes)),
             # best locality bounds bandwidth from above (envelope lower
             # edge); worst bounds it from below (upper edge)
             "expected_locality": max(byte_locs) if byte_locs else 1.0,
@@ -172,14 +338,17 @@ class TaskGraph:
         }
 
     def validate(self) -> None:
-        """Check structural invariants; raises ``ValueError`` on violation."""
-        for t in self.tasks:
-            if t.tid != self.tasks.index(t) and self.tasks[t.tid] is not t:
-                raise ValueError("task ids must match positions")
-            for d in t.deps:
-                if d >= t.tid:
-                    raise ValueError(f"task {t.tid} has non-topological dep {d}")
-        if len(self.successors) != len(self.tasks):
+        """Check structural invariants in O(edges); raises ``ValueError``
+        on violation: every column passes :meth:`add`'s checks, every
+        dep names an earlier task, and a built successor index is
+        exactly the stable reverse of the deps."""
+        dep_ptr = np.asarray(self.dep_ptr, dtype=np.int64)
+        dep_idx = np.asarray(self.dep_idx, dtype=np.int64)
+        _check_columns(
+            *(np.asarray(c, dtype=np.float64)
+              for c in (self.work, self.membytes, self.locality, self.spawn_cost)),
+            np.asarray(self.tag_id, dtype=np.int64), len(self.tag_names), dep_ptr, dep_idx)
+        if self._succ is not None and self._succ != _successor_csr(dep_ptr, dep_idx):
             raise ValueError("successor table out of sync")
 
 

@@ -343,10 +343,8 @@ def _steal_graph_estimate(
         push, pop, steal = costs.locked_push, costs.locked_pop, costs.locked_steal
     pto = params.get("per_task_overhead", 0.0)
     active = p if p > 1 else 1
-    busy = float(ctx.memory.durations(*_task_columns(g), active).sum())
-    total_spawn = float(
-        sum(t.spawn_cost if t.spawn_cost > 0 else default_spawn for t in g.tasks)
-    )
+    busy = float(ctx.memory.durations(g.work, g.membytes, g.locality, active).sum())
+    total_spawn = float(sum(sc if sc > 0 else default_spawn for sc in g.spawn_cost))
     if p <= 1:
         if params.get("undeferred_single", False):
             overhead = total_spawn + n * pto
@@ -363,16 +361,6 @@ def _steal_graph_estimate(
         chain = math.log2(p) * (steal + costs.steal_latency + costs.wake_latency)
         time = max((busy + overhead + steals * steal) / p, tinf * inflation + chain)
     return _aggregate_result(entry + time + exit_c, p, busy=busy, overhead=overhead, tasks=n)
-
-
-def _task_columns(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-task ``(work, membytes, locality)`` arrays of a graph."""
-    n = len(g)
-    return (
-        np.fromiter((t.work for t in g.tasks), np.float64, count=n),
-        np.fromiter((t.membytes for t in g.tasks), np.float64, count=n),
-        np.fromiter((t.locality for t in g.tasks), np.float64, count=n),
-    )
 
 
 def _amt_graph_estimate(region: TaskRegion, p: int, ctx, kind: str) -> RegionResult:
@@ -392,17 +380,16 @@ def _amt_graph_estimate(region: TaskRegion, p: int, ctx, kind: str) -> RegionRes
     n = len(g)
     if n == 0:
         return _aggregate_result(0.0, p, busy=0.0, overhead=0.0, tasks=0)
-    durs = ctx.memory.durations(*_task_columns(g), min(n, p) if p > 1 else 1)
+    durs = ctx.memory.durations(g.work, g.membytes, g.locality, min(n, p) if p > 1 else 1)
     busy = float(durs.sum())
 
     if kind == "amt_hpx":
-        ndeps = np.fromiter((len(t.deps) for t in g.tasks), np.float64, count=n)
         t1 = g.total_work()
         inflation = busy / t1 if t1 > 0 else 1.0
         tinf = g.critical_path() * inflation
         overhead = float(
             n * (costs.hpx_future_create + costs.hpx_continuation)
-            + ndeps.sum() * costs.hpx_future_get
+            + len(g.dep_idx) * costs.hpx_future_get
         )
         time = max((busy + overhead) / p, tinf) + costs.hpx_future_get
         return _aggregate_result(time, p, busy=busy, overhead=overhead, tasks=n)
@@ -411,35 +398,39 @@ def _amt_graph_estimate(region: TaskRegion, p: int, ctx, kind: str) -> RegionRes
     pe_free = [0.0] * p
     finish = [0.0] * n
     overhead = 0.0
+    dep_ptr = g.dep_ptr
+    dep_idx = g.dep_idx
+    succ_ptr, succ_idx = g.successor_index()
+    durs = durs.tolist()
     if kind == "amt_charm":
         root_ready = costs.charm_chare_create + costs.charm_msg_send
         pre = costs.charm_msg_recv + costs.charm_entry_dispatch
-        for t in g.tasks:
-            tid = t.tid
+        for tid in range(n):
             pe = tid % p
-            ready = max((finish[d] for d in t.deps), default=root_ready)
-            post = len(g.successors[tid]) * costs.charm_msg_send
-            end = max(pe_free[pe], ready) + pre + float(durs[tid]) + post
+            ready = max((finish[d] for d in dep_idx[dep_ptr[tid]:dep_ptr[tid + 1]]),
+                        default=root_ready)
+            post = (succ_ptr[tid + 1] - succ_ptr[tid]) * costs.charm_msg_send
+            end = max(pe_free[pe], ready) + pre + durs[tid] + post
             pe_free[pe] = end
             finish[tid] = end
             overhead += pre + post
         time = max(pe_free) + costs.charm_msg_send + costs.charm_msg_recv
     else:  # amt_mpi
-        for t in g.tasks:
-            tid = t.tid
+        for tid in range(n):
             pe = tid * p // n
             ready = 0.0
             pre = 0.0
-            for d in t.deps:
+            for d in dep_idx[dep_ptr[tid]:dep_ptr[tid + 1]]:
                 arr = finish[d]
                 if d * p // n != pe:
                     arr += costs.mpi_latency
                     pre += costs.mpi_msg_overhead
                 ready = max(ready, arr)
             post = sum(
-                costs.mpi_msg_overhead for s in g.successors[tid] if s * p // n != pe
+                costs.mpi_msg_overhead
+                for s in succ_idx[succ_ptr[tid]:succ_ptr[tid + 1]] if s * p // n != pe
             )
-            end = max(pe_free[pe], ready) + pre + float(durs[tid]) + post
+            end = max(pe_free[pe], ready) + pre + durs[tid] + post
             pe_free[pe] = end
             finish[tid] = end
             overhead += pre + post

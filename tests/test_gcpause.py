@@ -210,6 +210,7 @@ def graph_refs(monkeypatch):
     ("bfs", "cilk_for", 8, {}),
     ("fib", "cilk_spawn", 8, {"n": 12}),
     ("fib", "hpx", 8, {"n": 12}),
+    ("taskbench", "mpi", 4, {}),
 ])
 def test_graphs_die_with_their_region(
     graph_refs, collector_enabled, workload, version, p, params

@@ -7,7 +7,7 @@ from repro.kernels import KERNELS, axpy, build_kernel_program, fib, matmul, matv
 from repro.kernels.common import dispatch_loop, kernel_module, op_seconds
 from repro.models import VERSIONS
 from repro.sim.machine import PAPER_MACHINE
-from repro.sim.task import IterSpace
+from repro.sim.task import IterSpace, TaskGraph
 
 
 class TestCommon:
@@ -106,7 +106,33 @@ class TestMatvecMatmul:
             matmul.reference(np.ones((2, 3)), np.ones((4, 2)))
 
 
+def _elaborate(add, k, dep):
+    """The recursive spawn/continuation elaboration ``fib.graph`` once
+    ran: add ``fib(k)``'s frame below ``dep`` through ``add`` and return
+    the id of its last task."""
+    if k < 2:
+        return add(fib.LEAF_WORK, deps=dep, tag="leaf")
+    s = add(fib.SPAWN_WORK, deps=dep, tag="spawn")
+    c1 = _elaborate(add, k - 1, (s,))
+    c2 = _elaborate(add, k - 2, (s,))
+    return add(fib.CONT_WORK, deps=(c1, c2), tag="cont")
+
+
+def reference_fib_graph(n):
+    g = TaskGraph(f"fib({n})")
+    _elaborate(g.add, n, ())
+    return g
+
+
 class TestFib:
+    @pytest.mark.parametrize("n", range(19))
+    def test_graph_equals_recursive_reference(self, n):
+        g, ref = fib.graph(n), reference_fib_graph(n)
+        assert g.name == ref.name
+        assert list(g.tasks) == list(ref.tasks)
+        assert g.successors == ref.successors
+        assert {type(w) for w in g.work} == {float}
+
     def test_reference_values(self):
         assert [fib.reference(i) for i in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
         assert fib.reference(40) == 102_334_155

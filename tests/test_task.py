@@ -1,5 +1,7 @@
 """Tests for the workload IR: tasks, graphs, iteration spaces, programs."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.sim.task import (
     LoopRegion,
     Program,
     SerialRegion,
+    Task,
     TaskGraph,
     TaskRegion,
 )
@@ -87,6 +90,111 @@ class TestTaskGraph:
         assert g.roots == []
         assert g.critical_path() == 0.0
         assert g.total_work() == 0.0
+
+
+def _diamond():
+    g = TaskGraph("diamond")
+    a = g.add(1.0, tag="a")
+    b = g.add(2.0, 64.0, 0.5, deps=[a], tag="b")
+    c = g.add(3.0, deps=[a], spawn_cost=1e-7)
+    g.add(4.0, deps=[b, c], tag="a")
+    return g
+
+
+class TestColumns:
+    def test_columns_and_csr(self):
+        g = _diamond()
+        assert g.work == [1.0, 2.0, 3.0, 4.0]
+        assert g.membytes == [0.0, 64.0, 0.0, 0.0]
+        assert g.locality == [1.0, 0.5, 1.0, 1.0]
+        assert g.spawn_cost == [0.0, 0.0, 1e-7, 0.0]
+        assert [g.tag_names[i] for i in g.tag_id] == ["a", "b", "", "a"]
+        assert (g.dep_ptr, g.dep_idx) == ([0, 0, 1, 2, 4], [0, 0, 1, 2])
+        assert g.successor_index() == ([0, 2, 3, 4, 4], [1, 2, 3, 3])
+
+    def test_tasks_view_builds_records(self):
+        g = _diamond()
+        assert g.tasks[1] == Task(1, 2.0, 64.0, 0.5, (0,), "b", 0.0)
+        assert g.tasks[3] == Task(3, 4.0, deps=(1, 2), tag="a")
+        assert len(g.tasks) == 4 and [t.tid for t in g.tasks] == [0, 1, 2, 3]
+        # indexed like the list of records it replaces
+        assert g.tasks[-1] == g.tasks[3] and g.tasks[-4] == g.tasks[0]
+        assert g.tasks[1:3] == [g.tasks[1], g.tasks[2]] and g.tasks[::-2] == [g.tasks[3], g.tasks[1]]
+        for bad in (4, -5):
+            with pytest.raises(IndexError):
+                g.tasks[bad]
+        with pytest.raises(AttributeError):
+            g.tasks = []
+
+    def test_add_after_successor_index_rebuilds_it(self):
+        g = _diamond()
+        assert g.successors == [[1, 2], [3], [3], []]
+        g.add(1.0, deps=[0, 3])
+        g.add(1.0, deps=[1])
+        assert g.successors == [[1, 2, 4], [3, 5], [3], [4], [], []]
+        g.validate()
+
+    def test_bulk_equals_incremental(self):
+        g = _diamond()
+        bulk = TaskGraph.from_columns(
+            "diamond", g.work, g.membytes, g.locality, g.spawn_cost,
+            tag_id=g.tag_id, tag_names=g.tag_names, dep_ptr=g.dep_ptr, dep_idx=g.dep_idx,
+        )
+        assert list(bulk.tasks) == list(g.tasks)
+        assert bulk.successors == g.successors
+        assert bulk.total_work() == g.total_work()
+        assert bulk.expected_meta() == g.expected_meta()
+        # one value stands for every task
+        flat = TaskGraph.from_columns("flat", [1.0, 2.0], locality=0.5, tag_names=("x",))
+        assert list(flat.tasks) == [Task(0, 1.0, 0.0, 0.5, (), "x"), Task(1, 2.0, 0.0, 0.5, (), "x")]
+        assert flat.roots == [0, 1] and flat.successors == [[], []]
+        # the bulk graph keeps growing through add()
+        assert bulk.add(1.0, deps=[3], tag="b") == 4
+        assert bulk.tasks[4] == Task(4, 1.0, deps=(3,), tag="b")
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"spawn_cost": -1e-9}, "non-negative"),
+        ({"locality": -0.1}, "locality must be in"),
+        ({"membytes": [0.0, 0.0, 0.0]}, "equal length"),
+        ({"locality": [1.0]}, "equal length"),
+        ({"tag_id": [0, 0, 0]}, "equal length"),
+        ({"dep_ptr": [0, 1], "dep_idx": [0]}, "equal length"),
+        ({"dep_ptr": [0, 0, 2], "dep_idx": [0]}, "equal length"),
+        ({"dep_ptr": [0, 1, 0], "dep_idx": []}, "non-decreasing"),
+        ({"tag_id": [0, 1]}, "tag ids"),
+    ])
+    def test_bulk_rejects_bad_columns(self, kwargs, match):
+        # per-task values are checked against add() in test_taskgraph.py
+        args = {"work": [1.0, 1.0], **kwargs}
+        with pytest.raises(ValueError, match=match):
+            TaskGraph.from_columns("bad", **args)
+
+    def test_validate_catches_a_corrupted_successor_entry(self):
+        g = _diamond()
+        g.validate()
+        ptr, idx = g.successor_index()
+        idx[1] = 3  # task 0's successors become [1, 3]
+        with pytest.raises(ValueError, match="successor table out of sync"):
+            g.validate()
+
+    def test_validate_catches_bad_deps_and_columns(self):
+        g = _diamond()
+        g.dep_idx[0] = 2  # task 1 now depends on the later task 2
+        with pytest.raises(ValueError, match="task 1 depends on unknown/future task 2"):
+            g.validate()
+        g = _diamond()
+        g.work.append(1.0)
+        with pytest.raises(ValueError, match="equal length"):
+            g.validate()
+
+    def test_validate_is_linear(self):
+        from repro.kernels import fib
+
+        g = fib.graph(22)
+        g.successor_index()
+        t0 = time.perf_counter()
+        g.validate()
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestIterSpaceUniform:
@@ -225,3 +333,26 @@ class TestRegionsAndProgram:
         a, b = SerialRegion(1.0), SerialRegion(2.0)
         prog.add(a).add(b)
         assert list(prog) == [a, b]
+
+
+@pytest.mark.parametrize("workload", ["fib", "lud", "bfs", "taskbench"])
+def test_executors_and_estimators_index_the_columns(monkeypatch, workload):
+    """No executor or tier-0 estimator reads the record views: every
+    hot path indexes the columns."""
+    from repro.core.registry import get_workload
+    from repro.runtime.base import ExecContext
+    from repro.runtime.run import run_program
+    from repro.sim.tiers import estimate_program
+
+    def forbidden(self):
+        raise AssertionError("a hot path read a record view")
+
+    monkeypatch.setattr(TaskGraph, "tasks", property(forbidden))
+    monkeypatch.setattr(TaskGraph, "successors", property(forbidden))
+    spec = get_workload(workload)
+    ctx = ExecContext()
+    for version in spec.versions:
+        program = spec.build(version, ctx.machine, **spec.validation_params)
+        for p in (1, 4):
+            run_program(program, p, ctx, version, trace=True)
+            estimate_program(program, p, ctx.with_fidelity(0), version)

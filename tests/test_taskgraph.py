@@ -214,10 +214,17 @@ def test_graph_add_rejects_bad_input(kwargs, match):
     g.add(1.0)
     g.add(1.0, deps=(0,))
     before = (list(g.tasks), [list(s) for s in g.successors])
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match) as inc:
         g.add(**kwargs)
     # a rejected add leaves the graph as it was
     assert (list(g.tasks), [list(s) for s in g.successors]) == before
+    # the bulk constructor rejects the same third task with the same message
+    deps = kwargs.get("deps", ())
+    cols = {k: [1.0, 1.0, v] for k, v in kwargs.items() if k != "deps"}
+    with pytest.raises(ValueError) as bulk:
+        TaskGraph.from_columns("bulk", dep_ptr=[0, 0, 1, 1 + len(deps)],
+                               dep_idx=[0, *deps], **cols)
+    assert str(bulk.value) == str(inc.value)
 
 
 # ---------------------------------------------------------------------------
