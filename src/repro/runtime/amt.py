@@ -217,7 +217,7 @@ def run_hpx_loop(
     err_time = 0.0
     for i in range(n):
         ready = (i + 1) * create
-        w = min(range(p), key=lambda k: (max(free[k], ready), k))
+        w = _hpx_worker(free, ready)
         start = max(free[w], ready)
         stall = 0.0
         dur = float(durations[i])

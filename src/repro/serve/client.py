@@ -31,6 +31,7 @@ from repro.perf.spans import span as perf_span
 from repro.runtime.base import ExecContext
 from repro.serve import protocol
 from repro.serve.protocol import MatrixQuery
+from repro.sweep.executor import SWEEP_COUNTERS, _decode_entry, _fill_series
 
 __all__ = ["ServerError", "SweepClient", "run_sweep_remote"]
 
@@ -156,8 +157,6 @@ def run_sweep_remote(
     ``dedup_hits`` — a warm service answers with ``simulations == 0``
     just like a warm local cache.
     """
-    from repro.sweep.executor import _decode_entry
-
     # Protocol v1 serves one execution context per server (the default
     # paper machine) — exactly like one cache directory serves one
     # context's entries.  A custom machine/costs/seed sweep silently
@@ -182,9 +181,7 @@ def run_sweep_remote(
     slots = {(c.version, c.nthreads): i for i, c in enumerate(cells)}
     client = SweepClient(server)
     reg = metrics if metrics is not None else MetricsRegistry()
-    for name in ("sweep_cells", "cache_hits", "cache_misses", "cache_stores",
-                 "cache_evictions", "simulations", "estimates", "sweep_errors",
-                 "dedup_hits"):
+    for name in SWEEP_COUNTERS + ("dedup_hits",):
         reg.counter(name)
     reg.counter("sweep_cells").inc(len(cells))
 
@@ -235,11 +232,7 @@ def run_sweep_remote(
                     reg.counter("dedup_hits").inc(counters.get("dedup_joins", 0))
     if done != len(cells):
         raise ServerError(f"server settled {done}/{len(cells)} cells")
-    for v in config.versions:
-        sweep.series[v] = [
-            sweep.results[(v, p)].time if (v, p) in sweep.results else None
-            for p in config.threads
-        ]
+    _fill_series(sweep)
     if host is not None:
         sweep.perf = host.snapshot()
     return sweep

@@ -17,10 +17,11 @@ no framework, no new dependencies:
 - ``GET /healthz`` answers ``{"ok": true}``.
 
 Every ``cell`` event's ``payload`` is the *exact* cache-entry document
-(:func:`repro.sweep.executor._encode_entry` output) the direct
-``run_sweep`` path stores and replays, so a served result decodes
-byte-identically to a local one — the protocol adds framing, never
-representation.
+the direct ``run_sweep`` path stores and replays: a store hit sends the
+stored document, and a miss sends the one its worker built
+(:func:`repro.sweep.executor._cell_entry`), unchanged.  A served result
+therefore decodes byte-identically to a local one — the protocol adds
+framing, never representation.
 """
 
 from __future__ import annotations

@@ -14,10 +14,14 @@ through exactly one of:
   future instead of re-simulating (``serve.dedup_hit``).  The future
   map is keyed by ``cache_key``, so "identical" means identical in
   every output-determining input, not merely same-named;
-- **fresh simulation** — the miss is dispatched to the server's shared
-  fork-based process pool (tier-0 estimates run in a thread: an
-  estimate costs microseconds, a process hop costs more), written
-  through to the store, and the future resolved for every waiter.
+- **fresh simulation** — the miss runs through the sweep executor's
+  one cell entry point (:func:`repro.sweep.executor._cell_entry`) in
+  the server's shared fork-based process pool (tier-0 estimates run in
+  a thread: an estimate costs microseconds, a process hop costs more).
+  The worker returns the finished cache-entry document, which the
+  server writes through to the store and streams as is, with no decode
+  or re-encode on the event loop, and the future resolves for every
+  waiter.
 
 Results stream back as NDJSON *as cells land*, so a client sees its
 first cells while later ones still simulate — hundreds-of-cells METG
@@ -194,35 +198,23 @@ class SweepServer:
 
     async def _simulate(self, cell: SweepCell, ctx: ExecContext, trace: bool
                         ) -> dict[str, Any]:
-        """Run one miss and return its cache-entry document."""
-        loop = asyncio.get_running_loop()
-        if cell.fidelity == 0:
-            res, err = await loop.run_in_executor(
-                None, _executor._estimate_cell_local, cell, ctx
+        """Run one miss and return its cache-entry document.
+
+        Tier 2 runs in the process pool, tier 0 in a thread (an estimate
+        costs less than a process hop); either way the document is
+        encoded where the cell ran, and this loop only forwards it.
+        """
+        pool = self._get_pool() if cell.fidelity == 2 else None
+        try:
+            doc = await asyncio.get_running_loop().run_in_executor(
+                pool, _executor._cell_entry, cell, ctx, trace, False
             )
-            self.perf.count("serve.estimates")
-        else:
-            payload = _executor._cell_payload(cell, ctx, trace, validate=False)
-            pool = self._get_pool()
-            # _exec_cell resolved through the executor module namespace,
-            # like the serial path resolves run_program — the test seam.
-            if pool is not None:
-                out = await loop.run_in_executor(pool, _executor._exec_cell, payload)
-            else:  # pragma: no cover - platform dependent
-                out = await loop.run_in_executor(None, _executor._exec_cell, payload)
-            if "crash" in out:
-                raise RuntimeError(
-                    f"cell {cell.describe()} failed in worker: "
-                    f"{out['crash']}\n{out.get('traceback', '')}"
-                )
-            err = out.get("error")
-            res = (
-                _executor.codec.result_from_dict(out["result"])
-                if "result" in out
-                else None
-            )
-            self.perf.count("serve.simulations")
-        return _executor._encode_entry(cell, res, err, trace)
+        except Exception as exc:
+            raise RuntimeError(
+                f"cell {cell.describe()} failed in worker: {type(exc).__name__}: {exc}"
+            ) from exc
+        self.perf.count("serve.simulations" if cell.fidelity == 2 else "serve.estimates")
+        return doc
 
     async def _resolve_cell(
         self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool, refresh: bool

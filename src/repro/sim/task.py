@@ -33,7 +33,6 @@ that builds :class:`Task` records on demand, for tests and debugging.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
@@ -44,7 +43,6 @@ import numpy as np
 
 __all__ = [
     "Task",
-    "TaskState",
     "TaskGraph",
     "IterSpace",
     "SerialRegion",
@@ -52,23 +50,6 @@ __all__ = [
     "TaskRegion",
     "Program",
 ]
-
-
-class TaskState(enum.IntEnum):
-    """Lifecycle of a schedulable unit under fault injection.
-
-    Fault-free runs only ever move PENDING → READY → RUNNING → DONE.
-    The fault layer adds FAILED (an injected error fired while the task
-    ran) and CANCELLED (the task was never issued because its region was
-    cancelled or its spawn tree poisoned first).
-    """
-
-    PENDING = 0
-    READY = 1
-    RUNNING = 2
-    DONE = 3
-    FAILED = 4
-    CANCELLED = 5
 
 
 class Task(NamedTuple):

@@ -2,37 +2,35 @@
 
 :func:`run_sweep` is the engine behind :func:`repro.core.experiment.run_experiment`
 and the ``repro sweep`` CLI.  It expands an experiment matrix into
-independent :class:`~repro.sweep.cells.SweepCell` instances and drives
-each one through exactly one of three paths:
+independent :class:`~repro.sweep.cells.SweepCell` instances.  A cell
+whose content address (:func:`~repro.sweep.cache.cache_key`) resolves
+in the cache is decoded without running.  Every miss goes through one
+cell runner, :func:`_run_cell`, which simulates the cell (fidelity 2)
+or estimates it in closed form (fidelity 0).  It runs in-process
+(``jobs <= 1``, tier 0, or no ``fork``), or in a fork-based
+:class:`concurrent.futures.ProcessPoolExecutor` through
+:func:`_cell_entry`, which returns the cell's cache-entry document;
+the sweep service (:mod:`repro.serve.server`) uses the same entry
+point.  Each miss is encoded once, in the process that ran it.
 
-- **cache hit** — the cell's content address (:func:`~repro.sweep.cache.cache_key`)
-  resolves to a stored payload, which is decoded without simulating;
-- **parallel simulation** — with ``jobs > 1`` on a platform that can
-  ``fork``, cells fan out across OS processes via
-  :class:`concurrent.futures.ProcessPoolExecutor`;
-- **serial simulation** — with ``jobs <= 1``, or when the platform
-  lacks ``fork``, cells run in-process through the same
-  :func:`~repro.runtime.run.run_program` the legacy loop used.
+The fidelity (:mod:`repro.sim.tiers`) is part of the cell's cache
+address and is stamped into the stored document, so an estimate can
+never be replayed as a simulation.
 
-The ``fidelity`` (:mod:`repro.sim.tiers`) selects *what* runs at each
-cell: the discrete-event simulation (2) or the closed-form tier-0
-estimator (0, always in-process — an estimate costs microseconds).  The
-fidelity is part of the cell's cache address and is stamped into the
-stored payload, so an estimate can never be replayed as a simulation.
-
-All three paths are bit-identical: the simulator is deterministic, and
-the JSON codec round-trips floats exactly, so a parallel or replayed
-sweep produces the same times, worker statistics and trace events as a
-serial one (enforced by ``tests/test_golden_traces.py`` and
-``tests/test_sweep_executor.py``).
+In-process, pooled and replayed cells are bit-identical: the simulator
+is deterministic, and the JSON codec round-trips floats exactly, so a
+parallel or replayed sweep produces the same times, worker statistics
+and trace events as a serial one (enforced by
+``tests/test_golden_traces.py`` and ``tests/test_sweep_executor.py``).
 
 Completed cells are written through to the cache *as they finish*, so
 an interrupted sweep resumes deterministically: re-running it replays
 the finished cells and simulates only the missing ones.  Failures that
 the sweep semantics expect (:class:`~repro.runtime.base.ThreadExplosionError`,
 the paper's C++11 fib hang) are recorded — and cached — as cell errors
-without poisoning the worker pool; any other worker exception is
-re-raised in the parent.
+without poisoning the worker pool; any other exception in a worker
+reaches the parent through its future and is re-raised there as a
+``RuntimeError`` chained from the original.
 
 Progress and accounting go through one
 :class:`~repro.obs.metrics.MetricsRegistry`: ``sweep_cells``,
@@ -43,7 +41,7 @@ plus the merged per-run metrics of every successful cell.
 Host telemetry (:mod:`repro.perf`) is threaded through every phase:
 the whole sweep runs under one perf recording whose snapshot is
 attached as ``SweepResult.perf``, with named spans for cache keying
-and probes (``cache.*``), payload encode/decode (``codec.*``),
+and probes (``cache.*``), parent-side encode/decode (``codec.*``),
 in-process simulation/estimation (``cell.*``) and process-pool fan-out
 (``fanout.*``) — the vocabulary ``repro perf report`` attributes host
 wall time in.  With ``REPRO_PERF_OFF=1`` (or outside any recording)
@@ -55,7 +53,6 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
-from dataclasses import asdict
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.core.experiment import PAPER_THREADS, ExperimentConfig, SweepResult
@@ -67,6 +64,7 @@ from repro.perf.spans import recording as perf_recording
 from repro.perf.spans import span as perf_span
 from repro.runtime.base import ExecContext, ThreadExplosionError
 from repro.runtime.run import run_program
+from repro.sim.tiers import estimate_program
 from repro.sim.trace import SimResult
 from repro.sweep import codec
 from repro.sweep.cache import ResultCache, cache_key
@@ -82,132 +80,73 @@ PAYLOAD_FORMAT = 1
 #: tens of microseconds of unattributed host time per sweep.
 _DEFAULT_CONTEXT = ExecContext()
 
+#: Counters every sweep, local or served, registers before it runs, so
+#: exported snapshots always carry the full schema (a fully cached sweep
+#: still reports ``simulations: 0`` rather than omitting the counter).
+SWEEP_COUNTERS = ("sweep_cells", "cache_hits", "cache_misses", "cache_stores",
+                  "cache_evictions", "simulations", "estimates", "sweep_errors")
+
 #: ``progress`` callback signature: (done, total, cell, status) with
 #: status one of "hit", "run", "error".
 ProgressFn = Callable[[int, int, SweepCell, str], None]
 
 
 # ---------------------------------------------------------------------------
-# cell execution
+# the cell runner
 # ---------------------------------------------------------------------------
-def _cell_payload(
-    cell: SweepCell, ctx: ExecContext, trace: bool, validate: bool
-) -> dict[str, Any]:
-    """Self-contained, picklable description of one cell execution."""
-    return {
-        "workload": cell.workload,
-        "version": cell.version,
-        "nthreads": cell.nthreads,
-        "params": dict(cell.params),
-        "machine": asdict(ctx.machine),
-        "costs": asdict(ctx.costs),
-        "seed": ctx.seed,
-        "max_events": ctx.max_events,
-        "thread_cap": ctx.thread_cap,
-        "trace": bool(trace),
-        "validate": bool(validate),
-        "faults": dict(cell.faults) if cell.faults else None,
-        "policy": dict(cell.policy) if cell.policy else None,
-        "fidelity": cell.fidelity,
-    }
-
-
-def _exec_cell(payload: dict[str, Any]) -> dict[str, Any]:
-    """Simulate one cell from its payload (worker-process entry point).
-
-    Returns ``{"result": ...}`` (codec dict) on success, ``{"error": msg}``
-    for an expected :class:`ThreadExplosionError`, and ``{"crash": ...}``
-    for anything else so the parent can re-raise with context instead of
-    losing the pool.
-    """
-    from repro.sim.costs import CostModel
-    from repro.sim.machine import Machine
-
-    ctx = ExecContext(
-        machine=Machine(**payload["machine"]),
-        costs=CostModel(**payload["costs"]),
-        seed=payload["seed"],
-        max_events=payload["max_events"],
-        thread_cap=payload["thread_cap"],
-        fidelity=payload.get("fidelity", 2),
-    )
-    spec = get_workload(payload["workload"])
-    try:
-        program = spec.build(payload["version"], ctx.machine, **payload["params"])
-        res = run_program(
-            program,
-            payload["nthreads"],
-            ctx,
-            payload["version"],
-            validate=payload["validate"],
-            trace=payload["trace"],
-            faults=payload.get("faults"),
-            policy=payload.get("policy"),
-        )
-    except (ThreadExplosionError, RegionFailedError) as exc:
-        return {"error": str(exc)}
-    except Exception as exc:
-        import traceback
-
-        return {
-            "crash": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
-    return {"result": codec.result_to_dict(res, with_trace=payload["trace"])}
-
-
-def _run_cell_local(
+def _run_cell(
     cell: SweepCell,
     ctx: ExecContext,
     trace: bool,
     validate: bool,
-    metrics: Optional[MetricsRegistry],
+    metrics: Optional[MetricsRegistry] = None,
 ) -> tuple[Optional[SimResult], Optional[str]]:
-    """Simulate one cell in-process (the serial path).
+    """Build one cell's program and simulate (fidelity 2) or estimate it (0).
 
-    Resolves ``run_program`` through this module's namespace so test
+    Returns ``(result, None)``, or ``(None, message)`` for the failures
+    the sweep expects: :class:`ThreadExplosionError` (the paper's C++11
+    fib hang; tier 0 raises it past the thread cap exactly as tier 2
+    does) and :class:`RegionFailedError`.  Anything else propagates.
+    The result's metrics are merged into ``metrics`` when one is given.
+    ``run_program`` is resolved through this module's namespace, so test
     harnesses can interpose on every simulated cell by patching
     ``repro.sweep.executor.run_program``.
     """
     spec = get_workload(cell.workload)
     try:
         program = spec.build(cell.version, ctx.machine, **cell.params)
-        res = run_program(
-            program,
-            cell.nthreads,
-            ctx,
-            cell.version,
-            validate=validate,
-            trace=trace,
-            metrics=metrics,
-            faults=cell.faults,
-            policy=cell.policy,
-        )
+        if cell.fidelity == 0:
+            res = estimate_program(program, cell.nthreads, ctx, cell.version)
+            if metrics is not None:
+                metrics.merge(result_metrics(res))
+        else:
+            res = run_program(
+                program,
+                cell.nthreads,
+                ctx,
+                cell.version,
+                validate=validate,
+                trace=trace,
+                metrics=metrics,
+                faults=cell.faults,
+                policy=cell.policy,
+            )
     except (ThreadExplosionError, RegionFailedError) as exc:
         return None, str(exc)
     return res, None
 
 
-def _estimate_cell_local(
-    cell: SweepCell, ctx: ExecContext
-) -> tuple[Optional[SimResult], Optional[str]]:
-    """Tier-0 path: closed-form estimate instead of simulation.
+def _cell_entry(
+    cell: SweepCell, ctx: ExecContext, trace: bool, validate: bool
+) -> dict[str, Any]:
+    """Run one cell and return its cache-entry document.
 
-    Returns a :class:`~repro.sim.tiers.Tier0Result` (a ``SimResult``
-    subclass carrying the calibrated error bound).  Thread-per-task
-    versions past the cap raise :class:`ThreadExplosionError` exactly as
-    a tier-2 run would — the check rides along with the delegated
-    regions — so the sweep records the same cell errors.
+    The entry point of pool workers (and of the sweep service's tier-0
+    thread): the result is encoded once, in the process that ran it,
+    and an unexpected exception reaches the caller through the future.
     """
-    from repro.sim.tiers import estimate_program
-
-    spec = get_workload(cell.workload)
-    try:
-        program = spec.build(cell.version, ctx.machine, **cell.params)
-        res = estimate_program(program, cell.nthreads, ctx, cell.version)
-    except (ThreadExplosionError, RegionFailedError) as exc:
-        return None, str(exc)
-    return res, None
+    res, err = _run_cell(cell, ctx, trace, validate)
+    return _encode_entry(cell, res, err, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +368,7 @@ def run_sweep(
     reg = metrics if metrics is not None else MetricsRegistry()
     store = _coerce_cache(cache)
 
-    # Pre-register the accounting counters so exported snapshots always
-    # carry the full schema (a fully-cached sweep still reports
-    # ``simulations: 0`` rather than omitting the counter).
-    for name in ("sweep_cells", "cache_hits", "cache_misses", "cache_stores",
-                 "cache_evictions", "simulations", "estimates", "sweep_errors"):
+    for name in SWEEP_COUNTERS:
         reg.counter(name)
 
     # Host telemetry (repro.perf): the whole sweep runs inside one
@@ -484,7 +419,7 @@ def _run_sweep_cells(
     done = 0
 
     def settle(i: int, res: Optional[SimResult], err: Optional[str], status: str,
-               merge: bool = True) -> None:
+               merge: bool) -> None:
         nonlocal done
         outcomes[i] = (res, err)
         done += 1
@@ -509,7 +444,7 @@ def _run_sweep_cells(
                 decoded = None
             if decoded is not None:
                 reg.counter("cache_hits").inc()
-                settle(i, decoded[0], decoded[1], "hit")
+                settle(i, decoded[0], decoded[1], "hit", merge=True)
                 continue
             if payload is not None:
                 # a stored entry the decoder refused: stale format or
@@ -519,36 +454,33 @@ def _run_sweep_cells(
             reg.counter("cache_misses").inc()
         pending.append(i)
 
-    def finish_simulated(i: int, res: Optional[SimResult], err: Optional[str],
-                         merge: bool = True, counter: str = "simulations") -> None:
+    counter = "estimates" if fid == 0 else "simulations"
+
+    def finish(i: int, res: Optional[SimResult], err: Optional[str],
+               doc: Optional[dict[str, Any]] = None, merge: bool = False) -> None:
         reg.counter(counter).inc()
         if store is not None:
-            with perf_span("codec.encode"):
-                doc = _encode_entry(cells[i], res, err, trace)
+            if doc is None:
+                with perf_span("codec.encode"):
+                    doc = _encode_entry(cells[i], res, err, trace)
             with perf_span("cache.store"):
                 store.put(keys[i], doc)
             reg.counter("cache_stores").inc()
         settle(i, res, err, "run", merge=merge)
 
     # -- phase 2: simulate (or estimate) the misses --------------------
-    if fid == 0:
-        # tier 0: closed-form estimates, microseconds per cell — always
-        # in-process, a worker pool would cost more than the work.
-        for i in pending:
-            with perf_span("cell.estimate"):
-                res, err = _estimate_cell_local(cells[i], ctx)
-            finish_simulated(i, res, err, counter="estimates")
-        pool_ctx = None
-        pending = []
-    else:
-        pool_ctx = _pool_context() if jobs > 1 and len(pending) > 1 else None
+    # Tier-0 estimates cost microseconds, less than a process hop, so
+    # they always run in-process, as does a single pending cell.
+    pool_ctx = None
+    if fid == 2 and jobs > 1 and len(pending) > 1:
+        pool_ctx = _pool_context()
     if pool_ctx is None:
+        span = "cell.estimate" if fid == 0 else "cell.simulate"
         for i in pending:
-            # serial path: run_program folds this run's metrics directly
-            # into the sweep registry, so don't merge a second time.
-            with perf_span("cell.simulate"):
-                res, err = _run_cell_local(cells[i], ctx, trace, validate, reg)
-            finish_simulated(i, res, err, merge=False)
+            # the runner merges the run's metrics into the sweep registry
+            with perf_span(span):
+                res, err = _run_cell(cells[i], ctx, trace, validate, reg)
+            finish(i, res, err)
     else:
         workers = min(jobs, len(pending))
         with perf_span("fanout.pool"):
@@ -558,7 +490,7 @@ def _run_sweep_cells(
         try:
             with perf_span("fanout.submit"):
                 futures = {
-                    pool.submit(_exec_cell, _cell_payload(cells[i], ctx, trace, validate)): i
+                    pool.submit(_cell_entry, cells[i], ctx, trace, validate): i
                     for i in pending
                 }
             completed = concurrent.futures.as_completed(futures)
@@ -568,18 +500,18 @@ def _run_sweep_cells(
                 if fut is None:
                     break
                 i = futures[fut]
-                out = fut.result()
-                if "crash" in out:
+                try:
+                    doc = fut.result()
+                except Exception as exc:
                     raise RuntimeError(
                         f"sweep cell {cells[i].describe()} failed in worker: "
-                        f"{out['crash']}\n{out.get('traceback', '')}"
-                    )
-                if "result" in out:
-                    with perf_span("codec.decode"):
-                        res = codec.result_from_dict(out["result"])
-                else:
-                    res = None
-                finish_simulated(i, res, out.get("error"))
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
+                # the worker's document is stored as is and decoded once,
+                # like a cache hit
+                with perf_span("codec.decode"):
+                    res, err = _decode_entry(doc, fid)
+                finish(i, res, err, doc, merge=True)
         finally:
             with perf_span("fanout.pool"):
                 pool.shutdown()
@@ -592,13 +524,19 @@ def _run_sweep_cells(
             sweep.errors[cell.key] = err
         elif res is not None:
             sweep.results[cell.key] = res
-    for v in config.versions:
-        sweep.series[v] = [
-            sweep.results[(v, p)].time if (v, p) in sweep.results else None
-            for p in config.threads
-        ]
+    _fill_series(sweep)
     if store is not None and store.max_entries is not None:
         with perf_span("cache.prune"):
             evicted = store.prune()
         reg.counter("cache_evictions").inc(evicted)
     return sweep
+
+
+def _fill_series(sweep: SweepResult) -> None:
+    """Set each version's time series from the settled results: one
+    entry per thread count, ``None`` where the cell errored."""
+    for v in sweep.config.versions:
+        sweep.series[v] = [
+            sweep.results[(v, p)].time if (v, p) in sweep.results else None
+            for p in sweep.config.threads
+        ]

@@ -49,6 +49,7 @@ from repro.validate.invariants import (
     check_region,
     check_result,
     check_trace,
+    stats_snapshot,
 )
 
 __all__ = [
@@ -173,13 +174,6 @@ def graph_runtime_matrix() -> dict[str, Callable[[TaskGraph, int, ExecContext], 
     }
 
 
-def _stats_snapshot(res: RegionResult) -> tuple:
-    return (
-        res.time,
-        tuple((w.busy, w.overhead, w.tasks, w.steals, w.failed_steals) for w in res.workers),
-    )
-
-
 def _check_trace_busy(
     rep: ValidationReport, res: RegionResult, trace: Tracer, where: str
 ) -> None:
@@ -222,7 +216,7 @@ def _check_case(
         r1 = runner(p)
         r2 = runner(p)
         rep.check(
-            _stats_snapshot(r1) == _stats_snapshot(r2),
+            stats_snapshot(r1) == stats_snapshot(r2),
             "determinism",
             f"{where} p={p}",
             f"repeated runs disagree: {r1.time!r} vs {r2.time!r}",

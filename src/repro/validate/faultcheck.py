@@ -27,16 +27,14 @@ from typing import Optional, Sequence
 
 from repro.faults.demos import FAULT_DEMOS
 from repro.runtime.base import ExecContext, ThreadExplosionError
-from repro.validate.invariants import ValidationReport, check_region, check_result
+from repro.validate.invariants import (
+    ValidationReport,
+    check_region,
+    check_result,
+    stats_snapshot,
+)
 
 __all__ = ["run_fault_matrix", "run_fault_audit"]
-
-
-def _snapshot(res) -> tuple:
-    return (
-        res.time,
-        tuple((w.busy, w.overhead, w.tasks, w.steals, w.failed_steals) for w in res.workers),
-    )
 
 
 def run_fault_matrix(
@@ -54,7 +52,7 @@ def run_fault_matrix(
             r1 = demo.run(p, ctx)
             r2 = demo.run(p, ctx)
             rep.check(
-                _snapshot(r1) == _snapshot(r2),
+                stats_snapshot(r1) == stats_snapshot(r2),
                 "fault-determinism",
                 where,
                 f"repeated fault-injected runs disagree: {r1.time!r} vs {r2.time!r}",

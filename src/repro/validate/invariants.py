@@ -54,6 +54,7 @@ __all__ = [
     "check_region",
     "check_result",
     "check_trace",
+    "stats_snapshot",
 ]
 
 #: Relative tolerance for float comparisons (sums accumulated in
@@ -116,6 +117,14 @@ class ValidationReport:
     def raise_if_failed(self) -> None:
         if not self.ok:
             raise SimulationInvariantError(self.describe())
+
+
+def stats_snapshot(res: RegionResult) -> tuple:
+    """A region's time and per-worker stats, for run-to-run determinism checks."""
+    return (
+        res.time,
+        tuple((w.busy, w.overhead, w.tasks, w.steals, w.failed_steals) for w in res.workers),
+    )
 
 
 def _tol(scale: float) -> float:

@@ -32,8 +32,12 @@ from repro.sim.task import (
     TaskGraph,
     TaskRegion,
 )
-from repro.sim.trace import RegionResult
-from repro.validate.invariants import ValidationReport, check_result, check_trace
+from repro.validate.invariants import (
+    ValidationReport,
+    check_result,
+    check_trace,
+    stats_snapshot,
+)
 
 __all__ = [
     "SMALL_MACHINE",
@@ -146,13 +150,6 @@ def random_program(rng: random.Random, index: int = 0) -> Program:
     return prog
 
 
-def _snapshot(res: RegionResult) -> tuple:
-    return (
-        res.time,
-        tuple((w.busy, w.overhead, w.tasks, w.steals, w.failed_steals) for w in res.workers),
-    )
-
-
 def run_property_suite(
     *,
     seed: int = 0,
@@ -178,7 +175,7 @@ def run_property_suite(
                 rerun = execute_region(region, p, ctx, tracer=tracer)
                 rtag = f"{where} region[{r}]"
                 rep.check(
-                    _snapshot(first) == _snapshot(rerun),
+                    stats_snapshot(first) == stats_snapshot(rerun),
                     "determinism",
                     rtag,
                     f"repeated runs disagree: {first.time!r} vs {rerun.time!r}",

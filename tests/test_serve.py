@@ -27,7 +27,7 @@ from repro.serve import (
     SweepServer,
 )
 from repro.serve import protocol
-from repro.sweep import ResultCache, run_sweep
+from repro.sweep import ResultCache, codec, run_sweep
 from repro.sweep import executor as executor_mod
 from tests.test_sweep_executor import sweep_fingerprint
 
@@ -177,6 +177,24 @@ class TestServeEndToEnd:
             assert srv.perf.counters["serve.estimates"] == 2
             assert srv._pool is None  # no process pool spun up
 
+    def test_simulated_miss_streams_the_worker_document(self, tmp_path, monkeypatch):
+        """A tier-2 miss is encoded once, in the pool worker: the server
+        never decodes it, and streams exactly the document it stores."""
+        def no_decode(data):
+            raise AssertionError("the server decoded a result")
+
+        monkeypatch.setattr(codec, "result_from_dict", no_decode)
+        query = MatrixQuery(workload="axpy", versions=("omp_for",), threads=(1, 4),
+                            params={"n": 120_000}, fidelity=2)
+        with running_server(tmp_path, jobs=2) as srv:
+            events = list(SweepClient(srv.url).query(query))
+            assert srv.perf.counters["serve.simulations"] == 2
+        cells = [e for e in events if e["type"] == "cell"]
+        assert [e["status"] for e in cells] == ["run", "run"]
+        store = ResultCache(tmp_path)
+        for event in cells:
+            assert event["payload"] == store.get(event["key"])
+
     def test_bounded_store_pruned_after_request(self, tmp_path):
         cache = ResultCache(tmp_path, max_entries=2)
         with running_server(cache, jobs=2) as srv:
@@ -199,13 +217,13 @@ class TestSingleFlight:
         simulated exactly once (the second request *joins* the first's
         futures — ``serve.dedup_hit``), and both clients get the full,
         identical result set."""
-        real = executor_mod._estimate_cell_local
+        real = executor_mod._run_cell
 
-        def slow_estimate(cell, ctx):
+        def slow_estimate(cell, ctx, trace, validate, metrics=None):
             time.sleep(0.3)  # hold cells open so the queries overlap
-            return real(cell, ctx)
+            return real(cell, ctx, trace, validate, metrics)
 
-        monkeypatch.setattr(executor_mod, "_estimate_cell_local", slow_estimate)
+        monkeypatch.setattr(executor_mod, "_run_cell", slow_estimate)
         kwargs = dict(versions=["omp_for", "cxx_thread"], threads=(1, 4),
                       params={"n": 120_000}, fidelity=0)
         with running_server(tmp_path) as srv:
@@ -299,10 +317,10 @@ class TestServeRefusals:
                 client._get_json("/nope")
 
     def test_worker_crash_streams_fatal(self, tmp_path, monkeypatch):
-        def boom(cell, ctx):
+        def boom(cell, ctx, trace, validate, metrics=None):
             raise RuntimeError("injected estimator crash")
 
-        monkeypatch.setattr(executor_mod, "_estimate_cell_local", boom)
+        monkeypatch.setattr(executor_mod, "_run_cell", boom)
         with running_server(tmp_path) as srv:
             with pytest.raises(ServerError, match="server aborted"):
                 run_sweep("axpy", server=srv.url, versions=["omp_for"],

@@ -12,13 +12,14 @@ serial fallback when fork is unavailable.
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import pytest
 
 from repro.core.registry import WORKLOADS
 from repro.obs.metrics import MetricsRegistry
-from repro.sweep import ResultCache, run_sweep
+from repro.sweep import ResultCache, codec, run_sweep
 from repro.sweep import executor as executor_mod
 from repro.sweep.codec import result_to_dict
 
@@ -96,9 +97,32 @@ def test_thread_explosion_is_cached_and_replayed(tmp_path):
 
 
 def test_unexpected_worker_crash_raises_in_parent():
-    with pytest.raises(RuntimeError, match="failed in worker"):
+    with pytest.raises(RuntimeError, match="failed in worker") as excinfo:
         run_sweep("fib", versions=["cilk_spawn"], threads=SMALL_THREADS,
                   params={"n": 10, "bogus_param": 1}, jobs=2)
+    # the worker's own exception is chained, not flattened into text
+    assert isinstance(excinfo.value.__cause__, TypeError)
+    assert "bogus_param" in str(excinfo.value.__cause__)
+
+
+def test_pooled_misses_are_not_encoded_in_the_parent(tmp_path, monkeypatch):
+    """Pool workers return finished cache-entry documents: the parent
+    stores them as they are instead of encoding each result again."""
+    parent = os.getpid()
+    real = codec.result_to_dict
+    parent_calls = []
+
+    def counting(res, with_trace=True):
+        if os.getpid() == parent:
+            parent_calls.append(res)
+        return real(res, with_trace=with_trace)
+
+    monkeypatch.setattr(codec, "result_to_dict", counting)
+    sweep = run_sweep("fib", versions=["cilk_spawn", "omp_task"],
+                      threads=SMALL_THREADS, params={"n": 10}, jobs=2, cache=tmp_path)
+    assert sweep.counter("simulations") == sweep.counter("cache_stores") == 4
+    assert parent_calls == []
+    assert len(ResultCache(tmp_path)) == 4
 
 
 # ---------------------------------------------------------------------------
