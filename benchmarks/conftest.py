@@ -32,8 +32,7 @@ cells bypass the in-process validation audit.
 cache moved in under it); fixtures create it on demand.
 
 Every benchmark also appends one host-telemetry record to the run
-ledger (``benchmarks/out/ledger/``, or ``REPRO_LEDGER_DIR``) and folds
-it into that benchmark's ``BENCH_<name>.json`` cost trajectory, so
+ledger (``benchmarks/out/ledger/``, or ``REPRO_LEDGER_DIR``), so
 ``repro perf ledger`` / ``repro perf compare`` can track the suite's
 host cost across runs.  Set ``REPRO_PERF_OFF=1`` to opt out of all
 host telemetry (no recording, no ledger writes; simulated results are
@@ -123,12 +122,12 @@ def _ledger_every_benchmark(request):
     """Record each benchmark's host cost into the run ledger.
 
     One ``kind="bench"`` record per test, named after the module
-    (``bench:bench_fig1_axpy``), plus a trajectory update — the raw
-    material for ``repro perf compare``.  Inert under
+    (``bench:bench_fig1_axpy``) — the raw material for
+    ``repro perf compare``.  Inert under
     ``REPRO_PERF_OFF=1``; ledger IO failures degrade to a warning so an
     unwritable disk never fails a benchmark.
     """
-    from repro.perf import Ledger, make_record, update_trajectory
+    from repro.perf import Ledger, make_record
     from repro.perf.spans import recording
 
     with recording("bench") as rec:
@@ -137,12 +136,10 @@ def _ledger_every_benchmark(request):
         return
     name = f"bench:{request.node.module.__name__.rsplit('.', 1)[-1]}"
     try:
-        ledger = Ledger()
-        record = ledger.append(
+        Ledger().append(
             make_record("bench", name, rec, extra={"test": request.node.name,
                                                    "jobs": JOBS})
         )
-        update_trajectory(record, ledger.root)
     except OSError as exc:  # pragma: no cover - host FS dependent
         import warnings
 

@@ -19,6 +19,10 @@ python -m repro sweep axpy --cache-dir "$CACHE_DIR" -q
 python -m repro sweep axpy --cache-dir "$CACHE_DIR" -q
 
 python - <<'EOF'
+import json
+import subprocess
+import sys
+
 from repro.perf import Ledger, attribute_host
 
 ledger = Ledger()
@@ -30,7 +34,16 @@ assert cold["env"]["python"], cold["env"]
 report = attribute_host(cold)
 print(report.describe())
 assert report.coverage >= 0.95, f"attribution {report.coverage:.1%} < 95%"
-assert (ledger.root / "BENCH_sweep_axpy.json").exists()
+# the ledger is the one run history: nothing else lands beside it
+assert [p.name for p in ledger.root.iterdir()] == ["ledger.jsonl"], \
+    sorted(p.name for p in ledger.root.iterdir())
+listed = subprocess.run(
+    [sys.executable, "-m", "repro", "perf", "ledger", "--name", "sweep:axpy",
+     "--json"],
+    capture_output=True, text=True, check=True,
+).stdout.splitlines()
+assert [json.loads(line)["ts"] for line in listed] == [r["ts"] for r in records], \
+    listed
 EOF
 
 echo "--- compare against the committed baseline (warn-only)"

@@ -64,6 +64,20 @@ assert wc["cache_hits"] == wc["sweep_cells"] > 0, wc
 print("warm re-query served entirely from the store")
 EOF
 
+echo "--- the store root holds only shard directories"
+python - "$STORE_DIR" <<'EOF'
+import pathlib
+import string
+import sys
+
+def is_shard(p):
+    return p.is_dir() and len(p.name) == 2 and set(p.name) <= set(string.hexdigits)
+
+stray = sorted(p.name for p in pathlib.Path(sys.argv[1]).iterdir() if not is_shard(p))
+assert not stray, f"store root holds more than shard directories: {stray}"
+print("store root holds only shard directories")
+EOF
+
 echo "--- stop the service (appends its ledger record)"
 kill -TERM "$(cat serve.pid)"
 for _ in $(seq 1 50); do

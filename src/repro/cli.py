@@ -493,12 +493,10 @@ def _ledger_append(kind: str, name: str, snapshot, *, extra=None) -> None:
     """
     if snapshot is None:
         return
-    from repro.perf import Ledger, make_record, update_trajectory
+    from repro.perf import Ledger, make_record
 
     try:
-        ledger = Ledger()
-        record = ledger.append(make_record(kind, name, snapshot, extra=extra))
-        update_trajectory(record, ledger.root)
+        Ledger().append(make_record(kind, name, snapshot, extra=extra))
     except OSError as exc:  # pragma: no cover - depends on host FS state
         print(f"warning: could not append to run ledger: {exc}", file=sys.stderr)
 
@@ -899,7 +897,6 @@ def _cmd_perf_record(args: argparse.Namespace) -> int:
         baseline_path,
         make_record,
         perf_enabled,
-        update_trajectory,
         write_baseline,
     )
     from repro.sweep import run_sweep
@@ -940,7 +937,6 @@ def _cmd_perf_record(args: argparse.Namespace) -> int:
             },
         )
         record = ledger.append(record)
-        update_trajectory(record, ledger.root)
         print(
             f"repeat {i}: wall={record['wall_seconds']:.3f}s "
             f"cpu={record['cpu_seconds']:.3f}s"

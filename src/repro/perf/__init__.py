@@ -4,8 +4,8 @@ Where :mod:`repro.obs` explains simulated time, this package explains
 *real* time: lightweight span/counter instrumentation threaded through
 the sweep executor, cache, codec and engine
 (:mod:`repro.perf.spans`), an append-only JSONL run ledger with
-environment fingerprints (:mod:`repro.perf.ledger`), per-benchmark
-cost trajectories plus committed-baseline regression detection
+environment fingerprints, the one run history
+(:mod:`repro.perf.ledger`), committed-baseline regression detection
 (:mod:`repro.perf.regress`), and a ranked host-cost attribution report
 in the same vocabulary as the obs bottleneck report
 (:mod:`repro.perf.report`).  Driven by the ``repro perf`` CLI; set
@@ -24,8 +24,6 @@ from repro.perf.regress import (
     compare,
     load_baseline,
     slugify,
-    trajectory_path,
-    update_trajectory,
     write_baseline,
 )
 from repro.perf.report import (
@@ -70,7 +68,5 @@ __all__ = [
     "recording",
     "slugify",
     "span",
-    "trajectory_path",
-    "update_trajectory",
     "write_baseline",
 ]

@@ -3,9 +3,9 @@
 Every sweep, benchmark and CLI invocation appends one self-contained
 JSON record to ``benchmarks/out/ledger/ledger.jsonl``: host wall/CPU
 time, the recorder's span/counter detail, and an environment
-fingerprint.  The ledger is the raw material for the regression
-tracker (:mod:`repro.perf.regress`) and for ``repro perf ledger`` /
-``repro perf report``.
+fingerprint.  The ledger is the one record of run history: nothing
+else keeps a copy of its records.  ``repro perf ledger``,
+``repro perf report`` and ``repro perf compare`` all read it.
 
 Concurrency: records are appended with a single ``os.write`` on a file
 descriptor opened ``O_APPEND``, so concurrent writers — forked sweep
@@ -61,9 +61,10 @@ def make_record(
 
     ``kind`` classifies the invocation (``sweep``, ``bench``,
     ``faults``, ``validate``, ``record``); ``name`` identifies the
-    workload-level subject (e.g. ``sweep:axpy``) and keys the
-    regression trajectory.  ``recorder`` contributes the measured
-    wall/CPU totals and span/counter detail — either a live
+    workload-level subject (e.g. ``sweep:axpy``) that ``repro perf
+    ledger --name`` and ``repro perf compare`` select by.
+    ``recorder`` contributes the measured wall/CPU totals and
+    span/counter detail — either a live
     :class:`~repro.perf.spans.PerfRecorder` or an already-taken
     snapshot dict (``SweepResult.perf``); ``extra`` carries
     call-specific context (jobs, fidelity, cell counts, cache state).

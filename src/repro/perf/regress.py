@@ -1,16 +1,11 @@
-"""Performance-regression tracking over the run ledger.
+"""Performance-regression tracking against committed baselines.
 
-Two artifacts:
-
-- **Trajectories** — ``BENCH_<name>.json`` files (next to the ledger)
-  accumulating one entry per ledger record for that subject: timestamp,
-  wall/CPU seconds and a thin environment digest.  They answer "how
-  has this benchmark's host cost moved over time" without re-parsing
-  the whole ledger.
-- **Baselines** — committed reference costs under
-  ``benchmarks/baselines/``: deterministic JSON (sorted keys, rounded
-  values, *no timestamps*) written by ``repro perf record --update-baseline``
-  and compared against by :func:`compare` / ``repro perf compare``.
+A **baseline** is a committed reference cost under
+``benchmarks/baselines/``: deterministic JSON (sorted keys, rounded
+values, *no timestamps*) written by ``repro perf record --update-baseline``
+and compared against by :func:`compare` / ``repro perf compare``.  Run
+history lives only in the ledger (:mod:`repro.perf.ledger`):
+``repro perf ledger --name …`` shows how one subject's cost has moved.
 
 :func:`compare` is deliberately one-sided: a run is a regression when a
 metric exceeds ``baseline * (1 + tolerance)``; being faster than the
@@ -38,15 +33,13 @@ __all__ = [
     "compare",
     "load_baseline",
     "slugify",
-    "trajectory_path",
-    "update_trajectory",
     "write_baseline",
 ]
 
 #: Committed reference costs live here (tracked in git).
 BASELINE_DIR = pathlib.Path("benchmarks") / "baselines"
 
-#: Baseline / trajectory layout version.
+#: Baseline layout version.
 BASELINE_SCHEMA = 1
 
 #: Below this many seconds a metric is "zero": host-clock noise, not signal.
@@ -58,9 +51,6 @@ DEFAULT_TOLERANCE = 0.5
 #: Metrics compared by default (top-level ledger-record keys).
 DEFAULT_METRICS = ("wall_seconds", "cpu_seconds")
 
-#: Trajectory length cap (oldest entries are dropped beyond it).
-TRAJECTORY_KEEP = 500
-
 
 class MissingBaselineError(FileNotFoundError):
     """No committed baseline exists for the requested subject."""
@@ -69,57 +59,6 @@ class MissingBaselineError(FileNotFoundError):
 def slugify(name: str) -> str:
     """Filesystem-safe form of a record name (``sweep:axpy`` -> ``sweep_axpy``)."""
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_") or "run"
-
-
-# ---------------------------------------------------------------------------
-# trajectories
-# ---------------------------------------------------------------------------
-def trajectory_path(name: str, root: Union[str, pathlib.Path]) -> pathlib.Path:
-    return pathlib.Path(root) / f"BENCH_{slugify(name)}.json"
-
-
-def update_trajectory(
-    record: Mapping[str, Any],
-    root: Union[str, pathlib.Path],
-    *,
-    keep: int = TRAJECTORY_KEEP,
-) -> pathlib.Path:
-    """Fold one ledger record into its subject's trajectory file.
-
-    Creates the file (and directory) lazily; drops the oldest entries
-    beyond ``keep``.  The file is deterministic given its entries
-    (sorted keys), but entries themselves carry timestamps — it lives
-    with the ledger, not with the committed baselines.
-    """
-    name = str(record.get("name", "run"))
-    path = trajectory_path(name, root)
-    doc: dict[str, Any] = {"schema": BASELINE_SCHEMA, "name": name, "entries": []}
-    try:
-        existing = json.loads(path.read_text())
-        if isinstance(existing, dict) and isinstance(existing.get("entries"), list):
-            doc["entries"] = existing["entries"]
-    except (OSError, ValueError):
-        pass
-    env = record.get("env") or {}
-    entry = {
-        "ts": float(record.get("ts", 0.0)),
-        "wall_seconds": float(record.get("wall_seconds", 0.0)),
-        "cpu_seconds": float(record.get("cpu_seconds", 0.0)),
-        "kind": record.get("kind", ""),
-        "env": {
-            "python": env.get("python"),
-            "git_sha": env.get("git_sha"),
-            "machine": env.get("machine"),
-        },
-    }
-    extra = record.get("extra")
-    if isinstance(extra, Mapping) and extra:
-        entry["extra"] = {str(k): extra[k] for k in sorted(extra)}
-    doc["entries"].append(entry)
-    doc["entries"] = doc["entries"][-keep:]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    return path
 
 
 # ---------------------------------------------------------------------------

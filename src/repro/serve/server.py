@@ -21,7 +21,9 @@ through exactly one of:
   The worker returns the finished cache-entry document, which the
   server writes through to the store and streams as is, with no decode
   or re-encode on the event loop, and the future resolves for every
-  waiter.
+  waiter.  A store that cannot be written (full or read-only disk)
+  loses the entry, not the result: the document still streams, and the
+  failed write counts as ``serve.store_error``.
 
 Results stream back as NDJSON *as cells land*, so a client sees its
 first cells while later ones still simulate — hundreds-of-cells METG
@@ -245,8 +247,14 @@ class SweepServer:
                     doc, status = payload, "hit"
             if doc is None:
                 doc = await self._simulate(cell, ctx, trace)
-                await loop.run_in_executor(None, self.cache.put, key, doc)
-                self.perf.count("serve.store")
+                try:
+                    await loop.run_in_executor(None, self.cache.put, key, doc)
+                except OSError:
+                    # a full or read-only store loses the entry, not the
+                    # result: the document still streams to every waiter
+                    self.perf.count("serve.store_error")
+                else:
+                    self.perf.count("serve.store")
             fut.set_result(doc)
             return doc, status
         except BaseException as exc:

@@ -27,14 +27,11 @@ Layout: entries are **sharded** by key prefix — entry ``<key>`` lives
 at ``root/<key[:2]>/<key>.json`` — so a store holding millions of
 cells (the sweep service's regime, :mod:`repro.serve`) never puts more
 than ~1/256th of them in one directory, keeping every directory scan
-and entry create O(small).  Stores written before sharding existed
-kept every entry flat at ``root/<key>.json``; those entries stay fully
-readable and are *adopted* (renamed into their shard) the first time
-they are read, so a flat store migrates transparently under read
-traffic without a migration step.  An append-only NDJSON index
-(``root/index.ndjson``) records every publication and eviction; it is
-advisory — the directory scan stays the source of truth — but lets an
-operator reconstruct store history without stat-ing a million files.
+and entry create O(small).  The shard directories are the whole store:
+nothing else is written under the root, and the directory scan is the
+only record of what the store holds.  Anything outside a shard
+directory (a pre-sharding store's flat ``root/<key>.json``) is not an
+entry, so it costs a miss and a re-simulation, never a wrong result.
 
 Eviction is **true LRU**: :meth:`ResultCache.get` refreshes an entry's
 mtime on every hit (best-effort ``os.utime``), so "least recently
@@ -51,15 +48,15 @@ and concurrent writers of the same key converge on identical content.
 Unreadable or truncated entries are treated as misses and overwritten.
 A *crashed* writer can leave its ``.<key>.*.tmp`` staging file behind;
 :meth:`prune` and :meth:`clear` garbage-collect staging files older
-than ``tmp_grace_seconds`` (young ones may belong to a live in-flight
-writer and are left alone).
+than :data:`TMP_GRACE_SECONDS` (young ones may belong to a live
+in-flight writer and are left alone).
 
 Host telemetry: when a :mod:`repro.perf` recording is active, every
 probe and store reports its latency (``cache.probe_seconds`` /
 ``cache.store_seconds`` observations) and outcome (``cache.hit`` /
-``cache.miss`` / ``cache.store`` / ``cache.evict`` / ``cache.adopt`` /
-``cache.tmp_gc`` counters); with no recorder active the
-instrumentation is a single predicate per call.
+``cache.miss`` / ``cache.store`` / ``cache.evict`` / ``cache.tmp_gc``
+counters); with no recorder active the instrumentation is a single
+predicate per call.
 """
 
 from __future__ import annotations
@@ -83,7 +80,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
-    "INDEX_NAME",
     "KEY_FORMAT",
     "ResultCache",
     "SHARD_WIDTH",
@@ -99,9 +95,6 @@ KEY_FORMAT = 1
 
 #: Hex chars of the key that name an entry's shard directory.
 SHARD_WIDTH = 2
-
-#: Append-only store journal (one JSON line per publication/eviction).
-INDEX_NAME = "index.ndjson"
 
 #: Staging files older than this are presumed orphaned by a crashed
 #: writer and are garbage-collected by prune()/clear().
@@ -171,14 +164,14 @@ def _is_shard_name(name: str) -> bool:
 class ResultCache:
     """A sharded directory of content-addressed cell payloads.
 
-    ``max_entries`` bounds the cache size; :meth:`prune` (called by the
-    executor after every sweep when a bound is set, and by the sweep
-    server periodically) evicts the least-recently-*used* entries
-    beyond the bound — :meth:`get` refreshes an entry's mtime on every
-    hit, so recency of use, not of insertion, decides survival.
-    ``ttl_seconds`` additionally expires entries unused for longer than
-    the window.  ``tmp_grace_seconds`` controls when an orphaned
-    staging file from a crashed writer becomes garbage.
+    ``max_entries`` bounds the cache size and ``ttl_seconds`` expires
+    entries unused for longer than the window.  Together they are the
+    store's whole eviction policy: :meth:`prune` takes no overrides, and
+    the sweep executor (after every sweep) and the sweep server (after
+    every request that stored an entry) call it whenever either is set.
+    It evicts the least-recently-*used* entries — :meth:`get` refreshes
+    an entry's mtime on every hit, so recency of use, not of insertion,
+    decides survival.
     """
 
     def __init__(
@@ -187,7 +180,6 @@ class ResultCache:
         max_entries: Optional[int] = None,
         *,
         ttl_seconds: Optional[float] = None,
-        tmp_grace_seconds: float = TMP_GRACE_SECONDS,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1")
@@ -196,64 +188,13 @@ class ResultCache:
         self.root = pathlib.Path(root)
         self.max_entries = max_entries
         self.ttl_seconds = ttl_seconds
-        self.tmp_grace_seconds = float(tmp_grace_seconds)
 
     # ------------------------------------------------------------------
     # layout
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> pathlib.Path:
-        """Canonical (sharded) location of ``key``'s entry file."""
+        """Location of ``key``'s entry file (inside its shard directory)."""
         return self.root / key[:SHARD_WIDTH] / f"{key}.json"
-
-    def flat_path_for(self, key: str) -> pathlib.Path:
-        """Pre-sharding location — readable, adopted into shards on use."""
-        return self.root / f"{key}.json"
-
-    def _locate(self, key: str) -> pathlib.Path:
-        """The file a probe for ``key`` should read (sharded wins)."""
-        sharded = self.path_for(key)
-        if sharded.exists():
-            return sharded
-        flat = self.flat_path_for(key)
-        if flat.exists():
-            return flat
-        return sharded
-
-    @property
-    def index_path(self) -> pathlib.Path:
-        return self.root / INDEX_NAME
-
-    def _index_append(self, op: str, key: str) -> None:
-        """Best-effort append to the store journal (one atomic write).
-
-        ``O_APPEND`` keeps concurrent writers' lines intact; an
-        unwritable index never fails the entry operation it records.
-        """
-        line = json.dumps({"op": op, "key": key}, separators=(",", ":")) + "\n"
-        try:
-            fd = os.open(
-                self.index_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-            )
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
-        except OSError:
-            pass
-
-    def index_events(self) -> Iterator[dict[str, Any]]:
-        """Replay the append-only journal (corrupt lines are skipped)."""
-        try:
-            with open(self.index_path, encoding="utf-8") as fh:
-                for line in fh:
-                    try:
-                        doc = json.loads(line)
-                    except ValueError:
-                        continue
-                    if isinstance(doc, dict):
-                        yield doc
-        except OSError:
-            return
 
     # ------------------------------------------------------------------
     # entry IO
@@ -267,24 +208,6 @@ class ResultCache:
             return None
         return payload if isinstance(payload, dict) else None
 
-    def _adopt(self, key: str, flat: pathlib.Path) -> pathlib.Path:
-        """Move a pre-sharding flat entry into its shard (best-effort).
-
-        ``os.replace`` keeps the move atomic; losing the race to a
-        concurrent adopter (or a read-only store) simply leaves the
-        flat file for the next reader.
-        """
-        sharded = self.path_for(key)
-        try:
-            sharded.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(flat, sharded)
-        except OSError:
-            return flat
-        rec = _perf_current()
-        if rec is not None:
-            rec.count("cache.adopt")
-        return sharded
-
     def get(self, key: str) -> Optional[dict[str, Any]]:
         """Return the payload stored under ``key``, or ``None``.
 
@@ -293,18 +216,12 @@ class ResultCache:
         file behind, never a half-visible entry.  A hit refreshes the
         entry's mtime (best-effort ``os.utime``), which is what makes
         :meth:`prune`'s least-recently-modified ordering true LRU
-        rather than insertion-order FIFO; a flat pre-sharding entry is
-        adopted into its shard on the way.
+        rather than insertion-order FIFO.
         """
         rec = _perf_current()
         t0 = perf_counter() if rec is not None else 0.0
         path = self.path_for(key)
         payload = self._read(path)
-        if payload is None:
-            flat = self.flat_path_for(key)
-            payload = self._read(flat)
-            if payload is not None:
-                path = self._adopt(key, flat)
         if payload is not None:
             try:
                 os.utime(path)  # touch-on-hit: LRU recency, not FIFO age
@@ -340,7 +257,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self._index_append("put", key)
         if rec is not None:
             rec.observe("cache.store_seconds", perf_counter() - t0)
             rec.count("cache.store")
@@ -349,41 +265,28 @@ class ResultCache:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def _entry_paths(self) -> Iterator[tuple[str, pathlib.Path]]:
-        """Yield ``(key, path)`` for every entry, sharded and flat.
-
-        A key present in both layouts (a racing adopter) yields its
-        sharded path only.
-        """
+    def _shard_files(self) -> Iterator[pathlib.Path]:
+        """Every file in every shard directory: entries and staging files."""
         try:
-            children = list(self.root.iterdir())
+            shards = [d for d in self.root.iterdir() if _is_shard_name(d.name)]
         except OSError:
             return
-        seen: set[str] = set()
-        for child in children:
-            if child.name.startswith("."):
+        for shard in shards:
+            try:
+                files = list(shard.iterdir())
+            except OSError:
                 continue
-            if child.is_dir() and _is_shard_name(child.name):
-                try:
-                    grand = list(child.iterdir())
-                except OSError:
-                    continue
-                for p in grand:
-                    if p.suffix == ".json" and not p.name.startswith("."):
-                        seen.add(p.stem)
-                        yield p.stem, p
-        for child in children:
-            if (
-                child.suffix == ".json"
-                and not child.name.startswith(".")
-                and not child.is_dir()
-                and child.stem not in seen
-            ):
-                yield child.stem, child
+            yield from files
+
+    def _entry_paths(self) -> Iterator[pathlib.Path]:
+        """Every entry file in the store (its stem is the entry's key)."""
+        for p in self._shard_files():
+            if p.suffix == ".json" and not p.name.startswith("."):
+                yield p
 
     def keys(self) -> list[str]:
         """Keys of all complete entries currently on disk."""
-        return sorted(key for key, _path in self._entry_paths())
+        return sorted(p.stem for p in self._entry_paths())
 
     def __contains__(self, key: str) -> bool:
         """True iff ``key``'s entry exists *and* decodes.
@@ -395,40 +298,28 @@ class ResultCache:
         probe records no telemetry and does not refresh recency — it is
         a question, not a use.
         """
-        return self._read(self._locate(key)) is not None
+        return self._read(self.path_for(key)) is not None
 
     def __len__(self) -> int:
         return len(self.keys())
 
     def _tmp_paths(self) -> Iterator[pathlib.Path]:
-        """Every staging file in the store (root and shard directories)."""
-        try:
-            children = list(self.root.iterdir())
-        except OSError:
-            return
-        for child in children:
-            if child.name.startswith(".") and child.name.endswith(".tmp"):
-                yield child
-            elif child.is_dir() and _is_shard_name(child.name):
-                try:
-                    grand = list(child.iterdir())
-                except OSError:
-                    continue
-                for p in grand:
-                    if p.name.startswith(".") and p.name.endswith(".tmp"):
-                        yield p
+        """Every staging file in the store (they live in the shards)."""
+        for p in self._shard_files():
+            if p.name.startswith(".") and p.name.endswith(".tmp"):
+                yield p
 
-    def gc_stale_tmp(self, grace_seconds: Optional[float] = None) -> int:
-        """Unlink staging files older than the grace age; returns count.
+    def gc_stale_tmp(self) -> int:
+        """Unlink staging files past the grace age; returns the count.
 
         A crashed writer's ``.<key>.*.tmp`` never becomes an entry and
         — being dot-prefixed — is invisible to :meth:`keys`, so without
-        this pass it would leak forever.  Files younger than the grace
-        age are left alone: they may belong to a writer that is still
-        alive between ``write_text`` and ``os.replace``.
+        this pass it would leak forever.  Files younger than
+        :data:`TMP_GRACE_SECONDS` are left alone: they may belong to a
+        writer that is still alive between ``write_text`` and
+        ``os.replace``.
         """
-        grace = self.tmp_grace_seconds if grace_seconds is None else grace_seconds
-        cutoff = time.time() - grace
+        cutoff = time.time() - TMP_GRACE_SECONDS
         removed = 0
         for path in self._tmp_paths():
             try:
@@ -443,12 +334,7 @@ class ResultCache:
                 rec.count("cache.tmp_gc", removed)
         return removed
 
-    def prune(
-        self,
-        max_entries: Optional[int] = None,
-        *,
-        ttl_seconds: Optional[float] = None,
-    ) -> int:
+    def prune(self) -> int:
         """Evict least-recently-used entries beyond the bound or TTL.
 
         Returns the number of *entries* removed (0 when unbounded, no
@@ -461,18 +347,17 @@ class ResultCache:
         whoever actually unlinked them.
         """
         self.gc_stale_tmp()
-        bound = max_entries if max_entries is not None else self.max_entries
-        ttl = ttl_seconds if ttl_seconds is not None else self.ttl_seconds
+        bound, ttl = self.max_entries, self.ttl_seconds
         if bound is None and ttl is None:
             return 0
         entries = []
-        for key, path in self._entry_paths():
+        for path in self._entry_paths():
             try:
-                entries.append((path.stat().st_mtime_ns, str(path), key))
+                entries.append((path.stat().st_mtime_ns, str(path)))
             except OSError:
                 continue
         entries.sort(reverse=True)  # most recently used first
-        victims: list[tuple[int, str, str]] = []
+        victims: list[tuple[int, str]] = []
         if ttl is not None:
             cutoff_ns = int((time.time() - ttl) * 1e9)
             keep = [e for e in entries if e[0] > cutoff_ns]
@@ -481,12 +366,11 @@ class ResultCache:
         if bound is not None:
             victims.extend(entries[bound:])
         evicted = 0
-        for _mtime, path, key in victims:
+        for _mtime, path in victims:
             try:
                 os.unlink(path)
             except OSError:
                 continue
-            self._index_append("evict", key)
             evicted += 1
         if evicted:
             rec = _perf_current()
@@ -499,18 +383,14 @@ class ResultCache:
 
         Stale staging files are garbage-collected too (in-flight ones
         within the grace age are spared — their writer is about to
-        publish into the now-empty store), and the journal is reset.
+        publish into the now-empty store).
         """
         removed = 0
-        for _key, path in self._entry_paths():
+        for path in self._entry_paths():
             try:
                 os.unlink(path)
                 removed += 1
             except OSError:
                 continue
         self.gc_stale_tmp()
-        try:
-            self.index_path.unlink()
-        except OSError:
-            pass
         return removed

@@ -525,7 +525,9 @@ def _run_sweep_cells(
         elif res is not None:
             sweep.results[cell.key] = res
     _fill_series(sweep)
-    if store is not None and store.max_entries is not None:
+    if store is not None and (
+        store.max_entries is not None or store.ttl_seconds is not None
+    ):
         with perf_span("cache.prune"):
             evicted = store.prune()
         reg.counter("cache_evictions").inc(evicted)

@@ -61,7 +61,15 @@ class TestSweepLedgerAppend:
         assert rec["wall_seconds"] > 0
         assert rec["extra"]["cache"] == "off"
         assert rec["extra"]["simulations"] == 18
-        assert (ledger_dir / "BENCH_sweep_axpy.json").exists()
+
+    def test_sweep_leaves_only_the_ledger(self, ledger_dir, capsys):
+        """The ledger is the one run history: a sweep writes no other
+        file (no per-subject copy of its record) beside it."""
+        _seed_ledger()
+        _seed_ledger()
+        capsys.readouterr()
+        assert [p.name for p in ledger_dir.iterdir()] == ["ledger.jsonl"]
+        assert len(Ledger(ledger_dir).records(name="sweep:axpy")) == 2
 
     def test_sweep_perf_off_appends_nothing(self, ledger_dir, monkeypatch, capsys):
         monkeypatch.setenv(PERF_OFF_ENV, "1")

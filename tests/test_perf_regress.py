@@ -1,4 +1,4 @@
-"""Regression-tracker tests: trajectories, baselines, compare edge cases.
+"""Regression-tracker tests: baselines and compare edge cases.
 
 The detector must be one-sided (faster is never a regression), exact at
 the tolerance boundary, safe on zero-time baselines, and loud on a
@@ -19,8 +19,6 @@ from repro.perf.regress import (
     compare,
     load_baseline,
     slugify,
-    trajectory_path,
-    update_trajectory,
     write_baseline,
 )
 
@@ -44,37 +42,6 @@ class TestSlug:
         assert slugify("sweep:axpy") == "sweep_axpy"
         assert slugify("a b/c") == "a_b_c"
         assert slugify("::") == "run"
-
-
-class TestTrajectory:
-    def test_update_creates_and_appends(self, tmp_path):
-        path = update_trajectory(_record(ts=1.0), tmp_path)
-        assert path == trajectory_path("sweep:axpy", tmp_path)
-        assert path.name == "BENCH_sweep_axpy.json"
-        update_trajectory(_record(ts=2.0, wall=3.0), tmp_path)
-        doc = json.loads(path.read_text())
-        assert doc["name"] == "sweep:axpy"
-        assert [e["ts"] for e in doc["entries"]] == [1.0, 2.0]
-        assert doc["entries"][1]["wall_seconds"] == 3.0
-        assert doc["entries"][0]["env"]["git_sha"] == "abc123"
-
-    def test_extra_carried_and_sorted(self, tmp_path):
-        path = update_trajectory(_record(jobs=4, fidelity="2"), tmp_path)
-        entry = json.loads(path.read_text())["entries"][0]
-        assert entry["extra"] == {"fidelity": "2", "jobs": 4}
-
-    def test_keep_caps_length(self, tmp_path):
-        for i in range(7):
-            update_trajectory(_record(ts=float(i)), tmp_path, keep=3)
-        doc = json.loads(trajectory_path("sweep:axpy", tmp_path).read_text())
-        assert [e["ts"] for e in doc["entries"]] == [4.0, 5.0, 6.0]
-
-    def test_corrupt_trajectory_restarts(self, tmp_path):
-        path = trajectory_path("sweep:axpy", tmp_path)
-        path.write_text("not json")
-        update_trajectory(_record(ts=9.0), tmp_path)
-        doc = json.loads(path.read_text())
-        assert [e["ts"] for e in doc["entries"]] == [9.0]
 
 
 class TestBaselines:

@@ -29,6 +29,7 @@ from repro.serve import (
 from repro.serve import protocol
 from repro.sweep import ResultCache, codec, run_sweep
 from repro.sweep import executor as executor_mod
+from repro.sweep.cache import SHARD_WIDTH
 from tests.test_sweep_executor import sweep_fingerprint
 
 KWARGS = dict(
@@ -207,6 +208,22 @@ class TestServeEndToEnd:
         assert len(cache) == 2
         assert srv.perf.counters["serve.evictions"] == NCELLS - 2
 
+    def test_store_root_holds_only_shards(self, tmp_path):
+        """Puts, a bounded prune, a clear and a served request leave
+        nothing in the store root but its shard directories."""
+        cache = ResultCache(tmp_path, max_entries=2)
+        for i in range(4):
+            cache.put(f"{i:02d}" * 32, {"format": 1})
+        assert cache.prune() == 2
+        assert cache.clear() == 2
+        with running_server(cache, jobs=2) as srv:
+            run_sweep("axpy", server=srv.url, **KWARGS)
+        stray = [p.name for p in tmp_path.iterdir()
+                 if not (p.is_dir() and len(p.name) == SHARD_WIDTH
+                         and set(p.name) <= set("0123456789abcdef"))]
+        assert stray == []
+        assert len(cache) > 0
+
 
 # ---------------------------------------------------------------------------
 # single-flight dedupe
@@ -252,6 +269,56 @@ class TestSingleFlight:
         assert total_joins == NCELLS
         # and nobody double-stored: the store holds one entry per cell
         assert len(ResultCache(tmp_path)) == NCELLS
+
+    def test_failing_store_still_streams_every_cell(self, tmp_path, monkeypatch):
+        """A store write that raises ``OSError`` (full or read-only
+        disk) loses the entry, not the result: the owner and a
+        concurrent joiner both get every cell and the ``end`` event,
+        and ``/stats`` counts the failed writes."""
+        real = executor_mod._run_cell
+
+        def slow_estimate(cell, ctx, trace, validate, metrics=None):
+            time.sleep(0.3)  # hold cells open so the queries overlap
+            return real(cell, ctx, trace, validate, metrics)
+
+        def full_disk(key, payload):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(executor_mod, "_run_cell", slow_estimate)
+        cache = ResultCache(tmp_path)
+        monkeypatch.setattr(cache, "put", full_disk)
+        query = MatrixQuery("axpy", versions=("omp_for", "cxx_thread"),
+                            threads=(1, 4), params={"n": 120_000}, fidelity=0)
+        with running_server(cache) as srv:
+            streams, errors = [None, None], []
+
+            def work(slot):
+                try:
+                    streams[slot] = list(SweepClient(srv.url).query(query))
+                except BaseException as exc:  # pragma: no cover - diagnostic
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(s,)) for s in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            counters = SweepClient(srv.url).stats()["counters"]
+        assert not errors
+        docs = []
+        for events in streams:
+            assert [e["type"] for e in events] == (
+                ["start"] + ["cell"] * NCELLS + ["end"]
+            )
+            assert events[-1]["counters"]["errors"] == 0
+            docs.append({e["key"]: e["payload"] for e in events[1:-1]})
+        assert len(docs[0]) == NCELLS
+        assert docs[0] == docs[1]  # the joiner got the owner's documents
+        assert counters["serve.dedup_hit"] == NCELLS
+        assert counters["serve.store_error"] == NCELLS
+        assert "serve.store" not in counters
+        assert "serve.failed_request" not in counters
+        assert len(cache) == 0
 
 
 # ---------------------------------------------------------------------------

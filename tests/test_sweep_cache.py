@@ -21,6 +21,7 @@ from repro.core.registry import WORKLOADS
 from repro.runtime.base import ExecContext
 from repro.sim.machine import Machine
 from repro.sweep import ResultCache, SweepCell, cache_key
+from repro.sweep.cache import TMP_GRACE_SECONDS
 
 BASE_CELL = SweepCell("axpy", "omp_for", 4, {"n": 120_000})
 
@@ -221,8 +222,7 @@ class TestResultCacheStore:
 
 
 class TestShardedLayout:
-    """Entries live at ``root/<key[:2]>/<key>.json``; flat pre-sharding
-    stores stay readable and migrate shard-ward under read traffic."""
+    """Entries live at ``root/<key[:2]>/<key>.json`` and nowhere else."""
 
     def test_put_writes_into_shard(self, tmp_path):
         from repro.sweep.cache import SHARD_WIDTH
@@ -232,52 +232,17 @@ class TestShardedLayout:
         cache.put(key, {"format": 1})
         assert cache.path_for(key) == tmp_path / key[:SHARD_WIDTH] / f"{key}.json"
         assert cache.path_for(key).exists()
-        assert not cache.flat_path_for(key).exists()
+        assert not (tmp_path / f"{key}.json").exists()
 
-    def test_flat_entry_is_read_and_adopted(self, tmp_path):
+    def test_flat_file_is_not_an_entry(self, tmp_path):
+        """A pre-sharding ``root/<key>.json`` is ignored: a miss, never
+        a result."""
         cache = ResultCache(tmp_path)
         key = "cd" * 32
-        payload = {"format": 1, "legacy": True}
-        cache.flat_path_for(key).write_text(json.dumps(payload))
-        assert cache.get(key) == payload
-        # the read migrated the entry into its shard
-        assert cache.path_for(key).exists()
-        assert not cache.flat_path_for(key).exists()
-        assert cache.get(key) == payload
-
-    def test_contains_sees_flat_without_migrating(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = "ef" * 32
-        cache.flat_path_for(key).write_text(json.dumps({"format": 1}))
-        assert key in cache
-        # a containment probe is a question, not a use: no adoption
-        assert cache.flat_path_for(key).exists()
-        assert not cache.path_for(key).exists()
-
-    def test_keys_merge_both_layouts_sharded_wins(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("11" * 32, {"format": 1})
-        cache.flat_path_for("22" * 32).write_text(json.dumps({"format": 1}))
-        # same key in both layouts (a racing adopter): counted once
-        cache.put("33" * 32, {"format": 1, "which": "sharded"})
-        cache.flat_path_for("33" * 32).write_text(
-            json.dumps({"format": 1, "which": "flat"})
-        )
-        assert cache.keys() == sorted(["11" * 32, "22" * 32, "33" * 32])
-        assert len(cache) == 3
-        assert cache.get("33" * 32)["which"] == "sharded"
-
-    def test_prune_spans_both_layouts(self, tmp_path):
-        """The LRU bound is store-wide: flat and sharded entries compete
-        in one recency order, not per-directory."""
-        cache = ResultCache(tmp_path)
-        old, new = "44" * 32, "55" * 32
-        cache.flat_path_for(old).write_text(json.dumps({"format": 1}))
-        os.utime(cache.flat_path_for(old), ns=(10**9, 10**9))
-        cache.put(new, {"format": 1})
-        assert cache.prune(max_entries=1) == 1
-        assert old not in cache
-        assert new in cache
+        (tmp_path / f"{key}.json").write_text(json.dumps({"format": 1}))
+        assert cache.get(key) is None
+        assert key not in cache
+        assert cache.keys() == []
 
 
 class TestTrueLRU:
@@ -325,11 +290,11 @@ class TestTrueLRU:
     def test_ttl_and_bound_compose(self, tmp_path):
         """TTL expiry happens first; the bound then applies to the
         survivors."""
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path, max_entries=1, ttl_seconds=3600)
         keys = self._plant(cache, 4)
         for key in keys[2:]:
             assert cache.get(key) is not None  # two fresh, two expired
-        assert cache.prune(max_entries=1, ttl_seconds=3600) == 3
+        assert cache.prune() == 3
         assert len(cache) == 1
         assert keys[3] in cache
 
@@ -339,13 +304,15 @@ class TestTrueLRU:
 
 
 class TestStaleTmpGc:
-    """Crashed writers leak ``.<key>.*.tmp`` staging files; prune() and
-    clear() collect the stale ones and spare in-flight ones."""
+    """Crashed writers leak ``.<key>.*.tmp`` staging files in the shard
+    directories; prune() and clear() collect the ones older than
+    ``TMP_GRACE_SECONDS`` and spare in-flight ones."""
 
     def _plant_tmp(self, cache, name, age_seconds):
         import time as _time
 
-        path = cache.root / name
+        path = cache.root / name[1:3] / name
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("half-written garbage")
         stamp = _time.time() - age_seconds
         os.utime(path, (stamp, stamp))
@@ -354,7 +321,8 @@ class TestStaleTmpGc:
     def test_prune_collects_stale_spares_fresh(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ab" * 32, {"format": 1})
-        stale = self._plant_tmp(cache, ".deadbeef.1.2.0.tmp", age_seconds=7200)
+        stale = self._plant_tmp(cache, ".deadbeef.1.2.0.tmp",
+                                age_seconds=2 * TMP_GRACE_SECONDS)
         fresh = self._plant_tmp(cache, ".cafef00d.3.4.0.tmp", age_seconds=1)
         assert cache.prune() == 0  # tmp GC is not entry eviction
         assert not stale.exists()
@@ -373,16 +341,11 @@ class TestStaleTmpGc:
     def test_clear_collects_stale_tmp(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ab" * 32, {"format": 1})
-        stale = self._plant_tmp(cache, ".feedface.7.8.0.tmp", age_seconds=7200)
+        stale = self._plant_tmp(cache, ".feedface.7.8.0.tmp",
+                                age_seconds=2 * TMP_GRACE_SECONDS)
         assert cache.clear() == 1
         assert not stale.exists()
         assert len(cache) == 0
-
-    def test_grace_is_configurable(self, tmp_path):
-        cache = ResultCache(tmp_path, tmp_grace_seconds=5.0)
-        doomed = self._plant_tmp(cache, ".0ff1ce.9.1.0.tmp", age_seconds=60)
-        assert cache.gc_stale_tmp() == 1
-        assert not doomed.exists()
 
 
 class TestContainsAlignment:
@@ -414,47 +377,6 @@ class TestContainsAlignment:
         cache.put(key, {"format": 1, "repaired": True})
         assert key in cache
         assert cache.get(key)["repaired"] is True
-
-
-class TestIndexJournal:
-    """The append-only store journal records publications and
-    evictions; it is advisory and corrupt lines never break replay."""
-
-    def test_put_and_evict_recorded(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for i in range(3):
-            key = f"{i:02d}" * 32
-            cache.put(key, {"format": 1})
-            os.utime(cache.path_for(key), ns=(i * 10**9, i * 10**9))
-        cache.prune(max_entries=1)
-        events = list(cache.index_events())
-        puts = [e["key"] for e in events if e["op"] == "put"]
-        evicts = [e["key"] for e in events if e["op"] == "evict"]
-        assert puts == [f"{i:02d}" * 32 for i in range(3)]
-        assert sorted(evicts) == sorted([f"{i:02d}" * 32 for i in range(2)])
-
-    def test_corrupt_journal_lines_skipped(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("ab" * 32, {"format": 1})
-        with open(cache.index_path, "a", encoding="utf-8") as fh:
-            fh.write("not json at all\n")
-        cache.put("cd" * 32, {"format": 1})
-        events = list(cache.index_events())
-        assert [e["key"] for e in events] == ["ab" * 32, "cd" * 32]
-
-    def test_journal_never_blocks_entry_io(self, tmp_path):
-        """An unwritable index is an inconvenience, not a failure."""
-        cache = ResultCache(tmp_path)
-        cache.index_path.mkdir()  # make the journal path unopenable
-        cache.put("ab" * 32, {"format": 1})
-        assert cache.get("ab" * 32) is not None
-        assert list(cache.index_events()) == []
-
-    def test_clear_resets_journal(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("ab" * 32, {"format": 1})
-        cache.clear()
-        assert not cache.index_path.exists()
 
 
 class TestConcurrentPutPrune:

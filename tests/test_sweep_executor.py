@@ -238,6 +238,21 @@ def test_bounded_cache_evicts_and_counts(tmp_path):
     assert len(store) == 2
 
 
+def test_ttl_only_store_expires_after_a_sweep(tmp_path):
+    """A store with a TTL and no entry bound is pruned after a sweep,
+    as the server prunes it: an entry unused for longer than the
+    window is gone."""
+    store = ResultCache(tmp_path, ttl_seconds=3600)
+    ancient = "ab" * 32
+    store.put(ancient, {"format": 1})
+    os.utime(store.path_for(ancient), (1, 1))
+    sweep = run_sweep("fib", versions=["cilk_spawn"], threads=SMALL_THREADS,
+                      params={"n": 8}, cache=store)
+    assert sweep.counter("cache_evictions") == 1
+    assert ancient not in store
+    assert len(store) == len(SMALL_THREADS)
+
+
 # ---------------------------------------------------------------------------
 # executor plumbing
 # ---------------------------------------------------------------------------
