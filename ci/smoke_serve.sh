@@ -2,7 +2,9 @@
 # Sweep-service contract: two identical *concurrent* queries must cost
 # exactly one set of simulations (single-flight dedupe, observable via
 # serve.dedup_hit / serve.cache_hit on /stats), a warm re-query must
-# perform zero simulations, and the server must append its lifetime
+# perform zero simulations, a warm traced query must stream the very
+# payload bytes its cold run streamed (and count as store hits), and
+# the server must append its lifetime
 # telemetry to the run ledger on shutdown.  The trap guarantees the
 # background server dies with this script, pass or fail; the final
 # check fails the suite if the store holds orphaned .tmp staging files.
@@ -62,6 +64,41 @@ wc = json.load(open("warm.json"))["metrics"]["counters"]
 assert wc["simulations"] == 0, f"warm re-query simulated: {wc}"
 assert wc["cache_hits"] == wc["sweep_cells"] > 0, wc
 print("warm re-query served entirely from the store")
+EOF
+
+echo "--- a warm traced query streams the cold run's payload bytes"
+TRACED='{"workload":"axpy","versions":["omp_for","omp_task"],"threads":[2,4],"trace":true}'
+curl -sf -X POST --data "$TRACED" "$SERVE_URL/sweep" > traced-cold.ndjson
+curl -sf "$SERVE_URL/stats" > stats.json
+curl -sf -X POST --data "$TRACED" "$SERVE_URL/sweep" > traced-warm.ndjson
+curl -sf "$SERVE_URL/stats" > stats-warm.json
+python - <<'EOF'
+import json
+
+def cells(path):
+    """{key: (status, payload bytes)} of every cell line, as streamed."""
+    out = {}
+    for line in open(path, "rb"):
+        event = json.loads(line)
+        if event["type"] == "cell":
+            # the payload is the event's last key: its bytes run from
+            # after the key to the closing brace
+            payload = line[line.index(b',"payload":') + 11:].rstrip(b"\n")[:-1]
+            assert json.loads(payload) == event["payload"]
+            out[event["key"]] = (event["status"], payload)
+    return out
+
+cold, warm = cells("traced-cold.ndjson"), cells("traced-warm.ndjson")
+assert len(cold) == 4 and cold.keys() == warm.keys(), (cold.keys(), warm.keys())
+assert {s for s, _ in cold.values()} == {"run"}, cold
+assert {s for s, _ in warm.values()} == {"hit"}, warm
+for key in cold:
+    assert cold[key][1] == warm[key][1], f"payload bytes of {key} differ"
+before = json.load(open("stats.json"))["counters"]
+after = json.load(open("stats-warm.json"))["counters"]
+hits = after.get("serve.cache_hit", 0) - before.get("serve.cache_hit", 0)
+assert hits == len(warm), f"/stats counted {hits} hits for {len(warm)} cells"
+print(f"warm traced query: {hits} hits, payload bytes identical to the cold run")
 EOF
 
 echo "--- the store root holds only shard directories"

@@ -17,11 +17,12 @@ no framework, no new dependencies:
 - ``GET /healthz`` answers ``{"ok": true}``.
 
 Every ``cell`` event's ``payload`` is the *exact* cache-entry document
-the direct ``run_sweep`` path stores and replays: a store hit sends the
-stored document, and a miss sends the one its worker built
-(:func:`repro.sweep.executor._cell_entry`), unchanged.  A served result
-therefore decodes byte-identically to a local one — the protocol adds
-framing, never representation.
+the direct ``run_sweep`` path stores and replays, down to the byte: the
+server splices an entry file's bytes into the event
+(:func:`encode_cell_event`), whether it read them from the store or its
+worker just encoded them (:func:`repro.sweep.cache.encode_entry`).  A
+served result therefore decodes byte-identically to a local one — the
+protocol adds framing, never representation.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "ProtocolError",
     "cell_event",
     "decode_event",
+    "encode_cell_event",
     "encode_event",
     "end_event",
     "expand_query",
@@ -183,7 +185,7 @@ def cell_event(
     nthreads: int,
     key: str,
     status: str,
-    payload: dict[str, Any],
+    payload: Optional[dict[str, Any]],
 ) -> dict[str, Any]:
     """One settled cell.  ``status`` is ``hit`` (served from the store),
     ``run`` (freshly simulated/estimated — possibly by *another*
@@ -210,6 +212,23 @@ def fatal_event(message: str) -> dict[str, Any]:
 def encode_event(event: Mapping[str, Any]) -> bytes:
     """One NDJSON line, ready to write to the stream."""
     return json.dumps(event, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+def encode_cell_event(
+    version: str, nthreads: int, key: str, status: str, payload: bytes
+) -> bytes:
+    """The NDJSON line of a :func:`cell_event` whose payload is already
+    encoded: ``payload`` is one compact JSON object with no raw newline
+    (an entry file's bytes without their trailing newline).
+
+    The payload is the event's last key, and :func:`encode_event` uses
+    the entry encoding's separators, so the line is byte-identical to
+    ``encode_event(cell_event(..., json.loads(payload)))``; the server
+    forwards a document it never parses or dumps on its event loop.
+    """
+    head = encode_event(cell_event(version, nthreads, key, status, None))
+    # cut the placeholder's ``null}`` + newline and splice the payload in
+    return b"".join((head[:-6], payload, b"}\n"))
 
 
 def decode_event(line: bytes) -> dict[str, Any]:

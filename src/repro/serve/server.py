@@ -8,22 +8,35 @@ long-running query service.  A what-if matrix arrives as one ``POST
 through exactly one of:
 
 - **store hit** — the cell's content address resolves in the shared
-  :class:`ResultCache` (true-LRU, sharded — the PR's corrected store);
+  :class:`ResultCache` (true-LRU, sharded) and the entry passes the
+  local sweep's stamp checks (``format``, ``fidelity``, a ``result`` or
+  an ``error``);
 - **single-flight join** — an *identical cell of another in-flight
   request* is already being resolved; this request awaits the same
-  future instead of re-simulating (``serve.dedup_hit``).  The future
-  map is keyed by ``cache_key``, so "identical" means identical in
-  every output-determining input, not merely same-named;
+  task instead of re-simulating (``serve.dedup_hit``).  The task map
+  is keyed by ``cache_key``, so "identical" means identical in every
+  output-determining input, not merely same-named.  The task belongs
+  to the server, not to the request that started it, so a request
+  that fails or is dropped never fails the requests that joined it;
 - **fresh simulation** — the miss runs through the sweep executor's
   one cell entry point (:func:`repro.sweep.executor._cell_entry`) in
   the server's shared fork-based process pool (tier-0 estimates run in
   a thread: an estimate costs microseconds, a process hop costs more).
-  The worker returns the finished cache-entry document, which the
-  server writes through to the store and streams as is, with no decode
-  or re-encode on the event loop, and the future resolves for every
-  waiter.  A store that cannot be written (full or read-only disk)
-  loses the entry, not the result: the document still streams, and the
-  failed write counts as ``serve.store_error``.
+  The worker encodes the finished cache-entry document once, to the
+  bytes of its entry file, and the server writes those bytes through
+  to the store and streams the same bytes.  A store that cannot be
+  written (full or read-only disk) loses the entry, not the result:
+  the bytes still stream, and the failed write counts as
+  ``serve.store_error``.  A worker that dies (OOM kill, SIGKILL)
+  breaks the pool: the server replaces it and retries the cell once
+  (``serve.pool_broken``).
+
+The entry bytes are the unit the store and the wire share.  A hit reads
+and parses the entry file once, in a thread, to check its stamps; its
+result is never decoded, and the document is never dumped again.  The
+event loop only splices the bytes into the ``cell`` event
+(:func:`~repro.serve.protocol.encode_cell_event`), which is
+byte-identical to encoding the parsed document.
 
 Results stream back as NDJSON *as cells land*, so a client sees its
 first cells while later ones still simulate — hundreds-of-cells METG
@@ -46,8 +59,10 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter, process_time
 from typing import Any, Optional, Union
 
@@ -56,7 +71,7 @@ from repro.runtime.base import ExecContext
 from repro.serve import protocol
 from repro.serve.protocol import MatrixQuery, ProtocolError
 from repro.sweep import executor as _executor
-from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache, cache_key
+from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache, cache_key, encode_entry
 from repro.sweep.cells import SweepCell
 
 __all__ = ["SweepServer", "main"]
@@ -66,6 +81,15 @@ __all__ = ["SweepServer", "main"]
 MAX_BODY_BYTES = 1 << 20
 
 _CRLF = b"\r\n"
+
+
+def _cell_entry_bytes(cell: SweepCell, ctx: ExecContext, trace: bool
+                      ) -> tuple[bytes, bool]:
+    """The sweep executor's cell entry point, encoded where the cell ran:
+    the entry's file bytes (stored and streamed as they are) and whether
+    the entry records a cell error."""
+    doc = _executor._cell_entry(cell, ctx, trace, False)
+    return encode_entry(doc), "error" in doc
 
 
 class _HttpError(Exception):
@@ -112,7 +136,7 @@ class SweepServer:
         self.port = int(port)
         self.ctx = ctx or ExecContext()
         self.perf = PerfRecorder("serve")
-        self._inflight: dict[str, asyncio.Future] = {}
+        self._inflight: dict[str, asyncio.Task] = {}
         self._conns: set[asyncio.Task] = set()
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -145,6 +169,11 @@ class SweepServer:
             # 3.11's Server.wait_closed does not wait for handlers;
             # drain them so no request is abandoned mid-stream
             await asyncio.wait(set(self._conns), timeout=10.0)
+        resolving = list(self._inflight.values())
+        for task in resolving:
+            task.cancel()  # the requests are drained; nobody awaits these
+        if resolving:
+            await asyncio.wait(resolving, timeout=10.0)
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -198,74 +227,116 @@ class SweepServer:
             )
         return self._pool
 
-    async def _simulate(self, cell: SweepCell, ctx: ExecContext, trace: bool
-                        ) -> dict[str, Any]:
-        """Run one miss and return its cache-entry document.
-
-        Tier 2 runs in the process pool, tier 0 in a thread (an estimate
-        costs less than a process hop); either way the document is
-        encoded where the cell ran, and this loop only forwards it.
-        """
+    async def _run_entry(self, cell: SweepCell, ctx: ExecContext, trace: bool
+                         ) -> tuple[bytes, bool]:
+        """One attempt at a miss: :func:`_cell_entry_bytes` in the pool
+        (tier 2) or a thread (tier 0 — an estimate costs less than a
+        process hop)."""
         pool = self._get_pool() if cell.fidelity == 2 else None
         try:
-            doc = await asyncio.get_running_loop().run_in_executor(
-                pool, _executor._cell_entry, cell, ctx, trace, False
+            return await asyncio.get_running_loop().run_in_executor(
+                pool, _cell_entry_bytes, cell, ctx, trace
             )
+        except BrokenProcessPool:
+            # a dead worker (OOM kill, SIGKILL) breaks the whole pool for
+            # good; drop it so the next miss starts a fresh one
+            self.perf.count("serve.pool_broken")
+            if self._pool is pool:
+                self._pool = None
+                pool.shutdown(wait=False)
+            raise
+
+    async def _simulate(self, cell: SweepCell, ctx: ExecContext, trace: bool
+                        ) -> tuple[bytes, bool]:
+        """Run one miss and return its entry bytes and whether the entry
+        records a cell error.
+
+        A broken pool costs the cell one retry on a fresh pool; a second
+        failure, like any worker exception, fails the cell.
+        """
+        try:
+            try:
+                entry = await self._run_entry(cell, ctx, trace)
+            except BrokenProcessPool:
+                entry = await self._run_entry(cell, ctx, trace)
         except Exception as exc:
             raise RuntimeError(
                 f"cell {cell.describe()} failed in worker: {type(exc).__name__}: {exc}"
             ) from exc
         self.perf.count("serve.simulations" if cell.fidelity == 2 else "serve.estimates")
-        return doc
+        return entry
+
+    def _probe(self, key: str, fidelity: int) -> Optional[tuple[bytes, bool]]:
+        """Read ``key``'s entry (in a thread): its bytes and whether it
+        records a cell error, or ``None`` for a miss.
+
+        The entry is parsed once, so a truncated or corrupt file is a
+        miss, and it must pass the local sweep's stamp checks; its result
+        is never decoded.  Bytes that would not stay one NDJSON line (a
+        hand-written entry with raw newlines) are re-encoded.
+        """
+        entry = self.cache.read(key)
+        if entry is None:
+            return None
+        doc, data = entry
+        if not _executor._entry_usable(doc, fidelity):
+            return None
+        if data.find(b"\n") != len(data) - 1:
+            data = encode_entry(doc)
+        return data, "error" in doc
+
+    async def _resolve_key(
+        self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool, refresh: bool
+    ) -> tuple[bytes, bool, str]:
+        """Resolve one key to ``(entry bytes, is error, status)``: a store
+        hit, or a fresh run written through to the store."""
+        loop = asyncio.get_running_loop()
+        if not refresh:
+            hit = await loop.run_in_executor(None, self._probe, key, cell.fidelity)
+            if hit is not None:
+                self.perf.count("serve.cache_hit")
+                return hit[0], hit[1], "hit"
+        data, error = await self._simulate(cell, ctx, trace)
+        try:
+            await loop.run_in_executor(None, self.cache.put, key, data)
+        except OSError:
+            # a full or read-only store loses the entry, not the result:
+            # the bytes still stream to every waiter
+            self.perf.count("serve.store_error")
+        else:
+            self.perf.count("serve.store")
+        return data, error, "run"
 
     async def _resolve_cell(
         self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool, refresh: bool
-    ) -> tuple[dict[str, Any], str]:
-        """Resolve one cell to ``(entry document, status)``.
+    ) -> tuple[bytes, bool, str]:
+        """Resolve one cell for one request (see :meth:`_resolve_key`).
 
         The single-flight discipline: between probing ``_inflight`` and
-        registering our future there is no ``await``, so exactly one
-        request owns each key's resolution; everyone else joins it.
+        registering the key's task there is no ``await``, so exactly one
+        task resolves each key and every request awaits it.  The task is
+        the server's, and requests await it through ``asyncio.shield``:
+        a request that is cancelled (its client left, or another of its
+        cells crashed) stops waiting without cancelling the resolution
+        other requests joined.
         """
-        inflight = self._inflight.get(key)
-        if inflight is not None:
+        task = self._inflight.get(key)
+        if task is not None:
             self.perf.count("serve.dedup_hit")
-            doc = await asyncio.shield(inflight)
-            return doc, "join"
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        self._inflight[key] = fut
-        try:
-            doc: Optional[dict[str, Any]] = None
-            status = "run"
-            if not refresh:
-                payload = await loop.run_in_executor(None, self.cache.get, key)
-                if payload is not None and _executor._decode_entry(
-                    payload, cell.fidelity
-                ) is not None:
-                    self.perf.count("serve.cache_hit")
-                    doc, status = payload, "hit"
-            if doc is None:
-                doc = await self._simulate(cell, ctx, trace)
-                try:
-                    await loop.run_in_executor(None, self.cache.put, key, doc)
-                except OSError:
-                    # a full or read-only store loses the entry, not the
-                    # result: the document still streams to every waiter
-                    self.perf.count("serve.store_error")
-                else:
-                    self.perf.count("serve.store")
-            fut.set_result(doc)
-            return doc, status
-        except BaseException as exc:
-            if not fut.done():
-                fut.set_exception(exc)
-                # a joiner may or may not exist; don't let an unobserved
-                # future exception warn at GC time
-                fut.exception()
-            raise
-        finally:
-            self._inflight.pop(key, None)
+            data, error, _status = await asyncio.shield(task)
+            return data, error, "join"
+        task = asyncio.ensure_future(self._resolve_key(key, cell, ctx, trace, refresh))
+        self._inflight[key] = task
+        task.add_done_callback(functools.partial(self._resolved, key))
+        return await asyncio.shield(task)
+
+    def _resolved(self, key: str, task: asyncio.Task) -> None:
+        if self._inflight.get(key) is task:
+            del self._inflight[key]
+        if not task.cancelled():
+            # every waiter may have left; don't let an unobserved
+            # exception warn at GC time
+            task.exception()
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -363,7 +434,7 @@ class SweepServer:
     @staticmethod
     async def _write_chunk(writer: asyncio.StreamWriter, data: bytes) -> None:
         """One HTTP/1.1 chunk; empty ``data`` writes the terminator."""
-        writer.write(f"{len(data):x}\r\n".encode("latin-1") + data + _CRLF)
+        writer.write(b"".join((f"{len(data):x}\r\n".encode("latin-1"), data, _CRLF)))
         await writer.drain()
 
     async def _respond_json(
@@ -399,11 +470,11 @@ class SweepServer:
             len(cells), query.workload, protocol.context_digest(self.ctx)
         )))
 
-        async def settle(i: int) -> tuple[int, dict[str, Any], str]:
-            doc, status = await self._resolve_cell(
+        async def settle(i: int) -> tuple[int, bytes, bool, str]:
+            data, error, status = await self._resolve_cell(
                 keys[i], cells[i], ctx, query.trace, query.refresh
             )
-            return i, doc, status
+            return i, data, error, status
 
         counters = {"cells": len(cells), "hits": 0, "runs": 0, "errors": 0,
                     "dedup_joins": 0}
@@ -412,9 +483,10 @@ class SweepServer:
         try:
             for settled in asyncio.as_completed(tasks):
                 try:
-                    i, doc, status = await settled
+                    i, data, error, status = await settled
                 except Exception as exc:
-                    # a crashed cell aborts the request, not the server
+                    # a crashed cell aborts the request, not the server;
+                    # the keys it resolves keep resolving for their joiners
                     for t in tasks:
                         t.cancel()
                     self.perf.count("serve.failed_request")
@@ -435,15 +507,15 @@ class SweepServer:
                 else:
                     counters["runs"] += 1
                     stored = stored or not joined
-                if "error" in doc:
+                if error:
                     # orthogonal to how the cell was resolved: a cached
                     # or fresh cell error is still a hit/run above
                     status = "error"
                     counters["errors"] += 1
-                await self._write_chunk(writer, protocol.encode_event(
-                    protocol.cell_event(
-                        cells[i].version, cells[i].nthreads, keys[i], status, doc
-                    )
+                # the entry's bytes without their trailing newline
+                await self._write_chunk(writer, protocol.encode_cell_event(
+                    cells[i].version, cells[i].nthreads, keys[i], status,
+                    memoryview(data)[:-1],
                 ))
             await self._write_chunk(
                 writer, protocol.encode_event(protocol.end_event(counters))

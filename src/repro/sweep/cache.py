@@ -33,12 +33,12 @@ only record of what the store holds.  Anything outside a shard
 directory (a pre-sharding store's flat ``root/<key>.json``) is not an
 entry, so it costs a miss and a re-simulation, never a wrong result.
 
-Eviction is **true LRU**: :meth:`ResultCache.get` refreshes an entry's
-mtime on every hit (best-effort ``os.utime``), so "least recently
-modified" genuinely means "least recently used" and a hot entry
-survives any number of prunes.  An optional ``ttl_seconds`` expires
-entries that have not been used within the window regardless of the
-entry bound.
+Eviction is **true LRU**: :meth:`ResultCache.read` (and so
+:meth:`~ResultCache.get`) refreshes an entry's mtime on every hit
+(best-effort ``os.utime``), so "least recently modified" genuinely
+means "least recently used" and a hot entry survives any number of
+prunes.  An optional ``ttl_seconds`` expires entries that have not
+been used within the window regardless of the entry bound.
 
 Concurrency: entries are written atomically (write to a unique
 temporary file in the entry's shard directory, then ``os.replace``),
@@ -85,6 +85,7 @@ __all__ = [
     "SHARD_WIDTH",
     "TMP_GRACE_SECONDS",
     "cache_key",
+    "encode_entry",
 ]
 
 #: Where `repro sweep` and the benchmark harness keep their entries.
@@ -151,6 +152,13 @@ def cache_key(cell: "SweepCell", ctx: ExecContext, *, trace: bool = False) -> st
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def encode_entry(payload: dict[str, Any]) -> bytes:
+    """An entry document as the bytes of its file: compact JSON and one
+    trailing newline.  Being ASCII-escaped, it holds no raw newline, so
+    the sweep service can splice it into one NDJSON line unchanged."""
+    return json.dumps(payload, separators=(",", ":")).encode("ascii") + b"\n"
+
+
 def _is_shard_name(name: str) -> bool:
     if len(name) != SHARD_WIDTH:
         return False
@@ -169,7 +177,7 @@ class ResultCache:
     store's whole eviction policy: :meth:`prune` takes no overrides, and
     the sweep executor (after every sweep) and the sweep server (after
     every request that stored an entry) call it whenever either is set.
-    It evicts the least-recently-*used* entries — :meth:`get` refreshes
+    It evicts the least-recently-*used* entries — :meth:`read` refreshes
     an entry's mtime on every hit, so recency of use, not of insertion,
     decides survival.
     """
@@ -200,56 +208,70 @@ class ResultCache:
     # entry IO
     # ------------------------------------------------------------------
     @staticmethod
-    def _read(path: pathlib.Path) -> Optional[dict[str, Any]]:
-        """Decode one entry file; missing/truncated/corrupt → ``None``."""
+    def _read(path: pathlib.Path) -> Optional[tuple[dict[str, Any], bytes]]:
+        """Parse one entry file into ``(document, file bytes)``;
+        missing/truncated/corrupt → ``None``."""
         try:
-            payload = json.loads(path.read_text())
+            data = path.read_bytes()
+            payload = json.loads(data)
         except (OSError, ValueError):
             return None
-        return payload if isinstance(payload, dict) else None
+        return (payload, data) if isinstance(payload, dict) else None
 
-    def get(self, key: str) -> Optional[dict[str, Any]]:
-        """Return the payload stored under ``key``, or ``None``.
+    def read(self, key: str) -> Optional[tuple[dict[str, Any], bytes]]:
+        """Return ``(document, entry bytes)`` stored under ``key``, or ``None``.
 
-        Missing, truncated, or otherwise unreadable entries are all
-        misses: a crashed writer can at worst leave a stale ``*.tmp``
-        file behind, never a half-visible entry.  A hit refreshes the
-        entry's mtime (best-effort ``os.utime``), which is what makes
-        :meth:`prune`'s least-recently-modified ordering true LRU
-        rather than insertion-order FIFO.
+        The one read path: the file is read and parsed once, and the
+        bytes are exactly what :meth:`put` wrote (:func:`encode_entry`
+        of the document), so a caller that forwards the entry can send
+        them as they are.  Missing, truncated, or otherwise unreadable
+        entries are all misses: a crashed writer can at worst leave a
+        stale ``*.tmp`` file behind, never a half-visible entry.  A hit
+        refreshes the entry's mtime (best-effort ``os.utime``), which is
+        what makes :meth:`prune`'s least-recently-modified ordering true
+        LRU rather than insertion-order FIFO.
         """
         rec = _perf_current()
         t0 = perf_counter() if rec is not None else 0.0
         path = self.path_for(key)
-        payload = self._read(path)
-        if payload is not None:
+        entry = self._read(path)
+        if entry is not None:
             try:
                 os.utime(path)  # touch-on-hit: LRU recency, not FIFO age
             except OSError:
                 pass
         if rec is not None:
             rec.observe("cache.probe_seconds", perf_counter() - t0)
-            rec.count("cache.hit" if payload is not None else "cache.miss")
-        return payload
+            rec.count("cache.hit" if entry is not None else "cache.miss")
+        return entry
 
-    def put(self, key: str, payload: dict[str, Any]) -> pathlib.Path:
+    def get(self, key: str) -> Optional[dict[str, Any]]:
+        """Return the document stored under ``key``, or ``None`` (see
+        :meth:`read`)."""
+        entry = self.read(key)
+        return None if entry is None else entry[0]
+
+    def put(self, key: str, payload: Union[dict[str, Any], bytes]) -> pathlib.Path:
         """Atomically store ``payload`` under ``key`` (write-then-rename).
 
-        The temporary name is unique per (process, thread, call), so
-        concurrent writers never collide on the staging file, and
-        ``os.replace`` makes publication atomic on POSIX and Windows
-        (same-directory rename: the staging file lives in the entry's
-        shard).
+        ``payload`` is the entry document, or its :func:`encode_entry`
+        bytes when the caller already holds them (the sweep service
+        streams the same bytes it stores).  The temporary name is
+        unique per (process, thread, call), so concurrent writers never
+        collide on the staging file, and ``os.replace`` makes
+        publication atomic on POSIX and Windows (same-directory rename:
+        the staging file lives in the entry's shard).
         """
         rec = _perf_current()
         t0 = perf_counter() if rec is not None else 0.0
+        data = payload if isinstance(payload, bytes) else encode_entry(payload)
         final = self.path_for(key)
         final.parent.mkdir(parents=True, exist_ok=True)
         tmp = final.with_name(
             f".{key}.{os.getpid()}.{threading.get_ident()}.{next(_tmp_counter)}.tmp"
         )
         try:
-            tmp.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+            tmp.write_bytes(data)
             os.replace(tmp, final)
         except BaseException:
             try:
@@ -340,7 +362,7 @@ class ResultCache:
         Returns the number of *entries* removed (0 when unbounded, no
         TTL, or already within bounds); stale staging files are
         garbage-collected on every call but not counted.  Because
-        :meth:`get` touches entries on hit, mtime ordering here is true
+        :meth:`read` touches entries on hit, mtime ordering here is true
         LRU: the entries evicted first are the ones nothing has asked
         for longest, across all shards.  Entries that vanish mid-prune
         (another executor pruning the same directory) are counted by

@@ -172,25 +172,35 @@ def _encode_entry(
     return doc
 
 
+def _entry_usable(payload: dict[str, Any], fidelity: int = 2) -> bool:
+    """Whether a stored entry document may answer a request of tier
+    ``fidelity``: the stamp checks, without decoding the result.
+
+    A payload stamped with a different tier is refused even though
+    tiers already address distinct cache keys — a belt-and-braces guard
+    so a tier-0 estimate can never be served for a tier-2 request
+    (copied cache files, key collisions, hand-edited entries).  The
+    local sweep decodes what passes; the sweep service streams it.
+    """
+    return (
+        payload.get("format") == PAYLOAD_FORMAT
+        and payload.get("fidelity", 2) == fidelity
+        and ("error" in payload or "result" in payload)
+    )
+
+
 def _decode_entry(
     payload: dict[str, Any], fidelity: int = 2
 ) -> Optional[tuple[Optional[SimResult], Optional[str]]]:
     """Decode a cached payload; ``None`` means unusable (treat as miss).
 
-    ``fidelity`` is the tier of the *requesting* cell: a payload stamped
-    with a different tier is rejected even though tiers already address
-    distinct cache keys — a belt-and-braces guard so a tier-0 estimate
-    can never be served for a tier-2 request (copied cache files, key
-    collisions, hand-edited entries).
+    ``fidelity`` is the tier of the *requesting* cell (see
+    :func:`_entry_usable`).
     """
-    if payload.get("format") != PAYLOAD_FORMAT:
-        return None
-    if int(payload.get("fidelity", 2)) != int(fidelity):
+    if not _entry_usable(payload, fidelity):
         return None
     if "error" in payload:
         return None, str(payload["error"])
-    if "result" not in payload:
-        return None
     return codec.result_from_dict(payload["result"]), None
 
 

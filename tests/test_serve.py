@@ -13,6 +13,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
+import signal
 import threading
 import time
 
@@ -37,6 +39,27 @@ KWARGS = dict(
     fidelity=2,
 )
 NCELLS = 4  # 2 versions x 2 thread counts
+
+
+def raw_lines(url, query):
+    """POST ``query`` and return the NDJSON lines exactly as streamed."""
+    conn = SweepClient(url)._connection()
+    try:
+        conn.request("POST", "/sweep", body=json.dumps(query.to_dict()))
+        resp = conn.getresponse()
+        assert resp.status == 200
+        lines = []
+        while not lines or json.loads(lines[-1])["type"] not in ("end", "fatal"):
+            line = resp.readline()
+            assert line, "stream ended before the 'end' event"
+            lines.append(line)
+        return lines
+    finally:
+        conn.close()
+
+
+def cell_lines(lines):
+    return [line for line in lines if json.loads(line)["type"] == "cell"]
 
 
 @contextlib.contextmanager
@@ -195,6 +218,106 @@ class TestServeEndToEnd:
         store = ResultCache(tmp_path)
         for event in cells:
             assert event["payload"] == store.get(event["key"])
+
+    def test_cell_events_are_the_stored_bytes(self, tmp_path, monkeypatch):
+        """Every ``cell`` line — run, join, hit and error, traced tier 2
+        and tier 0 — is byte-identical to encoding the parsed event, and
+        its payload is the entry file's bytes."""
+        real = executor_mod._run_cell
+
+        def slow_or_error(cell, ctx, trace, validate, metrics=None):
+            if cell.fidelity == 0:
+                time.sleep(0.3)  # hold cells open so the queries overlap
+                if cell.version == "cxx_thread":
+                    return None, "injected cell error"
+            return real(cell, ctx, trace, validate, metrics)
+
+        monkeypatch.setattr(executor_mod, "_run_cell", slow_or_error)
+        tier0 = MatrixQuery("axpy", versions=("omp_for", "cxx_thread"), threads=(1, 4),
+                            params={"n": 120_000}, fidelity=0)
+        traced = MatrixQuery("axpy", versions=("omp_task",), threads=(2,),
+                             params={"n": 120_000}, fidelity=2, trace=True)
+        with running_server(tmp_path, jobs=1) as srv:
+            streams = [None, None]
+
+            def work(slot):
+                streams[slot] = raw_lines(srv.url, tier0)
+
+            threads = [threading.Thread(target=work, args=(s,)) for s in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+            streams += [raw_lines(srv.url, tier0), raw_lines(srv.url, traced),
+                        raw_lines(srv.url, traced)]
+            counters = srv.perf.counters
+        assert counters["serve.dedup_hit"] == NCELLS
+        assert counters["serve.cache_hit"] == NCELLS + 1
+        store = ResultCache(tmp_path)
+        statuses = []
+        for line in (line for lines in streams for line in cell_lines(lines)):
+            event = json.loads(line)
+            assert line == protocol.encode_event(protocol.cell_event(
+                event["version"], event["nthreads"], event["key"], event["status"],
+                event["payload"]))
+            entry = store.path_for(event["key"]).read_bytes()
+            assert line.endswith(b',"payload":' + entry[:-1] + b"}\n")
+            statuses.append(event["status"])
+        # two concurrent cold streams (run + join), a warm one, cold and
+        # warm traced; the injected errors stream as "error" each time
+        assert statuses.count("error") == 6
+        assert statuses.count("run") == 4 + 1
+        assert statuses.count("hit") == 2 + 1
+
+    def test_unusable_entries_are_misses_and_rewritten(self, tmp_path):
+        """A stale ``format``, a wrong ``fidelity`` stamp and a truncated
+        file each cost a miss; the server re-simulates the cell and
+        overwrites the entry with the bytes a fresh store holds."""
+        query = MatrixQuery("axpy", versions=("omp_for",), threads=(1, 2, 4),
+                            params={"n": 120_000}, fidelity=0)
+        store = ResultCache(tmp_path)
+        with running_server(store) as srv:
+            keys = [json.loads(line)["key"] for line in cell_lines(raw_lines(srv.url, query))]
+            fresh = {k: store.path_for(k).read_bytes() for k in keys}
+            stale, restamped, truncated = (store.path_for(k) for k in keys)
+            stale.write_bytes(fresh[keys[0]].replace(b'"format":1', b'"format":0'))
+            restamped.write_bytes(fresh[keys[1]].replace(b'"fidelity":0', b'"fidelity":2'))
+            truncated.write_bytes(fresh[keys[2]][: len(fresh[keys[2]]) // 2])
+            assert all(store.path_for(k).read_bytes() != fresh[k] for k in keys)
+            lines = cell_lines(raw_lines(srv.url, query))
+            assert [json.loads(line)["status"] for line in lines] == ["run"] * 3
+            assert srv.perf.counters["serve.estimates"] == 6
+            assert "serve.cache_hit" not in srv.perf.counters
+        assert {k: store.path_for(k).read_bytes() for k in keys} == fresh
+
+    def test_hit_neither_decodes_nor_encodes(self, tmp_path, monkeypatch):
+        """A warm query is answered without a codec decode or an entry
+        encode; a miss is encoded exactly once."""
+        import repro.serve.server as server_mod
+
+        encodes = []
+        real_encode = server_mod.encode_entry
+
+        def counting_encode(doc):
+            encodes.append(doc)
+            return real_encode(doc)
+
+        def no_decode(data):
+            raise AssertionError("the server decoded a result")
+
+        monkeypatch.setattr(server_mod, "encode_entry", counting_encode)
+        query = MatrixQuery("axpy", versions=("omp_for", "cxx_thread"), threads=(1, 4),
+                            params={"n": 120_000}, fidelity=0)
+        with running_server(tmp_path) as srv:
+            cold = list(SweepClient(srv.url).query(query))
+            assert len(encodes) == NCELLS  # tier 0 encodes in a server thread
+            monkeypatch.setattr(codec, "result_from_dict", no_decode)
+            monkeypatch.setattr(server_mod, "encode_entry", no_decode)
+            warm = list(SweepClient(srv.url).query(query))
+        assert [e["status"] for e in warm if e["type"] == "cell"] == ["hit"] * NCELLS
+        assert ({e["key"]: e["payload"] for e in warm if e["type"] == "cell"}
+                == {e["key"]: e["payload"] for e in cold if e["type"] == "cell"})
 
     def test_bounded_store_pruned_after_request(self, tmp_path):
         cache = ResultCache(tmp_path, max_entries=2)
@@ -393,6 +516,98 @@ class TestServeRefusals:
                 run_sweep("axpy", server=srv.url, versions=["omp_for"],
                           threads=(1,), params={"n": 120_000}, fidelity=0)
             assert srv.perf.counters["serve.failed_request"] == 1
+
+    def test_crashed_request_does_not_fail_its_joiner(self, tmp_path, monkeypatch):
+        """A request whose cell crashes cancels only its own waiting: a
+        cell it owns and another request joined still resolves, and the
+        joiner gets every cell and the ``end`` event."""
+        real = executor_mod._run_cell
+
+        def crash_or_slow(cell, ctx, trace, validate, metrics=None):
+            if cell.version == "cxx_thread":
+                time.sleep(0.2)
+                raise RuntimeError("injected estimator crash")
+            time.sleep(1.0)
+            return real(cell, ctx, trace, validate, metrics)
+
+        monkeypatch.setattr(executor_mod, "_run_cell", crash_or_slow)
+        owner = MatrixQuery("axpy", versions=("omp_for", "cxx_thread"), threads=(4,),
+                            params={"n": 120_000}, fidelity=0)
+        joiner = MatrixQuery("axpy", versions=("omp_for",), threads=(4,),
+                             params={"n": 120_000}, fidelity=0)
+        with running_server(tmp_path) as srv:
+            answers = {}
+
+            def work(name, query):
+                try:
+                    answers[name] = list(SweepClient(srv.url, timeout=30).query(query))
+                except ServerError as exc:
+                    answers[name] = str(exc)
+
+            threads = [threading.Thread(target=work, args=("owner", owner)),
+                       threading.Thread(target=work, args=("joiner", joiner))]
+            threads[0].start()
+            time.sleep(0.05)  # the owner registers its cells first
+            threads[1].start()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+            counters = SweepClient(srv.url).stats()["counters"]
+        assert "injected estimator crash" in answers["owner"]
+        events = answers["joiner"]
+        assert not isinstance(events, str), events
+        assert [e["type"] for e in events] == ["start", "cell", "end"]
+        assert events[1]["version"] == "omp_for"
+        assert counters["serve.dedup_hit"] == 1
+        assert counters["serve.failed_request"] == 1
+        # the joined cell was resolved once, and stored
+        assert len(ResultCache(tmp_path)) == 1
+
+    def test_dead_pool_worker_is_replaced(self, tmp_path):
+        """A pool worker killed between requests costs the next miss a
+        retry on a fresh pool, not a failed request."""
+        def query(n):
+            return MatrixQuery("axpy", versions=("omp_for",), threads=(1,),
+                               params={"n": n}, fidelity=2)
+
+        with running_server(tmp_path, jobs=1) as srv:
+            client = SweepClient(srv.url, timeout=60)
+            list(client.query(query(120_000)))
+            (pid,) = list(srv._pool._processes)
+            os.kill(pid, signal.SIGKILL)
+            events = list(client.query(query(130_000)))
+            assert [e["status"] for e in events if e["type"] == "cell"] == ["run"]
+            assert pid not in srv._pool._processes
+            list(client.query(query(140_000)))
+            assert srv.perf.counters["serve.simulations"] == 3
+            assert "serve.failed_request" not in srv.perf.counters
+
+    def test_cell_that_kills_every_worker_fails_only_its_request(
+        self, tmp_path, monkeypatch
+    ):
+        """The retry is once: a cell that breaks the fresh pool too
+        fails its own request, and the next request is served."""
+        real = executor_mod._run_cell
+
+        def killer(cell, ctx, trace, validate, metrics=None):
+            if cell.params.get("n") == 130_000:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(cell, ctx, trace, validate, metrics)
+
+        monkeypatch.setattr(executor_mod, "_run_cell", killer)
+
+        def query(n):
+            return MatrixQuery("axpy", versions=("omp_for",), threads=(1,),
+                               params={"n": n}, fidelity=2)
+
+        with running_server(tmp_path, jobs=1) as srv:
+            client = SweepClient(srv.url, timeout=60)
+            with pytest.raises(ServerError, match="BrokenProcessPool"):
+                list(client.query(query(130_000)))
+            events = list(client.query(query(120_000)))
+            assert [e["status"] for e in events if e["type"] == "cell"] == ["run"]
+            assert srv.perf.counters["serve.failed_request"] == 1
+            assert srv.perf.counters["serve.simulations"] == 1
 
     def test_bad_url_rejected(self):
         with pytest.raises(ValueError, match="http"):

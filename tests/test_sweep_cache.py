@@ -21,7 +21,7 @@ from repro.core.registry import WORKLOADS
 from repro.runtime.base import ExecContext
 from repro.sim.machine import Machine
 from repro.sweep import ResultCache, SweepCell, cache_key
-from repro.sweep.cache import TMP_GRACE_SECONDS
+from repro.sweep.cache import TMP_GRACE_SECONDS, encode_entry
 
 BASE_CELL = SweepCell("axpy", "omp_for", 4, {"n": 120_000})
 
@@ -158,6 +158,19 @@ class TestResultCacheStore:
         assert cache.get(key) == payload
         assert key in cache
         assert cache.keys() == [key]
+
+    def test_read_returns_the_file_bytes(self, tmp_path):
+        """``read`` hands back the parsed document and the file's bytes;
+        ``put`` stores a document or its encoded bytes identically."""
+        cache = ResultCache(tmp_path)
+        payload = {"format": 1, "result": {"time": 0.25, "name": "a\nb"}}
+        cache.put("ab" * 32, payload)
+        cache.put("cd" * 32, encode_entry(payload))
+        data = cache.path_for("ab" * 32).read_bytes()
+        assert data == cache.path_for("cd" * 32).read_bytes() == encode_entry(payload)
+        assert data.count(b"\n") == 1 and data.endswith(b"\n")
+        assert cache.read("ab" * 32) == (payload, data)
+        assert cache.read("ef" * 32) is None
 
     def test_missing_is_none(self, tmp_path):
         assert ResultCache(tmp_path).get("cd" * 32) is None
