@@ -3,9 +3,10 @@
 # exactly one set of simulations (single-flight dedupe, observable via
 # serve.dedup_hit / serve.cache_hit on /stats), a warm re-query must
 # perform zero simulations, a warm traced query must stream the very
-# payload bytes its cold run streamed (and count as store hits), and
-# the server must append its lifetime
-# telemetry to the run ledger on shutdown.  The trap guarantees the
+# payload bytes its cold run streamed (and count as store hits), an
+# idle connection must get a 408, the /stats latency histograms must be
+# ordered (min <= p50 <= p90 <= p99 <= max), and the server must append
+# its lifetime telemetry to the run ledger on shutdown.  The trap guarantees the
 # background server dies with this script, pass or fail; the final
 # check fails the suite if the store holds orphaned .tmp staging files.
 set -euo pipefail
@@ -113,6 +114,43 @@ def is_shard(p):
 stray = sorted(p.name for p in pathlib.Path(sys.argv[1]).iterdir() if not is_shard(p))
 assert not stray, f"store root holds more than shard directories: {stray}"
 print("store root holds only shard directories")
+EOF
+
+echo "--- an idle connection gets a 408 once the read deadline passes"
+python - "$SERVE_URL" <<'EOF'
+import http.client
+import socket
+import sys
+import urllib.parse
+
+url = urllib.parse.urlsplit(sys.argv[1])
+with socket.create_connection((url.hostname, url.port), timeout=60) as sock:
+    # send nothing; read the framed answer (pool workers hold the fd open)
+    resp = http.client.HTTPResponse(sock)
+    resp.begin()
+    body = resp.read()
+assert resp.status == 408, (resp.status, body)
+print("idle connection answered:", resp.status, resp.reason)
+EOF
+
+echo "--- /stats latency histograms are consistent"
+curl -sf "$SERVE_URL/stats" > stats.json
+python - <<'EOF'
+import json
+
+stats = json.load(open("stats.json"))
+counters, observed = stats["counters"], stats["observations"]
+assert counters.get("serve.read_timeout") == 1, counters
+request = observed["serve.request_seconds"]
+assert request["count"] == counters["serve.request"], (request, counters)
+for name in ("serve.request_seconds", "serve.probe_seconds",
+             "serve.run_seconds", "serve.store_seconds"):
+    h = observed.get(name)
+    if h is None or not h["count"]:
+        continue
+    assert h["min"] <= h["p50"] <= h["p90"] <= h["p99"] <= h["max"], (name, h)
+    print(f"{name}: n={h['count']} p50={h['p50'] * 1e3:.3f}ms "
+          f"p90={h['p90'] * 1e3:.3f}ms p99={h['p99'] * 1e3:.3f}ms")
 EOF
 
 echo "--- stop the service (appends its ledger record)"

@@ -367,6 +367,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.registry import get_workload
     from repro.obs.export import render_timeline, write_chrome_trace, write_metrics
     from repro.obs.report import attribute_result
+    from repro.perf import attribute_host, recording, span
     from repro.runtime.base import ExecContext, ThreadExplosionError
     from repro.runtime.run import run_program
 
@@ -374,17 +375,22 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     version = spec.resolve_version(args.model)
     params = dict(spec.paper_params if args.full else spec.default_params)
     ctx = ExecContext()
-    try:
-        program = spec.build(version, ctx.machine, **params)
-        res = run_program(program, args.threads, ctx, version, trace=True)
-    except ThreadExplosionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with recording("trace") as host:
+        try:
+            program = spec.build(version, ctx.machine, **params)
+            with span("cell.simulate"):
+                res = run_program(program, args.threads, ctx, version, trace=True)
+        except ThreadExplosionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     tracer = res.trace
     print(res.describe())
     print(tracer.describe())
     print()
     print(attribute_result(res, ctx=ctx, program=args.workload, version=version).describe())
+    if host is not None:  # None when REPRO_PERF_OFF=1
+        print()
+        print(attribute_host(host).describe())
     if args.gantt:
         print()
         print(render_timeline(tracer, nworkers=max(res.nthreads, tracer.nworkers)))

@@ -60,10 +60,24 @@ class Gauge:
         self.value += float(v)
 
 
-class Histogram:
-    """Streaming distribution summary: count/total/min/max/mean."""
+#: Histogram buckets per doubling: bucket ``k`` holds the values in
+#: ``[2^(k/8), 2^((k+1)/8))``, so the bucket's geometric midpoint is
+#: within a factor ``2^(1/16)`` (4.43%) of every value in it.
+_PER_OCTAVE = 8
+#: The bucket of every value <= 0 (below the index of any positive float).
+_ZERO_BUCKET = -(1 << 62)
 
-    __slots__ = ("name", "count", "total", "min", "max")
+
+class Histogram:
+    """Mergeable distribution: count/total/min/max/mean plus quantiles.
+
+    Values land in sparse log-spaced buckets (ratio ``2^(1/8)``), so
+    :meth:`merge` adds bucket counts — exact and associative, whatever
+    the order pool workers or nested recordings are folded in — and
+    :meth:`quantile` is within 4.43% of the nearest-rank value.
+    """
+
+    __slots__ = ("name", "count", "total", "min", "max", "buckets")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -71,6 +85,7 @@ class Histogram:
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
+        self.buckets: dict[int, int] = {}
 
     def observe(self, v: float) -> None:
         v = float(v)
@@ -80,20 +95,50 @@ class Histogram:
             self.min = v
         if v > self.max:
             self.max = v
+        k = math.floor(math.log2(v) * _PER_OCTAVE) if v > 0.0 else _ZERO_BUCKET
+        self.buckets[k] = self.buckets.get(k, 0) + 1
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Fold ``other`` in (bucket counts add)."""
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        for k, n in other.buckets.items():
+            self.buckets[k] = self.buckets.get(k, 0) + n
+        return self
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    def quantile(self, q: float) -> float:
+        """The ``q``-quantile: the geometric midpoint of the bucket that
+        holds the nearest-rank value, clamped to ``[min, max]``."""
+        if not self.count:
+            return 0.0
+        rank = max(1, math.ceil(q * self.count))
+        seen = 0
+        for k in sorted(self.buckets):
+            seen += self.buckets[k]
+            if seen >= rank:
+                break
+        mid = 0.0 if k == _ZERO_BUCKET else 2.0 ** ((k + 0.5) / _PER_OCTAVE)
+        return min(max(mid, self.min), self.max)
+
     def to_dict(self) -> dict[str, float]:
         if not self.count:
-            return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
+            return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0,
+                    "p50": 0.0, "p90": 0.0, "p99": 0.0}
         return {
             "count": self.count,
             "total": self.total,
             "min": self.min,
             "max": self.max,
             "mean": self.mean,
+            "p50": self.quantile(0.5),
+            "p90": self.quantile(0.9),
+            "p99": self.quantile(0.99),
         }
 
 
@@ -127,17 +172,13 @@ class MetricsRegistry:
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other`` in: counters add, gauges accumulate, histograms
-        pool their moments."""
+        merge."""
         for name, c in other.counters.items():
             self.counter(name).inc(c.value)
         for name, g in other.gauges.items():
             self.gauge(name).add(g.value)
         for name, h in other.histograms.items():
-            mine = self.histogram(name)
-            mine.count += h.count
-            mine.total += h.total
-            mine.min = min(mine.min, h.min)
-            mine.max = max(mine.max, h.max)
+            self.histogram(name).merge(h)
         return self
 
     def to_dict(self) -> dict[str, Any]:

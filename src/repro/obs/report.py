@@ -27,7 +27,7 @@ compute/memory split (pure-compute seconds = the region's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 __all__ = ["AttributionEntry", "AttributionReport", "attribute_result"]
 
@@ -44,29 +44,41 @@ _NARRATIVE = {
 
 @dataclass(frozen=True)
 class AttributionEntry:
-    """One ranked row of the attribution."""
+    """One ranked row of an attribution."""
 
     category: str
     seconds: float
-    share: float  # fraction of total worker-seconds
-
-    def __str__(self) -> str:
-        return (
-            f"{self.category:<8} {self.seconds * 1e3:10.4f}ms  {self.share:6.1%}  "
-            f"{_NARRATIVE.get(self.category, '')}"
-        )
+    share: float  # fraction of the report's total
 
 
 @dataclass
 class AttributionReport:
-    """Where the worker-seconds of one run went, ranked."""
+    """Where one run's seconds went, ranked — simulated worker-seconds
+    (:func:`attribute_result`) or host wall seconds
+    (:func:`repro.perf.report.attribute_host`).
 
-    program: str
-    version: str
-    nthreads: int
-    time: float
-    total: float  # worker-seconds = time * nthreads
-    entries: list[AttributionEntry] = field(default_factory=list)
+    ``title`` heads :meth:`describe`; ``reasons`` maps each category to
+    why that time exists; ``detail`` lists ``(name, seconds, count)``
+    rows shown under the ranking (the host plane's nested spans).  The
+    ``other`` row, when present, is time no category claims.
+    """
+
+    title: str
+    total: float
+    entries: list[AttributionEntry]
+    reasons: Mapping[str, str]
+    detail: list[tuple[str, float, int]] = field(default_factory=list)
+
+    @classmethod
+    def ranked(cls, title: str, total: float, seconds: Mapping[str, float],
+               reasons: Mapping[str, str],
+               detail: Sequence[tuple[str, float, int]] = ()) -> "AttributionReport":
+        """Rank ``{category: seconds}`` (largest first) as shares of ``total``."""
+        entries = [
+            AttributionEntry(cat, secs, secs / total if total > 0 else 0.0)
+            for cat, secs in sorted(seconds.items(), key=lambda kv: -kv[1])
+        ]
+        return cls(title, total, entries, reasons, list(detail))
 
     def share(self, category: str) -> float:
         for e in self.entries:
@@ -82,26 +94,30 @@ class AttributionReport:
 
     @property
     def top(self) -> str:
-        return self.entries[0].category if self.entries else "compute"
+        return self.entries[0].category if self.entries else "other"
 
-    def rank(self) -> list[str]:
-        return [e.category for e in self.entries]
+    @property
+    def coverage(self) -> float:
+        """Attributed (non-``other``) fraction of the total."""
+        return 1.0 - self.share("other")
 
     def describe(self) -> str:
-        head = (
-            f"bottleneck attribution — {self.program}/{self.version} "
-            f"p={self.nthreads}: t={self.time * 1e3:.3f}ms, "
-            f"{self.total * 1e3:.3f}ms worker-seconds"
-        )
-        lines = [head]
+        lines = [self.title]
         for e in self.entries:
-            lines.append(f"  {e}")
-        top = self.entries[0] if self.entries else None
-        if top is not None:
+            lines.append(
+                f"  {e.category:<8} {e.seconds * 1e3:10.4f}ms  {e.share:6.1%}  "
+                f"{self.reasons.get(e.category, '')}"
+            )
+        if self.entries:
+            top = self.entries[0]
             lines.append(
                 f"  => dominated by {top.category} ({top.share:.1%}): "
-                f"{_NARRATIVE.get(top.category, '')}"
+                f"{self.reasons.get(top.category, '')}"
             )
+        if self.detail:
+            lines.append("  detail spans:")
+            for name, secs, count in self.detail:
+                lines.append(f"    {name:<20} {secs * 1e3:10.3f}ms  n={count}")
         return "\n".join(lines)
 
 
@@ -159,7 +175,7 @@ def attribute_result(
     other = max(0.0, overhead - steal - lock)
     idle = max(0.0, total - busy - overhead)
 
-    shares = {
+    seconds = {
         "compute": compute,
         "memory": memory,
         "steal": steal,
@@ -167,15 +183,10 @@ def attribute_result(
         "runtime": other,
         "idle": idle,
     }
-    entries = [
-        AttributionEntry(cat, secs, secs / total if total > 0 else 0.0)
-        for cat, secs in sorted(shares.items(), key=lambda kv: -kv[1])
-    ]
-    return AttributionReport(
-        program=program or getattr(result, "program", ""),
-        version=version or getattr(result, "version", ""),
-        nthreads=result.nthreads,
-        time=time,
-        total=total,
-        entries=entries,
+    program = program or getattr(result, "program", "")
+    version = version or getattr(result, "version", "")
+    title = (
+        f"bottleneck attribution — {program}/{version} p={result.nthreads}: "
+        f"t={time * 1e3:.3f}ms, {total * 1e3:.3f}ms worker-seconds"
     )
+    return AttributionReport.ranked(title, total, seconds, _NARRATIVE)

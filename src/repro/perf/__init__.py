@@ -6,11 +6,10 @@ the sweep executor, cache, codec and engine
 (:mod:`repro.perf.spans`), an append-only JSONL run ledger with
 environment fingerprints, the one run history
 (:mod:`repro.perf.ledger`), committed-baseline regression detection
-(:mod:`repro.perf.regress`), and a ranked host-cost attribution report
-in the same vocabulary as the obs bottleneck report
-(:mod:`repro.perf.report`).  Driven by the ``repro perf`` CLI; set
-``REPRO_PERF_OFF=1`` to disable all recording (the disabled path is
-zero-overhead and bit-identical).
+(:mod:`repro.perf.regress`), and a ranked host-cost attribution: the
+obs bottleneck report over host time (:mod:`repro.perf.report`).
+Driven by the ``repro perf`` CLI; set ``REPRO_PERF_OFF=1`` to disable
+all recording (the disabled path is zero-overhead and bit-identical).
 """
 
 from repro.perf.env import environment_fingerprint, git_sha
@@ -26,11 +25,7 @@ from repro.perf.regress import (
     slugify,
     write_baseline,
 )
-from repro.perf.report import (
-    HostAttributionEntry,
-    HostAttributionReport,
-    attribute_host,
-)
+from repro.perf.report import attribute_host
 from repro.perf.spans import (
     PerfRecorder,
     Stopwatch,
@@ -45,8 +40,6 @@ from repro.perf.spans import (
 __all__ = [
     "BASELINE_DIR",
     "DEFAULT_LEDGER_DIR",
-    "HostAttributionEntry",
-    "HostAttributionReport",
     "Ledger",
     "MissingBaselineError",
     "PerfRecorder",

@@ -1,8 +1,8 @@
-"""Ranked host-cost attribution — the obs bottleneck report's real-time twin.
+"""Ranked host-cost attribution: the obs bottleneck report over host time.
 
 :func:`attribute_host` decomposes a recording's total host wall time
-into the same kind of ranked, narrated table that
-:func:`repro.obs.report.attribute_result` produces for simulated time:
+into the same :class:`~repro.obs.report.AttributionReport` that
+:func:`repro.obs.report.attribute_result` returns for simulated time:
 
 - **simulate** — running the discrete-event simulator (tier-2 cells);
 - **estimate** — tier-0 closed-form estimation;
@@ -21,12 +21,12 @@ share — the executor's instrumentation keeps it >= 95% for a sweep
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
+from repro.obs.report import AttributionReport
 from repro.perf.spans import PerfRecorder
 
-__all__ = ["HostAttributionEntry", "HostAttributionReport", "attribute_host"]
+__all__ = ["CATEGORY_SPANS", "attribute_host"]
 
 #: Top-level category -> the executor spans that compose it.  Spans not
 #: named here (engine.drain, validate.*, ...) are nested detail.
@@ -53,75 +53,6 @@ _DETAIL_SPANS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class HostAttributionEntry:
-    """One ranked row of the host-cost split."""
-
-    category: str
-    seconds: float
-    share: float
-
-    def __str__(self) -> str:
-        return (
-            f"{self.category:<9} {self.seconds * 1e3:10.3f}ms  {self.share:6.1%}  "
-            f"{_NARRATIVE.get(self.category, '')}"
-        )
-
-
-@dataclass
-class HostAttributionReport:
-    """Where one recording's host wall seconds went, ranked."""
-
-    name: str
-    wall: float
-    cpu: float
-    entries: list[HostAttributionEntry] = field(default_factory=list)
-    detail: list[tuple[str, float, int]] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-
-    def share(self, category: str) -> float:
-        for e in self.entries:
-            if e.category == category:
-                return e.share
-        return 0.0
-
-    def seconds(self, category: str) -> float:
-        for e in self.entries:
-            if e.category == category:
-                return e.seconds
-        return 0.0
-
-    @property
-    def top(self) -> str:
-        return self.entries[0].category if self.entries else "other"
-
-    @property
-    def coverage(self) -> float:
-        """Attributed (non-``other``) fraction of the total wall time."""
-        return 1.0 - self.share("other")
-
-    def describe(self) -> str:
-        head = (
-            f"host-cost attribution — {self.name or 'run'}: "
-            f"wall={self.wall * 1e3:.3f}ms cpu={self.cpu * 1e3:.3f}ms "
-            f"({self.coverage:.1%} attributed)"
-        )
-        lines = [head]
-        for e in self.entries:
-            lines.append(f"  {e}")
-        top = self.entries[0] if self.entries else None
-        if top is not None:
-            lines.append(
-                f"  => dominated by {top.category} ({top.share:.1%}): "
-                f"{_NARRATIVE.get(top.category, '')}"
-            )
-        if self.detail:
-            lines.append("  detail spans:")
-            for name, wall, count in self.detail:
-                lines.append(f"    {name:<20} {wall * 1e3:10.3f}ms  n={count}")
-        return "\n".join(lines)
-
-
 def _span_walls(source: Mapping[str, Any]) -> dict[str, tuple[float, int]]:
     """``{span name: (wall seconds, count)}`` from a record's span table."""
     out: dict[str, tuple[float, int]] = {}
@@ -133,7 +64,7 @@ def _span_walls(source: Mapping[str, Any]) -> dict[str, tuple[float, int]]:
 
 def attribute_host(
     source: Any, *, name: Optional[str] = None
-) -> HostAttributionReport:
+) -> AttributionReport:
     """Attribute a recording's host wall time across named categories.
 
     ``source`` is a :class:`~repro.perf.spans.PerfRecorder`, a ledger
@@ -153,19 +84,14 @@ def attribute_host(
     cpu = float(record.get("cpu_seconds", 0.0))
     spans = _span_walls(record.get("spans") or {})
 
-    shares: dict[str, float] = {}
+    seconds: dict[str, float] = {}
     for category, members in CATEGORY_SPANS.items():
         secs = sum(spans[m][0] for m in members if m in spans)
         if secs > 0.0:
-            shares[category] = secs
-    attributed = sum(shares.values())
+            seconds[category] = secs
+    attributed = sum(seconds.values())
     total = wall if wall > 0.0 else attributed
-    shares["other"] = max(0.0, total - attributed)
-
-    entries = [
-        HostAttributionEntry(cat, secs, secs / total if total > 0 else 0.0)
-        for cat, secs in sorted(shares.items(), key=lambda kv: -kv[1])
-    ]
+    seconds["other"] = max(0.0, total - attributed)
     detail = sorted(
         (
             (spanname, swall, count)
@@ -174,10 +100,10 @@ def attribute_host(
         ),
         key=lambda row: -row[1],
     )
-    counters = {
-        str(k): int(v) for k, v in (record.get("counters") or {}).items()
-    }
-    return HostAttributionReport(
-        name=label, wall=total, cpu=cpu, entries=entries,
-        detail=detail, counters=counters,
+    report = AttributionReport.ranked("", total, seconds, _NARRATIVE, detail)
+    report.title = (
+        f"host-cost attribution — {label or 'run'}: "
+        f"wall={total * 1e3:.3f}ms cpu={cpu * 1e3:.3f}ms "
+        f"({report.coverage:.1%} attributed)"
     )
+    return report

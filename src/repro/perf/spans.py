@@ -32,13 +32,13 @@ this module.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
+from contextlib import contextmanager
 from time import perf_counter, process_time
 from typing import Any, Iterator, Optional
 
-from contextlib import contextmanager
+from repro.obs.metrics import Histogram
 
 __all__ = [
     "PerfRecorder",
@@ -61,67 +61,36 @@ def perf_enabled() -> bool:
     return os.environ.get(PERF_OFF_ENV, "") != "1"
 
 
-class SpanStat:
-    """Aggregated wall/CPU cost of one named code region."""
+class SpanStat(Histogram):
+    """Aggregated cost of one named code region: its wall-time series
+    (a :class:`~repro.obs.metrics.Histogram`) and its total CPU seconds."""
 
-    __slots__ = ("name", "count", "wall", "cpu", "min", "max")
+    __slots__ = ("cpu",)
 
     def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.wall = 0.0
+        super().__init__(name)
         self.cpu = 0.0
-        self.min = math.inf
-        self.max = 0.0
 
-    def add(self, wall: float, cpu: float, n: int = 1) -> None:
-        self.count += n
-        self.wall += wall
+    @property
+    def wall(self) -> float:
+        return self.total
+
+    def add(self, wall: float, cpu: float) -> None:
+        self.observe(wall)
         self.cpu += cpu
-        if wall < self.min:
-            self.min = wall
-        if wall > self.max:
-            self.max = wall
+
+    def merge(self, other: "SpanStat") -> "SpanStat":
+        super().merge(other)
+        self.cpu += other.cpu
+        return self
 
     def to_dict(self) -> dict[str, float]:
         return {
             "count": self.count,
-            "wall": self.wall,
+            "wall": self.total,
             "cpu": self.cpu,
             "min": self.min if self.count else 0.0,
-            "max": self.max,
-        }
-
-
-class _Obs:
-    """Streaming summary of one observed value series (latencies)."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = 0.0
-
-    def add(self, v: float, n: int = 1, vmin: Optional[float] = None,
-            vmax: Optional[float] = None) -> None:
-        self.count += n
-        self.total += v
-        lo = v if vmin is None else vmin
-        hi = v if vmax is None else vmax
-        if lo < self.min:
-            self.min = lo
-        if hi > self.max:
-            self.max = hi
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min if self.count else 0.0,
-            "max": self.max,
-            "mean": self.total / self.count if self.count else 0.0,
+            "max": self.max if self.count else 0.0,
         }
 
 
@@ -138,16 +107,16 @@ class PerfRecorder:
         self.label = label
         self.spans: dict[str, SpanStat] = {}
         self.counters: dict[str, int] = {}
-        self.observations: dict[str, _Obs] = {}
+        self.observations: dict[str, Histogram] = {}
         self.wall = 0.0
         self.cpu = 0.0
 
     # -- primitive sinks (called by the instrumentation points) -------
-    def add_span(self, name: str, wall: float, cpu: float, n: int = 1) -> None:
+    def add_span(self, name: str, wall: float, cpu: float) -> None:
         s = self.spans.get(name)
         if s is None:
             s = self.spans[name] = SpanStat(name)
-        s.add(wall, cpu, n)
+        s.add(wall, cpu)
 
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
@@ -155,8 +124,8 @@ class PerfRecorder:
     def observe(self, name: str, value: float) -> None:
         o = self.observations.get(name)
         if o is None:
-            o = self.observations[name] = _Obs()
-        o.add(value)
+            o = self.observations[name] = Histogram(name)
+        o.observe(value)
 
     # -- aggregation ---------------------------------------------------
     def span_wall(self, *names: str) -> float:
@@ -166,21 +135,11 @@ class PerfRecorder:
     def merge(self, other: "PerfRecorder") -> "PerfRecorder":
         """Fold a nested recording's detail into this recorder."""
         for name, s in other.spans.items():
-            mine = self.spans.get(name)
-            if mine is None:
-                mine = self.spans[name] = SpanStat(name)
-            mine.count += s.count
-            mine.wall += s.wall
-            mine.cpu += s.cpu
-            mine.min = min(mine.min, s.min)
-            mine.max = max(mine.max, s.max)
+            self.spans.setdefault(name, SpanStat(name)).merge(s)
         for name, n in other.counters.items():
             self.count(name, n)
         for name, o in other.observations.items():
-            mine_o = self.observations.get(name)
-            if mine_o is None:
-                mine_o = self.observations[name] = _Obs()
-            mine_o.add(o.total, n=o.count, vmin=o.min, vmax=o.max)
+            self.observations.setdefault(name, Histogram(name)).merge(o)
         return self
 
     def snapshot(self) -> dict[str, Any]:

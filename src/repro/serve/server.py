@@ -48,11 +48,14 @@ two racing requests can never both register the same key.  Eviction
 policy lives in the store (``max_entries`` / ``ttl_seconds``); the
 server prunes after each request batch that stored new entries.
 
-Telemetry: every request, dedup join, hit, simulation and store error
-lands in one lifetime :class:`~repro.perf.spans.PerfRecorder`
+Telemetry: every request, dedup join, hit, simulation, store error and
+read timeout lands in one lifetime :class:`~repro.perf.spans.PerfRecorder`
 (``serve.request``, ``serve.dedup_hit``, ``serve.cache_hit``,
-``serve.simulations``, ...) exposed live at ``GET /stats`` and
-appended to the :mod:`repro.perf` run ledger on shutdown.
+``serve.simulations``, ``serve.read_timeout``, ...) exposed live at
+``GET /stats`` and appended to the :mod:`repro.perf` run ledger on
+shutdown.  Latencies are histograms with p50/p90/p99: the whole request
+(``serve.request_seconds``) and each phase of a key's resolution
+(``serve.probe_seconds``, ``serve.run_seconds``, ``serve.store_seconds``).
 """
 
 from __future__ import annotations
@@ -79,6 +82,10 @@ __all__ = ["SweepServer", "main"]
 #: Cap on request body size (a matrix query is tiny; anything bigger
 #: is a client bug or abuse).
 MAX_BODY_BYTES = 1 << 20
+#: Deadline for reading one whole request (line, headers and body).  A
+#: client that sends nothing, or less body than its ``Content-Length``,
+#: gets a 408 instead of holding a server task forever.
+READ_TIMEOUT_SECONDS = 10.0
 
 _CRLF = b"\r\n"
 
@@ -292,11 +299,16 @@ class SweepServer:
         hit, or a fresh run written through to the store."""
         loop = asyncio.get_running_loop()
         if not refresh:
+            t0 = perf_counter()
             hit = await loop.run_in_executor(None, self._probe, key, cell.fidelity)
+            self.perf.observe("serve.probe_seconds", perf_counter() - t0)
             if hit is not None:
                 self.perf.count("serve.cache_hit")
                 return hit[0], hit[1], "hit"
+        t0 = perf_counter()
         data, error = await self._simulate(cell, ctx, trace)
+        t1 = perf_counter()
+        self.perf.observe("serve.run_seconds", t1 - t0)
         try:
             await loop.run_in_executor(None, self.cache.put, key, data)
         except OSError:
@@ -305,6 +317,7 @@ class SweepServer:
             self.perf.count("serve.store_error")
         else:
             self.perf.count("serve.store")
+        self.perf.observe("serve.store_seconds", perf_counter() - t1)
         return data, error, "run"
 
     async def _resolve_cell(
@@ -349,7 +362,15 @@ class SweepServer:
             self._conns.add(task)
         try:
             try:
-                method, path, body = await self._read_request(reader)
+                method, path, body = await asyncio.wait_for(
+                    self._read_request(reader), READ_TIMEOUT_SECONDS
+                )
+            except asyncio.TimeoutError:
+                self.perf.count("serve.read_timeout")
+                await self._respond_json(
+                    writer, 408, {"error": "request not received in time"}
+                )
+                return
             except _HttpError as exc:
                 await self._respond_json(
                     writer, exc.status, {"error": str(exc)}
@@ -417,7 +438,8 @@ class SweepServer:
         response's.
         """
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  413: "Payload Too Large", 500: "Internal Server Error"}
+                  408: "Request Timeout", 413: "Payload Too Large",
+                  500: "Internal Server Error"}
         head = (
             f"HTTP/1.1 {status} {reason.get(status, 'Status')}\r\n"
             f"Content-Type: {content_type}\r\n"

@@ -25,7 +25,10 @@ and trace events as a serial one (enforced by
 
 Completed cells are written through to the cache *as they finish*, so
 an interrupted sweep resumes deterministically: re-running it replays
-the finished cells and simulates only the missing ones.  Failures that
+the finished cells and simulates only the missing ones.  A store that
+cannot be written (full or read-only disk) loses the entry, not the
+result, as in serve: the cell settles and the failed write counts as
+``cache.store_error`` on the host recording.  Failures that
 the sweep semantics expect (:class:`~repro.runtime.base.ThreadExplosionError`,
 the paper's C++11 fib hang) are recorded — and cached — as cell errors
 without poisoning the worker pool; any other exception in a worker
@@ -473,9 +476,13 @@ def _run_sweep_cells(
             if doc is None:
                 with perf_span("codec.encode"):
                     doc = _encode_entry(cells[i], res, err, trace)
-            with perf_span("cache.store"):
-                store.put(keys[i], doc)
-            reg.counter("cache_stores").inc()
+            try:
+                with perf_span("cache.store"):
+                    store.put(keys[i], doc)
+            except OSError:
+                perf_count("cache.store_error")
+            else:
+                reg.counter("cache_stores").inc()
         settle(i, res, err, "run", merge=merge)
 
     # -- phase 2: simulate (or estimate) the misses --------------------

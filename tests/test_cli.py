@@ -81,7 +81,11 @@ class TestTraceCommand:
             ["trace", "fib", "--model", "cilk", "--threads", "16", "--out", str(out)]
         )
         assert code == 0
-        assert "bottleneck attribution" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        # both planes: simulated time, then the host time of the same cell
+        assert "bottleneck attribution —" in printed
+        assert "host-cost attribution — trace:" in printed
+        assert printed.index("bottleneck attribution") < printed.index("host-cost attribution")
         doc = json.loads(out.read_text())
         exec_kinds = {"task", "chunk", "serial", "kernel", "transfer"}
         workers = {

@@ -9,6 +9,8 @@ measurable steal/overhead share at high thread counts.
 """
 
 import json
+import math
+import random
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.registry import get_workload
 from repro.obs import (
     EXEC_KINDS,
     OVERHEAD_KINDS,
+    Histogram,
     MetricsRegistry,
     Tracer,
     attribute_result,
@@ -25,6 +28,7 @@ from repro.obs import (
     write_chrome_trace,
     write_metrics,
 )
+from repro.perf.spans import PerfRecorder
 from repro.runtime.base import ExecContext
 from repro.runtime.run import run_program
 from repro.validate.invariants import check_trace
@@ -205,6 +209,8 @@ class TestMetrics:
         assert a.gauge("busy").value == 3.0
         assert a.histogram("x").to_dict() == {
             "count": 2, "total": 4.0, "min": 1.0, "max": 3.0, "mean": 2.0,
+            # bucket midpoints: 1.0 is in bucket 0, 3.0 in bucket 12
+            "p50": 2 ** (0.5 / 8), "p90": 2 ** (12.5 / 8), "p99": 2 ** (12.5 / 8),
         }
 
     def test_result_metrics_agree_with_result(self):
@@ -222,6 +228,77 @@ class TestMetrics:
         m = traced_run("matmul", "omp_for", 4).metrics()
         json.dumps(m.to_dict())
         assert "metrics:" in m.describe()
+
+
+def _lognormal(seed, n=200):
+    rng = random.Random(seed)
+    return [rng.lognormvariate(0.0, 2.0) for _ in range(n)]
+
+
+def _histogram(values):
+    h = Histogram("h")
+    for v in values:
+        h.observe(v)
+    return h
+
+
+QUANTILES = (0.5, 0.9, 0.99)
+#: a bucket's geometric midpoint is within 2^(1/16) of every value in it
+#: (plus rounding at the bucket edges)
+QUANTILE_ERROR = 2 ** (1 / 16) - 1 + 1e-12
+
+
+class TestHistogram:
+    """The one mergeable distribution both planes use."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_quantiles_within_bucket_error_of_nearest_rank(self, seed):
+        values = _lognormal(seed)
+        h = _histogram(values)
+        ordered = sorted(values)
+        for q in QUANTILES:
+            nearest = ordered[max(1, math.ceil(q * len(values))) - 1]
+            assert abs(h.quantile(q) / nearest - 1) <= QUANTILE_ERROR, q
+            assert h.min <= h.quantile(q) <= h.max
+
+    def test_quantiles_of_nonpositive_values_stay_in_range(self):
+        h = _histogram([-2.0, 0.0, 0.0, 5.0])
+        assert h.quantile(0.5) == 0.0
+        assert h.quantile(0.0) == 0.0  # the zero bucket clamps to [min, max]
+        assert h.quantile(0.99) == pytest.approx(5.0, rel=QUANTILE_ERROR)
+        assert Histogram("empty").quantile(0.5) == 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_merge_is_associative(self, seed):
+        values = _lognormal(seed, 90)
+        parts = [values[:30], values[30:60], values[60:]]
+        left = _histogram(parts[0]).merge(_histogram(parts[1]).merge(_histogram(parts[2])))
+        right = _histogram(parts[0]).merge(_histogram(parts[1])).merge(_histogram(parts[2]))
+        assert left.buckets == right.buckets == _histogram(values).buckets
+        assert (left.count, left.min, left.max) == (right.count, right.min, right.max)
+
+    def test_merged_registries_and_recorders_match_one_observer(self):
+        values = _lognormal(7)
+        one_reg, reg_a, reg_b = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        one_rec, rec_a, rec_b = PerfRecorder(), PerfRecorder(), PerfRecorder()
+        for i, v in enumerate(values):
+            one_reg.histogram("x").observe(v)
+            one_rec.observe("x", v)
+            one_rec.add_span("s", v, 0.0)
+            (reg_a if i % 2 else reg_b).histogram("x").observe(v)
+            (rec_a if i % 3 else rec_b).observe("x", v)
+            (rec_a if i % 3 else rec_b).add_span("s", v, 0.0)
+        merged_reg = reg_a.merge(reg_b).histogram("x")
+        merged_rec = rec_a.merge(rec_b)
+        for merged, one in (
+            (merged_reg, one_reg.histogram("x")),
+            (merged_rec.observations["x"], one_rec.observations["x"]),
+            (merged_rec.spans["s"], one_rec.spans["s"]),
+        ):
+            assert [merged.quantile(q) for q in QUANTILES] == [
+                one.quantile(q) for q in QUANTILES
+            ]
+            assert (merged.count, merged.min, merged.max) == (one.count, one.min, one.max)
 
 
 class TestChromeExport:

@@ -31,7 +31,7 @@ class TestAttributionArithmetic:
         report = attribute_host(
             _snapshot(wall=10.0, cell__simulate=6.0, cache__probe=1.0)
         )
-        assert report.wall == pytest.approx(10.0)
+        assert report.total == pytest.approx(10.0)
         assert sum(e.seconds for e in report.entries) == pytest.approx(10.0)
         assert sum(e.share for e in report.entries) == pytest.approx(1.0)
         assert report.seconds("simulate") == pytest.approx(6.0)
@@ -64,7 +64,7 @@ class TestAttributionArithmetic:
 
     def test_zero_wall_uses_attributed_total(self):
         report = attribute_host(_snapshot(wall=0.0, cell__simulate=2.0))
-        assert report.wall == pytest.approx(2.0)
+        assert report.total == pytest.approx(2.0)
         assert report.share("simulate") == pytest.approx(1.0)
 
     def test_accepts_recorder_record_and_snapshot(self):
@@ -76,7 +76,7 @@ class TestAttributionArithmetic:
         from_record = attribute_host(record)
         for rep in (from_recorder, from_snapshot):
             assert rep.seconds("simulate") == pytest.approx(3.0)
-        assert from_record.name == "sweep:axpy"
+        assert from_record.title.startswith("host-cost attribution — sweep:axpy:")
 
     def test_describe_mentions_top_category(self):
         text = attribute_host(

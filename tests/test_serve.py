@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import http.client
 import json
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -29,6 +31,7 @@ from repro.serve import (
     SweepServer,
 )
 from repro.serve import protocol
+from repro.serve import server as server_mod
 from repro.sweep import ResultCache, codec, run_sweep
 from repro.sweep import executor as executor_mod
 from repro.sweep.cache import SHARD_WIDTH
@@ -154,6 +157,13 @@ class TestServeEndToEnd:
             assert sweep_fingerprint(warm) == sweep_fingerprint(cold)
             assert srv.perf.counters["serve.request"] == 2
             assert srv.perf.counters["serve.cache_hit"] == NCELLS
+            observed = SweepClient(srv.url).stats()["observations"]
+            counts = {"serve.request_seconds": 2, "serve.probe_seconds": 2 * NCELLS,
+                      "serve.run_seconds": NCELLS, "serve.store_seconds": NCELLS}
+            for name, count in counts.items():
+                h = observed[name]
+                assert h["count"] == count, name
+                assert h["min"] <= h["p50"] <= h["p90"] <= h["p99"] <= h["max"], h
 
     def test_served_sweep_is_byte_identical_to_local(self, tmp_path):
         served_store = tmp_path / "served"
@@ -608,6 +618,33 @@ class TestServeRefusals:
             assert [e["status"] for e in events if e["type"] == "cell"] == ["run"]
             assert srv.perf.counters["serve.failed_request"] == 1
             assert srv.perf.counters["serve.simulations"] == 1
+
+    def test_idle_connections_time_out_without_blocking_others(
+        self, tmp_path, monkeypatch
+    ):
+        """A client that sends nothing, and one that sends less body than
+        its ``Content-Length``, each get a 408 once the read deadline
+        passes; a sweep on another connection meanwhile is untouched."""
+        monkeypatch.setattr(server_mod, "READ_TIMEOUT_SECONDS", 2.0)
+        reference = run_sweep("axpy", **KWARGS)
+        with running_server(tmp_path, jobs=2) as srv:
+            idle = []
+            for payload in (b"", b"POST /sweep HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"):
+                sock = socket.create_connection((srv.host, srv.port), timeout=30)
+                sock.sendall(payload)
+                idle.append(sock)
+            served = run_sweep("axpy", server=srv.url, **KWARGS)
+            assert sweep_fingerprint(served) == sweep_fingerprint(reference)
+            for sock in idle:
+                # read the framed response, not to EOF: pool workers
+                # forked meanwhile hold the connection open
+                with sock:
+                    resp = http.client.HTTPResponse(sock)
+                    resp.begin()
+                    assert (resp.status, resp.reason) == (408, "Request Timeout")
+                    assert "error" in json.loads(resp.read())
+            assert srv.perf.counters["serve.read_timeout"] == 2
+            assert srv.perf.counters["serve.request"] == 1
 
     def test_bad_url_rejected(self):
         with pytest.raises(ValueError, match="http"):

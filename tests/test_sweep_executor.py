@@ -253,6 +253,29 @@ def test_ttl_only_store_expires_after_a_sweep(tmp_path):
     assert len(store) == len(SMALL_THREADS)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_store_loses_the_entry_not_the_result(tmp_path, jobs):
+    """A store write that raises ``OSError`` (full or read-only disk)
+    loses the entry, not the result, as in serve: every cell settles,
+    the failed writes count as ``cache.store_error`` and none as a
+    store."""
+    kwargs = dict(versions=["cilk_spawn", "omp_task"], threads=SMALL_THREADS,
+                  params={"n": 8}, jobs=jobs)
+    uncached = run_sweep("fib", cache=None, **kwargs)
+
+    def full_disk(key, payload):
+        raise OSError(28, "No space left on device")
+
+    store = ResultCache(tmp_path)
+    store.put = full_disk
+    sweep = run_sweep("fib", cache=store, **kwargs)
+    assert sweep_fingerprint(sweep) == sweep_fingerprint(uncached)
+    assert sweep.counter("simulations") == 4
+    assert sweep.counter("cache_stores") == 0
+    assert sweep.perf["counters"]["cache.store_error"] == 4
+    assert len(store) == 0
+
+
 # ---------------------------------------------------------------------------
 # executor plumbing
 # ---------------------------------------------------------------------------
