@@ -18,18 +18,19 @@ through exactly one of:
   output-determining input, not merely same-named.  The task belongs
   to the server, not to the request that started it, so a request
   that fails or is dropped never fails the requests that joined it;
-- **fresh simulation** — the miss runs through the sweep executor's
-  one cell entry point (:func:`repro.sweep.executor._cell_entry`) in
-  the server's shared fork-based process pool (tier-0 estimates run in
-  a thread: an estimate costs microseconds, a process hop costs more).
-  The worker encodes the finished cache-entry document once, to the
-  bytes of its entry file, and the server writes those bytes through
-  to the store and streams the same bytes.  A store that cannot be
-  written (full or read-only disk) loses the entry, not the result:
-  the bytes still stream, and the failed write counts as
-  ``serve.store_error``.  A worker that dies (OOM kill, SIGKILL)
-  breaks the pool: the server replaces it and retries the cell once
-  (``serve.pool_broken``).
+- **fresh simulation** — the miss runs through the local sweep's miss
+  runner (:class:`repro.sweep.executor.MissRunner`), one fork-based
+  process pool for every request (tier-0 estimates run in a thread: an
+  estimate costs microseconds, a process hop costs more), awaited
+  through ``asyncio.wrap_future``.  The worker encodes the finished
+  cache-entry document once, to the bytes of its entry file, and the
+  server writes those bytes through to the store and streams the same
+  bytes.  A store that cannot be written (full or read-only disk)
+  loses the entry, not the result: the bytes still stream, and the
+  failed write counts as ``serve.store_error``.  A worker that dies
+  (OOM kill, SIGKILL) breaks the pool: the runner's one dead-worker
+  rule replaces it and retries the cell once (``serve.pool_broken``);
+  a second failure fails only the requests waiting on that cell.
 
 The entry bytes are the unit the store and the wire share.  A hit reads
 and parses the entry file once, in a thread, to check its stamps; its
@@ -48,24 +49,24 @@ two racing requests can never both register the same key.  Eviction
 policy lives in the store (``max_entries`` / ``ttl_seconds``); the
 server prunes after each request batch that stored new entries.
 
-Telemetry: every request, dedup join, hit, simulation, store error and
-read timeout lands in one lifetime :class:`~repro.perf.spans.PerfRecorder`
-(``serve.request``, ``serve.dedup_hit``, ``serve.cache_hit``,
-``serve.simulations``, ``serve.read_timeout``, ...) exposed live at
+Telemetry: every request, dedup join, hit, simulation, store error,
+read timeout and dropped client lands in one lifetime
+:class:`~repro.perf.spans.PerfRecorder` (``serve.request``,
+``serve.dedup_hit``, ``serve.cache_hit``, ``serve.simulations``,
+``serve.read_timeout``, ``serve.client_dropped``, ...) exposed live at
 ``GET /stats`` and appended to the :mod:`repro.perf` run ledger on
 shutdown.  Latencies are histograms with p50/p90/p99: the whole request
 (``serve.request_seconds``) and each phase of a key's resolution
-(``serve.probe_seconds``, ``serve.run_seconds``, ``serve.store_seconds``).
+(``serve.probe_seconds``, the store read and stamp check alone;
+``serve.run_seconds``; ``serve.store_seconds``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import functools
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter, process_time
 from typing import Any, Optional, Union
 
@@ -88,15 +89,6 @@ MAX_BODY_BYTES = 1 << 20
 READ_TIMEOUT_SECONDS = 10.0
 
 _CRLF = b"\r\n"
-
-
-def _cell_entry_bytes(cell: SweepCell, ctx: ExecContext, trace: bool
-                      ) -> tuple[bytes, bool]:
-    """The sweep executor's cell entry point, encoded where the cell ran:
-    the entry's file bytes (stored and streamed as they are) and whether
-    the entry records a cell error."""
-    doc = _executor._cell_entry(cell, ctx, trace, False)
-    return encode_entry(doc), "error" in doc
 
 
 class _HttpError(Exception):
@@ -145,7 +137,7 @@ class SweepServer:
         self.perf = PerfRecorder("serve")
         self._inflight: dict[str, asyncio.Task] = {}
         self._conns: set[asyncio.Task] = set()
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._runner = _executor.MissRunner(self.jobs, self.perf, "serve.pool_broken")
         self._server: Optional[asyncio.AbstractServer] = None
         self._t0 = 0.0
         self._c0 = 0.0
@@ -181,9 +173,7 @@ class SweepServer:
             task.cancel()  # the requests are drained; nobody awaits these
         if resolving:
             await asyncio.wait(resolving, timeout=10.0)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        self._runner.shutdown(wait=False)
         self.perf.wall = perf_counter() - self._t0
         self.perf.cpu = process_time() - self._c0
 
@@ -222,75 +212,28 @@ class SweepServer:
         return snap
 
     # ------------------------------------------------------------------
-    # cell resolution (single-flight + pool fan-out + write-through)
+    # cell resolution (single-flight + the miss runner + write-through)
     # ------------------------------------------------------------------
-    def _get_pool(self) -> Optional[concurrent.futures.Executor]:
-        if self._pool is None:
-            pool_ctx = _executor._pool_context()
-            if pool_ctx is None:  # pragma: no cover - platform dependent
-                return None
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=pool_ctx
-            )
-        return self._pool
-
-    async def _run_entry(self, cell: SweepCell, ctx: ExecContext, trace: bool
-                         ) -> tuple[bytes, bool]:
-        """One attempt at a miss: :func:`_cell_entry_bytes` in the pool
-        (tier 2) or a thread (tier 0 — an estimate costs less than a
-        process hop)."""
-        pool = self._get_pool() if cell.fidelity == 2 else None
-        try:
-            return await asyncio.get_running_loop().run_in_executor(
-                pool, _cell_entry_bytes, cell, ctx, trace
-            )
-        except BrokenProcessPool:
-            # a dead worker (OOM kill, SIGKILL) breaks the whole pool for
-            # good; drop it so the next miss starts a fresh one
-            self.perf.count("serve.pool_broken")
-            if self._pool is pool:
-                self._pool = None
-                pool.shutdown(wait=False)
-            raise
-
-    async def _simulate(self, cell: SweepCell, ctx: ExecContext, trace: bool
-                        ) -> tuple[bytes, bool]:
-        """Run one miss and return its entry bytes and whether the entry
-        records a cell error.
-
-        A broken pool costs the cell one retry on a fresh pool; a second
-        failure, like any worker exception, fails the cell.
-        """
-        try:
-            try:
-                entry = await self._run_entry(cell, ctx, trace)
-            except BrokenProcessPool:
-                entry = await self._run_entry(cell, ctx, trace)
-        except Exception as exc:
-            raise RuntimeError(
-                f"cell {cell.describe()} failed in worker: {type(exc).__name__}: {exc}"
-            ) from exc
-        self.perf.count("serve.simulations" if cell.fidelity == 2 else "serve.estimates")
-        return entry
-
-    def _probe(self, key: str, fidelity: int) -> Optional[tuple[bytes, bool]]:
+    def _probe(self, key: str, fidelity: int
+               ) -> tuple[Optional[tuple[bytes, bool]], float]:
         """Read ``key``'s entry (in a thread): its bytes and whether it
-        records a cell error, or ``None`` for a miss.
+        records a cell error, or ``None`` for a miss; and the seconds the
+        read and stamp check took, for the caller to observe on the loop.
 
         The entry is parsed once, so a truncated or corrupt file is a
         miss, and it must pass the local sweep's stamp checks; its result
         is never decoded.  Bytes that would not stay one NDJSON line (a
         hand-written entry with raw newlines) are re-encoded.
         """
+        t0 = perf_counter()
+        hit = None
         entry = self.cache.read(key)
-        if entry is None:
-            return None
-        doc, data = entry
-        if not _executor._entry_usable(doc, fidelity):
-            return None
-        if data.find(b"\n") != len(data) - 1:
-            data = encode_entry(doc)
-        return data, "error" in doc
+        if entry is not None and _executor._entry_usable(entry[0], fidelity):
+            doc, data = entry
+            if data.find(b"\n") != len(data) - 1:
+                data = encode_entry(doc)
+            hit = data, "error" in doc
+        return hit, perf_counter() - t0
 
     async def _resolve_key(
         self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool, refresh: bool
@@ -299,15 +242,15 @@ class SweepServer:
         hit, or a fresh run written through to the store."""
         loop = asyncio.get_running_loop()
         if not refresh:
-            t0 = perf_counter()
-            hit = await loop.run_in_executor(None, self._probe, key, cell.fidelity)
-            self.perf.observe("serve.probe_seconds", perf_counter() - t0)
+            hit, seconds = await loop.run_in_executor(None, self._probe, key, cell.fidelity)
+            self.perf.observe("serve.probe_seconds", seconds)
             if hit is not None:
                 self.perf.count("serve.cache_hit")
                 return hit[0], hit[1], "hit"
         t0 = perf_counter()
-        data, error = await self._simulate(cell, ctx, trace)
+        data, error = await asyncio.wrap_future(self._runner.submit(cell, ctx, trace))
         t1 = perf_counter()
+        self.perf.count("serve.simulations" if cell.fidelity == 2 else "serve.estimates")
         self.perf.observe("serve.run_seconds", t1 - t0)
         try:
             await loop.run_in_executor(None, self.cache.put, key, data)
@@ -387,7 +330,7 @@ class SweepServer:
                     writer, 404, {"error": f"no route {method} {path}"}
                 )
         except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away; nothing to answer
+            self.perf.count("serve.client_dropped")  # nothing to answer
         finally:
             if task is not None:
                 self._conns.discard(task)
@@ -507,10 +450,7 @@ class SweepServer:
                 try:
                     i, data, error, status = await settled
                 except Exception as exc:
-                    # a crashed cell aborts the request, not the server;
-                    # the keys it resolves keep resolving for their joiners
-                    for t in tasks:
-                        t.cancel()
+                    # a crashed cell aborts the request, not the server
                     self.perf.count("serve.failed_request")
                     await self._write_chunk(
                         writer,
@@ -544,6 +484,10 @@ class SweepServer:
             )
             await self._write_chunk(writer, b"")
         finally:
+            # a crashed cell, a dropped client or a closing server ends the
+            # request's waiting, not the resolutions its keys share
+            for t in tasks:
+                t.cancel()
             self.perf.observe("serve.request_seconds", perf_counter() - t0)
             if stored and (
                 self.cache.max_entries is not None or self.cache.ttl_seconds is not None

@@ -7,11 +7,12 @@ whose content address (:func:`~repro.sweep.cache.cache_key`) resolves
 in the cache is decoded without running.  Every miss goes through one
 cell runner, :func:`_run_cell`, which simulates the cell (fidelity 2)
 or estimates it in closed form (fidelity 0).  It runs in-process
-(``jobs <= 1``, tier 0, or no ``fork``), or in a fork-based
-:class:`concurrent.futures.ProcessPoolExecutor` through
-:func:`_cell_entry`, which returns the cell's cache-entry document;
-the sweep service (:mod:`repro.serve.server`) uses the same entry
-point.  Each miss is encoded once, in the process that ran it.
+(``jobs <= 1``, tier 0, or no ``fork``), or in :class:`MissRunner`'s
+fork pool, the one miss runner, which the sweep service
+(:mod:`repro.serve.server`) shares; its workers run :func:`_cell_entry`
+and return the entry's file bytes.  Each miss is encoded once, in the
+process that ran it; the local sweep stores those bytes as they are
+and decodes them like a hit.
 
 The fidelity (:mod:`repro.sim.tiers`) is part of the cell's cache
 address and is stamped into the stored document, so an estimate can
@@ -31,9 +32,12 @@ result, as in serve: the cell settles and the failed write counts as
 ``cache.store_error`` on the host recording.  Failures that
 the sweep semantics expect (:class:`~repro.runtime.base.ThreadExplosionError`,
 the paper's C++11 fib hang) are recorded — and cached — as cell errors
-without poisoning the worker pool; any other exception in a worker
-reaches the parent through its future and is re-raised there as a
-``RuntimeError`` chained from the original.
+without poisoning the worker pool.  A worker that dies (OOM kill,
+SIGKILL) breaks the pool: the runner replaces it once per broken pool
+(``fanout.pool_broken`` locally, ``serve.pool_broken`` in serve) and
+retries each cell it failed once.  A second failure, like any other
+exception in a worker, reaches the caller through the cell's future
+as a ``RuntimeError`` chained from the original.
 
 Progress and accounting go through one
 :class:`~repro.obs.metrics.MetricsRegistry`: ``sweep_cells``,
@@ -54,15 +58,21 @@ all of it is inert and results are bit-identical.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import json
 import multiprocessing
 import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.core.experiment import PAPER_THREADS, ExperimentConfig, SweepResult
 from repro.core.registry import get_workload
 from repro.faults.policy import RegionFailedError
 from repro.obs.metrics import MetricsRegistry, result_metrics
+from repro.perf.spans import PerfRecorder
 from repro.perf.spans import counter as perf_count
+from repro.perf.spans import current as perf_current
 from repro.perf.spans import recording as perf_recording
 from repro.perf.spans import span as perf_span
 from repro.runtime.base import ExecContext, ThreadExplosionError
@@ -70,7 +80,7 @@ from repro.runtime.run import run_program
 from repro.sim.tiers import estimate_program
 from repro.sim.trace import SimResult
 from repro.sweep import codec
-from repro.sweep.cache import ResultCache, cache_key
+from repro.sweep.cache import ResultCache, cache_key, encode_entry
 from repro.sweep.cells import SweepCell, expand_cells
 
 __all__ = ["PAYLOAD_FORMAT", "run_sweep"]
@@ -139,17 +149,99 @@ def _run_cell(
     return res, None
 
 
-def _cell_entry(
-    cell: SweepCell, ctx: ExecContext, trace: bool, validate: bool
-) -> dict[str, Any]:
-    """Run one cell and return its cache-entry document.
+def _cell_entry(cell: SweepCell, ctx: ExecContext, trace: bool, validate: bool
+                ) -> tuple[bytes, bool]:
+    """Run one cell and return its cache entry: the :func:`encode_entry`
+    bytes of its document and whether the entry records a cell error.
 
-    The entry point of pool workers (and of the sweep service's tier-0
-    thread): the result is encoded once, in the process that ran it,
-    and an unexpected exception reaches the caller through the future.
+    The one entry point of :class:`MissRunner`: the result is encoded
+    once, where it ran, into the bytes the caller stores and serve
+    streams; an unexpected exception reaches the caller's future.
     """
     res, err = _run_cell(cell, ctx, trace, validate)
-    return _encode_entry(cell, res, err, trace)
+    return encode_entry(_encode_entry(cell, res, err, trace)), err is not None
+
+
+class MissRunner:
+    """The one miss runner of the local sweep and the sweep service.
+
+    :meth:`submit` runs :func:`_cell_entry` and returns a future of the
+    entry bytes and is-error flag.  Tier-2 cells run in a fork-based
+    ``ProcessPoolExecutor`` of ``jobs`` workers, created on first use;
+    tier-0 estimates, and every cell without ``fork``, run in a thread.
+
+    The dead-worker rule: a dead worker (OOM kill, SIGKILL) breaks its
+    pool for good.  The first cell to see a broken pool drops it, so the
+    next attempt starts a fresh one, and counts ``broken_counter`` on
+    ``perf``; each cell the pool failed is retried once.  A second
+    failure, like any other exception, resolves the future with a
+    ``RuntimeError`` chained from it.  The submitting thread and the
+    pool's callback thread both reach the pool: it changes under a lock.
+    """
+
+    def __init__(self, jobs: int, perf: Optional[PerfRecorder], broken_counter: str) -> None:
+        self._jobs = jobs
+        self._perf = perf
+        self._broken_counter = broken_counter
+        self._lock = threading.Lock()
+        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._threads: Optional[concurrent.futures.ThreadPoolExecutor] = None
+        self._closed = False
+
+    def submit(self, cell: SweepCell, ctx: ExecContext, trace: bool, validate: bool = False
+               ) -> concurrent.futures.Future:
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        future.set_running_or_notify_cancel()  # only the runner settles it
+        self._attempt(future, (cell, ctx, trace, validate), retry=True)
+        return future
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop both executors, cancelling the cells not yet started."""
+        with self._lock:
+            self._closed = True
+            executors = [e for e in (self._pool, self._threads) if e is not None]
+        for executor in executors:
+            executor.shutdown(wait=wait, cancel_futures=True)
+
+    def _executor(self, fidelity: int) -> concurrent.futures.Executor:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("the miss runner is shut down")
+            if fidelity == 2 and self._pool is None and (fork := _pool_context()):
+                self._pool = concurrent.futures.ProcessPoolExecutor(self._jobs, mp_context=fork)
+            if fidelity == 2 and self._pool is not None:
+                return self._pool
+            if self._threads is None:
+                self._threads = concurrent.futures.ThreadPoolExecutor()
+            return self._threads
+
+    def _attempt(self, future: concurrent.futures.Future, args: tuple, retry: bool) -> None:
+        pool = None
+        try:
+            pool = self._executor(args[0].fidelity)
+            attempt = pool.submit(_cell_entry, *args)
+        except Exception as exc:  # a pool found broken (or shut down) at submit
+            attempt = concurrent.futures.Future()
+            attempt.set_exception(exc)
+        attempt.add_done_callback(functools.partial(self._settle, future, pool, args, retry))
+
+    def _settle(self, future: concurrent.futures.Future, pool, args: tuple, retry: bool,
+                attempt: concurrent.futures.Future) -> None:
+        try:
+            future.set_result(attempt.result())
+        except Exception as exc:
+            if isinstance(exc, BrokenProcessPool):
+                with self._lock:
+                    if self._pool is pool:  # once per broken pool
+                        self._pool = None
+                        if self._perf is not None:
+                            self._perf.count(self._broken_counter)
+                if retry:
+                    return self._attempt(future, args, retry=False)
+            err = RuntimeError(f"sweep cell {args[0].describe()} failed in worker: "
+                               f"{type(exc).__name__}: {exc}")
+            err.__cause__ = exc
+            future.set_exception(err)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +316,7 @@ def _pool_context():
 
     Fork is required so worker processes inherit the already-imported
     package (and any test-time state) without re-importing through
-    ``spawn``; platforms without it fall back to serial execution.
+    ``spawn``; without it a local sweep runs serially, serve in threads.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
@@ -391,163 +483,125 @@ def run_sweep(
     # any of this, so instrumented and uninstrumented sweeps are
     # bit-identical.
     with perf_recording("sweep") as host:
-        sweep = _run_sweep_cells(
-            spec, config, ctx, fid, reg, store, jobs=jobs, refresh=refresh,
-            trace=trace, validate=validate, fault_doc=fault_doc,
-            policy_doc=policy_doc, progress=progress,
-        )
+        cells = expand_cells(config, fault_doc, policy_doc, fid)
+        reg.counter("sweep_cells").inc(len(cells))
+        keys = []
+        if store is not None:
+            with perf_span("cache.key"):
+                keys = [cache_key(c, ctx, trace=trace) for c in cells]
+
+        #: per-cell outcome: (SimResult | None, error message | None)
+        outcomes: list[Optional[tuple[Optional[SimResult], Optional[str]]]]
+        outcomes = [None] * len(cells)
+        total = len(cells)
+        done = 0
+
+        def settle(i: int, res: Optional[SimResult], err: Optional[str], status: str,
+                   merge: bool) -> None:
+            nonlocal done
+            outcomes[i] = (res, err)
+            done += 1
+            if err is not None:
+                reg.counter("sweep_errors").inc()
+                status = "error"
+            elif merge and res is not None:
+                reg.merge(result_metrics(res))
+            if progress is not None:
+                progress(done, total, cells[i], status)
+
+        # -- phase 1: cache probe ------------------------------------------
+        pending: list[int] = []
+        for i in range(len(cells)):
+            if store is not None and not refresh:
+                with perf_span("cache.probe"):
+                    payload = store.get(keys[i])
+                if payload is not None:
+                    with perf_span("codec.decode"):
+                        decoded = _decode_entry(payload, fid)
+                else:
+                    decoded = None
+                if decoded is not None:
+                    reg.counter("cache_hits").inc()
+                    settle(i, decoded[0], decoded[1], "hit", merge=True)
+                    continue
+                if payload is not None:
+                    # a stored entry the decoder refused: stale format or
+                    # wrong tier stamp — re-simulated and overwritten below
+                    perf_count("cache.corrupt")
+            if store is not None:
+                reg.counter("cache_misses").inc()
+            pending.append(i)
+
+        counter = "estimates" if fid == 0 else "simulations"
+
+        def finish(i: int, res: Optional[SimResult], err: Optional[str],
+                   entry: Union[None, dict[str, Any], bytes] = None,
+                   merge: bool = False) -> None:
+            reg.counter(counter).inc()
+            if store is not None:
+                if entry is None:
+                    with perf_span("codec.encode"):
+                        entry = _encode_entry(cells[i], res, err, trace)
+                try:
+                    with perf_span("cache.store"):
+                        store.put(keys[i], entry)
+                except OSError:
+                    perf_count("cache.store_error")
+                else:
+                    reg.counter("cache_stores").inc()
+            settle(i, res, err, "run", merge=merge)
+
+        # -- phase 2: simulate (or estimate) the misses --------------------
+        # Tier-0 estimates cost microseconds, less than a process hop, so
+        # they always run in-process, as does a single pending cell.
+        if fid == 2 and jobs > 1 and len(pending) > 1 and _pool_context() is not None:
+            with perf_span("fanout.pool"):
+                runner = MissRunner(min(jobs, len(pending)), perf_current(),
+                                    "fanout.pool_broken")
+            try:
+                with perf_span("fanout.submit"):
+                    futures = {runner.submit(cells[i], ctx, trace, validate): i for i in pending}
+                completed = concurrent.futures.as_completed(futures)
+                while True:
+                    with perf_span("fanout.wait"):
+                        fut = next(completed, None)
+                    if fut is None:
+                        break
+                    i = futures[fut]
+                    data = fut.result()[0]
+                    # the worker's bytes are stored as they are and decoded
+                    # once, like a cache hit
+                    with perf_span("codec.decode"):
+                        res, err = _decode_entry(json.loads(data), fid)
+                    finish(i, res, err, data, merge=True)
+            finally:
+                with perf_span("fanout.pool"):
+                    runner.shutdown()
+        else:
+            span = "cell.estimate" if fid == 0 else "cell.simulate"
+            for i in pending:
+                # _run_cell merges the run's metrics into the sweep registry
+                with perf_span(span):
+                    res, err = _run_cell(cells[i], ctx, trace, validate, reg)
+                finish(i, res, err)
+
+        # -- phase 3: assemble + housekeeping ------------------------------
+        sweep = SweepResult(config=config, figure=spec.figure, metrics=reg)
+        for i, cell in enumerate(cells):
+            res, err = outcomes[i]
+            if err is not None:
+                sweep.errors[cell.key] = err
+            elif res is not None:
+                sweep.results[cell.key] = res
+        _fill_series(sweep)
+        if store is not None and (
+            store.max_entries is not None or store.ttl_seconds is not None
+        ):
+            with perf_span("cache.prune"):
+                evicted = store.prune()
+            reg.counter("cache_evictions").inc(evicted)
     if host is not None:
         sweep.perf = host.snapshot()
-    return sweep
-
-
-def _run_sweep_cells(
-    spec,
-    config: ExperimentConfig,
-    ctx: ExecContext,
-    fid: int,
-    reg: MetricsRegistry,
-    store: Optional[ResultCache],
-    *,
-    jobs: int,
-    refresh: bool,
-    trace: bool,
-    validate: bool,
-    fault_doc,
-    policy_doc,
-    progress: Optional[ProgressFn],
-) -> SweepResult:
-    """Drive every cell through probe / simulate / assemble (see run_sweep)."""
-    cells = expand_cells(config, fault_doc, policy_doc, fid)
-    reg.counter("sweep_cells").inc(len(cells))
-    keys = []
-    if store is not None:
-        with perf_span("cache.key"):
-            keys = [cache_key(c, ctx, trace=trace) for c in cells]
-
-    #: per-cell outcome: (SimResult | None, error message | None)
-    outcomes: list[Optional[tuple[Optional[SimResult], Optional[str]]]]
-    outcomes = [None] * len(cells)
-    total = len(cells)
-    done = 0
-
-    def settle(i: int, res: Optional[SimResult], err: Optional[str], status: str,
-               merge: bool) -> None:
-        nonlocal done
-        outcomes[i] = (res, err)
-        done += 1
-        if err is not None:
-            reg.counter("sweep_errors").inc()
-            status = "error"
-        elif merge and res is not None:
-            reg.merge(result_metrics(res))
-        if progress is not None:
-            progress(done, total, cells[i], status)
-
-    # -- phase 1: cache probe ------------------------------------------
-    pending: list[int] = []
-    for i in range(len(cells)):
-        if store is not None and not refresh:
-            with perf_span("cache.probe"):
-                payload = store.get(keys[i])
-            if payload is not None:
-                with perf_span("codec.decode"):
-                    decoded = _decode_entry(payload, fid)
-            else:
-                decoded = None
-            if decoded is not None:
-                reg.counter("cache_hits").inc()
-                settle(i, decoded[0], decoded[1], "hit", merge=True)
-                continue
-            if payload is not None:
-                # a stored entry the decoder refused: stale format or
-                # wrong tier stamp — re-simulated and overwritten below
-                perf_count("cache.corrupt")
-        if store is not None:
-            reg.counter("cache_misses").inc()
-        pending.append(i)
-
-    counter = "estimates" if fid == 0 else "simulations"
-
-    def finish(i: int, res: Optional[SimResult], err: Optional[str],
-               doc: Optional[dict[str, Any]] = None, merge: bool = False) -> None:
-        reg.counter(counter).inc()
-        if store is not None:
-            if doc is None:
-                with perf_span("codec.encode"):
-                    doc = _encode_entry(cells[i], res, err, trace)
-            try:
-                with perf_span("cache.store"):
-                    store.put(keys[i], doc)
-            except OSError:
-                perf_count("cache.store_error")
-            else:
-                reg.counter("cache_stores").inc()
-        settle(i, res, err, "run", merge=merge)
-
-    # -- phase 2: simulate (or estimate) the misses --------------------
-    # Tier-0 estimates cost microseconds, less than a process hop, so
-    # they always run in-process, as does a single pending cell.
-    pool_ctx = None
-    if fid == 2 and jobs > 1 and len(pending) > 1:
-        pool_ctx = _pool_context()
-    if pool_ctx is None:
-        span = "cell.estimate" if fid == 0 else "cell.simulate"
-        for i in pending:
-            # the runner merges the run's metrics into the sweep registry
-            with perf_span(span):
-                res, err = _run_cell(cells[i], ctx, trace, validate, reg)
-            finish(i, res, err)
-    else:
-        workers = min(jobs, len(pending))
-        with perf_span("fanout.pool"):
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=pool_ctx
-            )
-        try:
-            with perf_span("fanout.submit"):
-                futures = {
-                    pool.submit(_cell_entry, cells[i], ctx, trace, validate): i
-                    for i in pending
-                }
-            completed = concurrent.futures.as_completed(futures)
-            while True:
-                with perf_span("fanout.wait"):
-                    fut = next(completed, None)
-                if fut is None:
-                    break
-                i = futures[fut]
-                try:
-                    doc = fut.result()
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"sweep cell {cells[i].describe()} failed in worker: "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
-                # the worker's document is stored as is and decoded once,
-                # like a cache hit
-                with perf_span("codec.decode"):
-                    res, err = _decode_entry(doc, fid)
-                finish(i, res, err, doc, merge=True)
-        finally:
-            with perf_span("fanout.pool"):
-                pool.shutdown()
-
-    # -- phase 3: assemble + housekeeping ------------------------------
-    sweep = SweepResult(config=config, figure=spec.figure, metrics=reg)
-    for i, cell in enumerate(cells):
-        res, err = outcomes[i]
-        if err is not None:
-            sweep.errors[cell.key] = err
-        elif res is not None:
-            sweep.results[cell.key] = res
-    _fill_series(sweep)
-    if store is not None and (
-        store.max_entries is not None or store.ttl_seconds is not None
-    ):
-        with perf_span("cache.prune"):
-            evicted = store.prune()
-        reg.counter("cache_evictions").inc(evicted)
     return sweep
 
 

@@ -165,6 +165,34 @@ class TestServeEndToEnd:
                 assert h["count"] == count, name
                 assert h["min"] <= h["p50"] <= h["p90"] <= h["p99"] <= h["max"], h
 
+    def test_probe_histogram_times_only_the_store_read(self, tmp_path, monkeypatch):
+        """``serve.probe_seconds`` observes each store probe once (a cold
+        and a warm query probe every cell, a refresh probes none), and
+        times only the read and the stamp check: an event loop stalled
+        while a probe's thread runs shows in ``serve.request_seconds``."""
+        stall = 0.3
+        query = MatrixQuery("axpy", versions=("omp_for",), threads=(1, 4),
+                            params={"n": 120_000}, fidelity=0)
+        refresh = MatrixQuery("axpy", versions=("omp_for",), threads=(1, 4),
+                              params={"n": 120_000}, fidelity=0, refresh=True)
+        with running_server(tmp_path) as srv:
+            loop, real_read = srv._server.get_loop(), srv.cache.read
+
+            def read_with_stalled_loop(key):
+                loop.call_soon_threadsafe(time.sleep, stall)
+                return real_read(key)
+
+            monkeypatch.setattr(srv.cache, "read", read_with_stalled_loop)
+            client = SweepClient(srv.url)
+            for q in (query, query, refresh):
+                list(client.query(q))
+            stats = client.stats()
+        probe = stats["observations"]["serve.probe_seconds"]
+        assert probe["count"] == 4
+        assert stats["counters"]["serve.cache_hit"] == 2
+        assert probe["max"] < stall
+        assert stats["observations"]["serve.request_seconds"]["max"] >= stall
+
     def test_served_sweep_is_byte_identical_to_local(self, tmp_path):
         served_store = tmp_path / "served"
         local_store = tmp_path / "local"
@@ -209,7 +237,7 @@ class TestServeEndToEnd:
                               params={"n": 120_000}, fidelity=0)
             assert sweep.counter("estimates") == 2
             assert srv.perf.counters["serve.estimates"] == 2
-            assert srv._pool is None  # no process pool spun up
+            assert srv._runner._pool is None  # no process pool spun up
 
     def test_simulated_miss_streams_the_worker_document(self, tmp_path, monkeypatch):
         """A tier-2 miss is encoded once, in the pool worker: the server
@@ -316,14 +344,18 @@ class TestServeEndToEnd:
         def no_decode(data):
             raise AssertionError("the server decoded a result")
 
-        monkeypatch.setattr(server_mod, "encode_entry", counting_encode)
+        # misses are encoded by the executor's entry point, the server
+        # re-encodes only hand-written entries: count both
+        for module in (server_mod, executor_mod):
+            monkeypatch.setattr(module, "encode_entry", counting_encode)
         query = MatrixQuery("axpy", versions=("omp_for", "cxx_thread"), threads=(1, 4),
                             params={"n": 120_000}, fidelity=0)
         with running_server(tmp_path) as srv:
             cold = list(SweepClient(srv.url).query(query))
             assert len(encodes) == NCELLS  # tier 0 encodes in a server thread
             monkeypatch.setattr(codec, "result_from_dict", no_decode)
-            monkeypatch.setattr(server_mod, "encode_entry", no_decode)
+            for module in (server_mod, executor_mod):
+                monkeypatch.setattr(module, "encode_entry", no_decode)
             warm = list(SweepClient(srv.url).query(query))
         assert [e["status"] for e in warm if e["type"] == "cell"] == ["hit"] * NCELLS
         assert ({e["key"]: e["payload"] for e in warm if e["type"] == "cell"}
@@ -583,11 +615,11 @@ class TestServeRefusals:
         with running_server(tmp_path, jobs=1) as srv:
             client = SweepClient(srv.url, timeout=60)
             list(client.query(query(120_000)))
-            (pid,) = list(srv._pool._processes)
+            (pid,) = list(srv._runner._pool._processes)
             os.kill(pid, signal.SIGKILL)
             events = list(client.query(query(130_000)))
             assert [e["status"] for e in events if e["type"] == "cell"] == ["run"]
-            assert pid not in srv._pool._processes
+            assert pid not in srv._runner._pool._processes
             list(client.query(query(140_000)))
             assert srv.perf.counters["serve.simulations"] == 3
             assert "serve.failed_request" not in srv.perf.counters
@@ -645,6 +677,53 @@ class TestServeRefusals:
                     assert "error" in json.loads(resp.read())
             assert srv.perf.counters["serve.read_timeout"] == 2
             assert srv.perf.counters["serve.request"] == 1
+
+    def test_dropped_client_is_counted_and_its_cells_still_land(
+        self, tmp_path, monkeypatch
+    ):
+        """A client that reads ``start`` and leaves ends its request's
+        waiting (``serve.client_dropped``); the resolution still in
+        flight stores its entry, a re-query is all hits, and the server
+        stays healthy."""
+        real = executor_mod._run_cell
+
+        def staggered(cell, ctx, trace, validate, metrics=None):
+            time.sleep({1: 0.2, 2: 0.5, 4: 2.5}[cell.nthreads])
+            return real(cell, ctx, trace, validate, metrics)
+
+        monkeypatch.setattr(executor_mod, "_run_cell", staggered)
+        query = MatrixQuery("axpy", versions=("omp_for",), threads=(1, 2, 4),
+                            params={"n": 120_000}, fidelity=0)
+        with running_server(tmp_path) as srv:
+            client = SweepClient(srv.url, timeout=30)
+            conn = client._connection()
+            conn.request("POST", "/sweep", body=json.dumps(query.to_dict()))
+            resp = conn.getresponse()
+            assert json.loads(resp.readline())["type"] == "start"
+            resp.close()
+            conn.close()
+            deadline = time.monotonic() + 20
+            while "serve.client_dropped" not in srv.perf.counters:
+                assert time.monotonic() < deadline, "the drop was never noticed"
+                time.sleep(0.05)
+
+            async def waiting():
+                """The request's cell waits still pending on the loop."""
+                return [t for t in asyncio.all_tasks()
+                        if t.get_coro().__qualname__.endswith("<locals>.settle")]
+
+            loop = srv._server.get_loop()
+            assert asyncio.run_coroutine_threadsafe(waiting(), loop).result(10) == []
+            assert client.stats()["inflight"] == 1  # the p=4 cell, shielded
+            while client.stats()["inflight"]:
+                assert time.monotonic() < deadline, "the resolution never landed"
+                time.sleep(0.05)
+            assert srv.perf.counters["serve.client_dropped"] == 1
+            assert srv.perf.counters["serve.store"] == 3
+            assert len(ResultCache(tmp_path)) == 3
+            events = list(client.query(query))
+            assert [e["status"] for e in events if e["type"] == "cell"] == ["hit"] * 3
+            assert client.health()
 
     def test_bad_url_rejected(self):
         with pytest.raises(ValueError, match="http"):

@@ -5,15 +5,19 @@ traces: bit-identical results across ``jobs`` settings for every
 registered workload, expected failures (``ThreadExplosionError``)
 recorded without poisoning the process pool, concurrent executors
 sharing one cache directory without corruption, corrupt entries
-repaired as misses, ``refresh`` and resume semantics, and the
-serial fallback when fork is unavailable.
+repaired as misses, ``refresh`` and resume semantics, the serial
+fallback when fork is unavailable, and one fault harness (a killed
+worker, a cell that kills every worker, a failing store) run over both
+miss paths: the local pool and the sweep service.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -274,6 +278,125 @@ def test_failing_store_loses_the_entry_not_the_result(tmp_path, jobs):
     assert sweep.counter("cache_stores") == 0
     assert sweep.perf["counters"]["cache.store_error"] == 4
     assert len(store) == 0
+
+
+# ---------------------------------------------------------------------------
+# one fault harness for both miss paths: the local pool and the service
+# ---------------------------------------------------------------------------
+FAULT_KWARGS = dict(versions=["omp_for", "cxx_thread"], threads=(1, 2, 4),
+                    params={"n": 120_000}, fidelity=2)
+FAULT_CELLS = 6
+
+
+class MissPath:
+    """One way a sweep's misses run, both writing through to ``store``:
+    a local ``run_sweep(jobs=2)`` or a sweep served by ``server``."""
+
+    #: where the local sweep counts each failure kind (serve: ``serve.<kind>``)
+    LOCAL_COUNTERS = {"pool_broken": "fanout.pool_broken", "store_error": "cache.store_error"}
+
+    def __init__(self, store, server=None):
+        self.store = store
+        self.server = server
+        self.last = None
+
+    def sweep(self):
+        if self.server is None:
+            self.last = run_sweep("axpy", jobs=2, cache=self.store, **FAULT_KWARGS)
+        else:
+            self.last = run_sweep("axpy", server=self.server.url, **FAULT_KWARGS)
+        return self.last
+
+    def counter(self, kind):
+        if self.server is None:
+            return self.last.perf["counters"].get(self.LOCAL_COUNTERS[kind], 0)
+        return self.server.perf.counters.get(f"serve.{kind}", 0)
+
+
+@pytest.fixture(params=["local", "served"])
+def miss_path(request, tmp_path):
+    store = ResultCache(tmp_path / "store")
+    if request.param == "local":
+        yield MissPath(store)
+        return
+    from tests.test_serve import running_server
+
+    with running_server(store, jobs=2) as srv:
+        yield MissPath(store, srv)
+
+
+def _claim(path) -> bool:
+    """True for the first process, of all that call it, to claim ``path``."""
+    try:
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
+
+
+def test_killed_worker_costs_one_retry(miss_path, tmp_path, monkeypatch):
+    """A pool worker killed mid-sweep breaks the pool: it is replaced
+    once, the cells it failed are retried, and the sweep completes
+    bit-identical to a serial one."""
+    reference = run_sweep("axpy", jobs=1, **FAULT_KWARGS)
+    parent, real = os.getpid(), executor_mod._run_cell
+
+    def kill_once(cell, ctx, trace, validate, metrics=None):
+        if os.getpid() != parent and _claim(tmp_path / "killed"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(cell, ctx, trace, validate, metrics)
+
+    monkeypatch.setattr(executor_mod, "_run_cell", kill_once)
+    assert sweep_fingerprint(miss_path.sweep()) == sweep_fingerprint(reference)
+    assert (tmp_path / "killed").exists()
+    assert miss_path.counter("pool_broken") == 1
+    assert len(miss_path.store) == FAULT_CELLS
+
+
+def test_cell_that_kills_every_worker_fails_after_one_retry(miss_path, tmp_path, monkeypatch):
+    """The retry is once: a cell that kills the fresh pool's worker too
+    fails with ``BrokenProcessPool`` (the local sweep raises, serve
+    fails only that request and stays healthy)."""
+    attempts = tmp_path / "attempts"
+    attempts.mkdir()
+    real = executor_mod._run_cell
+
+    def killer(cell, ctx, trace, validate, metrics=None):
+        if cell.key == ("cxx_thread", 4):
+            (attempts / str(os.getpid())).touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(cell, ctx, trace, validate, metrics)
+
+    monkeypatch.setattr(executor_mod, "_run_cell", killer)
+    if miss_path.server is None:
+        with pytest.raises(RuntimeError, match="failed in worker") as excinfo:
+            miss_path.sweep()
+        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+    else:
+        from repro.serve import ServerError, SweepClient
+
+        with pytest.raises(ServerError, match="BrokenProcessPool"):
+            miss_path.sweep()
+        client = SweepClient(miss_path.server.url)
+        assert client.health()
+        other = run_sweep("axpy", server=miss_path.server.url, versions=["omp_for"],
+                          threads=(2,), params={"n": 130_000}, fidelity=2)
+        assert other.counter("simulations") == 1
+    assert len(list(attempts.iterdir())) == 2
+
+
+def test_failing_store_keeps_every_result(miss_path, monkeypatch):
+    """A store whose writes raise ``OSError`` loses the entries, not the
+    results, and counts each failed write."""
+    reference = run_sweep("axpy", jobs=1, **FAULT_KWARGS)
+
+    def full_disk(key, payload):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(miss_path.store, "put", full_disk)
+    assert sweep_fingerprint(miss_path.sweep()) == sweep_fingerprint(reference)
+    assert miss_path.counter("store_error") == FAULT_CELLS
+    assert len(miss_path.store) == 0
 
 
 # ---------------------------------------------------------------------------
