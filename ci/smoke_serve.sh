@@ -3,8 +3,10 @@
 # exactly one set of simulations (single-flight dedupe, observable via
 # serve.dedup_hit / serve.cache_hit on /stats), a warm re-query must
 # perform zero simulations, a warm traced query must stream the very
-# payload bytes its cold run streamed (and count as store hits), an
-# idle connection must get a 408, the /stats latency histograms must be
+# payload bytes its cold run streamed (and count as store hits), a
+# stored entry with one flipped body byte must be re-run (not counted
+# as a hit) and rewritten to its original bytes, an idle connection
+# must get a 408, the /stats latency histograms must be
 # ordered (min <= p50 <= p90 <= p99 <= max), and the server must append
 # its lifetime telemetry to the run ledger on shutdown.  The trap guarantees the
 # background server dies with this script, pass or fail; the final
@@ -102,6 +104,33 @@ assert hits == len(warm), f"/stats counted {hits} hits for {len(warm)} cells"
 print(f"warm traced query: {hits} hits, payload bytes identical to the cold run")
 EOF
 
+echo "--- a flipped body byte is a miss: re-run and rewritten"
+python - "$SERVE_URL" "$STORE_DIR" <<'EOF'
+import sys
+
+from repro.serve.client import SweepClient
+from repro.serve.protocol import MatrixQuery
+from repro.sweep import ResultCache
+
+url, store = sys.argv[1], ResultCache(sys.argv[2])
+query = MatrixQuery.from_dict(
+    {"workload": "axpy", "versions": ["omp_for"], "threads": [2, 4], "trace": True})
+client = SweepClient(url)
+key = next(e["key"] for e in client.query(query) if e["type"] == "cell")
+path = store.path_for(key)
+entry = path.read_bytes()
+# one digit of the result's time, in place: same length, still JSON
+at = entry.index(b'"time":') + len(b'"time":')
+path.write_bytes(entry[:at] + (b"7" if entry[at:at + 1] != b"7" else b"8") + entry[at + 1:])
+before = client.stats()["counters"].get("serve.cache_hit", 0)
+status = {e["key"]: e["status"] for e in client.query(query) if e["type"] == "cell"}
+hits = client.stats()["counters"].get("serve.cache_hit", 0) - before
+assert status[key] == "run", status
+assert hits == len(status) - 1, f"/stats counted {hits} hits for {len(status) - 1} intact cells"
+assert path.read_bytes() == entry, "the re-run did not rewrite the original bytes"
+print(f"flipped entry re-run and rewritten ({len(entry)} bytes); {hits} intact hit(s)")
+EOF
+
 echo "--- the store root holds only shard directories"
 python - "$STORE_DIR" <<'EOF'
 import pathlib
@@ -144,7 +173,7 @@ assert counters.get("serve.read_timeout") == 1, counters
 request = observed["serve.request_seconds"]
 assert request["count"] == counters["serve.request"], (request, counters)
 for name in ("serve.request_seconds", "serve.probe_seconds",
-             "serve.run_seconds", "serve.store_seconds"):
+             "serve.queue_seconds", "serve.run_seconds", "serve.store_seconds"):
     h = observed.get(name)
     if h is None or not h["count"]:
         continue

@@ -16,13 +16,15 @@ no framework, no new dependencies:
   cache hits, simulations — plus store and in-flight gauges).
 - ``GET /healthz`` answers ``{"ok": true}``.
 
-Every ``cell`` event's ``payload`` is the *exact* cache-entry document
-the direct ``run_sweep`` path stores and replays, down to the byte: the
-server splices an entry file's bytes into the event
-(:func:`encode_cell_event`), whether it read them from the store or its
-worker just encoded them (:func:`repro.sweep.cache.encode_entry`).  A
-served result therefore decodes byte-identically to a local one — the
-protocol adds framing, never representation.
+Every ``cell`` event's ``payload`` is the entry body: the *exact*
+cache-entry document the direct ``run_sweep`` path stores and replays,
+down to the byte.  An entry file is a short header line (stamps, body
+length, CRC) and that body; the server splices the body into the event
+(:func:`encode_cell_event`), whether it read it from the store or its
+worker just encoded the entry (:func:`repro.sweep.cache.encode_entry`).
+The header never goes on the wire.  A served result therefore decodes
+byte-identically to a local one — the protocol adds framing, never
+representation.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ def encode_cell_event(
 ) -> bytes:
     """The NDJSON line of a :func:`cell_event` whose payload is already
     encoded: ``payload`` is one compact JSON object with no raw newline
-    (an entry file's bytes without their trailing newline).
+    (an entry's body without its trailing newline).
 
     The payload is the event's last key, and :func:`encode_event` uses
     the entry encoding's separators, so the line is byte-identical to

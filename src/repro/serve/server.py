@@ -8,9 +8,10 @@ long-running query service.  A what-if matrix arrives as one ``POST
 through exactly one of:
 
 - **store hit** — the cell's content address resolves in the shared
-  :class:`ResultCache` (true-LRU, sharded) and the entry passes the
-  local sweep's stamp checks (``format``, ``fidelity``, a ``result`` or
-  an ``error``);
+  :class:`ResultCache` (true-LRU, sharded), the entry's framing checks
+  out (header, body length, CRC) and its header passes the local
+  sweep's stamp checks (``format``, ``fidelity``, a ``result`` or an
+  ``error``);
 - **single-flight join** — an *identical cell of another in-flight
   request* is already being resolved; this request awaits the same
   task instead of re-simulating (``serve.dedup_hit``).  The task map
@@ -24,20 +25,23 @@ through exactly one of:
   estimate costs microseconds, a process hop costs more), awaited
   through ``asyncio.wrap_future``.  The worker encodes the finished
   cache-entry document once, to the bytes of its entry file, and the
-  server writes those bytes through to the store and streams the same
-  bytes.  A store that cannot be written (full or read-only disk)
-  loses the entry, not the result: the bytes still stream, and the
-  failed write counts as ``serve.store_error``.  A worker that dies
-  (OOM kill, SIGKILL) breaks the pool: the runner's one dead-worker
-  rule replaces it and retries the cell once (``serve.pool_broken``);
-  a second failure fails only the requests waiting on that cell.
+  server writes those bytes through to the store and streams their
+  body through a ``memoryview`` slice.  A store that cannot be written
+  (full or read-only disk) loses the entry, not the result: the body
+  still streams, and the failed write counts as ``serve.store_error``.
+  A worker that dies (OOM kill, SIGKILL) breaks the pool: the runner's
+  one dead-worker rule replaces it and retries the cell once
+  (``serve.pool_broken``); a second failure fails only the requests
+  waiting on that cell.
 
-The entry bytes are the unit the store and the wire share.  A hit reads
-and parses the entry file once, in a thread, to check its stamps; its
-result is never decoded, and the document is never dumped again.  The
-event loop only splices the bytes into the ``cell`` event
-(:func:`~repro.serve.protocol.encode_cell_event`), which is
-byte-identical to encoding the parsed document.
+The entry body is the unit the store and the wire share: an entry file
+is one short header line (stamps, body length, CRC) and the body, the
+document as one line of compact JSON (:mod:`repro.sweep.cache`).  A hit
+reads the file once, in a thread, parses only the header, checks the
+stamps on it and the body's length and CRC; the body is never parsed,
+decoded or dumped again.  The event loop only splices the body into the
+``cell`` event (:func:`~repro.serve.protocol.encode_cell_event`), which
+is byte-identical to encoding the parsed document.
 
 Results stream back as NDJSON *as cells land*, so a client sees its
 first cells while later ones still simulate — hundreds-of-cells METG
@@ -58,7 +62,9 @@ read timeout and dropped client lands in one lifetime
 shutdown.  Latencies are histograms with p50/p90/p99: the whole request
 (``serve.request_seconds``) and each phase of a key's resolution
 (``serve.probe_seconds``, the store read and stamp check alone;
-``serve.run_seconds``; ``serve.store_seconds``).
+``serve.queue_seconds``, a miss's wait for a pool slot, from submit to
+the worker's start stamp; ``serve.run_seconds``, from submit to the
+entry bytes, so queue wait included; ``serve.store_seconds``).
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ import asyncio
 import functools
 import json
 import sys
-from time import perf_counter, process_time
+from time import monotonic, perf_counter, process_time
 from typing import Any, Optional, Union
 
 from repro.perf.spans import PerfRecorder
@@ -75,7 +81,7 @@ from repro.runtime.base import ExecContext
 from repro.serve import protocol
 from repro.serve.protocol import MatrixQuery, ProtocolError
 from repro.sweep import executor as _executor
-from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache, cache_key, encode_entry
+from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache, cache_key, entry_body
 from repro.sweep.cells import SweepCell
 
 __all__ = ["SweepServer", "main"]
@@ -216,29 +222,26 @@ class SweepServer:
     # ------------------------------------------------------------------
     def _probe(self, key: str, fidelity: int
                ) -> tuple[Optional[tuple[bytes, bool]], float]:
-        """Read ``key``'s entry (in a thread): its bytes and whether it
+        """Read ``key``'s entry (in a thread): its body and whether it
         records a cell error, or ``None`` for a miss; and the seconds the
         read and stamp check took, for the caller to observe on the loop.
 
-        The entry is parsed once, so a truncated or corrupt file is a
-        miss, and it must pass the local sweep's stamp checks; its result
-        is never decoded.  Bytes that would not stay one NDJSON line (a
-        hand-written entry with raw newlines) are re-encoded.
+        The store checks the framing (a truncated, corrupt or headerless
+        file is a miss) and parses only the header; its stamps must pass
+        the local sweep's checks.  The body is never parsed.
         """
         t0 = perf_counter()
         hit = None
         entry = self.cache.read(key)
         if entry is not None and _executor._entry_usable(entry[0], fidelity):
-            doc, data = entry
-            if data.find(b"\n") != len(data) - 1:
-                data = encode_entry(doc)
-            hit = data, "error" in doc
+            header, body = entry
+            hit = body, header["kind"] == "error"
         return hit, perf_counter() - t0
 
     async def _resolve_key(
         self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool, refresh: bool
-    ) -> tuple[bytes, bool, str]:
-        """Resolve one key to ``(entry bytes, is error, status)``: a store
+    ) -> tuple[Union[bytes, memoryview], bool, str]:
+        """Resolve one key to ``(entry body, is error, status)``: a store
         hit, or a fresh run written through to the store."""
         loop = asyncio.get_running_loop()
         if not refresh:
@@ -247,10 +250,11 @@ class SweepServer:
             if hit is not None:
                 self.perf.count("serve.cache_hit")
                 return hit[0], hit[1], "hit"
-        t0 = perf_counter()
-        data, error = await asyncio.wrap_future(self._runner.submit(cell, ctx, trace))
+        t0, submitted = perf_counter(), monotonic()
+        data, error, started = await asyncio.wrap_future(self._runner.submit(cell, ctx, trace))
         t1 = perf_counter()
         self.perf.count("serve.simulations" if cell.fidelity == 2 else "serve.estimates")
+        self.perf.observe("serve.queue_seconds", started - submitted)
         self.perf.observe("serve.run_seconds", t1 - t0)
         try:
             await loop.run_in_executor(None, self.cache.put, key, data)
@@ -261,11 +265,11 @@ class SweepServer:
         else:
             self.perf.count("serve.store")
         self.perf.observe("serve.store_seconds", perf_counter() - t1)
-        return data, error, "run"
+        return entry_body(data), error, "run"
 
     async def _resolve_cell(
         self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool, refresh: bool
-    ) -> tuple[bytes, bool, str]:
+    ) -> tuple[Union[bytes, memoryview], bool, str]:
         """Resolve one cell for one request (see :meth:`_resolve_key`).
 
         The single-flight discipline: between probing ``_inflight`` and
@@ -435,7 +439,7 @@ class SweepServer:
             len(cells), query.workload, protocol.context_digest(self.ctx)
         )))
 
-        async def settle(i: int) -> tuple[int, bytes, bool, str]:
+        async def settle(i: int) -> tuple[int, Union[bytes, memoryview], bool, str]:
             data, error, status = await self._resolve_cell(
                 keys[i], cells[i], ctx, query.trace, query.refresh
             )
@@ -474,7 +478,7 @@ class SweepServer:
                     # or fresh cell error is still a hit/run above
                     status = "error"
                     counters["errors"] += 1
-                # the entry's bytes without their trailing newline
+                # the entry's body without its trailing newline
                 await self._write_chunk(writer, protocol.encode_cell_event(
                     cells[i].version, cells[i].nthreads, keys[i], status,
                     memoryview(data)[:-1],

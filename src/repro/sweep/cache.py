@@ -33,6 +33,24 @@ only record of what the store holds.  Anything outside a shard
 directory (a pre-sharding store's flat ``root/<key>.json``) is not an
 entry, so it costs a miss and a re-simulation, never a wrong result.
 
+Entry files: each is one short JSON header line, then the *body*, the
+entry document as compact ASCII JSON on one line of its own
+(:func:`encode_entry`)::
+
+    {"entry":1,"format":1,"fidelity":2,"kind":"result","length":764040,"crc32":3196173010}
+    {"format":1,"workload":"lud",...,"result":{...}}
+
+The header starts with the fixed marker :data:`ENTRY_MARKER` (the
+framing's version stamp) and carries the document's stamps (``format``,
+``fidelity``, ``kind`` — ``result`` or ``error``), the body's byte
+length and its ``zlib.crc32``.  :meth:`ResultCache.read` parses only
+the header and checks the body's length, CRC and that it is one line,
+so a hit costs a CRC over the bytes, never a JSON parse of the body,
+and a flipped byte, a truncated file or a file of another layout is a
+miss.  A pre-header entry (its file *is* a body) fails the marker check
+and a first line longer than :data:`HEADER_CAP` fails the length check,
+both before anything is parsed; either is re-run and overwritten.
+
 Eviction is **true LRU**: :meth:`ResultCache.read` (and so
 :meth:`~ResultCache.get`) refreshes an entry's mtime on every hit
 (best-effort ``os.utime``), so "least recently modified" genuinely
@@ -45,7 +63,7 @@ temporary file in the entry's shard directory, then ``os.replace``),
 so any number of executors — threads or processes — may share one
 cache directory; readers only ever observe absent or complete entries,
 and concurrent writers of the same key converge on identical content.
-Unreadable or truncated entries are treated as misses and overwritten.
+Unreadable, truncated or corrupt entries are misses and are overwritten.
 A *crashed* writer can leave its ``.<key>.*.tmp`` staging file behind;
 :meth:`prune` and :meth:`clear` garbage-collect staging files older
 than :data:`TMP_GRACE_SECONDS` (young ones may belong to a live
@@ -68,6 +86,7 @@ import os
 import pathlib
 import threading
 import time
+import zlib
 from dataclasses import asdict
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
@@ -80,12 +99,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
+    "ENTRY_MARKER",
+    "HEADER_CAP",
     "KEY_FORMAT",
     "ResultCache",
     "SHARD_WIDTH",
     "TMP_GRACE_SECONDS",
     "cache_key",
     "encode_entry",
+    "entry_body",
+    "entry_stamps",
 ]
 
 #: Where `repro sweep` and the benchmark harness keep their entries.
@@ -93,6 +116,14 @@ DEFAULT_CACHE_DIR = pathlib.Path("benchmarks") / "out" / "cache"
 
 #: Bump to invalidate every existing entry (cache payload layout change).
 KEY_FORMAT = 1
+
+#: The first bytes of every entry file: the head of its header line and
+#: the version stamp of the entry layout.
+ENTRY_MARKER = b'{"entry":1,'
+
+#: Longest header line, newline included: a file whose first line is
+#: longer is a miss, found without parsing it.
+HEADER_CAP = 256
 
 #: Hex chars of the key that name an entry's shard directory.
 SHARD_WIDTH = 2
@@ -152,11 +183,61 @@ def cache_key(cell: "SweepCell", ctx: ExecContext, *, trace: bool = False) -> st
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def entry_stamps(payload: dict[str, Any]) -> dict[str, Any]:
+    """The stamps of an entry document, as its header carries them: its
+    ``format``, its ``fidelity`` (2 when unstamped) and its ``kind``,
+    ``error`` or ``result`` by the key it holds (``None`` for neither)."""
+    kind = "error" if "error" in payload else "result" if "result" in payload else None
+    return {"format": payload.get("format"), "fidelity": payload.get("fidelity", 2),
+            "kind": kind}
+
+
 def encode_entry(payload: dict[str, Any]) -> bytes:
-    """An entry document as the bytes of its file: compact JSON and one
-    trailing newline.  Being ASCII-escaped, it holds no raw newline, so
-    the sweep service can splice it into one NDJSON line unchanged."""
-    return json.dumps(payload, separators=(",", ":")).encode("ascii") + b"\n"
+    """An entry document as the bytes of its file: the header line, then
+    the body, the document as compact JSON and one trailing newline.
+
+    Being ASCII-escaped, the body holds no raw newline, so the sweep
+    service can splice it into one NDJSON line unchanged.
+    """
+    body = json.dumps(payload, separators=(",", ":")).encode("ascii") + b"\n"
+    header = dict(entry_stamps(payload), length=len(body), crc32=zlib.crc32(body))
+    # the marker opens the header object: splice the rest of it in
+    tail = json.dumps(header, separators=(",", ":")).encode("ascii")[1:]
+    return b"".join((ENTRY_MARKER, tail, b"\n", body))
+
+
+def entry_body(data: bytes) -> memoryview:
+    """The body of entry bytes that :func:`encode_entry` just made, as a
+    view: everything after the header line, unchecked."""
+    return memoryview(data)[data.index(b"\n") + 1:]
+
+
+def _split_entry(data: bytes) -> Optional[tuple[dict[str, Any], bytes]]:
+    """Check an entry file's framing and split it into ``(header, body)``.
+
+    ``None`` unless the file starts with :data:`ENTRY_MARKER`, its header
+    line fits in :data:`HEADER_CAP` bytes and parses, and the body is
+    one line of the header's length and CRC.  Only the header is parsed;
+    being opened by the marker, it parses to a dict or not at all.
+    """
+    if not data.startswith(ENTRY_MARKER):
+        return None
+    end = data.find(b"\n", 0, HEADER_CAP)
+    if end < 0:
+        return None
+    try:
+        header = json.loads(data[:end])
+    except ValueError:
+        return None
+    body = data[end + 1:]
+    if (
+        header.get("length") != len(body)
+        or not body.endswith(b"\n")
+        or body.find(b"\n") != len(body) - 1
+        or header.get("crc32") != zlib.crc32(body)
+    ):
+        return None
+    return header, body
 
 
 def _is_shard_name(name: str) -> bool:
@@ -209,27 +290,28 @@ class ResultCache:
     # ------------------------------------------------------------------
     @staticmethod
     def _read(path: pathlib.Path) -> Optional[tuple[dict[str, Any], bytes]]:
-        """Parse one entry file into ``(document, file bytes)``;
-        missing/truncated/corrupt → ``None``."""
+        """Read one entry file as ``(header, body)``; missing, truncated,
+        corrupt or of another layout → ``None``."""
         try:
             data = path.read_bytes()
-            payload = json.loads(data)
-        except (OSError, ValueError):
+        except OSError:
             return None
-        return (payload, data) if isinstance(payload, dict) else None
+        return _split_entry(data)
 
     def read(self, key: str) -> Optional[tuple[dict[str, Any], bytes]]:
-        """Return ``(document, entry bytes)`` stored under ``key``, or ``None``.
+        """Return ``(header, body)`` of the entry stored under ``key``, or
+        ``None``.
 
-        The one read path: the file is read and parsed once, and the
-        bytes are exactly what :meth:`put` wrote (:func:`encode_entry`
-        of the document), so a caller that forwards the entry can send
-        them as they are.  Missing, truncated, or otherwise unreadable
-        entries are all misses: a crashed writer can at worst leave a
-        stale ``*.tmp`` file behind, never a half-visible entry.  A hit
-        refreshes the entry's mtime (best-effort ``os.utime``), which is
-        what makes :meth:`prune`'s least-recently-modified ordering true
-        LRU rather than insertion-order FIFO.
+        The one read path: the file is read once and only its header line
+        is parsed; the body's length, CRC and single line are checked, and
+        it is returned as the bytes :func:`encode_entry` wrote, so a caller
+        that forwards the document can send them as they are.  Missing,
+        truncated, corrupt or headerless entries are all misses: a crashed
+        writer can at worst leave a stale ``*.tmp`` file behind, never a
+        half-visible entry.  A hit refreshes the entry's mtime
+        (best-effort ``os.utime``), which is what makes :meth:`prune`'s
+        least-recently-modified ordering true LRU rather than
+        insertion-order FIFO.
         """
         rec = _perf_current()
         t0 = perf_counter() if rec is not None else 0.0
@@ -246,17 +328,17 @@ class ResultCache:
         return entry
 
     def get(self, key: str) -> Optional[dict[str, Any]]:
-        """Return the document stored under ``key``, or ``None`` (see
-        :meth:`read`)."""
+        """Return the document stored under ``key``, or ``None``: a
+        :meth:`read` and a parse of its body."""
         entry = self.read(key)
-        return None if entry is None else entry[0]
+        return None if entry is None else json.loads(entry[1])
 
     def put(self, key: str, payload: Union[dict[str, Any], bytes]) -> pathlib.Path:
         """Atomically store ``payload`` under ``key`` (write-then-rename).
 
         ``payload`` is the entry document, or its :func:`encode_entry`
         bytes when the caller already holds them (the sweep service
-        streams the same bytes it stores).  The temporary name is
+        streams the body of the bytes it stores).  The temporary name is
         unique per (process, thread, call), so concurrent writers never
         collide on the staging file, and ``os.replace`` makes
         publication atomic on POSIX and Windows (same-directory rename:
@@ -311,14 +393,14 @@ class ResultCache:
         return sorted(p.stem for p in self._entry_paths())
 
     def __contains__(self, key: str) -> bool:
-        """True iff ``key``'s entry exists *and* decodes.
+        """True iff ``key``'s entry exists *and* its framing checks out.
 
-        Aligned with :meth:`get`'s miss semantics: a truncated or
-        corrupt entry that ``get`` would treat as a miss also reports
-        absent here, so ``key in cache`` never promises a payload that
-        ``get`` then refuses to return.  Unlike ``get``, a containment
-        probe records no telemetry and does not refresh recency — it is
-        a question, not a use.
+        Aligned with :meth:`read`'s miss semantics: a truncated, corrupt
+        or headerless entry that ``read`` would treat as a miss also
+        reports absent here, so ``key in cache`` never promises an entry
+        that ``read`` then refuses to return.  Unlike ``read``, a
+        containment probe records no telemetry and does not refresh
+        recency — it is a question, not a use.
         """
         return self._read(self.path_for(key)) is not None
 

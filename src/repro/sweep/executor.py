@@ -12,7 +12,7 @@ fork pool, the one miss runner, which the sweep service
 (:mod:`repro.serve.server`) shares; its workers run :func:`_cell_entry`
 and return the entry's file bytes.  Each miss is encoded once, in the
 process that ran it; the local sweep stores those bytes as they are
-and decodes them like a hit.
+and decodes their body like a hit.
 
 The fidelity (:mod:`repro.sim.tiers`) is part of the cell's cache
 address and is stamped into the stored document, so an estimate can
@@ -63,6 +63,7 @@ import json
 import multiprocessing
 import os
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
@@ -80,7 +81,7 @@ from repro.runtime.run import run_program
 from repro.sim.tiers import estimate_program
 from repro.sim.trace import SimResult
 from repro.sweep import codec
-from repro.sweep.cache import ResultCache, cache_key, encode_entry
+from repro.sweep.cache import ResultCache, cache_key, encode_entry, entry_body, entry_stamps
 from repro.sweep.cells import SweepCell, expand_cells
 
 __all__ = ["PAYLOAD_FORMAT", "run_sweep"]
@@ -150,25 +151,31 @@ def _run_cell(
 
 
 def _cell_entry(cell: SweepCell, ctx: ExecContext, trace: bool, validate: bool
-                ) -> tuple[bytes, bool]:
+                ) -> tuple[bytes, bool, float]:
     """Run one cell and return its cache entry: the :func:`encode_entry`
-    bytes of its document and whether the entry records a cell error.
+    bytes of its document, whether the entry records a cell error, and
+    the ``time.monotonic()`` at which the cell started.
 
     The one entry point of :class:`MissRunner`: the result is encoded
-    once, where it ran, into the bytes the caller stores and serve
-    streams; an unexpected exception reaches the caller's future.
+    once, where it ran, into the bytes the caller stores and whose body
+    serve streams; an unexpected exception reaches the caller's future.
+    The monotonic clock is system-wide on Linux, so a pool worker's start
+    stamp and the submitter's clock agree: their difference is the
+    cell's queue wait for a pool slot.
     """
+    started = time.monotonic()
     res, err = _run_cell(cell, ctx, trace, validate)
-    return encode_entry(_encode_entry(cell, res, err, trace)), err is not None
+    return encode_entry(_encode_entry(cell, res, err, trace)), err is not None, started
 
 
 class MissRunner:
     """The one miss runner of the local sweep and the sweep service.
 
     :meth:`submit` runs :func:`_cell_entry` and returns a future of the
-    entry bytes and is-error flag.  Tier-2 cells run in a fork-based
-    ``ProcessPoolExecutor`` of ``jobs`` workers, created on first use;
-    tier-0 estimates, and every cell without ``fork``, run in a thread.
+    entry bytes, is-error flag and start stamp.  Tier-2 cells run in a
+    fork-based ``ProcessPoolExecutor`` of ``jobs`` workers, created on
+    first use; tier-0 estimates, and every cell without ``fork``, run in
+    a thread.
 
     The dead-worker rule: a dead worker (OOM kill, SIGKILL) breaks its
     pool for good.  The first cell to see a broken pool drops it, so the
@@ -267,9 +274,14 @@ def _encode_entry(
     return doc
 
 
-def _entry_usable(payload: dict[str, Any], fidelity: int = 2) -> bool:
-    """Whether a stored entry document may answer a request of tier
+def _entry_usable(stamps: dict[str, Any], fidelity: int = 2) -> bool:
+    """Whether an entry with these stamps may answer a request of tier
     ``fidelity``: the stamp checks, without decoding the result.
+
+    ``stamps`` is an entry's header, or the
+    :func:`~repro.sweep.cache.entry_stamps` of its document: the current
+    ``format``, the requested ``fidelity``, and a ``result`` or an
+    ``error``.
 
     A payload stamped with a different tier is refused even though
     tiers already address distinct cache keys — a belt-and-braces guard
@@ -278,9 +290,9 @@ def _entry_usable(payload: dict[str, Any], fidelity: int = 2) -> bool:
     local sweep decodes what passes; the sweep service streams it.
     """
     return (
-        payload.get("format") == PAYLOAD_FORMAT
-        and payload.get("fidelity", 2) == fidelity
-        and ("error" in payload or "result" in payload)
+        stamps.get("format") == PAYLOAD_FORMAT
+        and stamps.get("fidelity") == fidelity
+        and stamps.get("kind") in ("result", "error")
     )
 
 
@@ -292,7 +304,7 @@ def _decode_entry(
     ``fidelity`` is the tier of the *requesting* cell (see
     :func:`_entry_usable`).
     """
-    if not _entry_usable(payload, fidelity):
+    if not _entry_usable(entry_stamps(payload), fidelity):
         return None
     if "error" in payload:
         return None, str(payload["error"])
@@ -569,10 +581,10 @@ def run_sweep(
                         break
                     i = futures[fut]
                     data = fut.result()[0]
-                    # the worker's bytes are stored as they are and decoded
-                    # once, like a cache hit
+                    # the worker's bytes are stored as they are and their
+                    # body is decoded once, like a cache hit
                     with perf_span("codec.decode"):
-                        res, err = _decode_entry(json.loads(data), fid)
+                        res, err = _decode_entry(json.loads(bytes(entry_body(data))), fid)
                     finish(i, res, err, data, merge=True)
             finally:
                 with perf_span("fanout.pool"):

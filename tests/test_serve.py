@@ -19,6 +19,7 @@ import signal
 import socket
 import threading
 import time
+import types
 
 import pytest
 
@@ -34,7 +35,7 @@ from repro.serve import protocol
 from repro.serve import server as server_mod
 from repro.sweep import ResultCache, codec, run_sweep
 from repro.sweep import executor as executor_mod
-from repro.sweep.cache import SHARD_WIDTH
+from repro.sweep.cache import SHARD_WIDTH, encode_entry
 from tests.test_sweep_executor import sweep_fingerprint
 
 KWARGS = dict(
@@ -193,6 +194,29 @@ class TestServeEndToEnd:
         assert probe["max"] < stall
         assert stats["observations"]["serve.request_seconds"]["max"] >= stall
 
+    def test_queue_wait_is_split_out_of_the_run(self, tmp_path, monkeypatch):
+        """``serve.queue_seconds`` observes each miss's wait for a pool
+        slot: with the one worker held by a slow cell, the query's second
+        cell waits at least as long as the first runs, and that wait is
+        part of its ``serve.run_seconds``."""
+        hold = 0.4
+        real = executor_mod._run_cell
+
+        def slow(cell, ctx, trace, validate, metrics=None):
+            time.sleep(hold)
+            return real(cell, ctx, trace, validate, metrics)
+
+        monkeypatch.setattr(executor_mod, "_run_cell", slow)
+        query = MatrixQuery("axpy", versions=("omp_for",), threads=(1, 4),
+                            params={"n": 120_000}, fidelity=2)
+        with running_server(tmp_path, jobs=1) as srv:
+            list(SweepClient(srv.url).query(query))
+            observed = SweepClient(srv.url).stats()["observations"]
+        queue, run = observed["serve.queue_seconds"], observed["serve.run_seconds"]
+        assert queue["count"] == run["count"] == 2
+        assert queue["min"] < hold <= queue["max"]
+        assert queue["max"] + hold <= run["max"]
+
     def test_served_sweep_is_byte_identical_to_local(self, tmp_path):
         served_store = tmp_path / "served"
         local_store = tmp_path / "local"
@@ -260,7 +284,7 @@ class TestServeEndToEnd:
     def test_cell_events_are_the_stored_bytes(self, tmp_path, monkeypatch):
         """Every ``cell`` line — run, join, hit and error, traced tier 2
         and tier 0 — is byte-identical to encoding the parsed event, and
-        its payload is the entry file's bytes."""
+        its payload is the stored entry's body."""
         real = executor_mod._run_cell
 
         def slow_or_error(cell, ctx, trace, validate, metrics=None):
@@ -299,8 +323,8 @@ class TestServeEndToEnd:
             assert line == protocol.encode_event(protocol.cell_event(
                 event["version"], event["nthreads"], event["key"], event["status"],
                 event["payload"]))
-            entry = store.path_for(event["key"]).read_bytes()
-            assert line.endswith(b',"payload":' + entry[:-1] + b"}\n")
+            _header, body = store.read(event["key"])
+            assert line.endswith(b',"payload":' + body[:-1] + b"}\n")
             statuses.append(event["status"])
         # two concurrent cold streams (run + join), a warm one, cold and
         # warm traced; the injected errors stream as "error" each time
@@ -309,9 +333,10 @@ class TestServeEndToEnd:
         assert statuses.count("hit") == 2 + 1
 
     def test_unusable_entries_are_misses_and_rewritten(self, tmp_path):
-        """A stale ``format``, a wrong ``fidelity`` stamp and a truncated
-        file each cost a miss; the server re-simulates the cell and
-        overwrites the entry with the bytes a fresh store holds."""
+        """A stale ``format``, a wrong ``fidelity`` stamp (each framed
+        true to its body, so only the header's stamps turn it away) and a
+        truncated file each cost a miss; the server re-simulates the cell
+        and overwrites the entry with the bytes a fresh store holds."""
         query = MatrixQuery("axpy", versions=("omp_for",), threads=(1, 2, 4),
                             params={"n": 120_000}, fidelity=0)
         store = ResultCache(tmp_path)
@@ -319,8 +344,8 @@ class TestServeEndToEnd:
             keys = [json.loads(line)["key"] for line in cell_lines(raw_lines(srv.url, query))]
             fresh = {k: store.path_for(k).read_bytes() for k in keys}
             stale, restamped, truncated = (store.path_for(k) for k in keys)
-            stale.write_bytes(fresh[keys[0]].replace(b'"format":1', b'"format":0'))
-            restamped.write_bytes(fresh[keys[1]].replace(b'"fidelity":0', b'"fidelity":2'))
+            stale.write_bytes(encode_entry({**store.get(keys[0]), "format": 0}))
+            restamped.write_bytes(encode_entry({**store.get(keys[1]), "fidelity": 2}))
             truncated.write_bytes(fresh[keys[2]][: len(fresh[keys[2]]) // 2])
             assert all(store.path_for(k).read_bytes() != fresh[k] for k in keys)
             lines = cell_lines(raw_lines(srv.url, query))
@@ -330,12 +355,12 @@ class TestServeEndToEnd:
         assert {k: store.path_for(k).read_bytes() for k in keys} == fresh
 
     def test_hit_neither_decodes_nor_encodes(self, tmp_path, monkeypatch):
-        """A warm query is answered without a codec decode or an entry
-        encode; a miss is encoded exactly once."""
-        import repro.serve.server as server_mod
+        """A warm query is answered without a codec decode, an entry
+        encode or a parse of the body; a miss is encoded exactly once."""
+        import repro.sweep.cache as cache_mod
 
         encodes = []
-        real_encode = server_mod.encode_entry
+        real_encode = executor_mod.encode_entry
 
         def counting_encode(doc):
             encodes.append(doc)
@@ -344,19 +369,26 @@ class TestServeEndToEnd:
         def no_decode(data):
             raise AssertionError("the server decoded a result")
 
-        # misses are encoded by the executor's entry point, the server
-        # re-encodes only hand-written entries: count both
-        for module in (server_mod, executor_mod):
-            monkeypatch.setattr(module, "encode_entry", counting_encode)
+        # misses are encoded by the executor's entry point, and only there
+        assert not hasattr(server_mod, "encode_entry")
+        monkeypatch.setattr(executor_mod, "encode_entry", counting_encode)
         query = MatrixQuery("axpy", versions=("omp_for", "cxx_thread"), threads=(1, 4),
                             params={"n": 120_000}, fidelity=0)
         with running_server(tmp_path) as srv:
             cold = list(SweepClient(srv.url).query(query))
             assert len(encodes) == NCELLS  # tier 0 encodes in a server thread
             monkeypatch.setattr(codec, "result_from_dict", no_decode)
-            for module in (server_mod, executor_mod):
-                monkeypatch.setattr(module, "encode_entry", no_decode)
+            monkeypatch.setattr(executor_mod, "encode_entry", no_decode)
+            parsed = []
+
+            def header_only(data):
+                parsed.append(len(data))
+                return json.loads(data)
+
+            monkeypatch.setattr(cache_mod, "json", types.SimpleNamespace(
+                loads=header_only, dumps=json.dumps))
             warm = list(SweepClient(srv.url).query(query))
+        assert len(parsed) == NCELLS and max(parsed) < cache_mod.HEADER_CAP
         assert [e["status"] for e in warm if e["type"] == "cell"] == ["hit"] * NCELLS
         assert ({e["key"]: e["payload"] for e in warm if e["type"] == "cell"}
                 == {e["key"]: e["payload"] for e in cold if e["type"] == "cell"})

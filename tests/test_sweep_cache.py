@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -160,17 +161,48 @@ class TestResultCacheStore:
         assert cache.keys() == [key]
 
     def test_read_returns_the_file_bytes(self, tmp_path):
-        """``read`` hands back the parsed document and the file's bytes;
-        ``put`` stores a document or its encoded bytes identically."""
+        """``read`` hands back the parsed header line and the body's bytes,
+        the document as one line of compact JSON; ``put`` stores a
+        document or its encoded bytes identically."""
         cache = ResultCache(tmp_path)
         payload = {"format": 1, "result": {"time": 0.25, "name": "a\nb"}}
         cache.put("ab" * 32, payload)
         cache.put("cd" * 32, encode_entry(payload))
         data = cache.path_for("ab" * 32).read_bytes()
         assert data == cache.path_for("cd" * 32).read_bytes() == encode_entry(payload)
-        assert data.count(b"\n") == 1 and data.endswith(b"\n")
-        assert cache.read("ab" * 32) == (payload, data)
+        assert data.count(b"\n") == 2 and data.endswith(b"\n")
+        head, body = data.split(b"\n", 1)
+        assert body == json.dumps(payload, separators=(",", ":")).encode("ascii") + b"\n"
+        header = {"entry": 1, "format": 1, "fidelity": 2, "kind": "result",
+                  "length": len(body), "crc32": zlib.crc32(body)}
+        assert json.loads(head) == header
+        assert cache.read("ab" * 32) == (header, body)
         assert cache.read("ef" * 32) is None
+
+    def test_every_framing_fault_is_a_miss(self, tmp_path):
+        """A flipped body byte, a truncated body, a second body line, a
+        header of another length and a headerless document all read as
+        misses, and ``in`` agrees."""
+        cache = ResultCache(tmp_path)
+        payload = {"format": 1, "error": "boom"}
+        data = encode_entry(payload)
+        body = data.split(b"\n", 1)[1]
+        two_lines = body.replace(b",", b",\n")  # framed true to its length and CRC
+        faults = [
+            data.replace(b"boom", b"bood"),
+            data[:-2] + b"\n",
+            data.replace(b'"length":%d' % len(body), b'"length":%d' % len(two_lines))
+                .replace(b'"crc32":%d' % zlib.crc32(body), b'"crc32":%d' % zlib.crc32(two_lines))
+                .replace(body, two_lines),
+            data.replace(b'"length":%d' % len(body), b'"length":%d' % (len(body) + 1)),
+            body,
+        ]
+        for i, bad in enumerate(faults):
+            key = f"{i:02d}" * 32
+            cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
+            cache.path_for(key).write_bytes(bad)
+            assert cache.read(key) is None, bad
+            assert cache.get(key) is None and key not in cache
 
     def test_missing_is_none(self, tmp_path):
         assert ResultCache(tmp_path).get("cd" * 32) is None

@@ -17,6 +17,7 @@ import json
 import os
 import signal
 import threading
+import types
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -24,6 +25,7 @@ import pytest
 from repro.core.registry import WORKLOADS
 from repro.obs.metrics import MetricsRegistry
 from repro.sweep import ResultCache, codec, run_sweep
+from repro.sweep import cache as cache_mod
 from repro.sweep import executor as executor_mod
 from repro.sweep.codec import result_to_dict
 
@@ -182,13 +184,14 @@ def test_corrupt_entry_is_resimulated_and_repaired(tmp_path):
     first = run_sweep("fib", **kwargs)
     cache = ResultCache(tmp_path)
     (key,) = cache.keys()
-    cache.path_for(key).write_text('{"format": 1, "result": ')  # truncated
+    entry = cache.path_for(key).read_bytes()
+    cache.path_for(key).write_bytes(entry[: len(entry) // 2])  # truncated
     second = run_sweep("fib", **kwargs)
     assert second.counter("simulations") == 1
     assert second.counter("cache_misses") == 1
     assert sweep_fingerprint(second) == sweep_fingerprint(first)
     # the entry was repaired in place
-    assert cache.get(key) is not None
+    assert cache.path_for(key).read_bytes() == entry
 
 
 def test_unknown_payload_format_is_a_miss(tmp_path):
@@ -199,7 +202,8 @@ def test_unknown_payload_format_is_a_miss(tmp_path):
     (key,) = cache.keys()
     entry = cache.get(key)
     entry["format"] = 999
-    cache.path_for(key).write_text(json.dumps(entry))
+    cache.put(key, entry)  # framed true to its body: only the stamp is stale
+    assert key in cache
     again = run_sweep("fib", **kwargs)
     assert again.counter("simulations") == 1
     assert cache.get(key)["format"] == 1
@@ -312,6 +316,12 @@ class MissPath:
             return self.last.perf["counters"].get(self.LOCAL_COUNTERS[kind], 0)
         return self.server.perf.counters.get(f"serve.{kind}", 0)
 
+    def probe(self, key):
+        """Whether a sweep would take ``key``'s entry as a hit."""
+        if self.server is None:
+            return executor_mod._decode_entry(self.store.get(key) or {}) is not None
+        return self.server._probe(key, 2)[0] is not None
+
 
 @pytest.fixture(params=["local", "served"])
 def miss_path(request, tmp_path):
@@ -383,6 +393,66 @@ def test_cell_that_kills_every_worker_fails_after_one_retry(miss_path, tmp_path,
                           threads=(2,), params={"n": 130_000}, fidelity=2)
         assert other.counter("simulations") == 1
     assert len(list(attempts.iterdir())) == 2
+
+
+def _entry_of(store, version, nthreads):
+    """The key and file bytes of the stored ``(version, nthreads)`` cell."""
+    mark = b'"version":"%s","nthreads":%d,' % (version.encode(), nthreads)
+    (key,) = [k for k in store.keys() if mark in store.path_for(k).read_bytes()]
+    return key, store.path_for(key).read_bytes()
+
+
+def test_flipped_body_byte_is_a_miss_and_rewritten(miss_path):
+    """One digit of a stored result's time, flipped in place, keeps the
+    file the same length and valid JSON: the body's CRC turns it into a
+    miss, the cell re-runs, and its entry is rewritten to the original
+    bytes."""
+    reference = run_sweep("axpy", jobs=1, **FAULT_KWARGS)
+    miss_path.sweep()
+    key, entry = _entry_of(miss_path.store, "omp_for", 4)
+    at = entry.index(b'"time":') + len(b'"time":')  # the time's first digit
+    flipped = entry[:at] + (b"7" if entry[at:at + 1] != b"7" else b"8") + entry[at + 1:]
+    miss_path.store.path_for(key).write_bytes(flipped)
+    assert json.loads(flipped.split(b"\n", 1)[1]) != json.loads(entry.split(b"\n", 1)[1])
+    assert not miss_path.probe(key)
+    again = miss_path.sweep()
+    assert again.counter("simulations") == 1
+    assert again.counter("cache_hits") == FAULT_CELLS - 1
+    assert sweep_fingerprint(again) == sweep_fingerprint(reference)
+    assert miss_path.store.path_for(key).read_bytes() == entry
+
+
+def test_legacy_entries_are_misses_without_a_full_parse(miss_path, monkeypatch):
+    """A headerless entry (the bytes a store held before entries had a
+    header) and an entry whose first line is longer than the header cap
+    are both turned away before anything longer than the cap is parsed,
+    and both are re-run and rewritten."""
+    miss_path.sweep()
+    (old_key, old), (long_key, long) = (_entry_of(miss_path.store, "omp_for", n)
+                                        for n in (1, 2))
+    head, body = long.split(b"\n", 1)
+    pad = b'"pad":"%s",' % (b"x" * cache_mod.HEADER_CAP)
+    padded = cache_mod.ENTRY_MARKER + pad + head[len(cache_mod.ENTRY_MARKER):]
+    miss_path.store.path_for(old_key).write_bytes(old.split(b"\n", 1)[1])
+    miss_path.store.path_for(long_key).write_bytes(padded + b"\n" + body)
+    sizes = []
+
+    def recording(data, *args, **kwargs):
+        sizes.append(len(data))
+        return json.loads(data, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_mod, "json", types.SimpleNamespace(loads=recording,
+                                                                dumps=json.dumps))
+        for key in (old_key, long_key):
+            assert key not in miss_path.store
+            assert miss_path.store.read(key) is None
+            assert not miss_path.probe(key)
+    assert max(sizes, default=0) <= cache_mod.HEADER_CAP
+    again = miss_path.sweep()
+    assert again.counter("simulations") == 2
+    assert miss_path.store.path_for(old_key).read_bytes() == old
+    assert miss_path.store.path_for(long_key).read_bytes() == long
 
 
 def test_failing_store_keeps_every_result(miss_path, monkeypatch):
