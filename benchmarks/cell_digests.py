@@ -6,11 +6,14 @@ committed baseline.
 
 Every workload x version of the registry is swept at p in {1, 3, 16, 36}
 at fidelity 0 (estimate) and 2 (simulate), plus one traced p3 pass at
-fidelity 2.  Two fault passes at p in {1, 4} pin the error-handling
-paths: one injects a task failure and a worker stall under a retrying,
-degrading policy (reaching every Table III mode: cancel, poison,
-rethrow, none and the AMT message/future/rank faults), the other runs
-fault-free under a tiny region timeout.  A ``graphs`` pass runs the
+fidelity 2.  Three fault passes at p in {1, 4} pin the error-handling
+paths: ``fault`` injects a task failure and a worker stall under a
+retrying, degrading policy (reaching every Table III mode: cancel,
+poison, rethrow, none and the AMT message/future/rank faults),
+``timeout`` runs fault-free under a tiny region timeout, and
+``degrade`` pins the time-triggered hooks under the ``fault`` policy: a
+bandwidth window from t=0 (every work item's slowdown factor), a stall
+at 1 us and a failure at 2 us.  A ``graphs`` pass runs the
 ``add``-built task graphs outside the registry (UTS, the wavefront,
 a ``tbb::pipeline`` and 40 random programs from one ``Random(0)``
 stream) at p in {1, 4}, plus one traced p4 run each.  Each cell's codec document
@@ -46,6 +49,11 @@ FAULT_PASSES = {
         policy={"max_retries": 1, "backoff": 1e-6, "on_failure": "continue"},
     ),
     "timeout": dict(policy={"timeout": 1e-6, "on_failure": "continue"}),
+    "degrade": dict(
+        faults="bandwidth:at=0,duration=1,factor=0.5;stall:at=1e-6,duration=1e-6;"
+               "fail:at=2e-6",
+        policy={"max_retries": 1, "backoff": 1e-6, "on_failure": "continue"},
+    ),
 }
 
 
@@ -118,7 +126,7 @@ def graph_digests() -> dict[str, str]:
 
 def cell_digests() -> dict[str, str]:
     """Digest of every cell, keyed
-    ``workload/version/p<n>/<f0|f2|trace|fault|timeout>``, plus the
+    ``workload/version/p<n>/<f0|f2|trace|fault|timeout|degrade>``, plus the
     ``graphs`` pass."""
     from repro.core.registry import WORKLOADS
 

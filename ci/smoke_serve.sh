@@ -5,9 +5,9 @@
 # perform zero simulations, a warm traced query must stream the very
 # payload bytes its cold run streamed (and count as store hits), a
 # stored entry with one flipped body byte must be re-run (not counted
-# as a hit) and rewritten to its original bytes, an idle connection
-# must get a 408, the /stats latency histograms must be
-# ordered (min <= p50 <= p90 <= p99 <= max), and the server must append
+# as a hit but as serve.corrupt) and rewritten to its original bytes,
+# an idle connection must get a 408, the /stats latency histograms must
+# be ordered (min <= p50 <= p90 <= p99 <= max), and the server must append
 # its lifetime telemetry to the run ledger on shutdown.  The trap guarantees the
 # background server dies with this script, pass or fail; the final
 # check fails the suite if the store holds orphaned .tmp staging files.
@@ -122,11 +122,14 @@ entry = path.read_bytes()
 # one digit of the result's time, in place: same length, still JSON
 at = entry.index(b'"time":') + len(b'"time":')
 path.write_bytes(entry[:at] + (b"7" if entry[at:at + 1] != b"7" else b"8") + entry[at + 1:])
-before = client.stats()["counters"].get("serve.cache_hit", 0)
+before = client.stats()["counters"]
 status = {e["key"]: e["status"] for e in client.query(query) if e["type"] == "cell"}
-hits = client.stats()["counters"].get("serve.cache_hit", 0) - before
+after = client.stats()["counters"]
+hits = after.get("serve.cache_hit", 0) - before.get("serve.cache_hit", 0)
+corrupt = after.get("serve.corrupt", 0) - before.get("serve.corrupt", 0)
 assert status[key] == "run", status
 assert hits == len(status) - 1, f"/stats counted {hits} hits for {len(status) - 1} intact cells"
+assert corrupt == 1, f"/stats counted {corrupt} refused entries for one flipped entry"
 assert path.read_bytes() == entry, "the re-run did not rewrite the original bytes"
 print(f"flipped entry re-run and rewritten ({len(entry)} bytes); {hits} intact hit(s)")
 EOF

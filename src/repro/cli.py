@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--refresh", action="store_true",
                      help="ignore cached entries: re-simulate and overwrite")
     swp.add_argument("--cache-max-entries", type=int, default=None,
-                     help="evict least-recently-written entries beyond this bound")
+                     help="evict least-recently-used entries beyond this bound")
     swp.add_argument("--full", action="store_true", help="paper-scale parameters")
     swp.add_argument("--chart", action="store_true", help="include the ASCII chart")
     swp.add_argument("--metrics-out", default=None,
@@ -411,12 +411,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.obs.export import write_sweep_metrics
     from repro.perf.spans import Stopwatch
     from repro.sweep import DEFAULT_CACHE_DIR, ResultCache, run_sweep
+    from repro.sweep.executor import SERVER_ENV
 
     spec = get_workload(args.workload)
     params = dict(spec.paper_params if args.full else spec.default_params)
     import os as _os
 
-    server = args.server or _os.environ.get("REPRO_SWEEP_SERVER") or None
+    server = args.server or _os.environ.get(SERVER_ENV) or None
     cache = None
     if not args.no_cache and not server:
         # in server mode the service owns the store; no local cache

@@ -72,7 +72,7 @@ def _run_openmp(demo, p, ctx, faults, tracer):
     space = _space(ctx)
     return run_worksharing_loop(
         space, p, ctx, schedule="dynamic", chunk=max(1, space.niter // 64),
-        tracer=tracer, faults=faults.for_region(space.name, 0), error_mode=demo.mode,
+        tracer=tracer, faults=faults.for_region(space.name, 0, mode=demo.mode),
     )
 
 
@@ -85,7 +85,7 @@ def _run_tbb(demo, p, ctx, faults, tracer):
     graph = fib.graph(12)
     return run_stealing_graph(
         graph, p, ctx, tracer=tracer,
-        faults=faults.for_region("fib", 0), error_mode=demo.mode,
+        faults=faults.for_region("fib", 0, mode=demo.mode),
     )
 
 
@@ -97,7 +97,7 @@ def _run_cxx11(demo, p, ctx, faults, tracer):
     space = _space(ctx)
     return run_threadpool_loop(
         space, p, ctx, mode="async", nchunks=8, tracer=tracer,
-        faults=faults.for_region(space.name, 0), error_mode=demo.mode,
+        faults=faults.for_region(space.name, 0, mode=demo.mode),
     )
 
 
@@ -109,7 +109,7 @@ def _run_pthreads(demo, p, ctx, faults, tracer):
     space = _space(ctx)
     return run_threadpool_loop(
         space, p, ctx, mode="thread", nchunks=64, tracer=tracer,
-        faults=faults.for_region(space.name, 0), error_mode=demo.mode,
+        faults=faults.for_region(space.name, 0, mode=demo.mode),
     )
 
 
@@ -121,8 +121,7 @@ def _run_opencl(demo, p, ctx, faults, tracer):
     space = _space(ctx)
     return run_offload_loop(
         space, p, ctx, to_bytes=space.total_bytes, from_bytes=space.total_bytes,
-        tracer=tracer, faults=faults.for_region(space.name, 0),
-        error_mode=demo.mode,
+        tracer=tracer, faults=faults.for_region(space.name, 0, mode=demo.mode),
     )
 
 
@@ -134,8 +133,7 @@ def _run_cuda(demo, p, ctx, faults, tracer):
     space = _space(ctx)
     return run_offload_loop(
         space, p, ctx, to_bytes=space.total_bytes, from_bytes=space.total_bytes,
-        tracer=tracer, faults=faults.for_region(space.name, 0),
-        error_mode=demo.mode,
+        tracer=tracer, faults=faults.for_region(space.name, 0, mode=demo.mode),
     )
 
 
@@ -147,7 +145,7 @@ def _run_cilk(demo, p, ctx, faults, tracer):
     space = _space(ctx)
     return run_stealing_loop(
         space, p, ctx, style="cilk_for", tracer=tracer,
-        faults=faults.for_region(space.name, 0), error_mode=demo.mode,
+        faults=faults.for_region(space.name, 0, mode=demo.mode),
     )
 
 
@@ -159,7 +157,7 @@ def _run_charm(demo, p, ctx, faults, tracer):
     space = _space(ctx)
     return run_charm_loop(
         space, p, ctx, nchares=32, tracer=tracer,
-        faults=faults.for_region(space.name, 0), error_mode=demo.mode,
+        faults=faults.for_region(space.name, 0, mode=demo.mode),
     )
 
 
@@ -172,7 +170,7 @@ def _run_hpx(demo, p, ctx, faults, tracer):
     graph = fib.graph(12)
     return run_hpx_graph(
         graph, p, ctx, tracer=tracer,
-        faults=faults.for_region("fib", 0), error_mode=demo.mode,
+        faults=faults.for_region("fib", 0, mode=demo.mode),
     )
 
 
@@ -184,7 +182,7 @@ def _run_mpi(demo, p, ctx, faults, tracer):
     space = _space(ctx)
     return run_mpi_loop(
         space, p, ctx, nchunks=32, tracer=tracer,
-        faults=faults.for_region(space.name, 0), error_mode=demo.mode,
+        faults=faults.for_region(space.name, 0, mode=demo.mode),
     )
 
 

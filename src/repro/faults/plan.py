@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Iterable, Optional, Sequence, Union
 
+from repro.faults.semantics import ERROR_MODES
+
 __all__ = ["FAULT_KINDS", "Fault", "FaultPlan", "RegionFaults"]
 
 #: The four injectable fault kinds.
@@ -186,14 +188,16 @@ class FaultPlan:
         return iter(self.faults)
 
     def for_region(
-        self, name: str, index: int, attempt: int = 0
+        self, name: str, index: int, attempt: int = 0, mode: str = "none"
     ) -> Optional["RegionFaults"]:
         """The live fault set for one attempt of one region, or None.
 
         A fault matches when its ``region`` field is empty, equals the
         region's positional index (as a decimal string), or is a
         substring of the region's name, and the attempt number is still
-        within the fault's ``attempts`` budget.
+        within the fault's ``attempts`` budget.  ``mode`` is the Table
+        III discipline the attempt runs under (see
+        :func:`repro.faults.semantics.error_mode`).
         """
         live = [
             f
@@ -203,18 +207,26 @@ class FaultPlan:
         ]
         if not live:
             return None
-        return RegionFaults(live)
+        return RegionFaults(live, mode)
 
 
 class RegionFaults:
     """Stateful per-attempt view of the faults aimed at one region.
 
-    Executors consult it at well-defined points of simulated time; each
-    one-shot fault fires at most once per attempt.  ``triggered``
-    collects ``(kind, time)`` pairs for accounting.
+    The one fault handle an executor sees: ``mode`` is the Table III
+    error-handling discipline of the attempt (one of
+    :data:`~repro.faults.semantics.ERROR_MODES`), and :meth:`work_item`
+    times the faults of each work item.  Each one-shot fault fires at
+    most once per attempt.  ``triggered`` collects ``(kind, time)``
+    pairs for accounting.
     """
 
-    def __init__(self, faults: Sequence[Fault]) -> None:
+    def __init__(self, faults: Sequence[Fault], mode: str = "none") -> None:
+        if mode not in ERROR_MODES:
+            raise ValueError(
+                f"unknown error mode {mode!r}; expected one of " + ", ".join(ERROR_MODES)
+            )
+        self.mode = mode
         self._fail = [f for f in faults if f.kind == "task_fail"]
         self._stall = [f for f in faults if f.kind == "worker_stall"]
         self._lock = [f for f in faults if f.kind == "lock_delay"]
@@ -223,6 +235,20 @@ class RegionFaults:
         self._stall_fired = [False] * len(self._stall)
         self._lock_fired = [False] * len(self._lock)
         self.triggered: list[tuple[str, float]] = []
+
+    def work_item(
+        self, ordinal: int, worker: int, t: float, lead: float = 0.0
+    ) -> tuple[float, float, Optional[str]]:
+        """``(stall, slow factor, error)`` of one work item.
+
+        The item is issued at simulated time ``t`` on ``worker``; its
+        stall is evaluated at ``t``, and its execution, which begins
+        ``lead`` seconds after the stall (a dispatch or copy-in), is
+        slowed and possibly failed at ``t + stall + lead``.
+        """
+        stall = self.stall(worker, t)
+        at = t + stall + lead
+        return stall, self.slow_factor(at), self.fail_task(ordinal, at)
 
     # -- task failure ---------------------------------------------------
     def fail_task(self, ordinal: int, t: float) -> Optional[str]:
@@ -290,11 +316,3 @@ class RegionFaults:
                     self.triggered.append(("bandwidth_degrade", start))
                 mult *= 1.0 / f.factor
         return mult
-
-    @property
-    def has_fail(self) -> bool:
-        return bool(self._fail)
-
-    @property
-    def any_fired(self) -> bool:
-        return bool(self.triggered)

@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from repro.faults import fault_doc
-from repro.runtime.base import ExecContext
+from repro.runtime.base import ExecContext, cut_at_cancel
 from repro.sim.task import IterSpace, TaskGraph
 from repro.sim.trace import RegionResult, WorkerStats
 
@@ -112,7 +112,6 @@ def run_charm_loop(
     reduction: bool = False,
     tracer=None,
     faults=None,
-    error_mode: str = "msg_loss",
 ) -> RegionResult:
     """Execute a loop as a chare array on ``nthreads`` PEs.
 
@@ -145,16 +144,14 @@ def run_charm_loop(
         stall = 0.0
         dur = float(durations[i])
         if faults is not None:
-            stall = faults.stall(pe, t)
+            stall, slow, failure = faults.work_item(i, pe, t, recv)
             if tracer is not None and stall > 0.0:
                 tracer.span(pe, t, t + stall, "stall", "worker_stall")
             t += stall
-            dur *= faults.slow_factor(t + recv)
-            if err is None:
-                failure = faults.fail_task(i, t + recv)
-                if failure is not None:
-                    err = failure
-                    err_time = t + recv + dur
+            dur *= slow
+            if failure is not None:
+                err = failure
+                err_time = t + recv + dur
         if tracer is not None:
             tracer.span(pe, t, t + recv, "dispatch", "entry_method")
             if dur > 0.0:
@@ -174,7 +171,7 @@ def run_charm_loop(
     meta = _loop_meta("charm", n, space, work_scale)
     if faults is not None:
         busy = sum(w.busy for w in workers)
-        meta["fault"] = fault_doc(faults.triggered, err, err_time, error_mode, busy)
+        meta["fault"] = fault_doc(faults.triggered, err, err_time, faults.mode, busy)
     return RegionResult(time=time, nthreads=nthreads, workers=workers, meta=meta)
 
 
@@ -191,7 +188,6 @@ def run_hpx_loop(
     reduction: bool = False,
     tracer=None,
     faults=None,
-    error_mode: str = "future_poison",
 ) -> RegionResult:
     """Execute a loop as ``hpx::async`` futures joined by ``when_all``.
 
@@ -222,16 +218,14 @@ def run_hpx_loop(
         stall = 0.0
         dur = float(durations[i])
         if faults is not None:
-            stall = faults.stall(w, start)
+            stall, slow, failure = faults.work_item(i, w, start, cont)
             if tracer is not None and stall > 0.0:
                 tracer.span(w, start, start + stall, "stall", "worker_stall")
             start += stall
-            dur *= faults.slow_factor(start + cont)
-            if err is None:
-                failure = faults.fail_task(i, start + cont)
-                if failure is not None:
-                    err = failure
-                    err_time = start + cont + dur
+            dur *= slow
+            if failure is not None:
+                err = failure
+                err_time = start + cont + dur
         if tracer is not None:
             tracer.span(w, start, start + cont, "dispatch", "continuation")
             if dur > 0.0:
@@ -251,7 +245,7 @@ def run_hpx_loop(
     meta = _loop_meta("hpx", n, space, work_scale)
     if faults is not None:
         busy = sum(w.busy for w in workers)
-        meta["fault"] = fault_doc(faults.triggered, err, err_time, error_mode, busy)
+        meta["fault"] = fault_doc(faults.triggered, err, err_time, faults.mode, busy)
     return RegionResult(time=t_join, nthreads=nthreads, workers=workers, meta=meta)
 
 
@@ -268,7 +262,6 @@ def run_mpi_loop(
     reduction: bool = False,
     tracer=None,
     faults=None,
-    error_mode: str = "rank_fail",
 ) -> RegionResult:
     """Execute a loop block-partitioned over ``nthreads`` ranks (SPMD).
 
@@ -301,29 +294,20 @@ def run_mpi_loop(
         stall = 0.0
         dur = float(durations[i])
         if faults is not None:
-            stall = faults.stall(r, s)
-            dur *= faults.slow_factor(s + stall)
-            if err is None:
-                failure = faults.fail_task(i, s + stall)
-                if failure is not None:
-                    err = failure
-                    err_time = s + stall + dur
+            stall, slow, failure = faults.work_item(i, r, s)
+            dur *= slow
+            if failure is not None:
+                err = failure
+                err_time = s + stall + dur
         starts[i] = s
         stalls[i] = stall
         ends[i] = s + stall + dur
         t_rank[r] = ends[i]
     # pass 2: a rank failure aborts the job at the failure instant
-    cancelled = err is not None and error_mode == "rank_fail"
+    cancelled = err is not None and faults.mode == "rank_fail"
     cancel_time = err_time if cancelled else 0.0
-    skipped = 0
-    issued = [True] * n
-    if cancelled:
-        for i in range(n):
-            if starts[i] >= cancel_time:
-                issued[i] = False
-                skipped += 1
-            elif ends[i] > cancel_time:
-                ends[i] = cancel_time
+    issued = cut_at_cancel(starts, ends, cancel_time) if cancelled else [True] * n
+    skipped = issued.count(False)
     workers = [WorkerStats() for _ in range(p)]
     for i in range(n):
         if not issued[i]:
@@ -360,7 +344,7 @@ def run_mpi_loop(
     if faults is not None:
         busy = sum(w.busy for w in workers)
         meta["fault"] = fault_doc(
-            faults.triggered, err, err_time, error_mode, busy,
+            faults.triggered, err, err_time, faults.mode, busy,
             cancelled=cancelled, cancel_time=cancel_time, skipped=skipped,
         )
     return RegionResult(time=time, nthreads=nthreads, workers=workers, meta=meta)
@@ -392,7 +376,6 @@ def _run_amt_graph(
     kind: str,
     tracer,
     faults,
-    error_mode: str,
 ) -> RegionResult:
     """List-scheduling walk of a task DAG onto ``p`` per-PE timelines.
 
@@ -477,26 +460,24 @@ def _run_amt_graph(
             start = ready
         dur = duration(work, membytes, locality, active)
         if faults is not None:
-            stall = faults.stall(pe, start)
+            stall, slow, failure = faults.work_item(tid, pe, start, pre)
             if stall > 0.0:
                 stall_spans.append((pe, start, start + stall))
                 stalled += stall
                 start += stall
-            dur *= faults.slow_factor(start + pre)
-            if err is None:
-                failure = faults.fail_task(tid, start + pre)
-                if failure is not None:
-                    err = failure
-                    err_time = start + pre + dur + post
-                    if kind == "hpx":
-                        dead.add(tid)
+            dur *= slow
+            if failure is not None:
+                err = failure
+                err_time = start + pre + dur + post
+                if kind == "hpx":
+                    dead.add(tid)
         end = start + pre + dur + post
         pe_free[pe] = end
         finish[tid] = end
         overhead += pre + post
         records.append((pe, start, pre, end, work))
 
-    cancelled = err is not None and kind == "mpi" and error_mode == "rank_fail"
+    cancelled = err is not None and kind == "mpi" and faults.mode == "rank_fail"
     cancel_time = err_time if cancelled else 0.0
     busy = graph.total_work()
     executed = len(records)
@@ -555,7 +536,7 @@ def _run_amt_graph(
     }
     if faults is not None:
         meta["fault"] = fault_doc(
-            faults.triggered, err, err_time, error_mode, busy,
+            faults.triggered, err, err_time, faults.mode, busy,
             cancelled=cancelled, cancel_time=cancel_time, skipped=skipped,
         )
     return RegionResult(time=time, nthreads=nthreads, workers=[w], meta=meta)
@@ -568,7 +549,6 @@ def run_charm_graph(
     *,
     tracer=None,
     faults=None,
-    error_mode: str = "msg_loss",
 ) -> RegionResult:
     """Execute a task DAG as chares exchanging entry-method messages.
 
@@ -577,7 +557,7 @@ def run_charm_graph(
     PE.  Producers pay one send per successor; consumers one dequeue +
     dispatch per message.  No stealing: a hot PE stays hot.
     """
-    return _run_amt_graph(graph, nthreads, ctx, "charm", tracer, faults, error_mode)
+    return _run_amt_graph(graph, nthreads, ctx, "charm", tracer, faults)
 
 
 def run_hpx_graph(
@@ -587,7 +567,6 @@ def run_hpx_graph(
     *,
     tracer=None,
     faults=None,
-    error_mode: str = "future_poison",
 ) -> RegionResult:
     """Execute a task DAG as a dataflow of ``hpx::async`` futures.
 
@@ -597,7 +576,7 @@ def run_hpx_graph(
     static skew — at the price of the highest per-task overhead of the
     AMT family.
     """
-    return _run_amt_graph(graph, nthreads, ctx, "hpx", tracer, faults, error_mode)
+    return _run_amt_graph(graph, nthreads, ctx, "hpx", tracer, faults)
 
 
 def run_mpi_graph(
@@ -607,7 +586,6 @@ def run_mpi_graph(
     *,
     tracer=None,
     faults=None,
-    error_mode: str = "rank_fail",
 ) -> RegionResult:
     """Execute a task DAG block-partitioned over MPI ranks.
 
@@ -617,4 +595,4 @@ def run_mpi_graph(
     collective.  The schedule is fully static — the message-passing
     trade-off Hasta & Mutiara measure against threads.
     """
-    return _run_amt_graph(graph, nthreads, ctx, "mpi", tracer, faults, error_mode)
+    return _run_amt_graph(graph, nthreads, ctx, "mpi", tracer, faults)

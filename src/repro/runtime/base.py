@@ -10,7 +10,7 @@ from repro.sim.costs import CostModel
 from repro.sim.machine import Machine, PAPER_MACHINE
 from repro.sim.memory import MemoryModel
 
-__all__ = ["ExecContext", "ThreadExplosionError"]
+__all__ = ["ExecContext", "ThreadExplosionError", "cut_at_cancel"]
 
 
 class ThreadExplosionError(RuntimeError):
@@ -21,6 +21,21 @@ class ThreadExplosionError(RuntimeError):
     Fibonacci "hangs because huge number of threads is created" once the
     problem size reaches 20.
     """
+
+
+def cut_at_cancel(starts: list[float], ends: list[float], cancel_time: float) -> list[bool]:
+    """Apply an asynchronous abort at ``cancel_time`` to laid-out work.
+
+    ``pthread_cancel`` and ``MPI_Abort`` share one cut-off: an item that
+    would start at or after the cancel time is never issued, and an
+    item still running then is cut off at it (``ends`` is shortened in
+    place).  Returns each item's issued flag.
+    """
+    issued = [s < cancel_time for s in starts]
+    for i, live in enumerate(issued):
+        if live and ends[i] > cancel_time:
+            ends[i] = cancel_time
+    return issued
 
 
 @lru_cache(maxsize=128)

@@ -41,7 +41,6 @@ def run_offload_loop(
     async_overlap: bool = False,
     tracer=None,
     faults=None,
-    error_mode: str = "none",
 ) -> RegionResult:
     """Offload one data-parallel loop to ``device`` and time it.
 
@@ -56,7 +55,7 @@ def run_offload_loop(
     async overlaps the kernel with the copies.
 
     Under a live ``faults`` set a kernel failure (task ordinal 0) obeys
-    ``error_mode``: ``"rethrow"`` models OpenCL's host-side error path
+    its error mode: ``"rethrow"`` models OpenCL's host-side error path
     (the failed kernel's d2h copy-back is skipped, the error surfaces
     to the host), while ``"none"`` models unchecked CUDA/OpenACC
     launches — identical timing, all device work reported as wasted.
@@ -70,16 +69,16 @@ def run_offload_loop(
     else:
         h2d = dev.transfer_time(to_bytes)
         d2h = dev.transfer_time(from_bytes)
-    err = None
     stall0 = 0.0
     if faults is not None:
-        # host-side launch stall delays the whole pipeline
-        stall0 = faults.stall(0, 0.0)
-        # degraded link/device bandwidth slows the kernel window
-        kernel *= faults.slow_factor(stall0 + h2d)
-        err = faults.fail_task(0, stall0 + h2d)
-        if err is not None and error_mode != "none":
-            d2h = 0.0  # the failed kernel's copy-back never happens
+        # a host-side launch stall delays the whole pipeline; degraded
+        # link/device bandwidth slows the kernel window after the h2d copy
+        stall0, slow, err = faults.work_item(0, 0, 0.0, h2d)
+        kernel *= slow
+        # a detected kernel failure cancels the copy-back
+        cancelled = err is not None and faults.mode != "none"
+        if cancelled:
+            d2h = 0.0
     if async_overlap:
         # staged pipeline: the long pole hides the shorter stages except
         # for one link latency to fill the pipe
@@ -112,10 +111,8 @@ def run_offload_loop(
         "resident": resident,
     }
     if faults is not None:
-        # a detected kernel failure cancels the copy-back
-        cancelled = err is not None and error_mode != "none"
         meta["fault"] = fault_doc(
-            faults.triggered, err, kernel_start + kernel, error_mode, w.busy,
+            faults.triggered, err, kernel_start + kernel, faults.mode, w.busy,
             cancelled=cancelled, cancel_time=kernel_start + kernel,
             skipped=1 if cancelled and not resident else 0,
         )

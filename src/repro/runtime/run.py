@@ -58,7 +58,6 @@ def execute_region(
     ctx: ExecContext,
     tracer=None,
     faults=None,
-    error_mode: str = "",
 ) -> RegionResult:
     """Execute one region at ``nthreads`` and return its result.
 
@@ -69,17 +68,10 @@ def execute_region(
     program-absolute timeline.
 
     ``faults`` is a live :class:`~repro.faults.plan.RegionFaults` for
-    this region attempt (or ``None``, the default, in which case every
-    executor takes its original fault-free path) and ``error_mode`` the
-    Table III discipline to run it under (empty = the executor's own
-    default, see :func:`repro.faults.semantics.error_mode`).
+    this region attempt, carrying the Table III discipline to run it
+    under (or ``None``, the default, in which case every executor takes
+    its original fault-free path).
     """
-    fault_kwargs = {}
-    if faults is not None:
-        fault_kwargs["faults"] = faults
-        if error_mode:
-            fault_kwargs["error_mode"] = error_mode
-
     if isinstance(region, SerialRegion):
         dur = ctx.duration(region.work, region.membytes, region.locality, 1)
         meta = {
@@ -89,14 +81,10 @@ def execute_region(
             "expected_locality": region.locality,
         }
         stall = 0.0
-        err = None
         if faults is not None:
-            stall = faults.stall(0, 0.0)
-            dur *= faults.slow_factor(stall)
-            err = faults.fail_task(0, stall)
-            meta["fault"] = fault_doc(
-                faults.triggered, err, stall + dur, error_mode or "rethrow", dur
-            )
+            stall, slow, err = faults.work_item(0, 0, 0.0)
+            dur *= slow
+            meta["fault"] = fault_doc(faults.triggered, err, stall + dur, faults.mode, dur)
         w = WorkerStats(busy=dur, overhead=stall, tasks=1)
         if tracer is not None and stall > 0:
             tracer.span(0, 0.0, stall, "stall", "worker_stall")
@@ -109,7 +97,7 @@ def execute_region(
         executor = region.executor
         if executor == "worksharing":
             return run_worksharing_loop(
-                region.space, nthreads, ctx, tracer=tracer, **fault_kwargs, **params
+                region.space, nthreads, ctx, tracer=tracer, faults=faults, **params
             )
         if executor == "stealing_loop":
             entry = _entry_cost(params.pop("entry", "none"), nthreads, ctx)
@@ -119,17 +107,17 @@ def execute_region(
             )
             return run_stealing_loop(
                 region.space, nthreads, ctx, entry_cost=entry, exit_cost=exit_c,
-                tracer=tracer, **fault_kwargs, **params
+                tracer=tracer, faults=faults, **params
             )
         if executor == "threadpool":
             return run_threadpool_loop(
-                region.space, nthreads, ctx, tracer=tracer, **fault_kwargs, **params
+                region.space, nthreads, ctx, tracer=tracer, faults=faults, **params
             )
         if executor == "offload":
             from repro.runtime.offload import run_offload_loop
 
             return run_offload_loop(
-                region.space, nthreads, ctx, tracer=tracer, **fault_kwargs, **params
+                region.space, nthreads, ctx, tracer=tracer, faults=faults, **params
             )
         if executor in ("charm_loop", "hpx_loop", "mpi_loop"):
             from repro.runtime import amt
@@ -140,7 +128,7 @@ def execute_region(
                 "mpi_loop": amt.run_mpi_loop,
             }[executor]
             return run_loop(
-                region.space, nthreads, ctx, tracer=tracer, **fault_kwargs, **params
+                region.space, nthreads, ctx, tracer=tracer, faults=faults, **params
             )
         raise ValueError(f"unknown loop executor {executor!r}")
 
@@ -153,11 +141,11 @@ def execute_region(
             exit_c = _exit_cost(params.pop("exit", "none"), nthreads, ctx)
             return run_stealing_graph(
                 graph, nthreads, ctx, entry_cost=entry, exit_cost=exit_c,
-                tracer=tracer, **fault_kwargs, **params
+                tracer=tracer, faults=faults, **params
             )
         if executor == "threadpool_graph":
             return run_threadpool_graph(
-                graph, nthreads, ctx, tracer=tracer, **fault_kwargs, **params
+                graph, nthreads, ctx, tracer=tracer, faults=faults, **params
             )
         if executor in ("charm_graph", "hpx_graph", "mpi_graph"):
             from repro.runtime import amt
@@ -168,7 +156,7 @@ def execute_region(
                 "mpi_graph": amt.run_mpi_graph,
             }[executor]
             return run_graph(
-                graph, nthreads, ctx, tracer=tracer, **fault_kwargs, **params
+                graph, nthreads, ctx, tracer=tracer, faults=faults, **params
             )
         raise ValueError(f"unknown task executor {executor!r}")
 
@@ -201,7 +189,6 @@ def run_program(
     version: str = "",
     validate: bool = False,
     trace=None,
-    metrics=None,
     faults=None,
     policy=None,
 ) -> SimResult:
@@ -220,12 +207,6 @@ def run_program(
     :class:`SimResult` as ``result.trace``.  With ``trace=None`` (the
     default) no per-event state exists anywhere — the executors see
     ``tracer=None`` and skip every emission with a single branch.
-
-    ``metrics`` accepts a :class:`~repro.obs.metrics.MetricsRegistry`
-    into which this run's standard metrics
-    (:func:`~repro.obs.metrics.result_metrics`) are merged — the sweep
-    executor passes its per-sweep registry here so serial sweeps
-    account every run without a second pass over the regions.
 
     ``faults`` (a :class:`~repro.faults.plan.FaultPlan`, a spec string,
     or a dict/list form) injects deterministic faults; each region runs
@@ -278,13 +259,11 @@ def run_program(
         mode = error_mode(model, getattr(region, "executor", ""))
         attempt = 0
         while True:
-            live = plan.for_region(region.name, index, attempt) if plan else None
+            live = plan.for_region(region.name, index, attempt, mode) if plan else None
             if tracer is not None:
                 label = region.name if attempt == 0 else f"{region.name}#retry{attempt}"
                 tracer.begin_region(label, offset=total)
-            res = execute_region(
-                region, nthreads, ctx, tracer=tracer, faults=live, error_mode=mode
-            )
+            res = execute_region(region, nthreads, ctx, tracer=tracer, faults=live)
             fdoc = res.meta.get("fault")
             if pol is not None and pol.timeout is not None and res.time > pol.timeout:
                 fdoc = _apply_timeout(res, fdoc, pol.timeout, mode)
@@ -330,8 +309,4 @@ def run_program(
             from repro.validate.invariants import check_trace
 
             check_trace(tracer, horizon=total).raise_if_failed()
-    if metrics is not None:
-        from repro.obs.metrics import result_metrics
-
-        metrics.merge(result_metrics(result))
     return result

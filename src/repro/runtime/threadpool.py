@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.faults import fault_doc
-from repro.runtime.base import ExecContext, ThreadExplosionError
+from repro.runtime.base import ExecContext, ThreadExplosionError, cut_at_cancel
 from repro.sim.task import IterSpace, TaskGraph
 from repro.sim.trace import RegionResult, WorkerStats
 
@@ -43,7 +43,6 @@ def run_threadpool_loop(
     persistent: bool = False,
     tracer=None,
     faults=None,
-    error_mode: str = "rethrow",
 ) -> RegionResult:
     """Execute a manually-chunked loop on bare threads.
 
@@ -63,7 +62,7 @@ def run_threadpool_loop(
     condition-variable wake plus two manual barriers instead of
     create/join.
 
-    Under a live ``faults`` set, ``error_mode`` selects the Table III
+    Under a live ``faults`` set, its error mode selects the Table III
     discipline: ``"rethrow"`` (C++11 futures — every chunk runs to
     completion, the stored exception surfaces at the serial
     ``future::get``), ``"async_cancel"`` (``pthread_cancel`` — running
@@ -98,7 +97,7 @@ def run_threadpool_loop(
     meta_fault = None
     if faults is not None:
         t_join, meta_fault = _faulted_pool_walk(
-            durations, n, create, finalize, workers, faults, error_mode,
+            durations, n, create, finalize, workers, faults,
             tracer=tracer, tag=space.name,
         )
     else:
@@ -138,7 +137,6 @@ def _faulted_pool_walk(
     finalize: float,
     workers: list[WorkerStats],
     faults,
-    mode: str,
     *,
     tracer=None,
     tag: str = "chunk",
@@ -160,26 +158,17 @@ def _faulted_pool_walk(
     for i in range(n):
         s = (i + 1) * create
         starts[i] = s
-        stall = faults.stall(i, s)
+        stall, slow, failure = faults.work_item(i, i, s)
         stalls[i] = stall
-        dur = float(durations[i]) * faults.slow_factor(s + stall)
-        ends[i] = s + stall + dur
-        if err is None:
-            failure = faults.fail_task(i, s + stall)
-            if failure is not None:
-                err = failure
-                err_time = ends[i]
-    cancelled = err is not None and mode == "async_cancel"
+        ends[i] = s + stall + float(durations[i]) * slow
+        if failure is not None:
+            err = failure
+            err_time = ends[i]
+    cancelled = err is not None and faults.mode == "async_cancel"
     cancel_time = err_time if cancelled else 0.0
-    skipped = 0
-    created = [True] * n
-    if cancelled:
-        for i in range(n):
-            if starts[i] >= cancel_time:  # master cancelled before creating it
-                created[i] = False
-                skipped += 1
-            elif ends[i] > cancel_time:   # terminated mid-chunk
-                ends[i] = cancel_time
+    # pthread_cancel: uncreated threads never start, running ones stop
+    created = cut_at_cancel(starts, ends, cancel_time) if cancelled else [True] * n
+    skipped = created.count(False)
     last_create = max((starts[i] for i in range(n) if created[i]), default=0.0)
     t_join = last_create
     for i in range(n):
@@ -198,7 +187,7 @@ def _faulted_pool_walk(
     if tracer is not None and cancelled:
         tracer.instant(0, cancel_time, "cancel")
     fdoc = fault_doc(
-        faults.triggered, err, err_time, mode, sum(w.busy for w in workers),
+        faults.triggered, err, err_time, faults.mode, sum(w.busy for w in workers),
         cancelled=cancelled, cancel_time=cancel_time, skipped=skipped,
     )
     return t_join, fdoc
@@ -212,7 +201,6 @@ def run_threadpool_graph(
     mode: str = "async",
     tracer=None,
     faults=None,
-    error_mode: str = "rethrow",
 ) -> RegionResult:
     """Execute a task DAG where every task is its own thread.
 
@@ -264,16 +252,14 @@ def run_threadpool_graph(
         start = max((finish[d] for d in deps), default=0.0) + rank * create
         dur = duration(work, membytes, locality, active)
         if faults is not None:
-            stall = faults.stall(tid, start)
+            stall, slow, failure = faults.work_item(tid, tid, start)
             start += stall
-            dur *= faults.slow_factor(start)
-            if err is None:
-                failure = faults.fail_task(tid, start)
-                if failure is not None:
-                    # the future stores the exception; it rethrows at the
-                    # blocking get, so every already-launched thread runs
-                    err = failure
-                    err_time = start + dur
+            dur *= slow
+            if failure is not None:
+                # the future stores the exception; it rethrows at the
+                # blocking get, so every already-launched thread runs
+                err = failure
+                err_time = start + dur
         finish[tid] = start + dur + finalize
         if tracer is not None:
             # one trace row per software thread (tid); the model has no
@@ -297,7 +283,7 @@ def run_threadpool_graph(
         **graph.expected_meta(),
     }
     if faults is not None:
-        meta["fault"] = fault_doc(faults.triggered, err, err_time, error_mode, w.busy)
+        meta["fault"] = fault_doc(faults.triggered, err, err_time, faults.mode, w.busy)
     return RegionResult(
         time=time,
         nthreads=nthreads,

@@ -61,7 +61,6 @@ def run_worksharing_loop(
     work_scale: float = 1.0,
     tracer=None,
     faults=None,
-    error_mode: str = "cancel",
 ) -> RegionResult:
     """Execute one worksharing loop region and return its timing.
 
@@ -85,9 +84,9 @@ def run_worksharing_loop(
         Optional :class:`~repro.obs.tracer.Tracer`: emits per-chunk
         execution spans, loop-counter lock waits (dynamic/guided) and
         end-barrier waiting spans on each worker's timeline.
-    faults, error_mode:
-        Live :class:`~repro.faults.plan.RegionFaults` and the
-        error-handling mode to run under.  ``"cancel"`` implements
+    faults:
+        Live :class:`~repro.faults.plan.RegionFaults`; its error mode
+        decides what a failure does.  ``"cancel"`` implements
         ``omp cancel for``: the failing chunk drains, every thread
         stops at its next cancellation point (the next chunk issue) and
         proceeds to the end barrier; skipped chunks are counted, never
@@ -126,7 +125,7 @@ def run_worksharing_loop(
             durations, owner, p,
             0.0 if static else costs.dynamic_dispatch,
             costs.static_chunk if static else 0.0, workers,
-            faults=faults, mode=error_mode, tracer=tracer, t0=fork_t,
+            faults=faults, tracer=tracer, t0=fork_t,
             tag=space.name,
         )
         if not static:
@@ -217,7 +216,6 @@ def _faulted_walk(
     workers: list[WorkerStats],
     *,
     faults,
-    mode: str,
     tracer=None,
     t0: float = 0.0,
     tag: str = "chunk",
@@ -227,12 +225,13 @@ def _faulted_walk(
     ``owner`` selects static assignment (chunk i belongs to
     ``owner[i]``); ``owner=None`` selects lock-serialized dynamic
     dispatch (free worker grabs the next chunk).  Every chunk issue is
-    an ``omp cancel`` cancellation point: under ``mode="cancel"`` no
+    an ``omp cancel`` cancellation point: under the ``cancel`` mode no
     chunk is issued at or after the cancellation time (the failing
     chunk's completion), and each such skip is counted instead.  All
     times are region-local (``t0`` = after the fork), which is also the
     frame fault trigger times are expressed in.
     """
+    cancel = faults.mode == "cancel"
     cancelled = False
     cancel_time = 0.0
     err: Optional[str] = None
@@ -273,23 +272,22 @@ def _faulted_walk(
         else:
             workers[w].overhead += per_chunk_overhead
             s0 = t + per_chunk_overhead
-        stall = faults.stall(w, s0)
+        stall, slow, failure = faults.work_item(i, w, s0)
         if stall > 0.0:
             workers[w].overhead += stall
             if tracer is not None:
                 tracer.span(w, s0, s0 + stall, "stall", "worker_stall")
             s0 += stall
-        dur *= faults.slow_factor(s0)
+        dur *= slow
         done = s0 + dur
         workers[w].busy += dur
         workers[w].tasks += 1
         if tracer is not None:
             tracer.span(w, s0, done, "chunk", tag)
-        failure = faults.fail_task(i, s0)
-        if failure is not None and err is None:
+        if failure is not None:
             err = failure
             err_time = done
-            if mode == "cancel":
+            if cancel:
                 cancelled = True
                 cancel_time = done
                 if tracer is not None:
@@ -301,7 +299,7 @@ def _faulted_walk(
         else:
             cursor[w] = done
     fdoc = fault_doc(
-        faults.triggered, err, err_time, mode, sum(w.busy for w in workers),
+        faults.triggered, err, err_time, faults.mode, sum(w.busy for w in workers),
         cancelled=cancelled, cancel_time=cancel_time, skipped=skipped,
     )
     return finish - t0, lock_wait, fdoc

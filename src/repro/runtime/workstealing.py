@@ -71,9 +71,6 @@ class StealingScheduler:
     spawn_cost:
         Default task-creation cost charged to the spawner when a task
         becomes ready; a task's own ``spawn_cost`` field overrides it.
-    init:
-        ``"master"`` — worker 0 enqueues all roots sequentially (an
-        OpenMP ``single`` region creating tasks, or a Cilk root spawn).
     undeferred_single:
         With one thread, execute tasks immediately at creation without
         touching the deque (Intel OpenMP's if-clause style serialization;
@@ -116,7 +113,6 @@ class StealingScheduler:
         *,
         deque: str = "the",
         spawn_cost: Optional[float] = None,
-        init: str = "master",
         undeferred_single: bool = False,
         per_task_overhead: float = 0.0,
         reducer: bool = False,
@@ -124,7 +120,6 @@ class StealingScheduler:
         work_first: bool = False,
         tracer=None,
         faults=None,
-        error_mode: str = "poison",
     ) -> None:
         if nthreads <= 0:
             raise ValueError("nthreads must be positive")
@@ -135,7 +130,6 @@ class StealingScheduler:
         if spawn_cost is None:
             spawn_cost = ctx.costs.cilk_spawn if deque == "the" else ctx.costs.omp_task_spawn
         self.spawn_cost = spawn_cost
-        self.init = init
         self.undeferred_single = undeferred_single
         self.per_task_overhead = per_task_overhead
         self.reducer = reducer
@@ -157,7 +151,6 @@ class StealingScheduler:
         self.work_first = work_first
         # fault-injection state (all inert when faults is None)
         self.faults = faults
-        self.error_mode = error_mode
         self.started = 0          # start-order ordinal for fault targeting
         self.poisoned = False     # spawn tree poisoned: nothing new issues
         self.poison_time = 0.0
@@ -225,7 +218,7 @@ class StealingScheduler:
         meta.update(self.graph.expected_meta())
         if self.faults is not None:
             meta["fault"] = fault_doc(
-                self.faults.triggered, self._fail_err, self._fail_time, self.error_mode,
+                self.faults.triggered, self._fail_err, self._fail_time, self.faults.mode,
                 sum(s.busy for s in self.stats), cancelled=self.poisoned,
                 cancel_time=self.poison_time,
                 issued_after_cancel=self.issued_after_poison,
@@ -261,12 +254,12 @@ class StealingScheduler:
             st.overhead += spawn + self.per_task_overhead
             st.tasks += 1
             self.done += 1
-            if faults is not None and self._fail_err is None:
+            if faults is not None:
                 failure = faults.fail_task(ordinal, t - dur - self.per_task_overhead)
                 if failure is not None:
                     self._fail_err = failure
                     self._fail_time = t - self.per_task_overhead
-                    if self.error_mode in ("poison", "cancel", "async_cancel"):
+                    if faults.mode in ("poison", "cancel", "async_cancel"):
                         # serial abort: stop issuing past the failure point
                         self.poisoned = True
                         self.poison_time = self._fail_time
@@ -326,7 +319,7 @@ class StealingScheduler:
         costs = self.ctx.costs
         steal_latency = costs.steal_latency
         wake_latency = costs.wake_latency
-        poison_on_fail = self.error_mode in ("poison", "cancel")
+        poison_on_fail = faults is not None and faults.mode in ("poison", "cancel")
         max_events = self.ctx.max_events
         # the check runs after each event, so a limit below 0 acts as 0
         limit = math.inf if max_events is None else max(max_events, 0)
@@ -402,21 +395,18 @@ class StealingScheduler:
                 if faults is not None:
                     if poisoned:
                         self.issued_after_poison += 1
-                    ordinal = self.started
+                    stall, slow, failure = faults.work_item(self.started, w, t0)
                     self.started += 1
-                    stall = faults.stall(w, t0)
                     if stall > 0.0:
                         if tracer is not None:
                             tracer.span(w, t0, t0 + stall, "stall", "worker_stall")
                         st.overhead += stall
                         t0 += stall
-                    dur *= faults.slow_factor(t0)
-                    if self._fail_err is None:
-                        failure = faults.fail_task(ordinal, t0)
-                        if failure is not None:
-                            self._fail_err = failure
-                            self._fail_time = t0 + dur
-                            fail_tid = tid
+                    dur *= slow
+                    if failure is not None:
+                        self._fail_err = failure
+                        self._fail_time = t0 + dur
+                        fail_tid = tid
                 st.busy += dur
                 st.tasks += 1
                 if tracer is not None:
@@ -691,7 +681,6 @@ def run_stealing_loop(
     undeferred_single: bool = False,
     tracer=None,
     faults=None,
-    error_mode: str = "none",
 ) -> RegionResult:
     """Execute a parallel loop on the work-stealing runtime.
 
@@ -699,9 +688,10 @@ def run_stealing_loop(
     penalty); ``style="flat"`` builds master-spawned chunk tasks (the
     FIFO steal order hands thieves long contiguous runs, so no penalty).
 
-    ``error_mode`` defaults to ``"none"``: Table III gives Cilk-style
-    data parallelism no cancellation story, so an injected failure lets
-    the loop run to completion and is only surfaced in the accounting.
+    Under ``faults`` the loop's mode is usually ``"none"``: Table III
+    gives Cilk-style data parallelism no cancellation story, so an
+    injected failure lets the loop run to completion and is only
+    surfaced in the accounting.
     """
     if nthreads <= 0:
         raise ValueError("nthreads must be positive")
@@ -740,7 +730,6 @@ def run_stealing_loop(
         undeferred_single=undeferred_single,
         tracer=tracer,
         faults=faults,
-        error_mode=error_mode,
     )
     res = sched.run()
     res.meta["bytes_penalty"] = penalty
@@ -769,7 +758,6 @@ def run_stealing_graph(
     work_first: bool = False,
     tracer=None,
     faults=None,
-    error_mode: str = "poison",
 ) -> RegionResult:
     """Execute an explicit task DAG on the work-stealing runtime."""
     if tracer is not None:
@@ -787,7 +775,6 @@ def run_stealing_graph(
         work_first=work_first,
         tracer=tracer,
         faults=faults,
-        error_mode=error_mode,
     )
     res = sched.run()
     return RegionResult(

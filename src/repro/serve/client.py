@@ -31,12 +31,9 @@ from repro.perf.spans import span as perf_span
 from repro.runtime.base import ExecContext
 from repro.serve import protocol
 from repro.serve.protocol import MatrixQuery
-from repro.sweep.executor import SWEEP_COUNTERS, _decode_entry, _fill_series
+from repro.sweep.executor import SERVER_ENV, SWEEP_COUNTERS, _decode_entry, _fill_series
 
-__all__ = ["ServerError", "SweepClient", "run_sweep_remote"]
-
-#: Environment variable naming the sweep service to route through.
-SERVER_ENV = "REPRO_SWEEP_SERVER"
+__all__ = ["SERVER_ENV", "ServerError", "SweepClient", "run_sweep_remote"]
 
 
 class ServerError(RuntimeError):

@@ -53,15 +53,16 @@ two racing requests can never both register the same key.  Eviction
 policy lives in the store (``max_entries`` / ``ttl_seconds``); the
 server prunes after each request batch that stored new entries.
 
-Telemetry: every request, dedup join, hit, simulation, store error,
-read timeout and dropped client lands in one lifetime
+Telemetry: every request, dedup join, hit, refused entry, simulation,
+store error, read timeout and dropped client lands in one lifetime
 :class:`~repro.perf.spans.PerfRecorder` (``serve.request``,
-``serve.dedup_hit``, ``serve.cache_hit``, ``serve.simulations``,
-``serve.read_timeout``, ``serve.client_dropped``, ...) exposed live at
-``GET /stats`` and appended to the :mod:`repro.perf` run ledger on
-shutdown.  Latencies are histograms with p50/p90/p99: the whole request
-(``serve.request_seconds``) and each phase of a key's resolution
-(``serve.probe_seconds``, the store read and stamp check alone;
+``serve.dedup_hit``, ``serve.cache_hit``, ``serve.corrupt``,
+``serve.simulations``, ``serve.read_timeout``, ``serve.client_dropped``,
+...) exposed live at ``GET /stats`` and appended to the
+:mod:`repro.perf` run ledger on shutdown.  Latencies are histograms
+with p50/p90/p99: the whole request (``serve.request_seconds``) and
+each phase of a key's resolution (``serve.probe_seconds``, the store
+read and stamp check alone, plus the refusal check on a miss;
 ``serve.queue_seconds``, a miss's wait for a pool slot, from submit to
 the worker's start stamp; ``serve.run_seconds``, from submit to the
 entry bytes, so queue wait included; ``serve.store_seconds``).
@@ -221,13 +222,14 @@ class SweepServer:
     # cell resolution (single-flight + the miss runner + write-through)
     # ------------------------------------------------------------------
     def _probe(self, key: str, fidelity: int
-               ) -> tuple[Optional[tuple[bytes, bool]], float]:
+               ) -> tuple[Optional[tuple[bytes, bool]], bool, float]:
         """Read ``key``'s entry (in a thread): its body and whether it
-        records a cell error, or ``None`` for a miss; and the seconds the
-        read and stamp check took, for the caller to observe on the loop.
+        records a cell error, or ``None`` for a miss; whether the miss
+        is a stored entry that was refused; and the seconds the probe
+        took, for the caller to count and observe on the loop.
 
         The store checks the framing (a truncated, corrupt or headerless
-        file is a miss) and parses only the header; its stamps must pass
+        file is refused) and parses only the header; its stamps must pass
         the local sweep's checks.  The body is never parsed.
         """
         t0 = perf_counter()
@@ -236,7 +238,8 @@ class SweepServer:
         if entry is not None and _executor._entry_usable(entry[0], fidelity):
             header, body = entry
             hit = body, header["kind"] == "error"
-        return hit, perf_counter() - t0
+        refused = hit is None and (entry is not None or self.cache.refused(key))
+        return hit, refused, perf_counter() - t0
 
     async def _resolve_key(
         self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool, refresh: bool
@@ -245,11 +248,14 @@ class SweepServer:
         hit, or a fresh run written through to the store."""
         loop = asyncio.get_running_loop()
         if not refresh:
-            hit, seconds = await loop.run_in_executor(None, self._probe, key, cell.fidelity)
+            hit, refused, seconds = await loop.run_in_executor(
+                None, self._probe, key, cell.fidelity)
             self.perf.observe("serve.probe_seconds", seconds)
             if hit is not None:
                 self.perf.count("serve.cache_hit")
                 return hit[0], hit[1], "hit"
+            if refused:
+                self.perf.count("serve.corrupt")
         t0, submitted = perf_counter(), monotonic()
         data, error, started = await asyncio.wrap_future(self._runner.submit(cell, ctx, trace))
         t1 = perf_counter()

@@ -392,6 +392,17 @@ class ResultCache:
         """Keys of all complete entries currently on disk."""
         return sorted(p.stem for p in self._entry_paths())
 
+    def refused(self, key: str) -> bool:
+        """True iff an entry file exists under ``key`` but its framing
+        does not check out (truncated, corrupt or headerless): a miss
+        that is a rotting store rather than an absent entry.  Like a
+        containment probe, it records no telemetry."""
+        try:
+            data = self.path_for(key).read_bytes()
+        except OSError:
+            return False
+        return _split_entry(data) is None
+
     def __contains__(self, key: str) -> bool:
         """True iff ``key``'s entry exists *and* its framing checks out.
 

@@ -84,7 +84,7 @@ from repro.sweep import codec
 from repro.sweep.cache import ResultCache, cache_key, encode_entry, entry_body, entry_stamps
 from repro.sweep.cells import SweepCell, expand_cells
 
-__all__ = ["PAYLOAD_FORMAT", "run_sweep"]
+__all__ = ["PAYLOAD_FORMAT", "SERVER_ENV", "run_sweep"]
 
 #: Version stamp of the cached cell payload layout.
 PAYLOAD_FORMAT = 1
@@ -103,6 +103,9 @@ SWEEP_COUNTERS = ("sweep_cells", "cache_hits", "cache_misses", "cache_stores",
 #: ``progress`` callback signature: (done, total, cell, status) with
 #: status one of "hit", "run", "error".
 ProgressFn = Callable[[int, int, SweepCell, str], None]
+
+#: Environment variable naming the sweep service to route through.
+SERVER_ENV = "REPRO_SWEEP_SERVER"
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +134,6 @@ def _run_cell(
         program = spec.build(cell.version, ctx.machine, **cell.params)
         if cell.fidelity == 0:
             res = estimate_program(program, cell.nthreads, ctx, cell.version)
-            if metrics is not None:
-                metrics.merge(result_metrics(res))
         else:
             res = run_program(
                 program,
@@ -141,12 +142,13 @@ def _run_cell(
                 cell.version,
                 validate=validate,
                 trace=trace,
-                metrics=metrics,
                 faults=cell.faults,
                 policy=cell.policy,
             )
     except (ThreadExplosionError, RegionFailedError) as exc:
         return None, str(exc)
+    if metrics is not None:
+        metrics.merge(result_metrics(res))
     return res, None
 
 
@@ -458,7 +460,7 @@ def run_sweep(
             "(or fidelity='auto' to pick for you)"
         )
     if server is None:
-        server = os.environ.get("REPRO_SWEEP_SERVER") or None
+        server = os.environ.get(SERVER_ENV) or None
     if server:
         if validate or fault_doc is not None or policy_doc is not None:
             raise ValueError(
@@ -536,9 +538,10 @@ def run_sweep(
                     reg.counter("cache_hits").inc()
                     settle(i, decoded[0], decoded[1], "hit", merge=True)
                     continue
-                if payload is not None:
-                    # a stored entry the decoder refused: stale format or
-                    # wrong tier stamp — re-simulated and overwritten below
+                if payload is not None or store.refused(keys[i]):
+                    # a stored entry its framing (flipped byte, truncated,
+                    # headerless) or its stamps (stale format, wrong tier)
+                    # refused — re-simulated and overwritten below
                     perf_count("cache.corrupt")
             if store is not None:
                 reg.counter("cache_misses").inc()

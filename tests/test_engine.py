@@ -145,8 +145,8 @@ class TestPoisonedStop:
     def test_poisoned_tree_stops_with_events_queued(self):
         # the failing task finishes before the wake-ups its siblings
         # triggered fire; the tree goes quiet with those still queued
-        faults = FaultPlan.parse("fail:task=0").for_region("r", 0)
-        sched, res, tracer = traced(wide(8, 1e-9), 4, faults=faults, error_mode="poison")
+        faults = FaultPlan.parse("fail:task=0").for_region("r", 0, mode="poison")
+        sched, res, tracer = traced(wide(8, 1e-9), 4, faults=faults)
         assert sched.poisoned
         assert res.meta["events"] == len(tracer.engine_events) == 1
         assert len(sched._heap) == 3
@@ -154,8 +154,8 @@ class TestPoisonedStop:
         assert res.meta["fault"]["skipped"] == 7
 
     def test_unpoisoned_failure_drains_the_queue(self):
-        faults = FaultPlan.parse("fail:task=0").for_region("r", 0)
-        sched, res, _t = traced(wide(8, 1e-9), 4, faults=faults, error_mode="none")
+        faults = FaultPlan.parse("fail:task=0").for_region("r", 0, mode="none")
+        sched, res, _t = traced(wide(8, 1e-9), 4, faults=faults)
         assert not sched.poisoned
         assert len(sched._heap) == 0
         assert res.meta["fault"]["skipped"] == 0

@@ -158,9 +158,11 @@ class TestZeroOverheadPath:
         graph = next(r for r in prog if hasattr(r, "graph_for")).graph_for(p)
         options = dict(options)
         spec_text = options.pop("faults", None)
+        mode = options.pop("error_mode", None)
 
         def run(tracer):
-            faults = FaultPlan.parse(spec_text).for_region("r", 0) if spec_text else None
+            faults = (FaultPlan.parse(spec_text).for_region("r", 0, mode=mode or "poison")
+                      if spec_text else None)
             sched = StealingScheduler(graph, p, CTX, tracer=tracer, faults=faults, **options)
             res = sched.run()
             return (res.time, res.meta, len(sched._heap),
@@ -171,7 +173,7 @@ class TestZeroOverheadPath:
         plain = run(None)
         assert plain == run(tracer)
         assert tracer.engine_events or p == 1
-        if options.get("error_mode") == "poison":
+        if mode == "poison":
             assert plain[1]["fault"]["cancelled"]
 
     def test_untraced_result_carries_no_trace(self):

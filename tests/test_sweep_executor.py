@@ -297,7 +297,8 @@ class MissPath:
     a local ``run_sweep(jobs=2)`` or a sweep served by ``server``."""
 
     #: where the local sweep counts each failure kind (serve: ``serve.<kind>``)
-    LOCAL_COUNTERS = {"pool_broken": "fanout.pool_broken", "store_error": "cache.store_error"}
+    LOCAL_COUNTERS = {"pool_broken": "fanout.pool_broken", "store_error": "cache.store_error",
+                      "corrupt": "cache.corrupt"}
 
     def __init__(self, store, server=None):
         self.store = store
@@ -405,8 +406,8 @@ def _entry_of(store, version, nthreads):
 def test_flipped_body_byte_is_a_miss_and_rewritten(miss_path):
     """One digit of a stored result's time, flipped in place, keeps the
     file the same length and valid JSON: the body's CRC turns it into a
-    miss, the cell re-runs, and its entry is rewritten to the original
-    bytes."""
+    miss, counted as a refused (corrupt) entry, the cell re-runs, and its
+    entry is rewritten to the original bytes."""
     reference = run_sweep("axpy", jobs=1, **FAULT_KWARGS)
     miss_path.sweep()
     key, entry = _entry_of(miss_path.store, "omp_for", 4)
@@ -418,6 +419,7 @@ def test_flipped_body_byte_is_a_miss_and_rewritten(miss_path):
     again = miss_path.sweep()
     assert again.counter("simulations") == 1
     assert again.counter("cache_hits") == FAULT_CELLS - 1
+    assert miss_path.counter("corrupt") == 1
     assert sweep_fingerprint(again) == sweep_fingerprint(reference)
     assert miss_path.store.path_for(key).read_bytes() == entry
 
