@@ -46,8 +46,11 @@ assert [json.loads(line)["ts"] for line in listed] == [r["ts"] for r in records]
     listed
 EOF
 
-echo "--- compare against the committed baseline (warn-only)"
+echo "--- compare against the committed baselines (warn-only)"
 python -m repro perf compare --baseline sweep_axpy --tolerance 3.0 --warn-only
+# fib at p16 and p36: the work-stealing event loop and the HPX graph walk
+python -m repro perf record fib --threads 16 36
+python -m repro perf compare --baseline sweep_fib --tolerance 3.0 --warn-only
 
 echo "--- attribution + ledger tail smoke"
 python -m repro perf report --name sweep:axpy

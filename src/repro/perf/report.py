@@ -11,8 +11,9 @@ into the same :class:`~repro.obs.report.AttributionReport` that
 - **fanout** — process-pool setup, submission and result waiting;
 - **other** — everything unattributed (driver loop, imports, GC).
 
-The category map is explicit so nested detail spans (``engine.drain``
-inside a ``cell.simulate``, ``tier0.estimate`` inside
+The category map is explicit so nested detail spans (``engine.drain``,
+the work-stealing event loop, and ``engine.walk``, the AMT graph walk,
+inside a ``cell.simulate``; ``tier0.estimate`` inside
 ``cell.estimate``) are reported as detail without being double-counted
 in the top-level split.  ``coverage`` is the attributed (non-other)
 share — the executor's instrumentation keeps it >= 95% for a sweep
@@ -29,7 +30,7 @@ from repro.perf.spans import PerfRecorder
 __all__ = ["CATEGORY_SPANS", "attribute_host"]
 
 #: Top-level category -> the executor spans that compose it.  Spans not
-#: named here (engine.drain, validate.*, ...) are nested detail.
+#: named here (engine.drain, engine.walk, validate.*, ...) are nested detail.
 CATEGORY_SPANS: dict[str, tuple[str, ...]] = {
     "simulate": ("cell.simulate",),
     "estimate": ("cell.estimate",),

@@ -47,11 +47,13 @@ Fault semantics (Table III extension, see :mod:`repro.faults.semantics`):
 from __future__ import annotations
 
 import math
+from time import perf_counter, process_time
 from typing import Optional
 
 import numpy as np
 
 from repro.faults import fault_doc
+from repro.perf.spans import current as _perf_current
 from repro.runtime.base import ExecContext, cut_at_cancel
 from repro.sim.task import IterSpace, TaskGraph
 from repro.sim.trace import RegionResult, WorkerStats
@@ -79,6 +81,63 @@ def _collective(costs, p: int) -> float:
     if p <= 1:
         return 0.0
     return costs.mpi_allreduce_base + costs.mpi_allreduce_per_step * math.ceil(math.log2(p))
+
+
+class _MinTree:
+    """HPX's greedy continuation placement over ``p`` workers' free times.
+
+    An HPX continuation ready at ``ready`` runs on the worker minimizing
+    ``(max(free[k], ready), k)``: the first worker already idle at
+    ``ready``, or, when every worker is still busy, the first to free up.
+    Both are the leftmost worker whose free time is at or below
+    ``max(ready, min(free))``.  The free times sit in the leaves of an
+    array min-tree (node ``i``'s children are ``2i`` and ``2i + 1``, the
+    root is node 1, padding leaves are infinite), so :meth:`pick`
+    descends to that leaf and :meth:`set` re-mins one leaf's path, each
+    in O(log p) rather than a scan of the workers.
+    """
+
+    __slots__ = ("tree", "size")
+
+    def __init__(self, p: int) -> None:
+        size = 1
+        while size < p:
+            size += size
+        tree = [math.inf] * (2 * size)
+        tree[size:size + p] = [0.0] * p
+        for i in range(size - 1, 0, -1):
+            left, right = tree[2 * i], tree[2 * i + 1]
+            tree[i] = left if left <= right else right
+        self.tree = tree
+        self.size = size
+
+    def pick(self, ready: float) -> int:
+        """The worker a continuation ready at ``ready`` runs on."""
+        tree = self.tree
+        size = self.size
+        threshold = tree[1]
+        if ready > threshold:
+            threshold = ready
+        i = 1
+        while i < size:
+            i += i
+            if tree[i] > threshold:  # the left subtree has no such worker
+                i += 1
+        return i - size
+
+    def set(self, k: int, free: float) -> None:
+        """Worker ``k`` is free from ``free`` on."""
+        tree = self.tree
+        i = k + self.size
+        tree[i] = free
+        i >>= 1
+        while i:
+            left, right = tree[2 * i], tree[2 * i + 1]
+            low = left if left <= right else right
+            if tree[i] == low:  # this node's minimum, so every ancestor's, stands
+                break
+            tree[i] = low
+            i >>= 1
 
 
 def _even_chunks(space: IterSpace, n: int, active: int, ctx: ExecContext,
@@ -208,12 +267,13 @@ def run_hpx_loop(
 
     workers = [WorkerStats() for _ in range(p)]
     free = [0.0] * p
+    placement = _MinTree(p)
     ends = [0.0] * n
     err = None
     err_time = 0.0
     for i in range(n):
         ready = (i + 1) * create
-        w = _hpx_worker(free, ready)
+        w = placement.pick(ready)
         start = max(free[w], ready)
         stall = 0.0
         dur = float(durations[i])
@@ -232,6 +292,7 @@ def run_hpx_loop(
                 tracer.span(w, start + cont, start + cont + dur, "chunk", space.name)
         ends[i] = start + cont + dur
         free[w] = ends[i]
+        placement.set(w, ends[i])
         ws = workers[w]
         ws.busy += dur
         ws.overhead += cont + stall
@@ -353,22 +414,6 @@ def run_mpi_loop(
 # ---------------------------------------------------------------------------
 # task-graph executors
 # ---------------------------------------------------------------------------
-def _hpx_worker(pe_free: list[float], ready: float) -> int:
-    """The worker an HPX continuation ready at ``ready`` runs on.
-
-    Greedy earliest start, lowest index on ties: the worker minimizing
-    ``(max(pe_free[k], ready), k)``.  When every worker is still busy at
-    ``ready`` that is the first worker to free up; otherwise it is the
-    first worker already idle at ``ready``.
-    """
-    first_free = min(pe_free)
-    if first_free <= ready:
-        for k, free in enumerate(pe_free):
-            if free <= ready:
-                return k
-    return pe_free.index(first_free)
-
-
 def _run_amt_graph(
     graph: TaskGraph,
     nthreads: int,
@@ -386,6 +431,12 @@ def _run_amt_graph(
     topological (creation) order; each starts at the max of its PE's
     free time and its dependencies' arrival — exactly the one-message-
     at-a-time scheduler all three runtimes share.
+
+    Each executed task leaves a record only when something reads the
+    records: a tracer (the spans) or a fault plan (the cut-off and the
+    busy sum of a failed walk).  With a :mod:`repro.perf` recording
+    active the walk's host cost lands in an ``engine.walk`` span and
+    its task count in an ``engine.tasks`` counter.
     """
     if nthreads <= 0:
         raise ValueError("nthreads must be positive")
@@ -396,10 +447,20 @@ def _run_amt_graph(
     costs = ctx.costs
     active = min(ntasks, p)
     duration = ctx.memory.memoized(active)
+    # a graph that moves no bytes (fib) divides by the duration model's
+    # speed table itself: the model's zero-byte case
+    speeds = None if any(graph.membytes) else getattr(duration, "speeds", None)
+    speed = speeds[active] if speeds is not None else 0.0
+    is_hpx = kind == "hpx"
+    is_mpi = kind == "mpi"
+    keep = tracer is not None or faults is not None
 
     pe_free = [0.0] * p
+    if is_hpx:
+        placement = _MinTree(p)
+        pick, set_free = placement.pick, placement.set
     finish = [0.0] * ntasks
-    # records: (pe, start, pre, end, raw_work_executed, pre_kind)
+    # records: (pe, start, pre, end, raw_work_executed)
     records: list[tuple[int, float, float, float, float]] = []
     stall_spans: list[tuple[int, float, float]] = []
     dead: set[int] = set()
@@ -413,13 +474,17 @@ def _run_amt_graph(
     hpx_get = costs.hpx_future_get
     dep_ptr = graph.dep_ptr
     dep_idx = graph.dep_idx
-    if kind != "hpx":  # the HPX walk reads no successors
+    if not is_hpx:  # the HPX walk reads no successors
         succ_ptr, succ_idx = graph.successor_index()
     columns = zip(graph.work, graph.membytes, graph.locality)
 
+    rec = _perf_current()
+    if rec is not None:
+        t0 = perf_counter()
+        c0 = process_time()
     for tid, (work, membytes, locality) in enumerate(columns):
         deps = dep_idx[dep_ptr[tid]:dep_ptr[tid + 1]]
-        if err is not None and kind == "hpx" and (
+        if err is not None and is_hpx and (
             tid in dead or any(d in dead for d in deps)
         ):
             # poisoned dataflow: the dependent future never fires
@@ -427,7 +492,16 @@ def _run_amt_graph(
             skipped += 1
             finish[tid] = err_time
             continue
-        if kind == "mpi":
+        if is_hpx:  # continuation stolen by the earliest-free worker
+            ready = 0.0
+            for d in deps:
+                arr = finish[d]
+                if arr > ready:
+                    ready = arr
+            pre = hpx_pre + len(deps) * hpx_get
+            post = 0.0
+            pe = pick(ready)
+        elif is_mpi:
             pe = tid * p // ntasks
             cross_in = sum(1 for d in deps if d * p // ntasks != pe)
             cross_out = sum(1 for s in succ_idx[succ_ptr[tid]:succ_ptr[tid + 1]]
@@ -440,25 +514,19 @@ def _run_amt_graph(
                 ready = max(ready, arr)
             pre = cross_in * costs.mpi_msg_overhead
             post = cross_out * costs.mpi_msg_overhead
-        elif kind == "charm":
+        else:  # charm
             pe = tid % p
             ready = max((finish[d] for d in deps),
                         default=costs.charm_chare_create + costs.charm_msg_send)
             pre = costs.charm_msg_recv + costs.charm_entry_dispatch
             post = (succ_ptr[tid + 1] - succ_ptr[tid]) * costs.charm_msg_send
-        else:  # hpx: continuation stolen by the earliest-free worker
-            ready = 0.0
-            for d in deps:
-                arr = finish[d]
-                if arr > ready:
-                    ready = arr
-            pre = hpx_pre + len(deps) * hpx_get
-            post = 0.0
-            pe = _hpx_worker(pe_free, ready)
         start = pe_free[pe]
         if ready > start:
             start = ready
-        dur = duration(work, membytes, locality, active)
+        if speeds is None:
+            dur = duration(work, membytes, locality, active)
+        else:
+            dur = work / speed
         if faults is not None:
             stall, slow, failure = faults.work_item(tid, pe, start, pre)
             if stall > 0.0:
@@ -469,18 +537,24 @@ def _run_amt_graph(
             if failure is not None:
                 err = failure
                 err_time = start + pre + dur + post
-                if kind == "hpx":
+                if is_hpx:
                     dead.add(tid)
         end = start + pre + dur + post
         pe_free[pe] = end
+        if is_hpx:
+            set_free(pe, end)
         finish[tid] = end
         overhead += pre + post
-        records.append((pe, start, pre, end, work))
+        if keep:
+            records.append((pe, start, pre, end, work))
+    if rec is not None:
+        rec.add_span("engine.walk", perf_counter() - t0, process_time() - c0)
+        rec.count("engine.tasks", ntasks)
 
-    cancelled = err is not None and kind == "mpi" and faults.mode == "rank_fail"
+    cancelled = err is not None and is_mpi and faults.mode == "rank_fail"
     cancel_time = err_time if cancelled else 0.0
     busy = graph.total_work()
-    executed = len(records)
+    executed = len(records) if keep else ntasks
     if cancelled:
         # the abort cuts running tasks off and unissued tasks never start
         cut: list[tuple[int, float, float, float, float]] = []
@@ -498,24 +572,23 @@ def _run_amt_graph(
             cut.append((pe, start, pre, end, raw))
         records = cut
         time = cancel_time + costs.mpi_latency
-    elif kind == "hpx" and err is not None:
+    elif is_hpx and err is not None:
         busy = float(sum(raw for _, _, _, _, raw in records))
-        executed = len(records)
         time = max(max(pe_free), err_time) + costs.hpx_future_get
     else:
         time = max(pe_free)
-        if kind == "charm":
+        if is_hpx:
+            time += costs.hpx_future_get
+        elif is_mpi:
+            time += _collective(costs, p)
+        else:
             # completion detection: done-message back to the mainchare
             time += costs.charm_msg_send + costs.charm_msg_recv
-        elif kind == "hpx":
-            time += costs.hpx_future_get
-        else:
-            time += _collective(costs, p)
-    if faults is not None and err is not None and not cancelled and kind != "hpx":
+    if faults is not None and err is not None and not cancelled and not is_hpx:
         busy = float(sum(raw for _, _, _, _, raw in records))
 
     if tracer is not None:
-        pre_kind = "transfer" if kind in ("charm", "mpi") else "dispatch"
+        pre_kind = "dispatch" if is_hpx else "transfer"
         for pe, s0, s1 in stall_spans:
             tracer.span(pe, s0, s1, "stall", "worker_stall")
         for pe, start, pre, end, _raw in records:

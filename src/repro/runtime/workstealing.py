@@ -167,28 +167,31 @@ class StealingScheduler:
         if self.p == 1 and self.undeferred_single:
             return self._run_serial_undeferred()
 
-        # Worker 0 seeds its deque; workers 1..p-1 begin idle.
+        # Worker 0 seeds its deque with the roots (the tasks with no
+        # unmet dependency); workers 1..p-1 begin idle.
+        remaining = graph.indegrees()
         t = 0.0
         dq = self.deques[0]
         spawn_cost = graph.spawn_cost
         pushed = 0
-        for tid in graph.roots:
-            sc = spawn_cost[tid]
-            t += sc if sc > 0 else self.spawn_cost
-            t = dq.push(t, tid)
-            pushed += 1
+        for tid, unmet in enumerate(remaining):
+            if not unmet:
+                sc = spawn_cost[tid]
+                t += sc if sc > 0 else self.spawn_cost
+                t = dq.push(t, tid)
+                pushed += 1
         self.stats[0].overhead += t
         # Host telemetry: with a repro.perf recording active the loop's
         # host cost lands in an ``engine.drain`` span and its event count
         # in an ``engine.events`` counter; one predicate per region.
         rec = _perf_current()
         if rec is None:
-            self._drain(pushed, t)
+            self._drain(remaining, pushed, t)
         else:
             t0 = perf_counter()
             c0 = process_time()
             try:
-                self._drain(pushed, t)
+                self._drain(remaining, pushed, t)
             finally:
                 rec.add_span("engine.drain", perf_counter() - t0, process_time() - c0)
                 rec.count("engine.events", self.events)
@@ -271,10 +274,11 @@ class StealingScheduler:
         return RegionResult(time=t, nthreads=1, workers=self.stats, meta=meta)
 
     # ------------------------------------------------------------------
-    def _drain(self, pushed: int, t: float) -> None:
+    def _drain(self, remaining: list[int], pushed: int, t: float) -> None:
         """The event loop: worker 0 has seeded ``pushed`` roots by time
-        ``t``; wake idlers for them, then run events until the heap
-        drains or a poisoned tree goes quiet.
+        ``t`` and ``remaining`` holds each task's unmet dependencies;
+        wake idlers for the roots, then run events until the heap drains
+        or a poisoned tree goes quiet.
 
         Heap entries are ``(time, seq, worker, kind)``: ``kind`` is the
         id of the task ``worker`` finishes at ``time``, or ``_WAKE`` for
@@ -284,6 +288,15 @@ class StealingScheduler:
         the task it dives into or pop/steal one — and the inner loop
         pops the next event and applies its finish (push ready
         successors) or wake-up.
+
+        The THE protocol's owner push and pop take no lock, so on THE
+        deques they run here on the deque's items, charging
+        ``the_push``/``the_pop`` as :class:`~repro.sim.deque.THEDeque`
+        does; the push/pop counts and depth high-water marks, like each
+        worker's busy, overhead and task totals, are kept in lists and
+        written back once when the loop ends.  Steals and every
+        :class:`~repro.sim.deque.LockedDeque` operation go through the
+        deque's methods and its :class:`~repro.sim.engine.SimLock`.
         """
         p = self.p
         graph = self.graph
@@ -294,19 +307,33 @@ class StealingScheduler:
         tag_id = graph.tag_id
         tags = graph.tag_names
         succ_ptr, succ_idx = graph.successor_index()
-        remaining = graph.indegrees()
         deques = self.deques
-        own = [deques[0]] * p if self.central_queue else deques
-        own_push = [d.push for d in own]
-        own_pop = [d.pop for d in own]
+        costs = self.ctx.costs
+        # the deque each worker pushes to and pops from
+        home = [0] * p if self.central_queue else list(range(p))
+        own_push = [deques[k].push for k in home]
+        own_pop = [deques[k].pop for k in home]
         items = [d.items for d in deques]
+        own_items = [items[k] for k in home]
+        the = self.deque_kind == "the"
+        the_push = costs.the_push
+        the_pop = costs.the_pop
+        pushes = [d.pushes for d in deques]
+        pops = [d.pops for d in deques]
+        depth = [d.max_depth for d in deques]
         stats = self.stats
+        busy = [st.busy for st in stats]
+        overhead = [st.overhead for st in stats]
+        ntasks = [st.tasks for st in stats]
         state = [_IDLE] * p
         idle = list(range(1, p))  # worker 0 seeded the roots
         heap = self._heap
         heappush = heapq.heappush
         heappop = heapq.heappop
         duration = self._duration
+        # a graph that moves no bytes (fib) divides by the duration
+        # model's speed table itself: the model's zero-byte case
+        speed = None if any(membytes) else getattr(duration, "speeds", None)
         randrange = self.rng.randrange
         tracer = self.tracer
         faults = self.faults
@@ -316,7 +343,6 @@ class StealingScheduler:
         work_first = self.work_first
         central_queue = self.central_queue
         reducer = self.reducer
-        costs = self.ctx.costs
         steal_latency = costs.steal_latency
         wake_latency = costs.wake_latency
         poison_on_fail = faults is not None and faults.mode in ("poison", "cancel")
@@ -357,18 +383,27 @@ class StealingScheduler:
                     if active == 0:
                         quiet = True
                 else:
-                    tid, t2 = own_pop[w](t)
-                    if tid is not None:
-                        stats[w].overhead += t2 - t
-                        t = t2
-                    elif not central_queue:
+                    if the:
+                        its = own_items[w]
+                        if its:
+                            tid = its.pop()
+                            pops[home[w]] += 1
+                            t2 = t + the_pop
+                            overhead[w] += t2 - t
+                            t = t2
+                    else:
+                        tid, t2 = own_pop[w](t)
+                        if tid is not None:
+                            overhead[w] += t2 - t
+                            t = t2
+                    if tid is None and not central_queue:
                         # random victim among non-empty deques
                         candidates = [v for v in workers if v != w and items[v]]
                         if candidates:
                             victim = candidates[randrange(len(candidates))]
                             tid, t2 = deques[victim].steal(t + steal_latency)
                             st = stats[w]
-                            st.overhead += t2 - t
+                            overhead[w] += t2 - t
                             steal_time += t2 - t
                             if tid is not None:
                                 st.steals += 1
@@ -388,9 +423,11 @@ class StealingScheduler:
             if tid is not None:
                 state[w] = _BUSY
                 active += 1
-                dur = duration(work[tid], membytes[tid], locality[tid],
-                               active if active < p else p)
-                st = stats[w]
+                if speed is None:
+                    dur = duration(work[tid], membytes[tid], locality[tid],
+                                   active if active < p else p)
+                else:
+                    dur = work[tid] / speed[active if active < p else p]
                 t0 = now if now > t else t
                 if faults is not None:
                     if poisoned:
@@ -400,15 +437,15 @@ class StealingScheduler:
                     if stall > 0.0:
                         if tracer is not None:
                             tracer.span(w, t0, t0 + stall, "stall", "worker_stall")
-                        st.overhead += stall
+                        overhead[w] += stall
                         t0 += stall
                     dur *= slow
                     if failure is not None:
                         self._fail_err = failure
                         self._fail_time = t0 + dur
                         fail_tid = tid
-                st.busy += dur
-                st.tasks += 1
+                busy[w] += dur
+                ntasks[w] += 1
                 if tracer is not None:
                     tracer.span(w, t0, t0 + dur, "task", tags[tag_id[tid]] or "task")
                 end = t0 + dur
@@ -427,6 +464,15 @@ class StealingScheduler:
                     self.finish_time = finish_time
                     self.steal_time = steal_time
                     self.steal_views = steal_views
+                    for st, b, o, n in zip(stats, busy, overhead, ntasks):
+                        st.busy = b
+                        st.overhead = o
+                        st.tasks = n
+                    if the:
+                        for d, n_push, n_pop, high in zip(deques, pushes, pops, depth):
+                            d.pushes = n_push
+                            d.pops = n_pop
+                            d.max_depth = high
                     return
                 now, s, w, kind = heappop(heap)
                 processed += 1
@@ -457,6 +503,7 @@ class StealingScheduler:
                     if t > finish_time:
                         finish_time = t
                     break
+                its = own_items[w]
                 push = own_push[w]
                 for succ in succ_idx[succ_ptr[kind]:succ_ptr[kind + 1]]:
                     left = remaining[succ] - 1
@@ -467,11 +514,22 @@ class StealingScheduler:
                         if work_first and dive is None:
                             dive = succ  # execute-on-creation: no deque round-trip
                         else:
-                            t = push(t, succ)
+                            if the:
+                                its.append(succ)
+                                t += the_push
+                            else:
+                                t = push(t, succ)
                             pushed += 1
+                if the and pushed:
+                    # every push of one finish lands on one deque, so its
+                    # depth peaks after the last of them
+                    k = home[w]
+                    pushes[k] += pushed
+                    if len(its) > depth[k]:
+                        depth[k] = len(its)
                 if per_task_overhead:
                     t += per_task_overhead
-                stats[w].overhead += t - now
+                overhead[w] += t - now
                 if t > finish_time:
                     finish_time = t
                 break

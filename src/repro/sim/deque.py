@@ -16,6 +16,15 @@ Operations mutate state at call time and return the simulated time at
 which the operation completes.  Callers (the work-stealing scheduler)
 invoke operations in event-time order, which keeps the FIFO lock
 approximation consistent.
+
+The scheduler's event loop (``StealingScheduler._drain``) does not call
+:meth:`THEDeque.push` and :meth:`THEDeque.pop`: since they take no lock
+it performs them itself on ``items``, charging ``the_push`` /
+``the_pop`` with the same float operations, and writes ``pushes``,
+``pops`` and ``max_depth`` back once per region.  The methods remain
+the reference the loop must match (``tests/test_drain_counters.py``)
+and serve every other caller.  Steals, and every
+:class:`LockedDeque` operation, always go through the methods.
 """
 
 from __future__ import annotations

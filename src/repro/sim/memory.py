@@ -20,7 +20,16 @@ entry points, so a task costs the same under every runtime:
   closure with the machine lookups cached (the event-driven executors'
   per-task hot path);
 - :meth:`MemoryModel.durations` — the same formula over arrays, with a
-  scalar or per-task locality (the analytic executors and estimators).
+  scalar or per-task locality (the analytic executors and estimators,
+  and the AMT graph walk, whose ``active`` is fixed per region).
+
+The memoized closure also hands out its compute-speed table, as its
+``speeds`` attribute, so that a graph that moves no bytes (fib) can
+charge the formula's zero-byte case, ``work / speeds[active]``, as one
+division instead of a closure call.  Two callers do: the work-stealing
+event loop (``StealingScheduler._drain``) and the AMT graph walk
+(``repro.runtime.amt._run_amt_graph``).  A duration function without
+that attribute (the scalar reference) is called per task.
 
 All three perform the same IEEE operations in the same order, so they
 agree bit for bit.  This model is what produces the scaling plateaus the
@@ -88,6 +97,11 @@ class MemoryModel:
         bit-identical to :meth:`duration` (inputs are not re-validated).
         The closure holds no reference to its caller, so it never keeps
         a region's graph alive in a reference cycle.
+
+        Its ``speeds`` attribute is the compute-speed table: entry ``a``
+        (1..``max_active``) is the machine's speed with ``a`` threads
+        active, so a task without memory traffic lasts exactly
+        ``work / speeds[max(1, active)]``.
         """
         machine = self.machine
         speed = [1.0] + [machine.compute_speed(a) for a in range(1, max_active + 1)]
@@ -106,6 +120,7 @@ class MemoryModel:
             mem = membytes / bw
             return max(compute, mem)
 
+        duration.speeds = speed
         return duration
 
     def durations(

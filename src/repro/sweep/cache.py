@@ -71,10 +71,13 @@ in-flight writer and are left alone).
 
 Host telemetry: when a :mod:`repro.perf` recording is active, every
 probe and store reports its latency (``cache.probe_seconds`` /
-``cache.store_seconds`` observations) and outcome (``cache.hit`` /
-``cache.miss`` / ``cache.store`` / ``cache.evict`` / ``cache.tmp_gc``
-counters); with no recorder active the instrumentation is a single
-predicate per call.
+``cache.store_seconds`` observations) and the store's own outcomes
+(``cache.store`` / ``cache.evict`` / ``cache.tmp_gc`` counters); with
+no recorder active the instrumentation is a single predicate per call.
+Whether a probe was a hit is the caller's verdict (an entry the store
+returns can still fail the caller's stamp check), so the local sweep
+counts ``cache.hit`` / ``cache.miss`` itself, and the server
+``serve.cache_hit``.
 """
 
 from __future__ import annotations
@@ -324,7 +327,6 @@ class ResultCache:
                 pass
         if rec is not None:
             rec.observe("cache.probe_seconds", perf_counter() - t0)
-            rec.count("cache.hit" if entry is not None else "cache.miss")
         return entry
 
     def get(self, key: str) -> Optional[dict[str, Any]]:

@@ -536,8 +536,10 @@ def run_sweep(
                     decoded = None
                 if decoded is not None:
                     reg.counter("cache_hits").inc()
+                    perf_count("cache.hit")
                     settle(i, decoded[0], decoded[1], "hit", merge=True)
                     continue
+                perf_count("cache.miss")
                 if payload is not None or store.refused(keys[i]):
                     # a stored entry its framing (flipped byte, truncated,
                     # headerless) or its stamps (stale format, wrong tier)

@@ -20,7 +20,7 @@ from repro.models.hpx import async_for, future_graph
 from repro.models.mpi import rank_for, rank_graph
 from repro.obs.tracer import Tracer
 from repro.runtime.amt import (
-    _hpx_worker,
+    _MinTree,
     run_charm_graph,
     run_charm_loop,
     run_hpx_graph,
@@ -171,17 +171,58 @@ def reference_hpx_worker(pe_free, ready):
     return min(range(p), key=lambda k: (max(pe_free[k], ready), k))
 
 
+def placement_of(pe_free):
+    """A placement tree holding ``pe_free``, built by update steps."""
+    tree = _MinTree(len(pe_free))
+    for k, free in enumerate(pe_free):
+        tree.set(k, free)
+    return tree
+
+
 class TestHpxPlacement:
     def test_matches_reference_on_random_vectors(self):
         rng = np.random.default_rng(2017)
         for _ in range(5000):
-            p = int(rng.integers(1, 40))
+            p = int(rng.integers(1, 41))
             # few distinct values: exact ties between workers, and a
             # ``ready`` that often equals some pe_free[k] exactly
             levels = rng.uniform(0.0, 1e-3, size=int(rng.integers(1, 6)))
             pe_free = [float(x) for x in rng.choice(levels, size=p)]
             ready = float(rng.choice([*levels, 0.0, levels.min() / 2, 2e-3]))
-            assert _hpx_worker(pe_free, ready) == reference_hpx_worker(pe_free, ready)
+            assert placement_of(pe_free).pick(ready) == reference_hpx_worker(pe_free, ready)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 7, 8, 9, 16, 17, 31, 36, 40])
+    def test_pick_and_update_sequences_match_reference(self, p):
+        """Interleaved pick and update steps, as a walk issues them: the
+        tree answers every pick as the scan over the current free times
+        does, with exact ties, a ``ready`` equal to some free time,
+        ``ready`` below every free time and free times that also fall."""
+        rng = np.random.default_rng(p)
+        pe_free = [0.0] * p
+        tree = _MinTree(p)
+        for step in range(600):
+            values = sorted(set(pe_free))
+            choice = int(rng.integers(0, 4))
+            if choice == 0:
+                ready = float(rng.choice(values))      # equal to a free time
+            elif choice == 1:
+                ready = values[0] / 2                 # everyone still busy
+            else:
+                ready = float(rng.uniform(0.0, values[-1] + 1.0))
+            k = tree.pick(ready)
+            assert k == reference_hpx_worker(pe_free, ready), (step, pe_free, ready)
+            # the walk's update: the worker frees again later, or (in a
+            # few steps) at an existing free time, which makes a tie
+            if rng.random() < 0.2:
+                new = float(rng.choice(values))
+            else:
+                new = max(pe_free[k], ready) + float(rng.integers(1, 4))
+            pe_free[k] = new
+            tree.set(k, new)
+            if rng.random() < 0.1:                     # an arbitrary worker drops
+                j = int(rng.integers(0, p))
+                pe_free[j] = float(rng.choice(values))
+                tree.set(j, pe_free[j])
 
     @pytest.mark.parametrize("pe_free,ready,expected", [
         ([0.0, 0.0, 0.0], 0.0, 0),        # all idle: lowest index
@@ -191,7 +232,7 @@ class TestHpxPlacement:
         ([5.0], 1.0, 0),
     ])
     def test_rule(self, pe_free, ready, expected):
-        assert _hpx_worker(pe_free, ready) == expected
+        assert placement_of(pe_free).pick(ready) == expected
         assert reference_hpx_worker(pe_free, ready) == expected
 
 

@@ -137,3 +137,23 @@ class TestMetricsPayload:
         payload = sweep_metrics_payload(sweep)
         assert "host" not in payload
         assert "wall_seconds" not in payload
+
+
+class TestEngineSpans:
+    def test_amt_graph_walk_is_a_span_with_a_task_count(self):
+        """Each AMT graph region is one ``engine.walk`` span and adds its
+        task count to ``engine.tasks``; the result does not change."""
+        from repro.kernels import fib as fib_kernel
+        from repro.runtime.amt import run_charm_graph, run_hpx_graph
+        from repro.runtime.base import ExecContext
+
+        graph = fib_kernel.graph(10)
+        ctx = ExecContext()
+        plain = run_hpx_graph(graph, 4, ctx)
+        with recording("walk") as rec:
+            metered = run_hpx_graph(graph, 4, ctx)
+            run_charm_graph(graph, 3, ctx)
+        assert metered == plain
+        assert rec.spans["engine.walk"].count == 2
+        assert rec.counters["engine.tasks"] == 2 * len(graph)
+        assert "engine.drain" not in rec.spans

@@ -298,7 +298,7 @@ class MissPath:
 
     #: where the local sweep counts each failure kind (serve: ``serve.<kind>``)
     LOCAL_COUNTERS = {"pool_broken": "fanout.pool_broken", "store_error": "cache.store_error",
-                      "corrupt": "cache.corrupt"}
+                      "corrupt": "cache.corrupt", "cache_hit": "cache.hit"}
 
     def __init__(self, store, server=None):
         self.store = store
@@ -422,6 +422,29 @@ def test_flipped_body_byte_is_a_miss_and_rewritten(miss_path):
     assert miss_path.counter("corrupt") == 1
     assert sweep_fingerprint(again) == sweep_fingerprint(reference)
     assert miss_path.store.path_for(key).read_bytes() == entry
+
+
+def test_stale_stamp_counts_one_miss_not_a_hit(miss_path):
+    """An entry that is well framed but stamped with an unknown format is
+    refused at the caller's stamp check: one probe counts one miss and
+    one corrupt entry, never a hit as well."""
+    miss_path.sweep()
+    key, entry = _entry_of(miss_path.store, "omp_for", 4)
+    doc = json.loads(entry.split(b"\n", 1)[1])
+    doc["format"] = 999
+    miss_path.store.put(key, doc)  # framed true to its body: only the stamp is stale
+    assert key in miss_path.store
+    hits_before = 0 if miss_path.server is None else miss_path.counter("cache_hit")
+    again = miss_path.sweep()
+    assert again.counter("simulations") == 1
+    assert again.counter("cache_hits") == FAULT_CELLS - 1
+    assert miss_path.counter("corrupt") == 1
+    if miss_path.server is None:
+        counters = again.perf["counters"]
+        assert counters["cache.hit"] == FAULT_CELLS - 1
+        assert counters["cache.miss"] == 1
+    else:
+        assert miss_path.counter("cache_hit") - hits_before == FAULT_CELLS - 1
 
 
 def test_legacy_entries_are_misses_without_a_full_parse(miss_path, monkeypatch):
