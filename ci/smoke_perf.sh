@@ -47,6 +47,11 @@ assert [json.loads(line)["ts"] for line in listed] == [r["ts"] for r in records]
 EOF
 
 echo "--- compare against the committed baselines (warn-only)"
+# a compare reads the latest ledger record of its baseline's subject, and
+# the baselines were recorded uncached, so each compare follows an
+# uncached `perf record` run over the baseline's thread list (the sweeps
+# above end with a fully cached one)
+python -m repro perf record axpy --threads 1 2 4 8 16 32 36
 python -m repro perf compare --baseline sweep_axpy --tolerance 3.0 --warn-only
 # fib at p16 and p36: the work-stealing event loop and the HPX graph walk
 python -m repro perf record fib --threads 16 36

@@ -105,8 +105,32 @@ def graph(n: int) -> TaskGraph:
     np.cumsum((deps >= 0).sum(axis=1), out=dep_ptr[1:])
     return TaskGraph.from_columns(
         f"fib({n})", _TAG_WORK[tags], tag_id=tags, tag_names=_TAG_NAMES,
-        dep_ptr=dep_ptr, dep_idx=deps[deps >= 0],
+        dep_ptr=dep_ptr, dep_idx=deps[deps >= 0], critical_path=_critical_path(n),
     )
+
+
+def _critical_path(n: int) -> float:
+    """T_inf of :func:`graph` ``(n)``, bit for bit the forward pass's.
+
+    A frame's first task starts at its parent spawn's finish ``s``, and
+    every task's work is fixed by its kind, so a ``fib(k)`` frame that
+    starts at ``s`` always ends at the same sum: a leaf at ``s +
+    LEAF_WORK``, a spawn frame at the later of its children's ends (both
+    start at ``s + SPAWN_WORK``) plus ``CONT_WORK``.  The root frame's
+    end is the graph's latest finish.
+    """
+    ends: dict[tuple[int, float], float] = {}
+
+    def end(k: int, s: float) -> float:
+        if k < 2:
+            return s + LEAF_WORK
+        e = ends.get((k, s))
+        if e is None:
+            c = s + SPAWN_WORK
+            e = ends[k, s] = max(end(k - 1, c), end(k - 2, c)) + CONT_WORK
+        return e
+
+    return end(n, 0.0)
 
 
 def _frame(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -94,7 +94,9 @@ class _MinTree:
     array min-tree (node ``i``'s children are ``2i`` and ``2i + 1``, the
     root is node 1, padding leaves are infinite), so :meth:`pick`
     descends to that leaf and :meth:`set` re-mins one leaf's path, each
-    in O(log p) rather than a scan of the workers.
+    in O(log p) rather than a scan of the workers.  The graph walk runs
+    both steps inline on ``tree`` and ``size``; the methods serve the
+    loop executor and the tests.
     """
 
     __slots__ = ("tree", "size")
@@ -457,8 +459,9 @@ def _run_amt_graph(
 
     pe_free = [0.0] * p
     if is_hpx:
+        # _MinTree's pick and set run inline below, on its arrays
         placement = _MinTree(p)
-        pick, set_free = placement.pick, placement.set
+        tree, size = placement.tree, placement.size
     finish = [0.0] * ntasks
     # records: (pe, start, pre, end, raw_work_executed)
     records: list[tuple[int, float, float, float, float]] = []
@@ -500,7 +503,15 @@ def _run_amt_graph(
                     ready = arr
             pre = hpx_pre + len(deps) * hpx_get
             post = 0.0
-            pe = pick(ready)
+            threshold = tree[1]  # placement.pick(ready)
+            if ready > threshold:
+                threshold = ready
+            i = 1
+            while i < size:
+                i += i
+                if tree[i] > threshold:
+                    i += 1
+            pe = i - size
         elif is_mpi:
             pe = tid * p // ntasks
             cross_in = sum(1 for d in deps if d * p // ntasks != pe)
@@ -541,8 +552,17 @@ def _run_amt_graph(
                     dead.add(tid)
         end = start + pre + dur + post
         pe_free[pe] = end
-        if is_hpx:
-            set_free(pe, end)
+        if is_hpx:  # placement.set(pe, end)
+            i = pe + size
+            tree[i] = low = end
+            while i > 1:
+                sibling = tree[i ^ 1]
+                if sibling < low:
+                    low = sibling
+                i >>= 1
+                if tree[i] == low:
+                    break
+                tree[i] = low
         finish[tid] = end
         overhead += pre + post
         if keep:

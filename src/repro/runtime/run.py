@@ -195,10 +195,12 @@ def run_program(
     """Execute all regions of ``program`` in order at ``nthreads``.
 
     ``validate=True`` runs the cheap physical-plausibility audit from
-    :mod:`repro.validate` on the finished result and raises
+    :mod:`repro.validate` on the finished result and on the program's
+    task graphs, and raises
     :class:`~repro.validate.invariants.SimulationInvariantError` if any
     invariant is violated (interval overlap, work non-conservation,
-    makespan below its lower bounds, ...).
+    makespan below its lower bounds, a graph whose supplied critical
+    path is not its own, ...).
 
     ``trace`` enables the observability layer: pass a
     :class:`~repro.obs.tracer.Tracer` (or ``True`` to have one created)
@@ -302,9 +304,10 @@ def run_program(
     )
     if validate:
         # imported lazily: repro.validate depends on the runtime layer
-        from repro.validate.invariants import check_result
+        from repro.validate.invariants import check_graphs, check_result
 
-        check_result(result, ctx=ctx).raise_if_failed()
+        rep = check_graphs(program, nthreads)
+        check_result(result, ctx=ctx, report=rep).raise_if_failed()
         if tracer is not None:
             from repro.validate.invariants import check_trace
 

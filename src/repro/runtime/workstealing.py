@@ -601,16 +601,19 @@ def cilk_for_graph_batched(
     work_scale: float = 1.0,
 ) -> TaskGraph:
     """Fast builder for :func:`cilk_for_graph`: identical tree
-    (same task ids, deps, tags, creation order), with the per-leaf
-    ``chunk_cost`` interpolation batched through numpy.
+    (same task ids, deps, tags, creation order), built from whole
+    columns (:meth:`TaskGraph.from_columns`) with its critical path.
 
-    The first pass replays the splitter recursion with integers only,
-    recording node order and leaf bounds; leaf costs are then computed
-    in one vectorized sweep whose float ops mirror the scalar
-    ``_cum_at`` exactly, and the graph is built from whole columns
-    (:meth:`TaskGraph.from_columns`).  When ``niter * nblocks``
-    approaches 2**53 the float64 product is no longer exact and we fall
-    back to the scalar builder rather than risk a one-ulp divergence.
+    The first pass lays the tree out level by level: a node of range
+    length ``L`` splits into a left half of ``L // 2`` and a right half
+    of ``L - L // 2``, and the scalar builder visits the right half
+    first, so the right child's id is its parent's plus one and the
+    left child's follows the right subtree, whose size depends only on
+    its length.  Leaf costs are then computed in one vectorized sweep
+    whose float ops mirror the scalar ``_cum_at`` exactly.  When
+    ``niter * nblocks`` approaches 2**53 the float64 product is no
+    longer exact and we fall back to the scalar builder rather than
+    risk a one-ulp divergence.
     """
     niter = space.niter
     nblocks = space.nblocks
@@ -618,43 +621,75 @@ def cilk_for_graph_batched(
         return cilk_for_graph(
             space, grainsize, ctx, bytes_penalty=bytes_penalty, work_scale=work_scale
         )
-    # pass 1: integer-only replay of the recursion
-    nodes: list[tuple[bool, int, int, int]] = []  # (is_leaf, lo, hi, parent)
-    stack = [(0, niter, -1)]
-    tid = 0
-    while stack:
-        lo, hi, parent = stack.pop()
-        if hi - lo <= grainsize:
-            nodes.append((True, lo, hi, parent))
-        else:
-            nodes.append((False, lo, hi, parent))
-            mid = (lo + hi) // 2
-            stack.append((lo, mid, tid))
-            stack.append((mid, hi, tid))
-        tid += 1
-    is_leaf, lo_a, hi_a, parent = (np.array(col) for col in zip(*nodes))
+    # pass 1: the tree, one level per step
+    sizes: dict[int, int] = {}
+
+    def size(length: int) -> int:
+        if length <= grainsize:
+            return 1
+        s = sizes.get(length)
+        if s is None:
+            s = sizes[length] = 1 + size(length // 2) + size(length - length // 2)
+        return s
+
+    ntasks = size(niter)
+    is_leaf = np.zeros(ntasks, dtype=bool)
+    lo_a = np.zeros(ntasks, dtype=np.int64)
+    hi_a = np.zeros(ntasks, dtype=np.int64)
+    parent = np.zeros(ntasks, dtype=np.int64)
+    depth = np.zeros(ntasks, dtype=np.int64)
+    ids = np.zeros(1, dtype=np.int64)
+    lo = np.zeros(1, dtype=np.int64)
+    hi = np.full(1, niter, dtype=np.int64)
+    level = 0
+    while True:
+        leaf = hi - lo <= grainsize
+        is_leaf[ids] = leaf
+        lo_a[ids] = lo
+        hi_a[ids] = hi
+        depth[ids] = level
+        split = ~leaf
+        if not split.any():
+            break
+        ids, lo, hi = ids[split], lo[split], hi[split]
+        mid = (lo + hi) // 2
+        right = ids + 1
+        # halving keeps a level's range lengths within {m, m + 1}
+        right_len = hi - mid
+        m = int(right_len.min())
+        left = right + np.where(right_len == m, size(m), size(m + 1))
+        parent[right] = parent[left] = ids
+        ids = np.concatenate((right, left))
+        lo, hi = np.concatenate((mid, lo)), np.concatenate((hi, mid))
+        level += 1
     # pass 2: batched leaf costs (scalar chunk_cost op order)
-    lo_a = lo_a[is_leaf].astype(np.float64)
-    hi_a = hi_a[is_leaf].astype(np.float64)
+    leaf_lo = lo_a[is_leaf].astype(np.float64)
+    leaf_hi = hi_a[is_leaf].astype(np.float64)
     cw, cb = space._cum_work, space._cum_bytes
     works = np.maximum(
-        _cum_at_vec(cw, hi_a, nblocks, niter) - _cum_at_vec(cw, lo_a, nblocks, niter), 0.0
+        _cum_at_vec(cw, leaf_hi, nblocks, niter) - _cum_at_vec(cw, leaf_lo, nblocks, niter), 0.0
     )
     membytes = np.maximum(
-        _cum_at_vec(cb, hi_a, nblocks, niter) - _cum_at_vec(cb, lo_a, nblocks, niter), 0.0
+        _cum_at_vec(cb, leaf_hi, nblocks, niter) - _cum_at_vec(cb, leaf_lo, nblocks, niter), 0.0
     )
     # pass 3: the columns; splits take add()'s defaults
-    work_col = np.full(is_leaf.size, ctx.costs.cilk_split)
+    split_cost = ctx.costs.cilk_split
+    work_col = np.full(ntasks, split_cost)
     work_col[is_leaf] = works * work_scale
-    bytes_col = np.zeros(is_leaf.size)
+    bytes_col = np.zeros(ntasks)
     bytes_col[is_leaf] = membytes * bytes_penalty
-    dep_ptr = np.zeros(is_leaf.size + 1, dtype=np.int64)
-    np.cumsum(parent >= 0, out=dep_ptr[1:])
+    # T_inf: a split at depth d ends at the sequential sum ends[d + 1] of
+    # d + 1 split costs, and a leaf at ends[d] plus its work
+    ends = [0.0]
+    for _ in range(level):
+        ends.append(ends[-1] + split_cost)
+    leaf_finish = np.array(ends)[depth[is_leaf]] + work_col[is_leaf]
     return TaskGraph.from_columns(
         f"cilk_for[{space.name}]", work_col, bytes_col,
         np.where(is_leaf, space.locality, 1.0),
         tag_id=is_leaf, tag_names=("split", "chunk"),
-        dep_ptr=dep_ptr, dep_idx=parent[parent >= 0],
+        dep_ptr=np.arange(-1, ntasks, dtype=np.int64).clip(0), dep_idx=parent[1:],
+        critical_path=leaf_finish.max(),
     )
 
 
@@ -666,17 +701,36 @@ def flat_chunk_graph(
     bytes_penalty: float = 1.0,
     work_scale: float = 1.0,
 ) -> TaskGraph:
-    """One independent task per contiguous chunk (``omp task`` loops)."""
+    """One independent task per contiguous chunk (``omp task`` loops):
+    chunk ``i`` covers ``[i * niter // nchunks, (i + 1) * niter //
+    nchunks)``, at most ``niter`` chunks.  Built from whole columns with
+    :func:`cilk_for_graph_batched`'s exact-order leaf costs, and with a
+    per-chunk loop past the same 2**53 guard."""
     if nchunks <= 0:
         raise ValueError("nchunks must be positive")
-    nchunks = min(nchunks, space.niter)
-    g = TaskGraph(f"flat[{space.name}]")
-    for i in range(nchunks):
-        lo = i * space.niter // nchunks
-        hi = (i + 1) * space.niter // nchunks
-        work, membytes = space.chunk_cost(lo, hi)
-        g.add(work * work_scale, membytes * bytes_penalty, space.locality, tag="chunk")
-    return g
+    niter = space.niter
+    nchunks = min(nchunks, niter)
+    name = f"flat[{space.name}]"
+    if niter * space.nblocks >= 2 ** 53:
+        g = TaskGraph(name)
+        for i in range(nchunks):
+            work, membytes = space.chunk_cost(i * niter // nchunks, (i + 1) * niter // nchunks)
+            g.add(work * work_scale, membytes * bytes_penalty, space.locality, tag="chunk")
+        return g
+    # i * niter // nchunks without the int64 product i * niter
+    q, r = divmod(niter, nchunks)
+    i = np.arange(nchunks + 1, dtype=np.int64)
+    edges = (i * q + i * r // nchunks).astype(np.float64)
+    nblocks = space.nblocks
+    cw, cb = space._cum_work, space._cum_bytes
+    at_w = _cum_at_vec(cw, edges, nblocks, niter)
+    at_b = _cum_at_vec(cb, edges, nblocks, niter)
+    work = np.maximum(at_w[1:] - at_w[:-1], 0.0) * work_scale
+    # T_inf as the forward pass sums it: every chunk starts at 0.0
+    return TaskGraph.from_columns(
+        name, work, np.maximum(at_b[1:] - at_b[:-1], 0.0) * bytes_penalty, space.locality,
+        tag_names=("chunk",), critical_path=(0.0 + work).max(),
+    )
 
 
 def scatter_penalty(

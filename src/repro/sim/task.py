@@ -24,18 +24,28 @@ small name table) and its dependencies in CSR form (``dep_ptr``,
 successors in increasing id, the order the work-stealing loop pushes
 them in.  A graph grows one task at a time through
 :meth:`TaskGraph.add` or arrives whole through
-:meth:`TaskGraph.from_columns` (the Fibonacci and ``cilk_for``
-builders); both reject the same bad input with the same errors, and
-:meth:`TaskGraph.validate` re-checks a graph in O(edges).  Executors
-and estimators index the columns; ``graph.tasks`` is a read-only view
-that builds :class:`Task` records on demand, for tests and debugging.
+:meth:`TaskGraph.from_columns` (the Fibonacci, ``cilk_for`` and
+flat-chunk builders); both reject the same bad input with the same
+errors, and :meth:`TaskGraph.validate` re-checks a graph in O(edges).
+Executors and estimators index the columns; ``graph.tasks`` is a
+read-only view that builds :class:`Task` records on demand, for tests
+and debugging.
+
+T_inf (:meth:`TaskGraph.critical_path`, the ``critical_path`` every
+graph region's meta carries) comes from a forward pass over the deps,
+which is the reference.  A builder that knows its graph's shape may
+supply the value instead, computed from that shape (Fibonacci by a
+recurrence on the frame size, the ``cilk_for`` tree from its depths,
+flat chunks as their longest chunk); it must equal the forward pass
+bit for bit, :meth:`TaskGraph.validate` checks that it does, and
+:meth:`TaskGraph.add` drops it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
 from operator import sub
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -163,6 +173,7 @@ class TaskGraph:
         self.dep_ptr: list[int] = [0]
         self.dep_idx: list[int] = []
         self._succ: Optional[tuple[list[int], list[int]]] = None
+        self._cp: Optional[float] = None
 
     def add(
         self,
@@ -197,6 +208,7 @@ class TaskGraph:
         self.dep_idx.extend(deps_t)
         self.dep_ptr.append(len(self.dep_idx))
         self._succ = None
+        self._cp = None
         return tid
 
     @classmethod
@@ -212,6 +224,7 @@ class TaskGraph:
         tag_names: Sequence[str] = ("",),
         dep_ptr=None,
         dep_idx=(),
+        critical_path: Optional[float] = None,
     ) -> "TaskGraph":
         """A graph from whole columns, validated in one vectorized pass.
 
@@ -220,6 +233,10 @@ class TaskGraph:
         for every task.  Deps are the CSR pair ``dep_ptr`` (``n + 1``
         offsets; ``None`` for no deps) and ``dep_idx``.  Bad input
         raises the ``ValueError`` :meth:`add` would.
+
+        A builder that knows its graph's shape may pass T_inf as
+        ``critical_path``; it must equal the forward pass of
+        :meth:`critical_path` bit for bit (:meth:`validate` checks).
         """
         work, membytes, locality, spawn_cost = (
             np.asarray(a, dtype=np.float64) for a in (work, membytes, locality, spawn_cost))
@@ -239,6 +256,7 @@ class TaskGraph:
         )
         g.tag_names = list(tag_names)
         g.dep_ptr, g.dep_idx = dep_ptr.tolist(), dep_idx.tolist()
+        g._cp = None if critical_path is None else float(critical_path)
         return g
 
     def __len__(self) -> int:
@@ -280,8 +298,15 @@ class TaskGraph:
     def critical_path(self) -> float:
         """T_inf: the longest dependency chain, by task ``work``.
 
-        Tasks are stored topologically, so a single forward pass suffices.
+        The value a builder supplied, else the forward pass (the
+        reference): tasks are stored topologically, so a task's finish is
+        the latest finish among its deps plus its ``work``.
         """
+        if self._cp is not None:
+            return self._cp
+        return self._forward_critical_path()
+
+    def _forward_critical_path(self) -> float:
         finish: list[float] = []
         append = finish.append
         di = self.dep_idx
@@ -306,7 +331,7 @@ class TaskGraph:
         """
         membytes = self.membytes
         byte_locs = (
-            [loc for loc, b in zip(self.locality, membytes) if b > 0] if any(membytes) else []
+            list(compress(self.locality, membytes)) if any(membytes) else []
         )
         return {
             "expected_work": self.total_work(),
@@ -321,8 +346,9 @@ class TaskGraph:
     def validate(self) -> None:
         """Check structural invariants in O(edges); raises ``ValueError``
         on violation: every column passes :meth:`add`'s checks, every
-        dep names an earlier task, and a built successor index is
-        exactly the stable reverse of the deps."""
+        dep names an earlier task, a built successor index is exactly
+        the stable reverse of the deps, and a supplied critical path is
+        the forward pass's value."""
         dep_ptr = np.asarray(self.dep_ptr, dtype=np.int64)
         dep_idx = np.asarray(self.dep_idx, dtype=np.int64)
         _check_columns(
@@ -331,6 +357,8 @@ class TaskGraph:
             np.asarray(self.tag_id, dtype=np.int64), len(self.tag_names), dep_ptr, dep_idx)
         if self._succ is not None and self._succ != _successor_csr(dep_ptr, dep_idx):
             raise ValueError("successor table out of sync")
+        if self._cp is not None and self._cp != self._forward_critical_path():
+            raise ValueError("critical path out of sync")
 
 
 class IterSpace:

@@ -46,6 +46,7 @@ from repro.sim.trace import RegionResult
 from repro.validate.invariants import (
     ValidationReport,
     _tol,
+    check_graphs,
     check_region,
     check_result,
     check_trace,
@@ -357,6 +358,7 @@ def run_registry_audit(
                     res = run_program(prog, p, ctx, version)
                 except ThreadExplosionError:
                     continue  # the paper's reproduced "system hangs"
-                check_result(res, ctx=ctx, report=rep,
-                             where=f"registry[{name}/{version}] p={p}")
+                where = f"registry[{name}/{version}] p={p}"
+                check_graphs(prog, p, report=rep, where=where)
+                check_result(res, ctx=ctx, report=rep, where=where)
     return rep

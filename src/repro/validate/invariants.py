@@ -18,6 +18,9 @@ would silently invalidate the paper's cross-runtime comparisons:
   contention findings rest on was not actually enforced.
 - **makespan bounds** — a finish time below the critical path or below
   ``busy / p`` is a scheduling miracle, i.e. an accounting bug.
+- **graph-structure** — a task region's graph must pass
+  :meth:`~repro.sim.task.TaskGraph.validate`, including a critical path
+  its builder supplied: the makespan bound above is only as good as it.
 - **worker-wallclock** — one worker's busy + overhead seconds cannot
   exceed the region's wall-clock time (workers are sequential).
 - **fault accounting** — regions run under a :mod:`repro.faults` plan
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.runtime.base import ExecContext
+from repro.sim.task import Program, TaskRegion
 from repro.sim.trace import RegionResult, SimResult
 
 __all__ = [
@@ -49,6 +53,7 @@ __all__ = [
     "ValidationReport",
     "busy_envelope",
     "check_event_times",
+    "check_graphs",
     "check_intervals",
     "check_lock_log",
     "check_region",
@@ -509,4 +514,27 @@ def check_result(
             f"{tag} region_index={index}",
             f"attempt outcomes (failed?) {failures}: work re-ran after a success",
         )
+    return rep
+
+
+def check_graphs(
+    program: Program,
+    nthreads: int,
+    *,
+    report: Optional[ValidationReport] = None,
+    where: Optional[str] = None,
+) -> ValidationReport:
+    """Audit the task graphs ``program`` builds at ``nthreads``: each
+    :class:`~repro.sim.task.TaskRegion`'s graph passes
+    :meth:`~repro.sim.task.TaskGraph.validate`."""
+    rep = report if report is not None else ValidationReport()
+    tag = where or f"{program.name} p={nthreads}"
+    for i, region in enumerate(program):
+        if isinstance(region, TaskRegion):
+            try:
+                region.graph_for(nthreads).validate()
+                detail = ""
+            except ValueError as exc:
+                detail = str(exc)
+            rep.check(not detail, "graph-structure", f"{tag} region[{i}]", detail)
     return rep

@@ -21,6 +21,7 @@ from repro.models.mpi import rank_for, rank_graph
 from repro.obs.tracer import Tracer
 from repro.runtime.amt import (
     _MinTree,
+    _run_amt_graph,
     run_charm_graph,
     run_charm_loop,
     run_hpx_graph,
@@ -30,7 +31,7 @@ from repro.runtime.amt import (
 )
 from repro.runtime.base import ExecContext
 from repro.runtime.run import execute_region, run_program
-from repro.sim.task import IterSpace, LoopRegion, TaskRegion
+from repro.sim.task import IterSpace, LoopRegion, TaskGraph, TaskRegion
 from repro.sim.tiers import DEFAULT_CALIBRATION, estimate_region
 from repro.workloads.taskgraph import taskbench_graph
 
@@ -234,6 +235,36 @@ class TestHpxPlacement:
     def test_rule(self, pe_free, ready, expected):
         assert placement_of(pe_free).pick(ready) == expected
         assert reference_hpx_worker(pe_free, ready) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_graph_walk_places_like_the_reference(self, ctx, seed):
+        """The HPX graph walk runs the tree's pick and update inline:
+        each task must still run on the worker ``reference_hpx_worker``
+        picks from the free times the walk's own spans imply, on random
+        DAGs whose few distinct works and dep counts make exact ties."""
+        rng = np.random.default_rng(seed)
+        g = TaskGraph("ties")
+        for tid in range(int(rng.integers(30, 200))):
+            ndeps = int(rng.integers(0, min(tid, 3) + 1))
+            deps = sorted(rng.choice(tid, ndeps, replace=False).tolist()) if ndeps else ()
+            g.add(float(rng.choice([1e-6, 2e-6])), deps=deps)
+        p = int(rng.integers(2, 13))
+        tracer = Tracer()
+        _run_amt_graph(g, p, ctx, "hpx", tracer, None)
+        dispatch = [s for s in tracer.spans if s.kind == "dispatch"]
+        tasks = [s for s in tracer.spans if s.kind == "task"]
+        assert len(dispatch) == len(tasks) == len(g)
+        pe_free = [0.0] * p
+        ties = 0
+        for tid, (pre, task) in enumerate(zip(dispatch, tasks)):
+            deps = g.dep_idx[g.dep_ptr[tid]:g.dep_ptr[tid + 1]]
+            ready = max((tasks[d].end for d in deps), default=0.0)
+            k = reference_hpx_worker(pe_free, ready)
+            assert pre.worker == task.worker == k, (tid, pe_free, ready)
+            assert pre.start == max(pe_free[k], ready)
+            ties += [max(f, ready) for f in pe_free].count(max(pe_free[k], ready)) > 1
+            pe_free[k] = task.end
+        assert ties > 0
 
 
 class TestFaultSemantics:

@@ -101,6 +101,15 @@ def _diamond():
     return g
 
 
+def _without_critical_path(g: TaskGraph) -> TaskGraph:
+    """``g`` rebuilt from its columns with no supplied critical path, so
+    :meth:`TaskGraph.critical_path` runs the forward pass."""
+    return TaskGraph.from_columns(
+        g.name, g.work, g.membytes, g.locality, g.spawn_cost,
+        tag_id=g.tag_id, tag_names=g.tag_names, dep_ptr=g.dep_ptr, dep_idx=g.dep_idx,
+    )
+
+
 class TestColumns:
     def test_columns_and_csr(self):
         g = _diamond()
@@ -186,6 +195,31 @@ class TestColumns:
         g.work.append(1.0)
         with pytest.raises(ValueError, match="equal length"):
             g.validate()
+
+    def test_add_drops_a_supplied_critical_path(self):
+        g = TaskGraph.from_columns("chain", [1.0, 2.0], dep_ptr=[0, 0, 1], dep_idx=[0],
+                                   critical_path=3.0)
+        assert g.critical_path() == 3.0
+        g.add(4.0, deps=[1])
+        assert g.critical_path() == 7.0
+        g.validate()
+
+    def test_validate_rejects_a_wrong_supplied_critical_path(self):
+        g = TaskGraph.from_columns("chain", [1.0, 2.0], dep_ptr=[0, 0, 1], dep_idx=[0],
+                                   critical_path=2.5)
+        assert g.critical_path() == 2.5  # trusted until validated
+        with pytest.raises(ValueError, match="critical path out of sync"):
+            g.validate()
+
+    @pytest.mark.parametrize("n", range(25))
+    def test_fib_critical_path_is_the_forward_pass(self, n):
+        from repro.kernels import fib
+
+        g = fib.graph(n)
+        assert g._cp is not None  # supplied by the builder's recurrence
+        reference = _without_critical_path(g).critical_path()
+        assert type(g.critical_path()) is float and g.critical_path() == reference
+        g.validate()
 
     def test_validate_is_linear(self):
         from repro.kernels import fib

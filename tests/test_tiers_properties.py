@@ -22,10 +22,10 @@ import pytest
 from repro.runtime import workstealing
 from repro.runtime.base import ExecContext
 from repro.runtime.run import run_program
-from repro.runtime.workstealing import cilk_for_graph, cilk_for_graph_batched
+from repro.runtime.workstealing import cilk_for_graph, cilk_for_graph_batched, flat_chunk_graph
 from repro.sim.machine import PAPER_MACHINE
 from repro.sim.memory import MemoryModel
-from repro.sim.task import IterSpace
+from repro.sim.task import IterSpace, TaskGraph
 from repro.sweep.codec import result_to_dict
 from repro.validate.properties import SMALL_MACHINE, random_program
 
@@ -109,6 +109,8 @@ def test_batched_cilk_graph_equals_scalar(niter, grainsize):
             # deps tuple (task ids), same split/chunk tag
             assert a == b
         assert g_fast.successors == g_ref.successors
+        # the builder's T_inf against the scalar graph's forward pass
+        assert g_fast.critical_path() == g_ref.critical_path()
 
 
 def test_batched_cilk_graph_uniform_space():
@@ -131,6 +133,39 @@ def test_batched_builder_falls_back_past_exactness_guard():
     assert [t for t in g_fast.tasks] == [t for t in g_ref.tasks]
 
 
+def _flat_reference(space: IterSpace, nchunks: int, **kwargs) -> TaskGraph:
+    """:func:`flat_chunk_graph` as a per-chunk :meth:`TaskGraph.add`
+    loop over :meth:`IterSpace.chunk_cost`."""
+    g = TaskGraph(f"flat[{space.name}]")
+    n = min(nchunks, space.niter)
+    for i in range(n):
+        work, membytes = space.chunk_cost(i * space.niter // n, (i + 1) * space.niter // n)
+        g.add(work * kwargs.get("work_scale", 1.0), membytes * kwargs.get("bytes_penalty", 1.0),
+              space.locality, tag="chunk")
+    return g
+
+
+@pytest.mark.parametrize("niter,nchunks", [
+    (1, 1), (1, 4), (7, 3), (7, 7), (7, 9), (64, 16), (1000, 72), (5000, 37), (5000, 4999),
+])
+def test_flat_chunk_graph_equals_add_loop(niter, nchunks):
+    """Whole-column flat chunks against the per-chunk loop: every task
+    and the critical path bit for bit, also with more chunks than
+    iterations."""
+    for space in (_skewed(niter), IterSpace.uniform(niter, 3e-8, 48.0, locality=0.5)):
+        for kwargs in ({}, {"bytes_penalty": 1.5, "work_scale": 0.9}):
+            g_ref = _flat_reference(space, nchunks, **kwargs)
+            g_fast = flat_chunk_graph(space, nchunks, CTX2, **kwargs)
+            assert list(g_fast.tasks) == list(g_ref.tasks)
+            assert g_fast.name == g_ref.name
+            assert g_fast.critical_path() == g_ref.critical_path()
+
+
+def test_flat_chunk_graph_falls_back_past_exactness_guard():
+    space = IterSpace(2**51, np.full(16, 1e-3), np.zeros(16))
+    assert list(flat_chunk_graph(space, 5, CTX2).tasks) == list(_flat_reference(space, 5).tasks)
+
+
 # ---------------------------------------------------------------------------
 # the memoized duration fast path
 # ---------------------------------------------------------------------------
@@ -140,7 +175,6 @@ def test_fast_duration_bit_equal_to_memory_model():
     from below 1 to beyond ``hw_threads`` (oversubscription), scalar and
     mixed per-task locality."""
     from repro.runtime.workstealing import StealingScheduler
-    from repro.sim.task import TaskGraph
 
     g = TaskGraph()
     g.add(1e-8)
@@ -180,7 +214,6 @@ def test_reference_context_uses_reference_duration():
     path (otherwise every equivalence property compares a run with
     itself)."""
     from repro.runtime.workstealing import StealingScheduler
-    from repro.sim.task import TaskGraph
 
     g = TaskGraph()
     g.add(1e-8)

@@ -238,6 +238,24 @@ class TestRunProgramValidate:
         with pytest.raises(SimulationInvariantError, match="interval-overlap"):
             run_program(prog, 4, CTX, validate=True, trace=True)
 
+    @pytest.mark.parametrize("delta", [-1e-9, 1e-9])
+    def test_validate_flag_raises_on_a_wrong_supplied_critical_path(self, monkeypatch, delta):
+        real = fib._critical_path
+        monkeypatch.setattr(fib, "_critical_path", lambda n: real(n) + delta)
+        prog = fib.program("cilk_spawn", machine=CTX.machine, n=10)
+        run_program(prog, 4, CTX)  # runs, trusting the value
+        with pytest.raises(SimulationInvariantError, match="critical path out of sync"):
+            run_program(prog, 4, CTX, validate=True)
+
+    def test_registry_audit_reports_a_wrong_supplied_critical_path(self, monkeypatch):
+        from repro.validate import run_registry_audit
+
+        monkeypatch.setattr(fib, "_critical_path", lambda n: 0.0)
+        rep = run_registry_audit(threads=(2,), versions=("cilk_spawn",))
+        assert rep.violations
+        assert all(v.invariant == "graph-structure" and v.where.startswith("registry[fib/")
+                   for v in rep.violations)
+
     def test_validate_on_small_machine(self):
         ctx = ExecContext(machine=Machine(sockets=1, cores_per_socket=2, smt=2))
         prog = fib.program("omp_task", machine=ctx.machine, n=9)
