@@ -56,6 +56,9 @@ python -m repro perf compare --baseline sweep_axpy --tolerance 3.0 --warn-only
 # fib at p16 and p36: the work-stealing event loop and the HPX graph walk
 python -m repro perf record fib --threads 16 36
 python -m repro perf compare --baseline sweep_fib --tolerance 3.0 --warn-only
+# bfs at p8 and p16: the event loop on byte-moving tasks
+python -m repro perf record bfs --threads 8 16
+python -m repro perf compare --baseline sweep_bfs --tolerance 3.0 --warn-only
 
 echo "--- attribution + ledger tail smoke"
 python -m repro perf report --name sweep:axpy

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
 from time import perf_counter, process_time
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.obs.metrics import Histogram
 
@@ -134,12 +133,21 @@ class PerfRecorder:
 
     def merge(self, other: "PerfRecorder") -> "PerfRecorder":
         """Fold a nested recording's detail into this recorder."""
+        spans = self.spans
         for name, s in other.spans.items():
-            self.spans.setdefault(name, SpanStat(name)).merge(s)
+            mine = spans.get(name)
+            if mine is None:
+                mine = spans[name] = SpanStat(name)
+            mine.merge(s)
+        counters = self.counters
         for name, n in other.counters.items():
-            self.count(name, n)
+            counters[name] = counters.get(name, 0) + n
+        observations = self.observations
         for name, o in other.observations.items():
-            self.observations.setdefault(name, Histogram(name)).merge(o)
+            mine = observations.get(name)
+            if mine is None:
+                mine = observations[name] = Histogram(name)
+            mine.merge(o)
         return self
 
     def snapshot(self) -> dict[str, Any]:
@@ -261,33 +269,56 @@ class Stopwatch:
         return False
 
 
-@contextmanager
-def recording(label: str = "run") -> Iterator[Optional[PerfRecorder]]:
+class _Recording:
+    """The context manager :func:`recording` returns: a plain class
+    rather than a generator, so entering and leaving a recording runs
+    two methods and no generator machinery."""
+
+    __slots__ = ("_label", "_rec", "_t0", "_c0")
+
+    def __init__(self, label: str) -> None:
+        self._label = label
+        self._rec: Optional[PerfRecorder] = None
+
+    def __enter__(self) -> Optional[PerfRecorder]:
+        stack = _LOCAL.stack
+        # telemetry is switched on or off when the outermost recording
+        # starts; a nested one follows it without reading the environment
+        if not stack and not perf_enabled():
+            return None
+        rec = self._rec = PerfRecorder(self._label)
+        stack.append(rec)
+        # the CPU clock is a system call: read it outside the wall window
+        self._c0 = process_time()
+        self._t0 = perf_counter()
+        return rec
+
+    def __exit__(self, *exc: Any) -> bool:
+        rec = self._rec
+        if rec is None:
+            return False
+        rec.wall = perf_counter() - self._t0
+        rec.cpu = process_time() - self._c0
+        stack = _LOCAL.stack
+        popped = stack.pop()
+        assert popped is rec, "unbalanced perf recording stack"
+        if stack:
+            parent = stack[-1]
+            parent.merge(rec)
+            parent.add_span(rec.label or "recording", rec.wall, rec.cpu)
+        return False
+
+
+def recording(label: str = "run") -> _Recording:
     """Activate a fresh recorder for the ``with`` block.
 
     Yields the recorder — or ``None`` when ``REPRO_PERF_OFF=1``
     disables telemetry, in which case nothing is pushed and every
-    instrumentation point inside the block stays a no-op.  On exit the
+    instrumentation point inside the block stays a no-op.  The
+    environment is read when the outermost recording starts; a nested
+    recording records whenever its parent does.  On exit the
     block's wall/CPU duration is stamped onto the recorder and, when
     the recording was nested inside another, its detail is folded into
     the parent (plus one ``label`` span for the block itself).
     """
-    if not perf_enabled():
-        yield None
-        return
-    rec = PerfRecorder(label)
-    stack = _LOCAL.stack
-    stack.append(rec)
-    t0 = perf_counter()
-    c0 = process_time()
-    try:
-        yield rec
-    finally:
-        rec.wall = perf_counter() - t0
-        rec.cpu = process_time() - c0
-        popped = stack.pop()
-        assert popped is rec, "unbalanced perf recording stack"
-        parent = stack[-1] if stack else None
-        if parent is not None:
-            parent.merge(rec)
-            parent.add_span(rec.label or "recording", rec.wall, rec.cpu)
+    return _Recording(label)

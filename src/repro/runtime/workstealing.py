@@ -56,7 +56,6 @@ __all__ = [
     "scatter_penalty",
 ]
 
-_BUSY, _IDLE, _WAKING = 0, 1, 2
 #: event kind of a wake-up (a finish event's kind is the task id)
 _WAKE = -1
 
@@ -283,18 +282,31 @@ class StealingScheduler:
         Heap entries are ``(time, seq, worker, kind)``: ``kind`` is the
         id of the task ``worker`` finishes at ``time``, or ``_WAKE`` for
         a wake-up.  ``seq`` counts pushes and breaks time ties in
-        insertion order.  Each pass of the outer loop does what a worker
-        does at time ``t`` — wake one idler per pushed task, then start
-        the task it dives into or pop/steal one — and the inner loop
-        pops the next event and applies its finish (push ready
-        successors) or wake-up.
+        insertion order.  Each pass does what a worker does at time
+        ``t`` — wake one idler per pushed task, then start the task it
+        dives into or pop/steal one — and then takes the next event and
+        applies its finish (push ready successors) or wake-up.  A pass
+        that starts a task pushes its finish and pops the next event in
+        one ``heappushpop`` (``seq`` is unique, so the order is that of
+        a push then a pop).  A worker leaves ``idle`` only for its
+        wake-up, which is then its one pending event, so no worker state
+        is kept beyond the ``idle`` list.
+
+        A task lasts :meth:`~repro.sim.memory.MemoryModel.memoized`'s
+        roofline formula, inlined: ``work / speeds[active]``, raised to
+        ``membytes`` over the bandwidth per ``(active, locality)`` when
+        that is larger.  A duration function without a ``speeds`` table
+        (the scalar reference) is called per task instead.
 
         The THE protocol's owner push and pop take no lock, so on THE
         deques they run here on the deque's items, charging
         ``the_push``/``the_pop`` as :class:`~repro.sim.deque.THEDeque`
-        does; the push/pop counts and depth high-water marks, like each
+        does; the push counts and depth high-water marks, like each
         worker's busy, overhead and task totals, are kept in lists and
-        written back once when the loop ends.  Steals and every
+        written back once when the loop ends.  A THE deque's pops are
+        not counted: every item pushed either left by an owner pop or a
+        steal or is still queued, so the pops are derived from the
+        pushes, steals and final length.  Steals and every
         :class:`~repro.sim.deque.LockedDeque` operation go through the
         deque's methods and its :class:`~repro.sim.engine.SimLock`.
         """
@@ -319,21 +331,22 @@ class StealingScheduler:
         the_push = costs.the_push
         the_pop = costs.the_pop
         pushes = [d.pushes for d in deques]
-        pops = [d.pops for d in deques]
+        # pops = base + pushes - steals - len(items) at any point
+        pop_base = [d.pops - d.pushes + d.steals + len(d.items) for d in deques]
         depth = [d.max_depth for d in deques]
         stats = self.stats
         busy = [st.busy for st in stats]
         overhead = [st.overhead for st in stats]
         ntasks = [st.tasks for st in stats]
-        state = [_IDLE] * p
         idle = list(range(1, p))  # worker 0 seeded the roots
         heap = self._heap
         heappush = heapq.heappush
         heappop = heapq.heappop
+        heappushpop = heapq.heappushpop
         duration = self._duration
-        # a graph that moves no bytes (fib) divides by the duration
-        # model's speed table itself: the model's zero-byte case
-        speed = None if any(membytes) else getattr(duration, "speeds", None)
+        speed = getattr(duration, "speeds", None)
+        bandwidth = self.ctx.memory.machine.bandwidth_per_thread
+        bws: dict[tuple[int, float], float] = {}
         randrange = self.rng.randrange
         tracer = self.tracer
         faults = self.faults
@@ -362,32 +375,28 @@ class StealingScheduler:
         fail_tid = None
         quiet = False
         w = 0
+        its = own_items[0]
         dive = None
         while True:
             # -- worker w at time t: wake idlers, then run a task ------
-            if pushed:
+            if pushed and idle:
                 wake_at = (now if now > t else t) + wake_latency
-                while pushed > 0 and idle:
-                    v = idle.pop()
-                    state[v] = _WAKING
+                while pushed and idle:
                     seq += 1
-                    heappush(heap, (wake_at, seq, v, _WAKE))
+                    heappush(heap, (wake_at, seq, idle.pop(), _WAKE))
                     pushed -= 1
             tid = dive
             if tid is None:
                 if poisoned:
                     # poisoned tree: nothing new is popped or stolen; once
                     # the last in-flight task drains the execution aborts
-                    state[w] = _IDLE
                     idle.append(w)
                     if active == 0:
                         quiet = True
                 else:
                     if the:
-                        its = own_items[w]
                         if its:
                             tid = its.pop()
-                            pops[home[w]] += 1
                             t2 = t + the_pop
                             overhead[w] += t2 - t
                             t = t2
@@ -418,16 +427,22 @@ class StealingScheduler:
                                     tracer.span(w, t, t2, "steal_fail", f"probe->w{victim}")
                             t = t2
                     if tid is None:
-                        state[w] = _IDLE
                         idle.append(w)
             if tid is not None:
-                state[w] = _BUSY
                 active += 1
                 if speed is None:
-                    dur = duration(work[tid], membytes[tid], locality[tid],
-                                   active if active < p else p)
+                    dur = duration(work[tid], membytes[tid], locality[tid], active)
                 else:
-                    dur = work[tid] / speed[active if active < p else p]
+                    dur = work[tid] / speed[active]
+                    mb = membytes[tid]
+                    if mb:
+                        key = (active, locality[tid])
+                        bw = bws.get(key)
+                        if bw is None:
+                            bw = bws[key] = bandwidth(active, locality[tid])
+                        mem = mb / bw
+                        if mem > dur:
+                            dur = mem
                 t0 = now if now > t else t
                 if faults is not None:
                     if poisoned:
@@ -451,11 +466,14 @@ class StealingScheduler:
                 end = t0 + dur
                 if end < now:
                     raise ValueError(f"cannot schedule at {end} before now={now}")
+                # -- next event: the task's finish goes in, the earliest
+                # event comes out ------------------------------------------
+                if processed > limit:
+                    raise RuntimeError(f"simulation exceeded {max_events} events")
                 seq += 1
-                heappush(heap, (end, seq, w, tid))
-
-            # -- next event ---------------------------------------------
-            while True:
+                now, s, w, kind = heappushpop(heap, (end, seq, w, tid))
+            else:
+                # -- next event: no task started, so one comes out ------
                 if processed > limit:
                     raise RuntimeError(f"simulation exceeded {max_events} events")
                 if quiet or not heap:
@@ -469,70 +487,66 @@ class StealingScheduler:
                         st.overhead = o
                         st.tasks = n
                     if the:
-                        for d, n_push, n_pop, high in zip(deques, pushes, pops, depth):
+                        for d, n_push, base, high in zip(deques, pushes, pop_base, depth):
                             d.pushes = n_push
-                            d.pops = n_pop
+                            d.pops = base + n_push - d.steals - len(d.items)
                             d.max_depth = high
                     return
                 now, s, w, kind = heappop(heap)
-                processed += 1
+            processed += 1
+            if tracer is not None:
+                tracer.engine_event(now, s)
+            t = now
+            pushed = 0
+            dive = None
+            its = own_items[w]
+            if kind == _WAKE:
                 if tracer is not None:
-                    tracer.engine_event(now, s)
-                t = now
-                pushed = 0
-                dive = None
-                if kind == _WAKE:
-                    if state[w] != _WAKING:
-                        continue
-                    if tracer is not None:
-                        tracer.instant(w, now, "wake")
-                    break
-                # worker w finished task `kind`
-                active -= 1
-                if kind == fail_tid and not poisoned and poison_on_fail:
-                    # the exception (or `omp cancel taskgroup`) surfaces
-                    # when the failing strand completes: poison the spawn
-                    # tree — in-flight tasks drain, continuations and
-                    # queued tasks are abandoned at the implicit sync
-                    poisoned = self.poisoned = True
-                    self.poison_time = t
-                    if tracer is not None:
-                        tracer.instant(w, t, "cancel")
-                done += 1
-                if poisoned:
-                    if t > finish_time:
-                        finish_time = t
-                    break
-                its = own_items[w]
-                push = own_push[w]
-                for succ in succ_idx[succ_ptr[kind]:succ_ptr[kind + 1]]:
-                    left = remaining[succ] - 1
-                    remaining[succ] = left
-                    if left == 0:
-                        sc = task_spawn[succ]
-                        t += sc if sc > 0 else spawn_cost
-                        if work_first and dive is None:
-                            dive = succ  # execute-on-creation: no deque round-trip
-                        else:
-                            if the:
-                                its.append(succ)
-                                t += the_push
-                            else:
-                                t = push(t, succ)
-                            pushed += 1
-                if the and pushed:
-                    # every push of one finish lands on one deque, so its
-                    # depth peaks after the last of them
-                    k = home[w]
-                    pushes[k] += pushed
-                    if len(its) > depth[k]:
-                        depth[k] = len(its)
-                if per_task_overhead:
-                    t += per_task_overhead
-                overhead[w] += t - now
+                    tracer.instant(w, now, "wake")
+                continue
+            # worker w finished task `kind`
+            active -= 1
+            if poison_on_fail and kind == fail_tid and not poisoned:
+                # the exception (or `omp cancel taskgroup`) surfaces
+                # when the failing strand completes: poison the spawn
+                # tree — in-flight tasks drain, continuations and
+                # queued tasks are abandoned at the implicit sync
+                poisoned = self.poisoned = True
+                self.poison_time = t
+                if tracer is not None:
+                    tracer.instant(w, t, "cancel")
+            done += 1
+            if poisoned:
                 if t > finish_time:
                     finish_time = t
-                break
+                continue
+            for succ in succ_idx[succ_ptr[kind]:succ_ptr[kind + 1]]:
+                left = remaining[succ] - 1
+                remaining[succ] = left
+                if left == 0:
+                    sc = task_spawn[succ]
+                    t += sc if sc > 0 else spawn_cost
+                    if work_first and dive is None:
+                        dive = succ  # execute-on-creation: no deque round-trip
+                    else:
+                        if the:
+                            its.append(succ)
+                            t += the_push
+                        else:
+                            t = own_push[w](t, succ)
+                        pushed += 1
+            if the and pushed:
+                # every push of one finish lands on one deque, so its
+                # depth peaks after the last of them
+                k = home[w]
+                pushes[k] += pushed
+                if len(its) > depth[k]:
+                    depth[k] = len(its)
+            if per_task_overhead:
+                t += per_task_overhead
+            overhead[w] += t - now
+            if t > finish_time:
+                finish_time = t
 
 # ---------------------------------------------------------------------------
 # Graph front-ends

@@ -21,9 +21,12 @@ The scheduler's event loop (``StealingScheduler._drain``) does not call
 :meth:`THEDeque.push` and :meth:`THEDeque.pop`: since they take no lock
 it performs them itself on ``items``, charging ``the_push`` /
 ``the_pop`` with the same float operations, and writes ``pushes``,
-``pops`` and ``max_depth`` back once per region.  The methods remain
-the reference the loop must match (``tests/test_drain_counters.py``)
-and serve every other caller.  Steals, and every
+``pops`` and ``max_depth`` back once per region.  It does not count
+pops as they happen: every item pushed either left by an owner pop or
+a steal or is still queued, so it derives ``pops`` at write-back from
+the pushes, steals and final length.  The methods remain the reference
+the loop must match (``tests/test_drain_counters.py``) and serve every
+other caller.  Steals, and every
 :class:`LockedDeque` operation, always go through the methods.
 """
 

@@ -24,12 +24,15 @@ entry points, so a task costs the same under every runtime:
   and the AMT graph walk, whose ``active`` is fixed per region).
 
 The memoized closure also hands out its compute-speed table, as its
-``speeds`` attribute, so that a graph that moves no bytes (fib) can
-charge the formula's zero-byte case, ``work / speeds[active]``, as one
-division instead of a closure call.  Two callers do: the work-stealing
-event loop (``StealingScheduler._drain``) and the AMT graph walk
-(``repro.runtime.amt._run_amt_graph``).  A duration function without
-that attribute (the scalar reference) is called per task.
+``speeds`` attribute, so that a hot loop can charge the formula without
+a closure call.  The work-stealing event loop
+(``StealingScheduler._drain``) inlines the whole formula: the division
+by ``speeds[active]``, then, for a task that moves bytes, the bandwidth
+per ``(active, locality)`` from its own per-region cache and the
+roofline maximum.  The AMT graph walk
+(``repro.runtime.amt._run_amt_graph``) inlines the zero-byte case on a
+graph that moves no bytes (fib).  A duration function without that
+attribute (the scalar reference) is called per task.
 
 All three perform the same IEEE operations in the same order, so they
 agree bit for bit.  This model is what produces the scaling plateaus the
@@ -101,7 +104,12 @@ class MemoryModel:
         Its ``speeds`` attribute is the compute-speed table: entry ``a``
         (1..``max_active``) is the machine's speed with ``a`` threads
         active, so a task without memory traffic lasts exactly
-        ``work / speeds[max(1, active)]``.
+        ``work / speeds[max(1, active)]``.  The work-stealing event loop
+        inlines this closure's body rather than calling it, so any change
+        to the formula here must be made there too; with the scalar
+        reference patched in (``tests/test_tiers_properties.py``) the
+        loop calls :meth:`duration` instead, which is what keeps the two
+        compared.
         """
         machine = self.machine
         speed = [1.0] + [machine.compute_speed(a) for a in range(1, max_active + 1)]

@@ -97,7 +97,8 @@ def _check_columns(work, membytes, locality, spawn_cost, tag_id, ntags, dep_ptr,
             or dep_ptr[-1] != dep_idx.size
             or any(a.ndim and a.shape != (n,) for a in (membytes, locality, spawn_cost, tag_id))):
         raise ValueError("columns must have equal length")
-    if (work < 0).any() or (membytes < 0).any() or (spawn_cost < 0).any():
+    # `>= 0` rather than `< 0`, so that NaN fails too
+    if not ((work >= 0).all() and (membytes >= 0).all() and (spawn_cost >= 0).all()):
         raise ValueError("work, membytes and spawn_cost must be non-negative")
     if not ((locality >= 0.0) & (locality <= 1.0)).all():
         raise ValueError("locality must be in [0, 1]")
@@ -187,7 +188,7 @@ class TaskGraph:
         """Append a task and return its id; bad input raises
         ``ValueError`` and leaves the graph unchanged."""
         tid = len(self.work)
-        if work < 0 or membytes < 0 or spawn_cost < 0:
+        if not (work >= 0 and membytes >= 0 and spawn_cost >= 0):  # NaN fails too
             raise ValueError("work, membytes and spawn_cost must be non-negative")
         if not 0.0 <= locality <= 1.0:
             raise ValueError("locality must be in [0, 1]")
@@ -387,7 +388,7 @@ class IterSpace:
             raise ValueError("block_work and block_bytes must be equal-length 1-D arrays")
         if block_work.size == 0:
             raise ValueError("need at least one block")
-        if (block_work < 0).any() or (block_bytes < 0).any():
+        if not ((block_work >= 0).all() and (block_bytes >= 0).all()):  # NaN fails too
             raise ValueError("block costs must be non-negative")
         if not 0.0 <= locality <= 1.0:
             raise ValueError("locality must be in [0, 1]")

@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports sweep l
 __all__ = ["SweepCell", "expand_cells"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepCell:
     """One (workload, version, thread count, params) point of a sweep.
 
@@ -42,9 +42,25 @@ class SweepCell:
     discrete-event simulation), ``0`` estimate (closed-form).  The
     default keeps tier-2 cells hashing exactly as before tiers existed."""
 
-    def __post_init__(self) -> None:
-        if self.fidelity not in (0, 2):
-            raise ValueError(f"fidelity must be 0 or 2, got {self.fidelity!r}")
+    def __init__(
+        self,
+        workload: str,
+        version: str,
+        nthreads: int,
+        params: Optional[Mapping[str, Any]] = None,
+        faults: Optional[Mapping[str, Any]] = None,
+        policy: Optional[Mapping[str, Any]] = None,
+        fidelity: int = 2,
+    ) -> None:
+        if fidelity not in (0, 2):
+            raise ValueError(f"fidelity must be 0 or 2, got {fidelity!r}")
+        # one update of the instance dict: a frozen dataclass's generated
+        # __init__ makes one object.__setattr__ call per field instead
+        self.__dict__.update(
+            workload=workload, version=version, nthreads=nthreads,
+            params={} if params is None else params, faults=faults, policy=policy,
+            fidelity=fidelity,
+        )
 
     @property
     def key(self) -> tuple[str, int]:

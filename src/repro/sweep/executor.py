@@ -65,6 +65,7 @@ import os
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from time import perf_counter, process_time
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.core.experiment import PAPER_THREADS, ExperimentConfig, SweepResult
@@ -487,8 +488,8 @@ def run_sweep(
     reg = metrics if metrics is not None else MetricsRegistry()
     store = _coerce_cache(cache)
 
-    for name in SWEEP_COUNTERS:
-        reg.counter(name)
+    (n_cells, n_hits, n_misses, n_stores, n_evictions, n_simulations, n_estimates,
+     n_errors) = [reg.counter(name) for name in SWEEP_COUNTERS]
 
     # Host telemetry (repro.perf): the whole sweep runs inside one
     # recording whose snapshot lands on ``SweepResult.perf``.  With
@@ -498,7 +499,7 @@ def run_sweep(
     # bit-identical.
     with perf_recording("sweep") as host:
         cells = expand_cells(config, fault_doc, policy_doc, fid)
-        reg.counter("sweep_cells").inc(len(cells))
+        n_cells.inc(len(cells))
         keys = []
         if store is not None:
             with perf_span("cache.key"):
@@ -516,7 +517,7 @@ def run_sweep(
             outcomes[i] = (res, err)
             done += 1
             if err is not None:
-                reg.counter("sweep_errors").inc()
+                n_errors.inc()
                 status = "error"
             elif merge and res is not None:
                 reg.merge(result_metrics(res))
@@ -524,37 +525,39 @@ def run_sweep(
                 progress(done, total, cells[i], status)
 
         # -- phase 1: cache probe ------------------------------------------
-        pending: list[int] = []
-        for i in range(len(cells)):
-            if store is not None and not refresh:
-                with perf_span("cache.probe"):
-                    payload = store.get(keys[i])
-                if payload is not None:
-                    with perf_span("codec.decode"):
-                        decoded = _decode_entry(payload, fid)
-                else:
-                    decoded = None
-                if decoded is not None:
-                    reg.counter("cache_hits").inc()
-                    perf_count("cache.hit")
-                    settle(i, decoded[0], decoded[1], "hit", merge=True)
-                    continue
-                perf_count("cache.miss")
-                if payload is not None or store.refused(keys[i]):
-                    # a stored entry its framing (flipped byte, truncated,
-                    # headerless) or its stamps (stale format, wrong tier)
-                    # refused — re-simulated and overwritten below
-                    perf_count("cache.corrupt")
-            if store is not None:
-                reg.counter("cache_misses").inc()
-            pending.append(i)
+        if store is None:
+            pending = list(range(len(cells)))
+        else:
+            pending = []
+            for i in range(len(cells)):
+                if not refresh:
+                    with perf_span("cache.probe"):
+                        payload = store.get(keys[i])
+                    if payload is not None:
+                        with perf_span("codec.decode"):
+                            decoded = _decode_entry(payload, fid)
+                    else:
+                        decoded = None
+                    if decoded is not None:
+                        n_hits.inc()
+                        perf_count("cache.hit")
+                        settle(i, decoded[0], decoded[1], "hit", merge=True)
+                        continue
+                    perf_count("cache.miss")
+                    if payload is not None or store.refused(keys[i]):
+                        # a stored entry its framing (flipped byte, truncated,
+                        # headerless) or its stamps (stale format, wrong tier)
+                        # refused — re-simulated and overwritten below
+                        perf_count("cache.corrupt")
+                n_misses.inc()
+                pending.append(i)
 
-        counter = "estimates" if fid == 0 else "simulations"
+        n_runs = n_estimates if fid == 0 else n_simulations
 
         def finish(i: int, res: Optional[SimResult], err: Optional[str],
                    entry: Union[None, dict[str, Any], bytes] = None,
                    merge: bool = False) -> None:
-            reg.counter(counter).inc()
+            n_runs.inc()
             if store is not None:
                 if entry is None:
                     with perf_span("codec.encode"):
@@ -565,7 +568,7 @@ def run_sweep(
                 except OSError:
                     perf_count("cache.store_error")
                 else:
-                    reg.counter("cache_stores").inc()
+                    n_stores.inc()
             settle(i, res, err, "run", merge=merge)
 
         # -- phase 2: simulate (or estimate) the misses --------------------
@@ -595,17 +598,27 @@ def run_sweep(
                 with perf_span("fanout.pool"):
                     runner.shutdown()
         else:
-            span = "cell.estimate" if fid == 0 else "cell.simulate"
-            for i in pending:
-                # _run_cell merges the run's metrics into the sweep registry
-                with perf_span(span):
+            # one clock pair around each cell, and the cell spans are
+            # folded into the recording after the loop: no recorder code
+            # runs between two simulations
+            timings: list[tuple[float, float]] = []
+            try:
+                for i in pending:
+                    t0 = perf_counter()
+                    c0 = process_time()
+                    # _run_cell merges the run's metrics into the sweep registry
                     res, err = _run_cell(cells[i], ctx, trace, validate, reg)
-                finish(i, res, err)
+                    timings.append((perf_counter() - t0, process_time() - c0))
+                    finish(i, res, err)
+            finally:
+                if host is not None:
+                    span = "cell.estimate" if fid == 0 else "cell.simulate"
+                    for wall, cpu in timings:
+                        host.add_span(span, wall, cpu)
 
         # -- phase 3: assemble + housekeeping ------------------------------
         sweep = SweepResult(config=config, figure=spec.figure, metrics=reg)
-        for i, cell in enumerate(cells):
-            res, err = outcomes[i]
+        for cell, (res, err) in zip(cells, outcomes):
             if err is not None:
                 sweep.errors[cell.key] = err
             elif res is not None:
@@ -616,7 +629,7 @@ def run_sweep(
         ):
             with perf_span("cache.prune"):
                 evicted = store.prune()
-            reg.counter("cache_evictions").inc(evicted)
+            n_evictions.inc(evicted)
     if host is not None:
         sweep.perf = host.snapshot()
     return sweep

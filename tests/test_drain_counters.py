@@ -24,14 +24,38 @@ from repro.faults.plan import FaultPlan
 from repro.kernels import fib as fib_kernel
 from repro.runtime.base import ExecContext
 from repro.runtime.workstealing import StealingScheduler, cilk_for_graph_batched
-from repro.sim.task import IterSpace
+from repro.sim.task import IterSpace, TaskGraph
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "drain_counters.json"
+
+
+def _mixed_graph() -> TaskGraph:
+    """A layered DAG whose tasks mix zero and non-zero ``membytes`` over
+    two ``locality`` values, some compute-bound and some memory-bound:
+    the drain's duration takes every branch of the roofline formula."""
+    g = TaskGraph("mixed")
+    prev: list[int] = []
+    for level in range(8):
+        cur = []
+        for i in range(5 + level % 3):
+            k = 7 * level + i
+            deps = tuple(prev[(k + j) % len(prev)] for j in range(min(2, len(prev))))
+            cur.append(g.add(
+                1e-7 * (1 + k % 11),
+                0.0 if k % 3 == 0 else 2.5e3 * (1 + k % 13),
+                (0.35, 0.9)[k % 2],
+                deps=sorted(set(deps)),
+                tag="mixed",
+            ))
+        prev = cur
+    return g
 
 
 def _graph(name: str, ctx: ExecContext):
     if name == "fib10":
         return fib_kernel.graph(10)
+    if name == "mixed":
+        return _mixed_graph()
     # a cilk_for splitter tree over a skewed loop that moves bytes
     nblocks = 64
     space = IterSpace(
@@ -56,6 +80,8 @@ CASES = [
     ("fib10", "locked", False, False, 3, "poison"),
     ("fib10", "the", True, False, 8, "stall"),
     ("cilk_for", "the", False, False, 8, "reducer"),
+] + [
+    ("mixed", dq, False, False, p, "") for dq, p in itertools.product(("the", "locked"), (3, 8))
 ]
 
 

@@ -186,6 +186,13 @@ class TestColumns:
         with pytest.raises(ValueError, match="successor table out of sync"):
             g.validate()
 
+    @pytest.mark.parametrize("column", ["work", "membytes", "spawn_cost"])
+    def test_validate_rejects_a_nan_column_entry(self, column):
+        g = _diamond()
+        getattr(g, column)[2] = float("nan")
+        with pytest.raises(ValueError, match="must be non-negative"):
+            g.validate()
+
     def test_validate_catches_bad_deps_and_columns(self):
         g = _diamond()
         g.dep_idx[0] = 2  # task 1 now depends on the later task 2
@@ -281,6 +288,13 @@ class TestIterSpaceUniform:
             IterSpace(10, np.array([-1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
             IterSpace.uniform(10, 1.0, locality=1.5)
+
+    @pytest.mark.parametrize("column", ["work", "bytes"])
+    def test_nan_block_cost_rejected(self, column):
+        costs = {"work": np.array([1.0, 2.0]), "bytes": np.array([0.0, 8.0])}
+        costs[column][1] = np.nan
+        with pytest.raises(ValueError, match="block costs must be non-negative"):
+            IterSpace(10, costs["work"], costs["bytes"])
 
 
 class TestIterSpaceProfile:

@@ -205,6 +205,9 @@ def test_task_hashes_and_compares_as_a_tuple():
         ({"work": 1.0, "locality": 1.5}, "locality"),
         ({"work": 1.0, "locality": -0.1}, "locality"),
         ({"work": -1.0, "deps": (0,)}, "non-negative"),
+        ({"work": float("nan")}, "non-negative"),
+        ({"work": 1.0, "membytes": float("nan")}, "non-negative"),
+        ({"work": 1.0, "spawn_cost": float("nan")}, "non-negative"),
     ],
 )
 def test_graph_add_rejects_bad_input(kwargs, match):

@@ -224,3 +224,31 @@ def test_reference_context_uses_reference_duration():
     assert CTX2.memory.memoized(4) != CTX2.memory.duration
     assert StealingScheduler(g, 4, CTX2)._duration != CTX2.memory.duration
     assert workstealing.cilk_for_graph_batched is cilk_for_graph_batched
+
+
+def test_reference_drain_charges_every_task_through_duration():
+    """Under :func:`scalar_reference` the work-stealing drain calls
+    :meth:`MemoryModel.duration` once per task, and outside it never
+    does (the drain inlines the memoized formula), so the properties
+    above compare two different paths."""
+    from repro.runtime.workstealing import StealingScheduler
+
+    g = TaskGraph()
+    for i in range(24):
+        g.add(1e-7 * (1 + i % 5), 0.0 if i % 3 == 0 else 4e3 * (1 + i % 7),
+              (0.4, 1.0)[i % 2], deps=(i // 2,) if i else ())
+    real = MemoryModel.duration
+    calls = []
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MemoryModel, "duration", counting)
+        fast = StealingScheduler(g, 3, CTX2).run()
+        assert calls == []
+        with scalar_reference():
+            ref = StealingScheduler(g, 3, CTX2).run()
+    assert len(calls) == len(g)
+    assert ref.time == fast.time
