@@ -39,7 +39,7 @@ assert cc["simulations"] == cc["sweep_cells"] > 0, cc
 assert wc["simulations"] == 0, f"warm run simulated: {wc}"
 assert wc["cache_hits"] == wc["sweep_cells"], wc
 assert sc["simulations"] == sc["sweep_cells"] == cc["sweep_cells"], sc
-for name in ("tasks", "steals", "failed_steals", "engine_events", "regions"):
+for name in ("tasks", "steals", "engine_events", "regions"):
     assert sc[name] == cc[name], f"{name}: jobs 1 {sc[name]} != jobs 2 {cc[name]}"
 pooled = ResultCache(f"{work}/sweep-cache")
 serial_store = ResultCache(f"{work}/sweep-cache-serial")

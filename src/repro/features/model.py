@@ -9,8 +9,7 @@ one attribute per table column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Iterator
+from dataclasses import dataclass
 
 __all__ = ["Support", "FeatureSet", "FEATURE_FIELDS"]
 
@@ -95,13 +94,6 @@ class FeatureSet:
         if not isinstance(value, Support):
             raise KeyError(f"{feature!r} is not a feature field")
         return value.supported
-
-    def feature_cells(self) -> Iterator[tuple[str, Support]]:
-        """(field name, cell) for every Support-typed field."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Support):
-                yield f.name, value
 
 
 #: Every Support-typed column, in table order.

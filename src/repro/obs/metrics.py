@@ -227,7 +227,6 @@ def region_metrics(region: Any, registry: Optional[MetricsRegistry] = None) -> M
 
     m.counter("tasks").inc(sum(w.tasks for w in region.workers))
     m.counter("steals").inc(sum(w.steals for w in region.workers))
-    m.counter("failed_steals").inc(sum(w.failed_steals for w in region.workers))
     m.counter("regions").inc()
     m.counter("engine_events").inc(int(meta.get("events", 0)))
 

@@ -3,8 +3,8 @@
 One :class:`Tracer` instance collects everything a run emits:
 
 - **spans** — timed intervals on a worker's timeline: task/chunk
-  execution, steal attempts (successful and failed probes), lock waits,
-  barrier waiting, host<->device transfers;
+  execution, steals, lock waits, barrier waiting, host<->device
+  transfers;
 - **instants** — point events (worker wake-ups, joins);
 - **engine events** — every ``(time, seq)`` pair the work-stealing
   event loop (:class:`~repro.runtime.workstealing.StealingScheduler`)
@@ -42,9 +42,7 @@ EXEC_KINDS = frozenset({"task", "chunk", "serial", "kernel", "transfer"})
 #: Span kinds that represent scheduler overhead or waiting.  "stall" is
 #: an injected worker stall (:mod:`repro.faults`) — lost time that is
 #: neither execution nor useful scheduling.
-OVERHEAD_KINDS = frozenset(
-    {"steal", "steal_fail", "lock_wait", "barrier", "dispatch", "stall"}
-)
+OVERHEAD_KINDS = frozenset({"steal", "lock_wait", "barrier", "dispatch", "stall"})
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,7 @@ class SpanEvent:
     worker: int
     start: float
     end: float
-    kind: str   # "task", "chunk", "steal", "steal_fail", "lock_wait", "barrier", ...
+    kind: str   # "task", "chunk", "steal", "lock_wait", "barrier", ...
     name: str
     region: int  # index of the enclosing program region (-1 outside any)
 
@@ -165,9 +163,6 @@ class Tracer:
     def exec_spans(self) -> list[SpanEvent]:
         """Spans representing execution (the no-overlap timeline)."""
         return [s for s in self.spans if s.kind in EXEC_KINDS]
-
-    def spans_by_kind(self, kind: str) -> list[SpanEvent]:
-        return [s for s in self.spans if s.kind == kind]
 
     def intervals(self, kinds: Optional[frozenset] = None) -> list[tuple[int, float, float, str]]:
         """Execution spans as ``(worker, start, end, tag)`` tuples — the

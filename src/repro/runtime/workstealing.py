@@ -94,10 +94,10 @@ class StealingScheduler:
         view merge per steal at the final sync.
     tracer:
         A :class:`~repro.obs.tracer.Tracer` receiving the structured
-        event stream: task-execution spans, steal-attempt spans
-        (successful and failed probes), engine event times and per-deque
-        lock grants.  This is the one observability hook; disabled
-        (``None``) it costs a single branch at each emission site.
+        event stream: task-execution spans, steal spans, engine event
+        times and per-deque lock grants.  This is the one observability
+        hook; disabled (``None``) it costs a single branch at each
+        emission site.
 
     The simulation is one discrete-event loop (:meth:`_drain`) over a
     binary heap of ``(time, seq, worker, kind)`` entries; ties in time
@@ -203,7 +203,9 @@ class StealingScheduler:
             finish += self.steal_views * self.ctx.costs.reducer_merge
         meta = {
             "steals": sum(d.steals for d in self.deques),
-            "failed_steals": sum(d.failed_steals for d in self.deques),
+            # a steal never fails; the key stays so that stored results
+            # keep their bytes until a codec version bump drops it
+            "failed_steals": 0,
             "lock_wait": sum(d.lock.wait_time for d in self.deques),
             "steal_time": self.steal_time,
             "max_deque_depth": max(d.max_depth for d in self.deques),
@@ -406,25 +408,20 @@ class StealingScheduler:
                             overhead[w] += t2 - t
                             t = t2
                     if tid is None and not central_queue:
-                        # random victim among non-empty deques
+                        # random victim among non-empty deques, so the
+                        # steal always takes a task
                         candidates = [v for v in workers if v != w and items[v]]
                         if candidates:
                             victim = candidates[randrange(len(candidates))]
                             tid, t2 = deques[victim].steal(t + steal_latency)
-                            st = stats[w]
                             overhead[w] += t2 - t
                             steal_time += t2 - t
-                            if tid is not None:
-                                st.steals += 1
-                                if reducer:
-                                    t2 += costs.reducer_view
-                                    steal_views += 1
-                                if tracer is not None:
-                                    tracer.span(w, t, t2, "steal", f"steal<-w{victim}")
-                            else:
-                                st.failed_steals += 1
-                                if tracer is not None:
-                                    tracer.span(w, t, t2, "steal_fail", f"probe->w{victim}")
+                            stats[w].steals += 1
+                            if reducer:
+                                t2 += costs.reducer_view
+                                steal_views += 1
+                            if tracer is not None:
+                                tracer.span(w, t, t2, "steal", f"steal<-w{victim}")
                             t = t2
                     if tid is None:
                         idle.append(w)
@@ -747,29 +744,29 @@ def flat_chunk_graph(
     )
 
 
-def scatter_penalty(
-    space: IterSpace,
-    nchunks: int,
-    nthreads: int,
-    ctx: ExecContext,
-    *,
-    small_chunk_penalty: float = 0.9,
-    numa_scatter_penalty: float = 0.25,
-    scatter_bytes: float = 2e6,
-) -> float:
+#: scatter_penalty's fine-chunk term at zero chunk footprint, tuned to
+#: the paper's Fig. 1/3/4 ladder (docs/ARCHITECTURE.md, Calibration)
+SMALL_CHUNK_PENALTY = 0.9
+#: scatter_penalty's flat cross-socket term, tuned with the one above
+NUMA_SCATTER_PENALTY = 0.25
+#: chunk footprint (bytes) over which the fine-chunk term decays by 1/e
+SCATTER_BYTES = 2e6
+
+
+def scatter_penalty(space: IterSpace, nchunks: int, nthreads: int, ctx: ExecContext) -> float:
     """Memory-traffic multiplier for randomly-placed stolen subranges.
 
     Three ingredients, all fading to 1.0 when they don't apply:
 
     - fine chunks lose prefetch/TLB efficiency (decays exponentially
-      with chunk footprint against ``scatter_bytes``); this term is
+      with chunk footprint against ``SCATTER_BYTES``); this term is
       scaled by how *unsaturated* the memory system is — once every
       thread is bandwidth-starved, prefetch efficiency no longer
       differentiates (this is why the paper sees the cilk_for Axpy gap
       close at 32 cores);
     - once the computation spans sockets, random placement defeats
       first-touch NUMA locality and pushes traffic across the
-      interconnect (flat ``numa_scatter_penalty`` — remote hops cost
+      interconnect (flat ``NUMA_SCATTER_PENALTY`` — remote hops cost
       bandwidth whether or not the local controllers are saturated).
     """
     if nthreads <= 1:
@@ -778,13 +775,13 @@ def scatter_penalty(
         return 1.0
     machine = ctx.machine
     chunk_bytes = space.total_bytes / max(1, nchunks)
-    scatter = math.exp(-chunk_bytes / scatter_bytes)
+    scatter = math.exp(-chunk_bytes / SCATTER_BYTES)
     agg_share = machine.bandwidth_per_thread(nthreads, space.locality)
     cap = machine.bandwidth_per_thread(1, space.locality)
     unsat = min(1.0, agg_share / cap) if cap > 0 else 1.0
-    penalty = small_chunk_penalty * scatter * unsat
+    penalty = SMALL_CHUNK_PENALTY * scatter * unsat
     if machine.sockets_spanned(nthreads) > 1:
-        penalty += numa_scatter_penalty
+        penalty += NUMA_SCATTER_PENALTY
     return 1.0 + penalty
 
 

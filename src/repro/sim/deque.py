@@ -49,9 +49,7 @@ class WorkDeque:
     outran its thieves; a shallow one means distribution is the
     bottleneck)."""
 
-    __slots__ = (
-        "items", "lock", "owner", "pushes", "pops", "steals", "failed_steals", "max_depth",
-    )
+    __slots__ = ("items", "lock", "owner", "pushes", "pops", "steals", "max_depth")
 
     def __init__(
         self,
@@ -65,7 +63,6 @@ class WorkDeque:
         self.pushes = 0
         self.pops = 0
         self.steals = 0
-        self.failed_steals = 0
         self.max_depth = 0
 
     def __len__(self) -> int:
@@ -119,7 +116,6 @@ class THEDeque(WorkDeque):
 
     def steal(self, t: float) -> tuple[Optional[int], float]:
         if not self.items:
-            self.failed_steals += 1
             return None, t + self._costs.steal_latency
         done = self.lock.acquire_release(t, self._costs.the_steal)
         tid = self.items.popleft()
@@ -166,7 +162,6 @@ class LockedDeque(WorkDeque):
 
     def steal(self, t: float) -> tuple[Optional[int], float]:
         if not self.items:
-            self.failed_steals += 1
             return None, t + self._costs.steal_latency
         done = self.lock.acquire_release(t, self._costs.locked_steal)
         tid = self.items.popleft()

@@ -81,7 +81,7 @@ class MemoryModel:
             used to compute both the SMT compute share and the bandwidth
             share.  Clamped to at least 1.
         """
-        if work < 0 or membytes < 0:
+        if not (work >= 0 and membytes >= 0):  # NaN fails both comparisons
             raise ValueError("work and membytes must be non-negative")
         active = max(1, active)
         compute = work / self.machine.compute_speed(active)

@@ -23,15 +23,7 @@ class WorkerStats:
     busy: float = 0.0          # seconds executing task/chunk work
     overhead: float = 0.0      # seconds in scheduling (pushes, pops, steals, dispatch)
     tasks: int = 0             # tasks or chunks executed
-    steals: int = 0            # successful steals performed by this worker
-    failed_steals: int = 0     # empty-victim probes
-
-    def merge(self, other: "WorkerStats") -> None:
-        self.busy += other.busy
-        self.overhead += other.overhead
-        self.tasks += other.tasks
-        self.steals += other.steals
-        self.failed_steals += other.failed_steals
+    steals: int = 0            # steals performed by this worker
 
 
 @dataclass
@@ -63,15 +55,6 @@ class RegionResult:
         """Fraction of worker-seconds spent on useful work."""
         denom = self.time * max(1, self.nthreads)
         return self.total_busy / denom if denom > 0 else 0.0
-
-    def metrics(self, registry=None):
-        """Counters/gauges/histograms for this region.
-
-        Convenience front for :func:`repro.obs.metrics.region_metrics`
-        (imported lazily; ``repro.sim`` stays import-light)."""
-        from repro.obs.metrics import region_metrics
-
-        return region_metrics(self, registry)
 
 
 @dataclass

@@ -76,17 +76,19 @@ def tracer_from_dict(data: dict[str, Any]) -> Tracer:
 # Results
 # ---------------------------------------------------------------------------
 def _worker_to_list(w: WorkerStats) -> list:
-    return [w.busy, w.overhead, w.tasks, w.steals, w.failed_steals]
+    # the fifth field is the retired `failed_steals` count, always 0; it
+    # stays so that stored results keep their bytes until a codec version
+    # bump drops it
+    return [w.busy, w.overhead, w.tasks, w.steals, 0]
 
 
 def _worker_from_list(data: list) -> WorkerStats:
-    busy, overhead, tasks, steals, failed = data
+    busy, overhead, tasks, steals, _ = data
     return WorkerStats(
         busy=float(busy),
         overhead=float(overhead),
         tasks=int(tasks),
         steals=int(steals),
-        failed_steals=int(failed),
     )
 
 

@@ -51,3 +51,11 @@ class TestDuration:
             mem.duration(-1.0)
         with pytest.raises(ValueError):
             mem.duration(1.0, membytes=-5)
+
+    def test_nan_work_rejected(self, mem):
+        with pytest.raises(ValueError, match="non-negative"):
+            mem.duration(float("nan"))
+
+    def test_nan_bytes_rejected(self, mem):
+        with pytest.raises(ValueError, match="non-negative"):
+            mem.duration(1e-6, float("nan"))

@@ -56,8 +56,7 @@ def snapshot(res):
     return (
         res.time,
         tuple(
-            tuple((w.busy, w.overhead, w.tasks, w.steals, w.failed_steals)
-                  for w in r.workers)
+            tuple((w.busy, w.overhead, w.tasks, w.steals) for w in r.workers)
             for r in res.regions
         ),
     )
@@ -166,8 +165,7 @@ class TestZeroOverheadPath:
             sched = StealingScheduler(graph, p, CTX, tracer=tracer, faults=faults, **options)
             res = sched.run()
             return (res.time, res.meta, len(sched._heap),
-                    [(w.busy, w.overhead, w.tasks, w.steals, w.failed_steals)
-                     for w in res.workers])
+                    [(w.busy, w.overhead, w.tasks, w.steals) for w in res.workers])
 
         tracer = Tracer()
         plain = run(None)

@@ -6,15 +6,6 @@ import pytest
 from repro.sim.trace import RegionResult, SimResult, WorkerStats, speedup_series
 
 
-class TestWorkerStats:
-    def test_merge(self):
-        a = WorkerStats(busy=1.0, overhead=0.1, tasks=2, steals=1, failed_steals=3)
-        b = WorkerStats(busy=2.0, overhead=0.2, tasks=4, steals=2, failed_steals=1)
-        a.merge(b)
-        assert (a.busy, a.overhead, a.tasks, a.steals, a.failed_steals) == (
-            3.0, pytest.approx(0.3), 6, 3, 4)
-
-
 class TestRegionResult:
     def make(self):
         return RegionResult(
