@@ -5,14 +5,24 @@
 # asserts the end-to-end one with CI headroom).
 set -euo pipefail
 
-python -m repro sweep axpy --fidelity 2 --metrics-out tier2.json
-python -m repro sweep axpy --fidelity 0 --metrics-out tier0.json
+# both sweeps and their metrics files live in a fresh directory, each
+# sweep with its own store, so neither is served from an earlier run
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+export WORK
+
+python -m repro sweep axpy --fidelity 2 --cache-dir "$WORK/cache-tier2" \
+  --metrics-out "$WORK/tier2.json"
+python -m repro sweep axpy --fidelity 0 --cache-dir "$WORK/cache-tier0" \
+  --metrics-out "$WORK/tier0.json"
 
 python - <<'EOF'
 import json
+import os
 
-t2 = json.load(open("tier2.json"))
-t0 = json.load(open("tier0.json"))
+work = os.environ["WORK"]
+t2 = json.load(open(f"{work}/tier2.json"))
+t0 = json.load(open(f"{work}/tier0.json"))
 c2, c0 = t2["metrics"]["counters"], t0["metrics"]["counters"]
 
 assert c2["simulations"] == c2["sweep_cells"] > 0, c2

@@ -980,7 +980,7 @@ def _cmd_perf_record(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     try:
-        return _dispatch(build_parser().parse_args(argv))
+        return _run_command(build_parser().parse_args(argv))
     except BrokenPipeError:  # e.g. `python -m repro tables | head`
         try:
             sys.stdout.close()
@@ -993,7 +993,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _run_command(args: argparse.Namespace) -> int:
     if args.command == "tables":
         return _cmd_tables()
     if args.command == "workloads":

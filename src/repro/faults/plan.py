@@ -246,12 +246,12 @@ class RegionFaults:
         ``lead`` seconds after the stall (a dispatch or copy-in), is
         slowed and possibly failed at ``t + stall + lead``.
         """
-        stall = self.stall(worker, t)
+        stall = self._stall_delay(worker, t)
         at = t + stall + lead
-        return stall, self.slow_factor(at), self.fail_task(ordinal, at)
+        return stall, self._slow_factor(at), self._fail_task(ordinal, at)
 
     # -- task failure ---------------------------------------------------
-    def fail_task(self, ordinal: int, t: float) -> Optional[str]:
+    def _fail_task(self, ordinal: int, t: float) -> Optional[str]:
         """Error message if the task with this ordinal, starting at
         simulated time ``t``, should fail; else None.  Fires once."""
         if self._fail_fired:
@@ -269,7 +269,7 @@ class RegionFaults:
         return None
 
     # -- worker stall ---------------------------------------------------
-    def stall(self, worker: int, t: float) -> float:
+    def _stall_delay(self, worker: int, t: float) -> float:
         """Extra delay (seconds) injected before work starting at ``t``
         on ``worker``.  Each stall fault fires once."""
         delay = 0.0
@@ -301,7 +301,7 @@ class RegionFaults:
         return delay
 
     # -- transient bandwidth degradation --------------------------------
-    def slow_factor(self, t: float) -> float:
+    def _slow_factor(self, t: float) -> float:
         """Duration multiplier for work starting at simulated time ``t``.
 
         A degradation with ``factor=0.5`` halves effective bandwidth, so

@@ -67,7 +67,10 @@ def run_threadpool_loop(
     completion, the stored exception surfaces at the serial
     ``future::get``), ``"async_cancel"`` (``pthread_cancel`` — running
     threads are terminated at the failure instant, threads not yet
-    created never start), or ``"none"`` (failure goes unnoticed).
+    created never start), or ``"none"`` (failure goes unnoticed).  The
+    fault hooks sit inline in the one serial-creation layout, so a
+    handle whose faults never fire leaves every number as
+    ``faults=None`` gives it.
     """
     if nthreads <= 0:
         raise ValueError("nthreads must be positive")
@@ -93,26 +96,46 @@ def run_threadpool_loop(
     # every chunk gets its own software thread: n are active
     durations = ctx.memory.durations(work * work_scale, membytes, space.locality, n)
 
-    workers = [WorkerStats() for _ in range(n)]
-    meta_fault = None
+    # Serial creation: thread i starts at (i+1) * create and runs its
+    # chunk, after any stall, slowed by any bandwidth window.
+    starts = [(i + 1) * create for i in range(n)]
+    stalls = [0.0] * n
+    busy = durations.tolist()
+    err = None
+    err_time = 0.0
     if faults is not None:
-        t_join, meta_fault = _faulted_pool_walk(
-            durations, n, create, finalize, workers, faults,
-            tracer=tracer, tag=space.name,
-        )
-    else:
-        # Serial creation: thread i starts at (i+1) * create.
-        starts = (np.arange(1, n + 1)) * create
-        finishes = starts + durations
-        # Serial join/get in program order by the master.
-        t_join = float(starts[-1])  # master is free after the last create
-        for i in range(n):
-            t_join = max(t_join, float(finishes[i])) + finalize
-            workers[i].busy = float(durations[i])
-            workers[i].overhead = create + finalize
-            workers[i].tasks = 1
-            if tracer is not None:
-                tracer.span(i, float(starts[i]), float(finishes[i]), "chunk", space.name)
+        for i, s in enumerate(starts):
+            stalls[i], slow, failure = faults.work_item(i, i, s)
+            busy[i] *= slow
+            if failure is not None:
+                err = failure
+                err_time = s + stalls[i] + busy[i]
+    ends = [s + stall + b for s, stall, b in zip(starts, stalls, busy)]
+    cancelled = err is not None and faults.mode == "async_cancel"
+    cancel_time = err_time if cancelled else 0.0
+    # pthread_cancel: uncreated threads never start, running ones stop
+    created = cut_at_cancel(starts, ends, cancel_time) if cancelled else [True] * n
+    # Serial join/get in program order by the master, which is free
+    # after the last create.
+    t_join = max((s for s, live in zip(starts, created) if live), default=0.0)
+    workers = [WorkerStats() for _ in range(n)]
+    for i, w in enumerate(workers):
+        if not created[i]:
+            continue
+        t_join = max(t_join, ends[i]) + finalize
+        exec_start = starts[i] + stalls[i]
+        if ends[i] < exec_start + busy[i]:  # cut short by the cancel
+            busy[i] = max(0.0, ends[i] - exec_start)
+        w.busy = busy[i]
+        w.overhead = create + finalize + stalls[i]
+        w.tasks = 1
+        if tracer is not None:
+            if stalls[i] > 0.0:
+                tracer.span(i, starts[i], exec_start, "stall", "worker_stall")
+            if ends[i] >= exec_start:
+                tracer.span(i, exec_start, ends[i], "chunk", space.name)
+    if tracer is not None and cancelled:
+        tracer.instant(0, cancel_time, "cancel")
     if reduction:
         t_join += n * costs.atomic_op
     if persistent:
@@ -125,72 +148,12 @@ def run_threadpool_loop(
         "persistent": persistent,
         **space.expected_meta(work_scale),
     }
-    if meta_fault is not None:
-        meta["fault"] = meta_fault
+    if faults is not None:
+        meta["fault"] = fault_doc(
+            faults.triggered, err, err_time, faults.mode, sum(w.busy for w in workers),
+            cancelled=cancelled, cancel_time=cancel_time, skipped=created.count(False),
+        )
     return RegionResult(time=t_join, nthreads=nthreads, workers=workers, meta=meta)
-
-
-def _faulted_pool_walk(
-    durations: np.ndarray,
-    n: int,
-    create: float,
-    finalize: float,
-    workers: list[WorkerStats],
-    faults,
-    *,
-    tracer=None,
-    tag: str = "chunk",
-) -> tuple[float, dict]:
-    """Chunk walk of the bare-thread loop with fault hooks live.
-
-    Pass 1 lays chunks out exactly like the fault-free path (serial
-    creation staircase, independent execution) while applying stalls and
-    bandwidth degradation and finding the failing chunk.  Pass 2 applies
-    the error-handling mode: ``async_cancel`` truncates running chunks
-    at the failure instant and suppresses creations scheduled after it;
-    ``rethrow``/``none`` let every chunk finish.
-    """
-    starts = [0.0] * n
-    stalls = [0.0] * n
-    ends = [0.0] * n
-    err = None
-    err_time = 0.0
-    for i in range(n):
-        s = (i + 1) * create
-        starts[i] = s
-        stall, slow, failure = faults.work_item(i, i, s)
-        stalls[i] = stall
-        ends[i] = s + stall + float(durations[i]) * slow
-        if failure is not None:
-            err = failure
-            err_time = ends[i]
-    cancelled = err is not None and faults.mode == "async_cancel"
-    cancel_time = err_time if cancelled else 0.0
-    # pthread_cancel: uncreated threads never start, running ones stop
-    created = cut_at_cancel(starts, ends, cancel_time) if cancelled else [True] * n
-    skipped = created.count(False)
-    last_create = max((starts[i] for i in range(n) if created[i]), default=0.0)
-    t_join = last_create
-    for i in range(n):
-        if not created[i]:
-            continue
-        t_join = max(t_join, ends[i]) + finalize
-        busy = max(0.0, ends[i] - (starts[i] + stalls[i]))
-        workers[i].busy = busy
-        workers[i].overhead = create + finalize + stalls[i]
-        workers[i].tasks = 1
-        if tracer is not None:
-            if stalls[i] > 0.0:
-                tracer.span(i, starts[i], starts[i] + stalls[i], "stall", "worker_stall")
-            if ends[i] > starts[i] + stalls[i]:
-                tracer.span(i, starts[i] + stalls[i], ends[i], "chunk", tag)
-    if tracer is not None and cancelled:
-        tracer.instant(0, cancel_time, "cancel")
-    fdoc = fault_doc(
-        faults.triggered, err, err_time, faults.mode, sum(w.busy for w in workers),
-        cancelled=cancelled, cancel_time=cancel_time, skipped=skipped,
-    )
-    return t_join, fdoc
 
 
 def run_threadpool_graph(

@@ -10,10 +10,10 @@ Implements the three loop schedules of the OpenMP worksharing model:
 - **guided** — dynamic with geometrically shrinking chunks
   (``remaining / 2p``, floored at a minimum), the Intel runtime default.
 
-The executor is analytic/vectorized rather than event-driven: chunk
-durations come from the iteration space's block profile and the roofline
-memory model, per-thread times are reduced with numpy, and only the
-dynamic/guided dispatch loop walks chunks one by one (they are few).
+The executor is analytic rather than event-driven: chunk durations come
+from the iteration space's block profile and the roofline memory model.
+Every run walks its chunks once, in issue order, with the fault hooks
+inline (:func:`_walk`).
 
 This is the runtime the paper credits with low overhead for data
 parallelism: "worksharing mostly shows better performance for data
@@ -82,8 +82,10 @@ def run_worksharing_loop(
         Multiplier on compute work (models codegen differences).
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`: emits per-chunk
-        execution spans, loop-counter lock waits (dynamic/guided) and
-        end-barrier waiting spans on each worker's timeline.
+        execution spans, loop-counter lock waits (dynamic/guided) and,
+        with ``barrier``, one ``barrier`` span per worker from its last
+        chunk end to the barrier release (fork + loop time + barrier
+        cost).
     faults:
         Live :class:`~repro.faults.plan.RegionFaults`; its error mode
         decides what a failure does.  ``"cancel"`` implements
@@ -92,9 +94,8 @@ def run_worksharing_loop(
         proceeds to the end barrier; skipped chunks are counted, never
         executed.  Any other mode runs the loop to completion (Table
         III "No": the failure goes undetected until after the join).
-        With ``faults=None`` (the default) the fast vectorized paths
-        below are taken and the result is bit-identical to earlier
-        releases.
+        A handle whose faults never fire leaves every number as
+        ``faults=None`` gives it.
     """
     if nthreads <= 0:
         raise ValueError("nthreads must be positive")
@@ -111,59 +112,25 @@ def run_worksharing_loop(
         else:
             edges = chunk_edges(space.niter, chunk)
     elif schedule in ("dynamic", "guided"):
-        edges = _dispatch_edges(space, schedule, chunk, p)
+        edges = _schedule_edges(space, schedule, chunk, p)
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
     work, membytes = space.chunk_costs(edges)
     durations = ctx.memory.durations(work * work_scale, membytes, space.locality, p)
-    # static: chunk i runs on thread i % p (round-robin for a chunk clause)
-    owner = np.arange(durations.size) % p if static else None
     meta = {"schedule": schedule, "nchunks": int(durations.size)}
-
-    if faults is not None:
-        loop_time, lock_wait, fdoc = _faulted_walk(
-            durations, owner, p,
-            0.0 if static else costs.dynamic_dispatch,
-            costs.static_chunk if static else 0.0, workers,
-            faults=faults, tracer=tracer, t0=fork_t,
-            tag=space.name,
-        )
-        if not static:
-            meta["lock_wait"] = lock_wait
-        if tracer is not None and barrier:
-            bar_end = fork_t + loop_time + costs.barrier_cost(p)
-            for w in range(p):
-                tracer.span(w, fork_t + loop_time, bar_end, "barrier", "barrier")
-    elif static:
-        busy = np.bincount(owner, weights=durations, minlength=p)
-        counts = np.bincount(owner, minlength=p)
-        overhead = counts * costs.static_chunk
-        thread_time = busy + overhead
-        loop_time = float(thread_time.max()) if thread_time.size else 0.0
-        for i in range(p):
-            workers[i].busy = float(busy[i])
-            workers[i].overhead = float(overhead[i])
-            workers[i].tasks = int(counts[i])
-        if tracer is not None:
-            # chunks run back-to-back per worker after the fork; the gap
-            # to the end barrier is the imbalance the timeline shows
-            cursor = [fork_t] * p
-            for own, dur in zip(owner, durations):
-                own = int(own)
-                s = cursor[own] + costs.static_chunk
-                e = s + float(dur)
-                tracer.span(own, s, e, "chunk", space.name)
-                cursor[own] = e
-            if barrier:
-                bar_end = fork_t + loop_time + costs.barrier_cost(p)
-                for w in range(p):
-                    if cursor[w] < bar_end:
-                        tracer.span(w, cursor[w], bar_end, "barrier", "barrier")
-    else:
-        loop_time, meta["lock_wait"] = _dispatch(
-            durations, p, costs.dynamic_dispatch, workers,
-            tracer=tracer, t0=fork_t, tag=space.name,
-        )
+    hold = costs.static_chunk if static else costs.dynamic_dispatch
+    free, loop_time, lock_wait, fdoc = _walk(
+        durations, static, fork_t, hold, workers,
+        faults=faults, tracer=tracer, tag=space.name,
+    )
+    if not static:
+        meta["lock_wait"] = lock_wait
+    if tracer is not None and barrier:
+        # each worker waits from its last chunk end to the barrier release
+        bar_end = fork_t + loop_time + costs.barrier_cost(p)
+        for w, t in enumerate(free):
+            if t < bar_end:
+                tracer.span(w, t, bar_end, "barrier", "barrier")
 
     total = loop_time
     if fork:
@@ -181,7 +148,7 @@ def run_worksharing_loop(
     return RegionResult(time=total, nthreads=p, workers=workers, meta=meta)
 
 
-def _dispatch_edges(
+def _schedule_edges(
     space: IterSpace, schedule: str, chunk: Optional[int], p: int
 ) -> np.ndarray:
     """Chunk edges for the dynamic/guided dispatch schedules."""
@@ -207,144 +174,117 @@ def _dispatch_edges(
     return edges
 
 
-def _faulted_walk(
+def _walk(
     durations: np.ndarray,
-    owner: Optional[np.ndarray],
-    p: int,
-    dispatch_cost: float,
-    per_chunk_overhead: float,
+    static: bool,
+    fork_t: float,
+    hold: float,
     workers: list[WorkerStats],
     *,
-    faults,
+    faults=None,
     tracer=None,
-    t0: float = 0.0,
     tag: str = "chunk",
-) -> tuple[float, float, dict]:
-    """Chunk-by-chunk walk of any schedule with fault hooks live.
+) -> tuple[list[float], float, float, Optional[dict]]:
+    """Chunk-by-chunk walk of a loop, fault hooks inline.
 
-    ``owner`` selects static assignment (chunk i belongs to
-    ``owner[i]``); ``owner=None`` selects lock-serialized dynamic
-    dispatch (free worker grabs the next chunk).  Every chunk issue is
-    an ``omp cancel`` cancellation point: under the ``cancel`` mode no
-    chunk is issued at or after the cancellation time (the failing
-    chunk's completion), and each such skip is counted instead.  All
-    times are region-local (``t0`` = after the fork), which is also the
-    frame fault trigger times are expressed in.
+    ``static`` runs chunk i on worker ``i % p`` after ``hold`` seconds
+    of per-chunk overhead; otherwise chunks are dispatched under the
+    shared loop-counter lock: each free worker grabs the next one,
+    granted FIFO by request time, and holds the lock ``hold`` seconds
+    plus any injected lock delay.  ``fork_t`` is the fork cost the loop
+    starts after.  Returns each worker's last chunk end (region time),
+    the loop time (excluding fork and barrier), the seconds spent
+    waiting on the lock and, under ``faults``, the fault document.
+
+    Every chunk issue is an ``omp cancel`` cancellation point: under
+    the ``cancel`` mode no chunk is issued at or after the cancellation
+    time (the failing chunk's completion), and each such skip is
+    counted instead.
     """
-    cancel = faults.mode == "cancel"
+    p = len(workers)
+    # each schedule sums its times in the frame its numbers always had:
+    # static from the region start, dispatch loop-local (the walk's clock
+    # ``free``) shifted by ``t0`` into the region frame
+    t0 = 0.0 if static else fork_t
+    free = [fork_t if static else 0.0] * p
+    cancel = faults is not None and faults.mode == "cancel"
     cancelled = False
     cancel_time = 0.0
     err: Optional[str] = None
     err_time = 0.0
     skipped = 0
-    lock_busy = t0
+    lock_busy = 0.0
     lock_wait = 0.0
-    finish = t0
-    if owner is None:
-        heap = [(t0, i) for i in range(p)]
-        heapq.heapify(heap)
-        cursor = None
-    else:
-        heap = None
-        cursor = [t0] * p
-    for i in range(durations.size):
-        dur = float(durations[i])
-        if owner is None:
-            t, w = heapq.heappop(heap)
+    if not static:
+        heap = [(0.0, w) for w in range(p)]
+    # tolist() converts once to native floats (values unchanged) instead
+    # of yielding one np.float64 per iteration of this hot loop
+    for i, dur in enumerate(durations.tolist()):
+        if static:
+            w = i % p
+            t = free[w]
         else:
-            w = int(owner[i])
-            t = cursor[w]
-        # cancellation point: checked at every chunk issue
+            t, w = heapq.heappop(heap)
         if cancelled and t >= cancel_time:
             skipped += 1
-            if owner is None:
+            if not static:
                 heapq.heappush(heap, (t, w))
             continue
-        if owner is None:
-            grant = t if t >= lock_busy else lock_busy
-            hold = dispatch_cost + faults.lock_delay(grant)
-            lock_busy = grant + hold
+        ws = workers[w]
+        grant = t
+        h = hold
+        if not static:
+            if lock_busy > t:
+                grant = lock_busy
+            if faults is not None:
+                h += faults.lock_delay(t0 + grant)
+            lock_busy = grant + h
             lock_wait += grant - t
-            workers[w].overhead += (grant - t) + hold
+            ws.overhead += (grant - t) + h
             if tracer is not None and grant > t:
-                tracer.span(w, t, grant, "lock_wait", "loop_counter")
-            s0 = grant + hold
-        else:
-            workers[w].overhead += per_chunk_overhead
-            s0 = t + per_chunk_overhead
-        stall, slow, failure = faults.work_item(i, w, s0)
-        if stall > 0.0:
-            workers[w].overhead += stall
-            if tracer is not None:
-                tracer.span(w, s0, s0 + stall, "stall", "worker_stall")
-            s0 += stall
-        dur *= slow
-        done = s0 + dur
-        workers[w].busy += dur
-        workers[w].tasks += 1
+                tracer.span(w, t0 + t, t0 + grant, "lock_wait", "loop_counter")
+        start = t0 + grant + h
+        stall = 0.0
+        failure = None
+        if faults is not None:
+            stall, slow, failure = faults.work_item(i, w, start)
+            if stall > 0.0:
+                ws.overhead += stall
+                if tracer is not None:
+                    tracer.span(w, start, start + stall, "stall", "worker_stall")
+            dur *= slow
+        done = grant + h + stall + dur
+        ws.busy += dur
+        ws.tasks += 1
         if tracer is not None:
-            tracer.span(w, s0, done, "chunk", tag)
+            tracer.span(w, start + stall, t0 + done, "chunk", tag)
         if failure is not None:
             err = failure
-            err_time = done
+            err_time = t0 + done
             if cancel:
                 cancelled = True
                 cancel_time = done
                 if tracer is not None:
-                    tracer.instant(w, done, "cancel")
-        if done > finish:
-            finish = done
-        if owner is None:
-            heapq.heappush(heap, (done, w))
+                    tracer.instant(w, err_time, "cancel")
+        if static:
+            free[w] = done
         else:
-            cursor[w] = done
-    fdoc = fault_doc(
-        faults.triggered, err, err_time, faults.mode, sum(w.busy for w in workers),
-        cancelled=cancelled, cancel_time=cancel_time, skipped=skipped,
-    )
-    return finish - t0, lock_wait, fdoc
-
-
-def _dispatch(
-    durations: np.ndarray,
-    p: int,
-    dispatch_cost: float,
-    workers: list[WorkerStats],
-    *,
-    tracer=None,
-    t0: float = 0.0,
-    tag: str = "chunk",
-) -> tuple[float, float]:
-    """Greedy simulation of lock-serialized chunk dispatch.
-
-    Each free thread grabs the next chunk under the shared loop-counter
-    lock; the lock grant order is FIFO by request time, which is exactly
-    how the guided/dynamic critical section behaves.  Returns the loop
-    finish time and the total seconds spent waiting on the loop-counter
-    lock; with ``tracer`` it also emits per-chunk execution spans and
-    lock-wait spans at ``t0`` + loop-local times.
-    """
-    heap = [(0.0, i) for i in range(p)]
-    heapq.heapify(heap)
-    lock_busy = 0.0
-    finish = 0.0
-    lock_wait = 0.0
-    # tolist() converts once to native floats (values unchanged) instead
-    # of yielding one np.float64 per iteration of this hot loop
-    for dur in durations.tolist():
-        t, w = heapq.heappop(heap)
-        grant = t if t >= lock_busy else lock_busy
-        lock_busy = grant + dispatch_cost
-        done = grant + dispatch_cost + dur
-        workers[w].busy += dur
-        workers[w].overhead += (grant - t) + dispatch_cost
-        workers[w].tasks += 1
-        lock_wait += grant - t
-        if tracer is not None:
-            if grant > t:
-                tracer.span(w, t0 + t, t0 + grant, "lock_wait", "loop_counter")
-            tracer.span(w, t0 + grant + dispatch_cost, t0 + done, "chunk", tag)
-        if done > finish:
-            finish = done
-        heapq.heappush(heap, (done, w))
-    return finish, lock_wait
+            heapq.heappush(heap, (done, w))
+    if static:
+        # per-chunk overhead as count * cost, not a running sum: the
+        # numbers static loops have always had
+        for ws in workers:
+            ws.overhead = ws.tasks * hold + ws.overhead
+        loop_time = max(ws.busy + ws.overhead for ws in workers)
+    else:
+        for t, w in heap:
+            free[w] = t
+        loop_time = max(free)
+    fdoc = None
+    if faults is not None:
+        fdoc = fault_doc(
+            faults.triggered, err, err_time, faults.mode, sum(ws.busy for ws in workers),
+            cancelled=cancelled, cancel_time=t0 + cancel_time if cancelled else 0.0,
+            skipped=skipped,
+        )
+    return [t0 + t for t in free], loop_time, lock_wait, fdoc

@@ -243,14 +243,15 @@ class StealingScheduler:
         for ordinal, (work, membytes, locality, sc, tag) in enumerate(columns):
             spawn = sc if sc > 0 else self.spawn_cost
             dur = self._duration(work, membytes, locality, 1)
+            failure = None
             if faults is not None:
-                stall = faults.stall(0, t + spawn)
+                stall, slow, failure = faults.work_item(ordinal, 0, t + spawn)
                 if stall > 0.0:
                     if tracer is not None:
                         tracer.span(0, t + spawn, t + spawn + stall, "stall", "worker_stall")
                     st.overhead += stall
                     t += stall
-                dur *= faults.slow_factor(t + spawn)
+                dur *= slow
             if tracer is not None:
                 tracer.span(0, t + spawn, t + spawn + dur, "task", tags[tag] or "task")
             t += spawn + dur + self.per_task_overhead
@@ -258,18 +259,16 @@ class StealingScheduler:
             st.overhead += spawn + self.per_task_overhead
             st.tasks += 1
             self.done += 1
-            if faults is not None:
-                failure = faults.fail_task(ordinal, t - dur - self.per_task_overhead)
-                if failure is not None:
-                    self._fail_err = failure
-                    self._fail_time = t - self.per_task_overhead
-                    if faults.mode in ("poison", "cancel", "async_cancel"):
-                        # serial abort: stop issuing past the failure point
-                        self.poisoned = True
-                        self.poison_time = self._fail_time
-                        if tracer is not None:
-                            tracer.instant(0, self._fail_time, "cancel")
-                        break
+            if failure is not None:
+                self._fail_err = failure
+                self._fail_time = t - self.per_task_overhead
+                if faults.mode in ("poison", "cancel", "async_cancel"):
+                    # serial abort: stop issuing past the failure point
+                    self.poisoned = True
+                    self.poison_time = self._fail_time
+                    if tracer is not None:
+                        tracer.instant(0, self._fail_time, "cancel")
+                    break
         self.finish_time = t
         meta = self._accounted({"steals": 0, "undeferred": True})
         return RegionResult(time=t, nthreads=1, workers=self.stats, meta=meta)

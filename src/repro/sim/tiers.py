@@ -133,11 +133,11 @@ def _ws_dispatch_estimate(space: IterSpace, p: int, ctx, params: dict) -> Region
     lock-bound (every dispatch serializes through the loop counter),
     plus a tail term of the largest chunk.
     """
-    from repro.runtime.worksharing import _dispatch_edges
+    from repro.runtime.worksharing import _schedule_edges
 
     costs = ctx.costs
     schedule = params.get("schedule", "static")
-    edges = _dispatch_edges(space, schedule, params.get("chunk"), p)
+    edges = _schedule_edges(space, schedule, params.get("chunk"), p)
     work, membytes = space.chunk_costs(edges)
     durations = ctx.memory.durations(
         work * params.get("work_scale", 1.0), membytes, space.locality, p

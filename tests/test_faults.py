@@ -455,3 +455,99 @@ class TestTaskGraphFaults:
         assert len(r1.regions) == 2  # failed attempt + clean retry
         s = fault_summary(r1)
         assert s["failed_regions"] == 1 and s["retries"] == 1
+
+
+# ---------------------------------------------------------------------------
+# a fault handle that never fires changes nothing
+# ---------------------------------------------------------------------------
+def _irregular_space():
+    import numpy as np
+
+    from repro.sim.task import IterSpace
+
+    rng = np.random.default_rng(7)
+    work = rng.uniform(1e-8, 3e-7, 6000)
+    membytes = rng.uniform(0.0, 400.0, 6000)
+    return IterSpace.from_profile(work, membytes, locality=0.8, name="irregular")
+
+
+def _loop_case(run, **params):
+    return lambda p, ctx, tracer, faults: run(
+        _irregular_space(), p, ctx, tracer=tracer, faults=faults, **params
+    )
+
+
+def _undeferred_fib(p, ctx, tracer, faults):
+    from repro.kernels import fib
+    from repro.runtime.workstealing import run_stealing_graph
+
+    return run_stealing_graph(
+        fib.graph(12), 1, ctx, deque="locked", undeferred_single=True,
+        per_task_overhead=3e-9, tracer=tracer, faults=faults,
+    )
+
+
+def _inert_cases():
+    from repro.runtime import amt
+    from repro.runtime.offload import run_offload_loop
+    from repro.runtime.threadpool import run_threadpool_loop
+    from repro.runtime.worksharing import run_worksharing_loop
+    from repro.runtime.workstealing import run_stealing_loop
+
+    ws = run_worksharing_loop
+    pool = run_threadpool_loop
+    return {
+        # case: (executor run, Table III mode of its model)
+        "omp_static": (_loop_case(ws, schedule="static"), "cancel"),
+        "omp_static_chunk": (_loop_case(ws, schedule="static", chunk=37), "cancel"),
+        "omp_dynamic": (_loop_case(ws, schedule="dynamic", chunk=41), "cancel"),
+        "omp_guided": (_loop_case(ws, schedule="guided", reduction=True), "cancel"),
+        "pthread_pool": (_loop_case(pool, mode="thread", nchunks=24), "async_cancel"),
+        "cxx_async_pool": (_loop_case(pool, mode="async", nchunks=9), "rethrow"),
+        "persistent_pool": (
+            _loop_case(pool, mode="thread", nchunks=12, persistent=True), "async_cancel"
+        ),
+        "charm_loop": (_loop_case(amt.run_charm_loop), "msg_loss"),
+        "hpx_loop": (_loop_case(amt.run_hpx_loop), "future_poison"),
+        "mpi_loop": (_loop_case(amt.run_mpi_loop, nchunks=11), "rank_fail"),
+        "cilk_for": (_loop_case(run_stealing_loop, style="cilk_for"), "none"),
+        "offload": (
+            _loop_case(run_offload_loop, to_bytes=3e5, from_bytes=1e5), "rethrow"
+        ),
+        "omp_task_p1": (_undeferred_fib, "cancel"),
+    }
+
+
+class TestInertFaultHandle:
+    """A fault handle whose faults never fire leaves every number of a
+    run bit-identical to the fault-free run: time, per-worker stats,
+    meta (apart from the fault document) and the traced timeline."""
+
+    @staticmethod
+    def _observe(run, p, ctx, faults):
+        from dataclasses import asdict
+
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer()
+        traced = run(p, ctx, tracer, faults() if faults else None)
+        plain = run(p, ctx, None, faults() if faults else None)
+        meta = {k: v for k, v in traced.meta.items() if k != "fault"}
+        return (
+            plain.time, [asdict(w) for w in plain.workers],
+            traced.time, [asdict(w) for w in traced.workers], meta,
+            tracer.spans, tracer.instants,
+        )
+
+    @pytest.mark.parametrize("handle", ["empty", "never_fires"])
+    @pytest.mark.parametrize("p", [1, 3, 4])
+    @pytest.mark.parametrize("case", sorted(_inert_cases()))
+    def test_inert_handle_is_bit_identical(self, case, p, handle):
+        from repro.faults import RegionFaults
+
+        run, mode = _inert_cases()[case]
+        faults = [] if handle == "empty" else [Fault("task_fail", task=1_000_000_000)]
+        ctx = ExecContext()
+        base = self._observe(run, p, ctx, None)
+        inert = self._observe(run, p, ctx, lambda: RegionFaults(faults, mode))
+        assert inert == base

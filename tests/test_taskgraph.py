@@ -237,6 +237,8 @@ def test_graph_add_rejects_bad_input(kwargs, match):
 @pytest.mark.parametrize("version", TASKBENCH_VERSIONS)
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_tier1_bit_identical_to_tier2(version, pattern):
+    """The fast paths give the traced result ``scalar_reference`` gives
+    (the name predates the removal of tier 1)."""
     params = dict(pattern=pattern, width=4, steps=3, grain=1e-6)
     ctx = ExecContext()
     docs = []

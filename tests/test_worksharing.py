@@ -133,3 +133,33 @@ class TestValidation:
             uniform, 1, ctx, fork=False, barrier=False, work_scale=2.0
         ).time
         assert doubled == pytest.approx(2 * base, rel=1e-3)
+
+
+class TestBarrierSpans:
+    """Every traced worker waits at the end barrier in one ``barrier``
+    span, from its last chunk end to fork + loop time + barrier cost,
+    whatever the schedule and whether or not faults are live."""
+
+    @pytest.mark.parametrize("faults", [None, "stall:worker=1,duration=2e-5", "fail:task=3"])
+    @pytest.mark.parametrize("schedule", ["static", "dynamic", "guided"])
+    def test_one_barrier_span_per_worker(self, schedule, faults, ctx):
+        from repro.faults import FaultPlan
+        from repro.obs.tracer import Tracer
+
+        space = IterSpace.from_profile(
+            np.linspace(1e-8, 4e-7, 3000), np.full(3000, 64.0), name="tri"
+        )
+        p = 4
+        tracer = Tracer()
+        live = None if faults is None else FaultPlan.parse(faults).for_region(
+            space.name, 0, mode="cancel"
+        )
+        res = run_worksharing_loop(space, p, ctx, schedule=schedule, tracer=tracer, faults=live)
+        bar_end = ctx.costs.fork_cost(p) + res.meta["loop_time"] + ctx.costs.barrier_cost(p)
+        assert ctx.costs.barrier_cost(p) > 0.0
+        for w in range(p):
+            chunks = [s for s in tracer.spans if s.worker == w and s.kind == "chunk"]
+            barriers = [s for s in tracer.spans if s.worker == w and s.kind == "barrier"]
+            assert len(barriers) == 1
+            assert barriers[0].start == max(s.end for s in chunks)
+            assert barriers[0].end == bar_end
