@@ -2,7 +2,8 @@
 # Sweep-service contract: two identical *concurrent* queries must cost
 # exactly one set of simulations (single-flight dedupe, observable via
 # serve.dedup_hit / serve.cache_hit on /stats), a warm re-query must
-# perform zero simulations, a warm traced query must stream the very
+# perform zero simulations and cost exactly one store probe and one hit
+# per cell, a warm traced query must stream the very
 # payload bytes its cold run streamed (and count as store hits), a
 # stored entry with one flipped body byte must be re-run (not counted
 # as a hit but as serve.corrupt) and rewritten to its original bytes,
@@ -14,13 +15,16 @@
 set -euo pipefail
 
 SERVE_URL=${SERVE_URL:-http://127.0.0.1:8765}
-STORE_DIR=.serve-store
+# a fresh store per run: a store left by an earlier run would answer the
+# "cold" queries below from its entries
+STORE_DIR=$(mktemp -d)
 
 cleanup() {
   if [ -f serve.pid ] && kill -0 "$(cat serve.pid)" 2> /dev/null; then
     echo "--- cleanup: killing orphaned server $(cat serve.pid)" >&2
     kill -TERM "$(cat serve.pid)" 2> /dev/null || true
   fi
+  rm -rf "$STORE_DIR"
 }
 trap cleanup EXIT
 
@@ -58,15 +62,25 @@ assert joins + hits == cells, c
 print(f"cells={cells} simulations={sims} dedup_joins={joins} store_hits={hits}")
 EOF
 
-echo "--- warm re-query performs zero simulations"
+echo "--- warm re-query performs zero simulations, one probe and one hit per cell"
 python -m repro sweep axpy --server "$SERVE_URL" --metrics-out warm.json -q
+curl -sf "$SERVE_URL/stats" > stats-warm.json
 python - <<'EOF'
 import json
 
 wc = json.load(open("warm.json"))["metrics"]["counters"]
 assert wc["simulations"] == 0, f"warm re-query simulated: {wc}"
 assert wc["cache_hits"] == wc["sweep_cells"] > 0, wc
-print("warm re-query served entirely from the store")
+before, after = json.load(open("stats.json")), json.load(open("stats-warm.json"))
+
+def rise(pick):
+    return pick(after) - pick(before)
+
+probes = rise(lambda s: s["observations"]["serve.probe_seconds"]["count"])
+hits = rise(lambda s: s["counters"].get("serve.cache_hit", 0))
+assert probes == hits == wc["sweep_cells"], (
+    f"{wc['sweep_cells']} warm cells cost {probes} probes and {hits} hits")
+print(f"warm re-query served entirely from the store: {probes} probes, {hits} hits")
 EOF
 
 echo "--- a warm traced query streams the cold run's payload bytes"

@@ -159,7 +159,8 @@ def run_sweep_remote(
     # context's entries.  A custom machine/costs/seed sweep silently
     # answered from the server's context would be *wrong*, not slow, so
     # refuse it here instead.
-    if ctx is not None and ctx.with_fidelity(2) != ExecContext().with_fidelity(2):
+    default = ExecContext()
+    if ctx is not None and ctx.with_fidelity(2) != default:
         raise ValueError(
             "server mode serves the default execution context (protocol v1); "
             "sweeps under a custom machine/cost-model/seed context must run "
@@ -187,7 +188,7 @@ def run_sweep_remote(
     with perf_recording("sweep") as host:
         with perf_span("serve.client_request"):
             events = client.query(query)
-            expected_digest = protocol.context_digest(ExecContext())
+            expected_digest = protocol.context_digest(default)  # cached per context
             for event in events:
                 if event["type"] == "start":
                     if event.get("ctx") and event["ctx"] != expected_digest:

@@ -20,7 +20,7 @@ Every ``cell`` event's ``payload`` is the entry body: the *exact*
 cache-entry document the direct ``run_sweep`` path stores and replays,
 down to the byte.  An entry file is a short header line (stamps, body
 length, CRC) and that body; the server splices the body into the event
-(:func:`encode_cell_event`), whether it read it from the store or its
+(:func:`cell_event_parts`), whether it read it from the store or its
 worker just encoded the entry (:func:`repro.sweep.cache.encode_entry`).
 The header never goes on the wire.  A served result therefore decodes
 byte-identically to a local one — the protocol adds framing, never
@@ -34,14 +34,15 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from repro.core.experiment import PAPER_THREADS
+from repro.sweep.cache import context_identity
 
 __all__ = [
     "PROTOCOL_VERSION",
     "MatrixQuery",
     "ProtocolError",
     "cell_event",
+    "cell_event_parts",
     "decode_event",
-    "encode_cell_event",
     "encode_event",
     "end_event",
     "expand_query",
@@ -153,20 +154,11 @@ def context_digest(ctx) -> str:
     which is per-query).  The server advertises its digest in every
     ``start`` event; the client compares against its own expectation,
     so a server simulating a different machine answers with a protocol
-    error instead of silently-wrong numbers."""
-    from dataclasses import asdict
-
-    doc = {
-        "machine": asdict(ctx.machine),
-        "costs": asdict(ctx.costs),
-        "seed": ctx.seed,
-        "max_events": ctx.max_events,
-        "thread_cap": ctx.thread_cap,
-    }
-    import hashlib
-
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    error instead of silently-wrong numbers.  It is the SHA-256 of the
+    identity document the cache keys splice in
+    (:func:`repro.sweep.cache.context_identity`), computed once per
+    context."""
+    return context_identity(ctx)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +208,24 @@ def encode_event(event: Mapping[str, Any]) -> bytes:
     return json.dumps(event, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
-def encode_cell_event(
-    version: str, nthreads: int, key: str, status: str, payload: bytes
-) -> bytes:
+def cell_event_parts(
+    version: str, nthreads: int, key: str, status: str, payload: Any
+) -> tuple[bytes, Any, bytes]:
     """The NDJSON line of a :func:`cell_event` whose payload is already
-    encoded: ``payload`` is one compact JSON object with no raw newline
-    (an entry's body without its trailing newline).
+    encoded, as three pieces to join: the event up to its payload,
+    ``payload`` itself, and the closing brace and newline.  ``payload``
+    is one compact JSON object with no raw newline (an entry's body
+    without its trailing newline, as bytes or a view of them).
 
     The payload is the event's last key, and :func:`encode_event` uses
-    the entry encoding's separators, so the line is byte-identical to
-    ``encode_event(cell_event(..., json.loads(payload)))``; the server
-    forwards a document it never parses or dumps on its event loop.
+    the entry encoding's separators, so the joined line is
+    byte-identical to ``encode_event(cell_event(..., json.loads(payload)))``;
+    the server forwards a document it never parses or dumps on its event
+    loop, and joins the pieces once, into the write that sends them.
     """
     head = encode_event(cell_event(version, nthreads, key, status, None))
-    # cut the placeholder's ``null}`` + newline and splice the payload in
-    return b"".join((head[:-6], payload, b"}\n"))
+    # cut the placeholder's ``null}`` + newline; the payload goes there
+    return head[:-6], payload, b"}\n"
 
 
 def decode_event(line: bytes) -> dict[str, Any]:

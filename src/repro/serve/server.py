@@ -13,12 +13,13 @@ through exactly one of:
   sweep's stamp checks (``format``, ``fidelity``, a ``result`` or an
   ``error``);
 - **single-flight join** — an *identical cell of another in-flight
-  request* is already being resolved; this request awaits the same
-  task instead of re-simulating (``serve.dedup_hit``).  The task map
-  is keyed by ``cache_key``, so "identical" means identical in every
-  output-determining input, not merely same-named.  The task belongs
-  to the server, not to the request that started it, so a request
-  that fails or is dropped never fails the requests that joined it;
+  request* is already being resolved; this request waits on the same
+  future instead of re-simulating (``serve.dedup_hit``).  The in-flight
+  map is keyed by ``cache_key``, so "identical" means identical in every
+  output-determining input, not merely same-named.  The resolution
+  belongs to the server, not to the request that started it, so a
+  request that fails or is dropped never fails the requests that joined
+  it;
 - **fresh simulation** — the miss runs through the local sweep's miss
   runner (:class:`repro.sweep.executor.MissRunner`), one fork-based
   process pool for every request (tier-0 estimates run in a thread: an
@@ -37,21 +38,34 @@ through exactly one of:
 The entry body is the unit the store and the wire share: an entry file
 is one short header line (stamps, body length, CRC) and the body, the
 document as one line of compact JSON (:mod:`repro.sweep.cache`).  A hit
-reads the file once, in a thread, parses only the header, checks the
-stamps on it and the body's length and CRC; the body is never parsed,
-decoded or dumped again.  The event loop only splices the body into the
-``cell`` event (:func:`~repro.serve.protocol.encode_cell_event`), which
-is byte-identical to encoding the parsed document.
+reads the file once, parses only the header, checks the stamps on it
+and the body's length and CRC; the body is never parsed, decoded or
+dumped again.  The event loop only splices the body into the ``cell``
+event (:func:`~repro.serve.protocol.cell_event_parts`), which is
+byte-identical to encoding the parsed document.
+
+A request costs one context-identity lookup and one thread hop for its
+store reads.  Its keys come from the context's cached identity document
+(:func:`repro.sweep.cache.context_identity`; the server's context
+digest is computed once, at construction).  The request then *claims*
+its keys: it joins a key that is in flight or registers a server-owned
+future for it, with no ``await`` between the look-up and the
+registration, so two racing requests can never both register the same
+key.  One executor job then reads the keys the request registered, in
+order, and posts each result to the loop as soon as that key is read: a
+hit settles its key, a miss goes to the miss runner.
 
 Results stream back as NDJSON *as cells land*, so a client sees its
-first cells while later ones still simulate — hundreds-of-cells METG
-matrices (Task Bench) render incrementally instead of at the end.
-
-Single-flight correctness leans on asyncio's run-to-completion: the
-in-flight map is checked and updated with no ``await`` in between, so
-two racing requests can never both register the same key.  Eviction
-policy lives in the store (``max_entries`` / ``ttl_seconds``); the
-server prunes after each request batch that stored new entries.
+first cells while later ones still simulate or are still being probed —
+hundreds-of-cells METG matrices (Task Bench) render incrementally
+instead of at the end.  On each wake-up the response writer sends every
+cell that has settled in one write: the head and the ``start`` event go
+with the first batch (the first settled cell, or the end of the probe
+job, whichever comes first), the ``end`` event and the chunk terminator
+with the last.  So a warm query is typically one write; the bytes on the
+wire do not depend on how they are batched.  Eviction policy lives in
+the store (``max_entries`` / ``ttl_seconds``); the server prunes after
+each request that stored new entries.
 
 Telemetry: every request, dedup join, hit, refused entry, simulation,
 store error, read timeout and dropped client lands in one lifetime
@@ -141,8 +155,10 @@ class SweepServer:
         self.host = host
         self.port = int(port)
         self.ctx = ctx or ExecContext()
+        self._ctx_digest = protocol.context_digest(self.ctx)
         self.perf = PerfRecorder("serve")
-        self._inflight: dict[str, asyncio.Task] = {}
+        self._inflight: dict[str, asyncio.Future] = {}
+        self._runs: set[asyncio.Task] = set()
         self._conns: set[asyncio.Task] = set()
         self._runner = _executor.MissRunner(self.jobs, self.perf, "serve.pool_broken")
         self._server: Optional[asyncio.AbstractServer] = None
@@ -175,11 +191,14 @@ class SweepServer:
             # 3.11's Server.wait_closed does not wait for handlers;
             # drain them so no request is abandoned mid-stream
             await asyncio.wait(set(self._conns), timeout=10.0)
-        resolving = list(self._inflight.values())
-        for task in resolving:
-            task.cancel()  # the requests are drained; nobody awaits these
-        if resolving:
-            await asyncio.wait(resolving, timeout=10.0)
+        # the requests are drained; nobody awaits these
+        for fut in list(self._inflight.values()):
+            fut.cancel()
+        runs = list(self._runs)
+        for task in runs:
+            task.cancel()
+        if runs:
+            await asyncio.wait(runs, timeout=10.0)
         self._runner.shutdown(wait=False)
         self.perf.wall = perf_counter() - self._t0
         self.perf.cpu = process_time() - self._c0
@@ -219,8 +238,48 @@ class SweepServer:
         return snap
 
     # ------------------------------------------------------------------
-    # cell resolution (single-flight + the miss runner + write-through)
+    # cell resolution (claim, one probe job, the miss runner)
     # ------------------------------------------------------------------
+    def _claim(
+        self, keys: list[str], cells: list[SweepCell], ctx: ExecContext, trace: bool,
+        refresh: bool,
+    ) -> tuple[list[asyncio.Future], list[bool], Optional[asyncio.Future]]:
+        """Claim a request's keys: each cell's resolution, whether the
+        request joined it, and the request's probe job (``None`` when it
+        probes nothing).
+
+        The single-flight discipline: between looking a key up in
+        ``_inflight`` and registering its resolution there is no
+        ``await``, so exactly one resolution exists per key and every
+        request that asks for it waits on the same future.  The future is
+        the server's: a request only adds and removes its own callbacks,
+        so one that is cancelled (its client left, or another of its
+        cells crashed) stops waiting without touching the resolution
+        other requests joined.  The keys this request registered are read
+        in order by one executor job (:meth:`_probe_keys`); with
+        ``refresh`` they go straight to the miss runner.
+        """
+        loop = asyncio.get_running_loop()
+        futs, joined, owned = [], [], []
+        for key, cell in zip(keys, cells):
+            fut = self._inflight.get(key)
+            joined.append(fut is not None)
+            if fut is not None:
+                self.perf.count("serve.dedup_hit")
+            else:
+                fut = loop.create_future()
+                self._inflight[key] = fut
+                fut.add_done_callback(functools.partial(self._resolved, key))
+                if refresh:
+                    self._run(key, cell, ctx, trace, fut)
+                else:
+                    owned.append((key, cell, fut))
+            futs.append(fut)
+        probe = None
+        if owned:
+            probe = loop.run_in_executor(None, self._probe_keys, loop, owned, ctx, trace)
+        return futs, joined, probe
+
     def _probe(self, key: str, fidelity: int
                ) -> tuple[Optional[tuple[bytes, bool]], bool, float]:
         """Read ``key``'s entry (in a thread): its body and whether it
@@ -241,68 +300,86 @@ class SweepServer:
         refused = hit is None and (entry is not None or self.cache.refused(key))
         return hit, refused, perf_counter() - t0
 
-    async def _resolve_key(
-        self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool, refresh: bool
-    ) -> tuple[Union[bytes, memoryview], bool, str]:
-        """Resolve one key to ``(entry body, is error, status)``: a store
-        hit, or a fresh run written through to the store."""
-        loop = asyncio.get_running_loop()
-        if not refresh:
-            hit, refused, seconds = await loop.run_in_executor(
-                None, self._probe, key, cell.fidelity)
-            self.perf.observe("serve.probe_seconds", seconds)
-            if hit is not None:
-                self.perf.count("serve.cache_hit")
-                return hit[0], hit[1], "hit"
-            if refused:
-                self.perf.count("serve.corrupt")
-        t0, submitted = perf_counter(), monotonic()
-        data, error, started = await asyncio.wrap_future(self._runner.submit(cell, ctx, trace))
-        t1 = perf_counter()
-        self.perf.count("serve.simulations" if cell.fidelity == 2 else "serve.estimates")
-        self.perf.observe("serve.queue_seconds", started - submitted)
-        self.perf.observe("serve.run_seconds", t1 - t0)
+    def _probe_keys(self, loop: asyncio.AbstractEventLoop, owned: list, ctx: ExecContext,
+                    trace: bool) -> None:
+        """One request's probe job, in one executor thread: read its
+        claimed keys in order and post each result to the loop as soon as
+        it is read, so the first cell of a large matrix streams while the
+        last is still being probed."""
+        for key, cell, fut in owned:
+            try:
+                result: Any = self._probe(key, cell.fidelity)
+            except Exception as exc:  # the key's waiters get the failure
+                result = exc
+            try:
+                loop.call_soon_threadsafe(self._probed, key, cell, ctx, trace, fut, result)
+            except RuntimeError:  # the loop closed under a dropped request
+                return
+
+    def _probed(self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool,
+                fut: asyncio.Future, result: Any) -> None:
+        """On the loop: settle a probed key with its hit, or hand the miss
+        to the runner."""
+        if fut.done():  # cancelled by close()
+            return
+        if isinstance(result, Exception):
+            fut.set_exception(result)
+            return
+        hit, refused, seconds = result
+        self.perf.observe("serve.probe_seconds", seconds)
+        if hit is not None:
+            self.perf.count("serve.cache_hit")
+            fut.set_result((hit[0], hit[1], "hit"))
+            return
+        if refused:
+            self.perf.count("serve.corrupt")
+        self._run(key, cell, ctx, trace, fut)
+
+    def _run(self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool,
+             fut: asyncio.Future) -> None:
+        """Resolve a miss in a server-owned task that settles ``fut``."""
+        task = asyncio.ensure_future(self._run_key(key, cell, ctx, trace, fut))
+        self._runs.add(task)
+        task.add_done_callback(self._runs.discard)
+
+    async def _run_key(self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool,
+                       fut: asyncio.Future) -> None:
+        """A fresh run of ``key``, written through to the store; settles
+        ``fut`` with ``(entry body, is error, "run")``, or with the
+        failure of a crashed cell, which fails only the requests waiting
+        on it."""
         try:
-            await loop.run_in_executor(None, self.cache.put, key, data)
-        except OSError:
-            # a full or read-only store loses the entry, not the result:
-            # the bytes still stream to every waiter
-            self.perf.count("serve.store_error")
-        else:
-            self.perf.count("serve.store")
-        self.perf.observe("serve.store_seconds", perf_counter() - t1)
-        return entry_body(data), error, "run"
+            t0, submitted = perf_counter(), monotonic()
+            data, error, started = await asyncio.wrap_future(
+                self._runner.submit(cell, ctx, trace))
+            t1 = perf_counter()
+            self.perf.count("serve.simulations" if cell.fidelity == 2 else "serve.estimates")
+            self.perf.observe("serve.queue_seconds", started - submitted)
+            self.perf.observe("serve.run_seconds", t1 - t0)
+            try:
+                await asyncio.get_running_loop().run_in_executor(
+                    None, self.cache.put, key, data)
+            except OSError:
+                # a full or read-only store loses the entry, not the result:
+                # the bytes still stream to every waiter
+                self.perf.count("serve.store_error")
+            else:
+                self.perf.count("serve.store")
+            self.perf.observe("serve.store_seconds", perf_counter() - t1)
+        except Exception as exc:
+            if not fut.done():
+                fut.set_exception(exc)
+            return
+        if not fut.done():  # else cancelled by close()
+            fut.set_result((entry_body(data), error, "run"))
 
-    async def _resolve_cell(
-        self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool, refresh: bool
-    ) -> tuple[Union[bytes, memoryview], bool, str]:
-        """Resolve one cell for one request (see :meth:`_resolve_key`).
-
-        The single-flight discipline: between probing ``_inflight`` and
-        registering the key's task there is no ``await``, so exactly one
-        task resolves each key and every request awaits it.  The task is
-        the server's, and requests await it through ``asyncio.shield``:
-        a request that is cancelled (its client left, or another of its
-        cells crashed) stops waiting without cancelling the resolution
-        other requests joined.
-        """
-        task = self._inflight.get(key)
-        if task is not None:
-            self.perf.count("serve.dedup_hit")
-            data, error, _status = await asyncio.shield(task)
-            return data, error, "join"
-        task = asyncio.ensure_future(self._resolve_key(key, cell, ctx, trace, refresh))
-        self._inflight[key] = task
-        task.add_done_callback(functools.partial(self._resolved, key))
-        return await asyncio.shield(task)
-
-    def _resolved(self, key: str, task: asyncio.Task) -> None:
-        if self._inflight.get(key) is task:
+    def _resolved(self, key: str, fut: asyncio.Future) -> None:
+        if self._inflight.get(key) is fut:
             del self._inflight[key]
-        if not task.cancelled():
+        if not fut.cancelled():
             # every waiter may have left; don't let an unobserved
             # exception warn at GC time
-            task.exception()
+            fut.exception()
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -374,15 +451,14 @@ class SweepServer:
         return method, target.split("?", 1)[0], body
 
     @staticmethod
-    async def _write_head(
-        writer: asyncio.StreamWriter,
+    def _head(
         status: int,
         content_type: str,
         *,
         content_length: Optional[int] = None,
         chunked: bool = False,
-    ) -> None:
-        """Emit the status line and headers.
+    ) -> bytes:
+        """The status line and headers.
 
         Responses are explicitly framed (``Content-Length`` or chunked
         transfer-encoding) rather than close-delimited: pool workers
@@ -403,23 +479,22 @@ class SweepServer:
             head += "Transfer-Encoding: chunked\r\n"
         elif content_length is not None:
             head += f"Content-Length: {content_length}\r\n"
-        writer.write((head + "\r\n").encode("latin-1"))
-        await writer.drain()
+        return (head + "\r\n").encode("latin-1")
 
     @staticmethod
-    async def _write_chunk(writer: asyncio.StreamWriter, data: bytes) -> None:
-        """One HTTP/1.1 chunk; empty ``data`` writes the terminator."""
-        writer.write(b"".join((f"{len(data):x}\r\n".encode("latin-1"), data, _CRLF)))
-        await writer.drain()
+    def _chunk(out: list, *parts: Any) -> None:
+        """Append one HTTP/1.1 chunk of ``parts`` to ``out``, unjoined;
+        no parts is the terminator."""
+        size = sum(len(part) for part in parts)
+        out.append(f"{size:x}\r\n".encode("latin-1"))
+        out.extend(parts)
+        out.append(_CRLF)
 
     async def _respond_json(
         self, writer: asyncio.StreamWriter, status: int, doc: dict[str, Any]
     ) -> None:
         body = json.dumps(doc, separators=(",", ":")).encode("utf-8") + b"\n"
-        await self._write_head(
-            writer, status, "application/json", content_length=len(body)
-        )
-        writer.write(body)
+        writer.write(self._head(status, "application/json", content_length=len(body)) + body)
         await writer.drain()
 
     # ------------------------------------------------------------------
@@ -439,65 +514,87 @@ class SweepServer:
         ctx = self.ctx.with_fidelity(query.fidelity)
         keys = [cache_key(c, ctx, trace=query.trace) for c in cells]
         self.perf.count("serve.cells", len(cells))
+        futs, joined, probe = self._claim(keys, cells, ctx, query.trace, query.refresh)
 
-        await self._write_head(writer, 200, "application/x-ndjson", chunked=True)
-        await self._write_chunk(writer, protocol.encode_event(protocol.start_event(
-            len(cells), query.workload, protocol.context_digest(self.ctx)
-        )))
+        # the writer wakes whenever cells have settled, and sends them in
+        # one write; its first wake-up is the first settled cell or the end
+        # of the probe job (at once when there is none), so a cold query
+        # still sends its start event before anything has run
+        wake, settled = asyncio.Event(), []
 
-        async def settle(i: int) -> tuple[int, Union[bytes, memoryview], bool, str]:
-            data, error, status = await self._resolve_cell(
-                keys[i], cells[i], ctx, query.trace, query.refresh
-            )
-            return i, data, error, status
+        def land(i: int, _fut: asyncio.Future) -> None:
+            settled.append(i)
+            wake.set()
+
+        waits = [functools.partial(land, i) for i in range(len(cells))]
+        for fut, callback in zip(futs, waits):
+            fut.add_done_callback(callback)
+        if probe is None:
+            wake.set()
+        else:
+            probe.add_done_callback(lambda _probe: wake.set())
 
         counters = {"cells": len(cells), "hits": 0, "runs": 0, "errors": 0,
                     "dedup_joins": 0}
-        tasks = [asyncio.ensure_future(settle(i)) for i in range(len(cells))]
+        out = [self._head(200, "application/x-ndjson", chunked=True)]
+        self._chunk(out, protocol.encode_event(protocol.start_event(
+            len(cells), query.workload, self._ctx_digest)))
+        left = len(cells)
         stored = False
         try:
-            for settled in asyncio.as_completed(tasks):
-                try:
-                    i, data, error, status = await settled
-                except Exception as exc:
-                    # a crashed cell aborts the request, not the server
-                    self.perf.count("serve.failed_request")
-                    await self._write_chunk(
-                        writer,
-                        protocol.encode_event(protocol.fatal_event(str(exc))),
-                    )
-                    await self._write_chunk(writer, b"")
+            while True:
+                await wake.wait()
+                wake.clear()
+                batch = settled[:]
+                settled.clear()
+                for i in batch:
+                    left -= 1
+                    exc = futs[i].exception()
+                    if exc is not None:
+                        # a crashed cell aborts the request, not the server
+                        self.perf.count("serve.failed_request")
+                        self._chunk(out, protocol.encode_event(protocol.fatal_event(str(exc))))
+                        self._chunk(out)
+                        writer.write(b"".join(out))
+                        await writer.drain()
+                        return
+                    data, error, status = futs[i].result()
+                    futs[i] = None  # the batch holds the body until it is sent
+                    if joined[i]:
+                        # another request's single flight did the work; this
+                        # request performed no simulation of its own
+                        counters["dedup_joins"] += 1
+                        status = "run"
+                    if status == "hit":
+                        counters["hits"] += 1
+                    else:
+                        counters["runs"] += 1
+                        stored = stored or not joined[i]
+                    if error:
+                        # orthogonal to how the cell was resolved: a cached
+                        # or fresh cell error is still a hit/run above
+                        status = "error"
+                        counters["errors"] += 1
+                    # the entry's body without its trailing newline
+                    self._chunk(out, *protocol.cell_event_parts(
+                        cells[i].version, cells[i].nthreads, keys[i], status,
+                        memoryview(data)[:-1],
+                    ))
+                if not left:
+                    self._chunk(out, protocol.encode_event(protocol.end_event(counters)))
+                    self._chunk(out)
+                if out:
+                    writer.write(b"".join(out))
+                    out = []
+                    await writer.drain()
+                if not left:
                     return
-                joined = status == "join"
-                if joined:
-                    # another request's single flight did the work; this
-                    # request performed no simulation of its own
-                    counters["dedup_joins"] += 1
-                    status = "run"
-                if status == "hit":
-                    counters["hits"] += 1
-                else:
-                    counters["runs"] += 1
-                    stored = stored or not joined
-                if error:
-                    # orthogonal to how the cell was resolved: a cached
-                    # or fresh cell error is still a hit/run above
-                    status = "error"
-                    counters["errors"] += 1
-                # the entry's body without its trailing newline
-                await self._write_chunk(writer, protocol.encode_cell_event(
-                    cells[i].version, cells[i].nthreads, keys[i], status,
-                    memoryview(data)[:-1],
-                ))
-            await self._write_chunk(
-                writer, protocol.encode_event(protocol.end_event(counters))
-            )
-            await self._write_chunk(writer, b"")
         finally:
             # a crashed cell, a dropped client or a closing server ends the
             # request's waiting, not the resolutions its keys share
-            for t in tasks:
-                t.cancel()
+            for fut, callback in zip(futs, waits):
+                if fut is not None:
+                    fut.remove_done_callback(callback)
             self.perf.observe("serve.request_seconds", perf_counter() - t0)
             if stored and (
                 self.cache.max_entries is not None or self.cache.ttl_seconds is not None

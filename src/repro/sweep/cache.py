@@ -17,6 +17,11 @@ output*:
   exactly as before tiers existed; estimates address their own entries);
 - the code-relevant package version and the cache format version.
 
+The context's part of that document (machine, costs, seed, budgets) is
+built and encoded once per context (:func:`context_identity`), so a key
+costs the encoding of its cell's own fields and one hash; the same
+document's digest is the sweep service's context digest.
+
 Because the simulator is deterministic, two runs with equal keys are
 bit-identical — so replaying an entry is indistinguishable from
 re-simulating it, and any change to any input (a cost constant, a
@@ -91,8 +96,10 @@ import threading
 import time
 import zlib
 from dataclasses import asdict
+from functools import lru_cache
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional, Union
 
 from repro.perf.spans import current as _perf_current
 from repro.runtime.base import ExecContext
@@ -109,6 +116,7 @@ __all__ = [
     "SHARD_WIDTH",
     "TMP_GRACE_SECONDS",
     "cache_key",
+    "context_identity",
     "encode_entry",
     "entry_body",
     "entry_stamps",
@@ -138,37 +146,79 @@ TMP_GRACE_SECONDS = 3600.0
 _tmp_counter = itertools.count()
 
 
-def _key_document(cell: "SweepCell", ctx: ExecContext, trace: bool) -> dict[str, Any]:
-    """The canonical key inputs, as a JSON-able document."""
+#: The canonical JSON of :func:`_key_document` and of the context
+#: identity: sorted keys, no whitespace, ASCII.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@lru_cache(maxsize=128)
+def _identity(machine, costs, seed: int, max_events: int, thread_cap: int,
+              kinds: tuple[type, ...]) -> tuple[Mapping[str, str], str]:
+    """The identity document of one context, and its digest.
+
+    Keyed on the context's frozen fields, so the ``asdict`` walk over the
+    machine and the cost model and their JSON encoding run once per
+    context, not once per cell.  ``kinds`` holds the type of every scalar
+    field: equal fields of different types (``2`` and ``2.0``, ``1`` and
+    ``True``) encode differently, so they must not share an entry.  Each
+    field is kept as its canonical JSON, ready to splice into a key
+    document.
+    """
+    fields = {
+        "machine": _canonical(asdict(machine)),
+        "costs": _canonical(asdict(costs)),
+        "seed": _canonical(seed),
+        "max_events": _canonical(max_events),
+        "thread_cap": _canonical(thread_cap),
+    }
+    return MappingProxyType(fields), hashlib.sha256(_splice(fields).encode("utf-8")).hexdigest()
+
+
+def context_identity(ctx: ExecContext) -> tuple[Mapping[str, str], str]:
+    """Everything ``ctx`` contributes to cell identity (machine, costs,
+    seed, budgets — *not* fidelity, which is per-cell), as canonical JSON
+    per field, and the SHA-256 of that document (the sweep service's
+    context digest).  Cached per context."""
+    machine, costs = ctx.machine, ctx.costs
+    scalars = (*vars(machine).values(), *vars(costs).values(),
+               ctx.seed, ctx.max_events, ctx.thread_cap)
+    return _identity(machine, costs, ctx.seed, ctx.max_events, ctx.thread_cap,
+                     tuple(map(type, scalars)))
+
+
+def _splice(fields: Mapping[str, str]) -> str:
+    """The canonical JSON object of ``fields`` (name -> canonical JSON
+    of its value): byte-identical to encoding the decoded document."""
+    return "{" + ",".join(f'"{k}":{fields[k]}' for k in sorted(fields)) + "}"
+
+
+def _key_document(cell: "SweepCell", ctx: ExecContext, trace: bool) -> dict[str, str]:
+    """The canonical key inputs, each as its canonical JSON."""
     from repro import __version__
 
-    doc: dict[str, Any] = {
-        "format": KEY_FORMAT,
-        "package": __version__,
-        "workload": cell.workload,
-        "version": cell.version,
-        "nthreads": int(cell.nthreads),
-        "params": {str(k): cell.params[k] for k in sorted(cell.params)},
-        "machine": asdict(ctx.machine),
-        "costs": asdict(ctx.costs),
-        "seed": ctx.seed,
-        "max_events": ctx.max_events,
-        "thread_cap": ctx.thread_cap,
-        "trace": bool(trace),
-    }
+    doc = dict(context_identity(ctx)[0])
+    doc.update(
+        format=_canonical(KEY_FORMAT),
+        package=_canonical(__version__),
+        workload=_canonical(cell.workload),
+        version=_canonical(cell.version),
+        nthreads=_canonical(int(cell.nthreads)),
+        params=_canonical({str(k): v for k, v in cell.params.items()}),
+        trace=_canonical(bool(trace)),
+    )
     # fault plan / recovery policy change the simulation output, so they
     # are key inputs — but only when present, so every pre-existing
     # fault-free entry keeps its address (no KEY_FORMAT bump needed).
     if getattr(cell, "faults", None):
-        doc["faults"] = cell.faults
+        doc["faults"] = _canonical(cell.faults)
     if getattr(cell, "policy", None):
-        doc["policy"] = cell.policy
+        doc["policy"] = _canonical(cell.policy)
     # the fidelity tier addresses separate entries (a tier-0 estimate
     # must never be served for a tier-2 request), but the reference tier
     # is omitted so every pre-tiers entry keeps its address.
     fidelity = getattr(cell, "fidelity", 2)
     if fidelity != 2:
-        doc["fidelity"] = int(fidelity)
+        doc["fidelity"] = _canonical(int(fidelity))
     return doc
 
 
@@ -178,11 +228,10 @@ def cache_key(cell: "SweepCell", ctx: ExecContext, *, trace: bool = False) -> st
     The key is a SHA-256 hex digest of the canonical (sorted-keys,
     no-whitespace) JSON encoding of :func:`_key_document`, so it is
     independent of dict insertion order, of ``PYTHONHASHSEED``, and of
-    the process that computes it.
+    the process that computes it.  The context's fields come encoded
+    from :func:`context_identity`, so a key costs the cell's fields only.
     """
-    blob = json.dumps(
-        _key_document(cell, ctx, trace), sort_keys=True, separators=(",", ":")
-    )
+    blob = _splice(_key_document(cell, ctx, trace))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

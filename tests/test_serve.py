@@ -423,6 +423,102 @@ class TestServeEndToEnd:
 
 
 # ---------------------------------------------------------------------------
+# the warm path: one probe job, coalesced writes, streaming kept
+# ---------------------------------------------------------------------------
+#: 9 versions x 4 thread counts of tier-0 estimates: a many-cell matrix
+#: that is cheap to warm.
+WIDE = MatrixQuery("axpy", threads=(1, 2, 3, 4), params={"n": 120_000}, fidelity=0)
+
+
+def raw_response(url, query):
+    """POST ``query`` on a bare socket; the response bytes as sent."""
+    client = SweepClient(url)
+    body = json.dumps(query.to_dict()).encode()
+    with socket.create_connection((client.host, client.port), timeout=30) as sock:
+        sock.sendall(b"POST /sweep HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body)
+        data = b""
+        while not data.endswith(b"\r\n0\r\n\r\n"):
+            chunk = sock.recv(1 << 16)
+            assert chunk, f"connection closed mid-response: {data[-200:]!r}"
+            data += chunk
+    return data
+
+
+def chunked(line):
+    return b"%x\r\n" % len(line) + line + b"\r\n"
+
+
+class TestWarmPath:
+    def test_warm_query_streams_before_its_last_probe(self, tmp_path, monkeypatch):
+        """The first cell of a warm many-cell query reaches the client
+        while its last key is still being read: the read of the last key
+        blocks until the client has the first ``cell`` event.  A server
+        that probes every key before it writes fails here."""
+        first_cell = threading.Event()
+        with running_server(tmp_path) as srv:
+            cells = sum(1 for e in SweepClient(srv.url).query(WIDE) if e["type"] == "cell")
+            assert cells >= 32
+            real_read, reads, waited = srv.cache.read, [], []
+
+            def read(key):
+                reads.append(key)
+                if len(reads) == cells:
+                    waited.append(first_cell.wait(10))
+                return real_read(key)
+
+            monkeypatch.setattr(srv.cache, "read", read)
+            statuses = []
+            for event in SweepClient(srv.url, timeout=30).query(WIDE):
+                if event["type"] == "cell":
+                    first_cell.set()
+                    statuses.append(event["status"])
+        assert waited == [True], "the first cell waited for the last probe"
+        assert statuses == ["hit"] * cells
+
+    def test_warm_query_is_one_probe_job_and_the_same_bytes(self, tmp_path, monkeypatch):
+        """A warm all-hit query reads its keys in one executor job, one
+        after the other on one thread, and its response is byte for byte
+        the head, one chunk per event and the terminator."""
+        query = MatrixQuery("axpy", versions=("omp_for", "cxx_thread"), threads=(1, 2, 4),
+                            params={"n": 120_000}, fidelity=0)
+        _spec, _config, cells = protocol.expand_query(query)
+        with running_server(tmp_path) as srv:
+            cold = [e for e in SweepClient(srv.url).query(query) if e["type"] == "cell"]
+            keys = {(e["version"], e["nthreads"]): e["key"] for e in cold}
+            real_read, reads = srv.cache.read, []
+
+            def read(key):
+                t0 = time.monotonic()
+                time.sleep(0.02)  # long enough for separate jobs to overlap
+                entry = real_read(key)
+                reads.append((threading.get_ident(), t0, time.monotonic()))
+                return entry
+
+            monkeypatch.setattr(srv.cache, "read", read)
+            data = raw_response(srv.url, query)
+            stats = SweepClient(srv.url).stats()
+        assert len(reads) == len(cells)
+        assert len({ident for ident, _t0, _t1 in reads}) == 1
+        assert all(a[2] <= b[1] for a, b in zip(reads, reads[1:]))
+        store = ResultCache(tmp_path)
+        lines = [protocol.encode_event(protocol.start_event(
+            len(cells), "axpy", protocol.context_digest(ExecContext())))]
+        for cell in cells:  # one probe job reads, and settles, in query order
+            key = keys[(cell.version, cell.nthreads)]
+            lines.append(protocol.encode_event(protocol.cell_event(
+                cell.version, cell.nthreads, key, "hit", store.get(key))))
+        lines.append(protocol.encode_event(protocol.end_event(
+            {"cells": len(cells), "hits": len(cells), "runs": 0, "errors": 0,
+             "dedup_joins": 0})))
+        head = (b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+                b"Cache-Control: no-store\r\nConnection: close\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n")
+        assert data == head + b"".join(chunked(line) for line in lines) + b"0\r\n\r\n"
+        assert stats["observations"]["serve.probe_seconds"]["count"] == 2 * len(cells)
+        assert stats["counters"]["serve.cache_hit"] == len(cells)
+
+
+# ---------------------------------------------------------------------------
 # single-flight dedupe
 # ---------------------------------------------------------------------------
 class TestSingleFlight:

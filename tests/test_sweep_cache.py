@@ -67,6 +67,85 @@ class TestKeyStability:
         int(key, 16)  # raises if not hex
 
 
+class TestPinnedAddresses:
+    """Literal content addresses under the default context.  A change
+    that moves any of them orphans every existing store, so they are
+    pinned byte for byte rather than only compared with each other."""
+
+    @pytest.mark.parametrize("cell, trace, key", [
+        (SweepCell("axpy", "omp_for", 4), False,
+         "57230991ce5f752cb87ebc0c7199d5c3330e5db25df87b84f31f4337162d3201"),
+        (SweepCell("axpy", "omp_for", 4, fidelity=0), False,
+         "77aea91766c87924fdebf131eb8f2e2ec1042d5b25aa7931683efbe0ddb4a2ca"),
+        (SweepCell("lud", "cilk_for", 3), True,
+         "a45adfdc187ded06da9a34a8544d161459dfe79c06fae18e3e024bdb1cb698f1"),
+        (SweepCell("fib", "cilk_spawn", 8, {"n": 20}), False,
+         "fa3adab8a06b7da57cb693d0144347c765a76acc37f66f72d151ffe769bfc628"),
+        (BASE_CELL, False,
+         "0230385b28e645d2354fdab6f46ccf299b434f76fd0b707fed8ed47912f03dc8"),
+        (SweepCell("fib", "cilk_spawn", 4, {"n": 12}, {"faults": [{"kind": "fail", "task": 5}]},
+                   {"retries": 1}), False,
+         "219567870e6c65283b3916f29bfa84a28246197fb904d7796adcae616bea7045"),
+    ], ids=["tier2", "tier0", "traced", "params", "base", "faults"])
+    def test_key_is_pinned(self, cell, trace, key):
+        ctx = ExecContext().with_fidelity(cell.fidelity)
+        assert cache_key(cell, ctx, trace=trace) == key
+
+    def test_context_digest_is_pinned(self):
+        from repro.serve import protocol
+
+        assert protocol.context_digest(ExecContext()) == (
+            "d29a98920e8aee1e5e07600ee8087f82f36f3059004d35af9d4992316cc67074")
+        # fidelity is per-cell, not part of the context's identity
+        assert protocol.context_digest(ExecContext().with_fidelity(0)) == (
+            protocol.context_digest(ExecContext()))
+
+    def test_identity_is_computed_once_per_context(self, monkeypatch):
+        """The context's identity document is built once: keying more
+        cells, or a second equal context, does not walk the dataclasses
+        again."""
+        import repro.sweep.cache as cache_mod
+
+        ctx = ExecContext(seed=0xA11CE)
+        walks = []
+        real = cache_mod.asdict
+        monkeypatch.setattr(cache_mod, "asdict", lambda obj: walks.append(obj) or real(obj))
+        keys = {cache_key(SweepCell("axpy", "omp_for", p), ctx) for p in (1, 2, 4)}
+        keys.add(cache_key(SweepCell("axpy", "omp_for", 1), ExecContext(seed=0xA11CE)))
+        assert len(keys) == 3
+        assert len(walks) == 2  # the machine and the cost model, once
+
+
+    def test_equal_contexts_of_other_types_keep_their_own_keys(self):
+        """``Machine(ghz=2)`` equals ``Machine(ghz=2.0)`` but encodes
+        differently, so the cached identity must not hand one the other's
+        key: every key equals the one its document encodes to from scratch,
+        whichever context was keyed first."""
+        import hashlib
+        from dataclasses import asdict
+
+        def reference(cell, ctx):
+            doc = {"format": 1, "package": __import__("repro").__version__,
+                   "workload": cell.workload, "version": cell.version,
+                   "nthreads": cell.nthreads, "params": dict(cell.params),
+                   "machine": asdict(ctx.machine), "costs": asdict(ctx.costs),
+                   "seed": ctx.seed, "max_events": ctx.max_events,
+                   "thread_cap": ctx.thread_cap, "trace": False}
+            blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(blob.encode()).hexdigest()
+
+        pairs = [
+            (ExecContext(machine=Machine(ghz=3)), ExecContext(machine=Machine(ghz=3.0))),
+            (ExecContext().with_costs(fork_base=0), ExecContext().with_costs(fork_base=0.0)),
+            (ExecContext(seed=1), ExecContext(seed=True)),
+        ]
+        for a, b in pairs:
+            assert a == b
+            for ctx in (a, b, a):
+                assert cache_key(BASE_CELL, ctx) == reference(BASE_CELL, ctx)
+            assert cache_key(BASE_CELL, a) != cache_key(BASE_CELL, b)
+
+
 class TestKeySensitivity:
     """Changing any simulation-relevant input must change the key."""
 
@@ -257,13 +336,18 @@ class TestResultCacheStore:
             ResultCache(tmp_path, max_entries=0)
 
     def test_key_document_is_canonical_json(self):
-        """The hashed document itself must be JSON-canonicalizable
-        (sorted keys, scalar leaves) — the stability guarantee's root."""
-        from repro.sweep.cache import _key_document
+        """The hashed document itself must be canonical JSON (sorted keys,
+        no whitespace) — the stability guarantee's root.  Its fields come
+        pre-encoded, so the spliced blob must be exactly what encoding the
+        decoded document gives."""
+        from repro.sweep.cache import _key_document, _splice
 
-        doc = _key_document(BASE_CELL, ExecContext(), trace=False)
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        assert json.loads(blob) == doc
+        for trace in (False, True):
+            doc = _key_document(BASE_CELL, ExecContext(), trace=trace)
+            blob = _splice(doc)
+            decoded = json.loads(blob)
+            assert sorted(decoded) == sorted(doc)
+            assert json.dumps(decoded, sort_keys=True, separators=(",", ":")) == blob
 
 
 class TestShardedLayout:
