@@ -80,8 +80,9 @@ def _sweep_server_gate():
         return
     from repro.serve.client import SweepClient
 
-    client = SweepClient(url)
-    if not client.health():
+    with SweepClient(url) as client:
+        healthy = client.health()
+    if not healthy:
         pytest.exit(
             f"REPRO_SWEEP_SERVER={url} is set but the sweep service is not "
             "answering its health probe; start it with `repro serve` or "

@@ -8,8 +8,11 @@
 # stored entry with one flipped body byte must be re-run (not counted
 # as a hit but as serve.corrupt) and rewritten to its original bytes,
 # an idle connection must get a 408, the /stats latency histograms must
-# be ordered (min <= p50 <= p90 <= p99 <= max), and the server must append
-# its lifetime telemetry to the run ledger on shutdown.  The trap guarantees the
+# be ordered (min <= p50 <= p90 <= p99 <= max), ten warm queries from one
+# client must share one kept-alive connection, a SIGTERM must stop the
+# server in under 2 s while that client still holds the connection idle,
+# and the server must append its lifetime telemetry to the run ledger on
+# shutdown.  The trap guarantees the
 # background server dies with this script, pass or fail; the final
 # check fails the suite if the store holds orphaned .tmp staging files.
 set -euo pipefail
@@ -199,8 +202,43 @@ for name in ("serve.request_seconds", "serve.probe_seconds",
           f"p90={h['p90'] * 1e3:.3f}ms p99={h['p99'] * 1e3:.3f}ms")
 EOF
 
-echo "--- stop the service (appends its ledger record)"
-kill -TERM "$(cat serve.pid)"
+echo "--- ten warm queries share one connection; SIGTERM does not wait for it"
+python - "$SERVE_URL" "$(cat serve.pid)" serve.log <<'EOF'
+import os
+import signal
+import sys
+import time
+
+from repro.serve.client import SweepClient
+from repro.serve.protocol import MatrixQuery
+
+url, pid, log = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+query = MatrixQuery.from_dict({"workload": "axpy", "versions": ["omp_for", "cxx_thread"],
+                               "threads": [1, 4], "fidelity": 0})
+with SweepClient(url) as warmup:
+    list(warmup.query(query))
+    before = warmup.stats()["counters"]["serve.connection"]
+client = SweepClient(url)
+statuses = [e["status"] for _ in range(10) for e in client.query(query)
+            if e["type"] == "cell"]
+after = client.stats()["counters"]["serve.connection"]
+assert statuses == ["hit"] * 40, statuses
+assert after - before == 1, f"10 queries and /stats opened {after - before} connections"
+print(f"10 warm queries: {len(statuses)} hits over one connection")
+
+# stop the server while this client's connection sits idle: shutdown
+# hangs it up instead of waiting out the server's read deadline
+t0 = time.monotonic()
+os.kill(pid, signal.SIGTERM)
+while "repro serve: stopped" not in open(log, encoding="utf-8").read():
+    assert time.monotonic() - t0 < 10, "the server did not stop within 10 s"
+    time.sleep(0.02)
+elapsed = time.monotonic() - t0
+assert elapsed < 2.0, f"shutdown took {elapsed:.2f} s with an idle kept-alive connection"
+print(f"SIGTERM to stopped: {elapsed:.2f} s with an idle kept-alive connection")
+EOF
+
+echo "--- the service stopped (and appended its ledger record)"
 for _ in $(seq 1 50); do
   kill -0 "$(cat serve.pid)" 2> /dev/null || break
   sleep 0.2

@@ -232,8 +232,8 @@ def run_program(
         from repro.obs.tracer import Tracer
 
         tracer = Tracer()
-    elif not tracer:
-        # accept trace=False (and other falsy flags) as "no tracing"
+    elif tracer is False:
+        # by identity: an empty Tracer is falsy too
         tracer = None
     plan = pol = None
     if faults is not None or policy is not None:

@@ -7,6 +7,19 @@ is chunk-framed, and ``http.client`` decodes chunked transfer
 transparently, so ``readline`` on the response object is the whole
 streaming story).
 
+Connections are reused: the client keeps the connections that finished
+a response cleanly and takes one for its next request, so a client
+thread sends every query over one kept-alive connection (threads that
+query at once each get their own).  A connection goes back only after
+its ``end`` event and chunk terminator have been read, and only when
+the server kept it open; an error answer, a ``fatal`` event, a failure
+or a stream left unfinished closes it.  The server may close an idle
+connection at any time (its read deadline, a shutdown), so a request
+whose reused connection fails before any answer arrives is sent once
+more, on a new connection; a failure after that, or after events were
+yielded, is raised.  :meth:`SweepClient.close` (or leaving a ``with``
+block) closes the idle connections.
+
 :func:`run_sweep_remote` is the drop-in integration:
 ``run_sweep(..., server=URL)`` (or ``REPRO_SWEEP_SERVER`` in the
 environment) routes here, and the assembled
@@ -21,6 +34,7 @@ need no sweep-shaped code of their own to go remote.
 from __future__ import annotations
 
 import json
+import threading
 from typing import Any, Iterator, Mapping, Optional, Sequence
 from urllib.parse import urlsplit
 
@@ -43,7 +57,8 @@ class ServerError(RuntimeError):
 class SweepClient:
     """Blocking HTTP client for one sweep service endpoint.
 
-    ``url`` accepts ``http://host:port`` or bare ``host:port``.
+    ``url`` accepts ``http://host:port`` or bare ``host:port``.  Safe to
+    share between threads; each request holds its own connection.
     """
 
     def __init__(self, url: str, timeout: float = 600.0) -> None:
@@ -57,27 +72,80 @@ class SweepClient:
         self.host = parts.hostname
         self.port = parts.port or 80
         self.timeout = timeout
+        self._idle: list = []  # connections ready for the next request
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "SweepClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the idle connections (a query still streaming keeps its
+        own, and closes or returns it when it ends)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     def _connection(self):
+        """A new connection (not pooled)."""
         import http.client
 
         return http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
 
-    def _get_json(self, path: str) -> dict[str, Any]:
-        conn = self._connection()
-        try:
-            conn.request("GET", path)
-            resp = conn.getresponse()
-            body = resp.read()
-            if resp.status != 200:
-                raise ServerError(f"GET {path} -> {resp.status}: {body[:200]!r}")
-            return json.loads(body.decode("utf-8"))
-        finally:
+    def _send(self, method: str, path: str, body: Optional[bytes] = None,
+              headers: Optional[Mapping[str, str]] = None):
+        """Send one request on an idle connection, or a new one; returns
+        the connection and its response, whose head has been read.
+
+        A reused connection that fails before any answer arrives was
+        closed by the server while idle; the request goes once more on a
+        new connection."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        while True:
+            if conn is None:
+                conn = self._connection()
+            try:
+                conn.request(method, path, body=body, headers=headers or {})
+                return conn, conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # RemoteDisconnected is a ConnectionResetError
+                conn.close()
+                if not reused:
+                    raise
+                conn, reused = None, False
+            except BaseException:
+                conn.close()
+                raise
+
+    def _release(self, conn, resp) -> None:
+        """Keep a connection whose response was read to its end, unless
+        the server closes it."""
+        if resp.will_close:
             conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+
+    def _get_json(self, path: str) -> dict[str, Any]:
+        conn, resp = self._send("GET", path)
+        try:
+            body = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        self._release(conn, resp)
+        if resp.status != 200:
+            raise ServerError(f"GET {path} -> {resp.status}: {body[:200]!r}")
+        return json.loads(body.decode("utf-8"))
 
     def health(self) -> bool:
         """True when the service answers its health probe."""
@@ -97,15 +165,9 @@ class SweepClient:
         event (the server aborted mid-stream, e.g. a worker crash).
         """
         body = json.dumps(query.to_dict(), separators=(",", ":")).encode("utf-8")
-        conn = self._connection()
+        conn, resp = self._send("POST", "/sweep", body,
+                                {"Content-Type": "application/json"})
         try:
-            conn.request(
-                "POST",
-                "/sweep",
-                body=body,
-                headers={"Content-Type": "application/json"},
-            )
-            resp = conn.getresponse()
             if resp.status != 200:
                 detail = resp.read().decode("utf-8", "replace").strip()
                 raise ServerError(f"POST /sweep -> {resp.status}: {detail[:500]}")
@@ -119,14 +181,20 @@ class SweepClient:
                 event = protocol.decode_event(line)
                 if event["type"] == "fatal":
                     raise ServerError(f"server aborted query: {event['error']}")
-                yield event
                 if event["type"] == "end":
-                    # The protocol is self-terminating: 'end' is always
-                    # the last event, so don't hold the generator open
-                    # waiting on transport EOF.
-                    break
+                    # 'end' is always the last event: read the chunk
+                    # terminator and hand the connection back before
+                    # yielding it, so a caller that stops here loses
+                    # nothing
+                    resp.read()
+                    self._release(conn, resp)
+                    conn = None
+                    yield event
+                    return
+                yield event
         finally:
-            conn.close()
+            if conn is not None:
+                conn.close()
 
 
 def run_sweep_remote(
@@ -177,7 +245,6 @@ def run_sweep_remote(
     )
     spec, config, cells = protocol.expand_query(query)
     slots = {(c.version, c.nthreads): i for i, c in enumerate(cells)}
-    client = SweepClient(server)
     reg = metrics if metrics is not None else MetricsRegistry()
     for name in SWEEP_COUNTERS + ("dedup_hits",):
         reg.counter(name)
@@ -185,7 +252,7 @@ def run_sweep_remote(
 
     sweep = SweepResult(config=config, figure=spec.figure, metrics=reg)
     done = 0
-    with perf_recording("sweep") as host:
+    with perf_recording("sweep") as host, SweepClient(server) as client:
         with perf_span("serve.client_request"):
             events = client.query(query)
             expected_digest = protocol.context_digest(default)  # cached per context

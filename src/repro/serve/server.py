@@ -52,8 +52,8 @@ its keys: it joins a key that is in flight or registers a server-owned
 future for it, with no ``await`` between the look-up and the
 registration, so two racing requests can never both register the same
 key.  One executor job then reads the keys the request registered, in
-order, and posts each result to the loop as soon as that key is read: a
-hit settles its key, a miss goes to the miss runner.
+order, and hands the results to the loop in batches of 1, 4, 16, ...
+keys: a hit settles its key, a miss goes to the miss runner.
 
 Results stream back as NDJSON *as cells land*, so a client sees its
 first cells while later ones still simulate or are still being probed —
@@ -62,17 +62,30 @@ instead of at the end.  On each wake-up the response writer sends every
 cell that has settled in one write: the head and the ``start`` event go
 with the first batch (the first settled cell, or the end of the probe
 job, whichever comes first), the ``end`` event and the chunk terminator
-with the last.  So a warm query is typically one write; the bytes on the
-wire do not depend on how they are batched.  Eviction policy lives in
-the store (``max_entries`` / ``ttl_seconds``); the server prunes after
-each request that stored new entries.
+with the last.  So a warm query costs at most one write per probe batch
+(four for 36 cells); the bytes on the wire do not depend on how they are
+batched.  Eviction policy lives in the store (``max_entries`` /
+``ttl_seconds``); the server prunes after each request that stored new
+entries.
 
-Telemetry: every request, dedup join, hit, refused entry, simulation,
-store error, read timeout and dropped client lands in one lifetime
-:class:`~repro.perf.spans.PerfRecorder` (``serve.request``,
-``serve.dedup_hit``, ``serve.cache_hit``, ``serve.corrupt``,
-``serve.simulations``, ``serve.read_timeout``, ``serve.client_dropped``,
-...) exposed live at ``GET /stats`` and appended to the
+Connections are persistent (HTTP/1.1 keep-alive): one connection serves
+its client's requests in turn, so a warm hit pays no TCP connect, accept
+or close.  A connection ends when the client closes it or sends
+``Connection: close`` (or speaks HTTP/1.0), after an error answer
+(400/404/408/413) or a ``fatal`` stream, when it sits idle for
+:data:`READ_TIMEOUT_SECONDS` between requests, and at shutdown, which
+hangs up idle connections at once and lets requests in flight finish.
+Only a connection that never sent its first request in time gets a 408;
+one that goes idle after a served request is closed without an answer,
+because an unsolicited 408 would read as the answer to the client's next
+query.  Every close shuts the socket down first (see :meth:`_hang_up`).
+
+Telemetry: every connection, request, dedup join, hit, refused entry,
+simulation, store error, read timeout and dropped client lands in one
+lifetime :class:`~repro.perf.spans.PerfRecorder` (``serve.connection``,
+``serve.request``, ``serve.dedup_hit``, ``serve.cache_hit``,
+``serve.corrupt``, ``serve.simulations``, ``serve.read_timeout``,
+``serve.client_dropped``, ...) exposed live at ``GET /stats`` and appended to the
 :mod:`repro.perf` run ledger on shutdown.  Latencies are histograms
 with p50/p90/p99: the whole request (``serve.request_seconds``) and
 each phase of a key's resolution (``serve.probe_seconds``, the store
@@ -104,9 +117,10 @@ __all__ = ["SweepServer", "main"]
 #: Cap on request body size (a matrix query is tiny; anything bigger
 #: is a client bug or abuse).
 MAX_BODY_BYTES = 1 << 20
-#: Deadline for reading one whole request (line, headers and body).  A
-#: client that sends nothing, or less body than its ``Content-Length``,
-#: gets a 408 instead of holding a server task forever.
+#: Deadline for reading one whole request (line, headers and body), idle
+#: wait included.  A client that sends no first request, or less body
+#: than its ``Content-Length``, gets a 408 instead of holding a server
+#: task forever; a kept-alive connection that misses it is closed.
 READ_TIMEOUT_SECONDS = 10.0
 
 _CRLF = b"\r\n"
@@ -160,6 +174,9 @@ class SweepServer:
         self._inflight: dict[str, asyncio.Future] = {}
         self._runs: set[asyncio.Task] = set()
         self._conns: set[asyncio.Task] = set()
+        # connections waiting for their next request line, hung up by close()
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._closing = False
         self._runner = _executor.MissRunner(self.jobs, self.perf, "serve.pool_broken")
         self._server: Optional[asyncio.AbstractServer] = None
         self._t0 = 0.0
@@ -185,6 +202,11 @@ class SweepServer:
         """Stop accepting, stop the pool, stamp the lifetime telemetry."""
         if self._server is not None:
             self._server.close()
+            # idle connections end now, not after the read deadline;
+            # requests in flight drain below and then end theirs
+            self._closing = True
+            for writer in list(self._idle):
+                self._hang_up(writer)
             await self._server.wait_closed()
             self._server = None
         if self._conns:
@@ -303,37 +325,48 @@ class SweepServer:
     def _probe_keys(self, loop: asyncio.AbstractEventLoop, owned: list, ctx: ExecContext,
                     trace: bool) -> None:
         """One request's probe job, in one executor thread: read its
-        claimed keys in order and post each result to the loop as soon as
-        it is read, so the first cell of a large matrix streams while the
-        last is still being probed."""
+        claimed keys in order and hand the results to the loop in batches
+        of 1, 4, 16, ... keys (the last batch takes what is left).  The
+        first cell of a large matrix streams while the rest are still
+        being probed, and no cell waits for more than about three times
+        as many reads as came before it; a warm 36-cell query crosses to
+        the loop in four callbacks.  Handing over each key alone costs a
+        loop wake-up, and a write, per key wherever the loop runs on
+        another CPU than the job."""
+        batch: list = []
+        quota, left = 1, len(owned)
         for key, cell, fut in owned:
             try:
                 result: Any = self._probe(key, cell.fidelity)
             except Exception as exc:  # the key's waiters get the failure
                 result = exc
-            try:
-                loop.call_soon_threadsafe(self._probed, key, cell, ctx, trace, fut, result)
-            except RuntimeError:  # the loop closed under a dropped request
-                return
+            batch.append((key, cell, fut, result))
+            left -= 1
+            if len(batch) == quota or not left:
+                try:
+                    loop.call_soon_threadsafe(self._probed, batch, ctx, trace)
+                except RuntimeError:  # the loop closed under a dropped request
+                    return
+                batch, quota = [], quota * 4
 
-    def _probed(self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool,
-                fut: asyncio.Future, result: Any) -> None:
-        """On the loop: settle a probed key with its hit, or hand the miss
-        to the runner."""
-        if fut.done():  # cancelled by close()
-            return
-        if isinstance(result, Exception):
-            fut.set_exception(result)
-            return
-        hit, refused, seconds = result
-        self.perf.observe("serve.probe_seconds", seconds)
-        if hit is not None:
-            self.perf.count("serve.cache_hit")
-            fut.set_result((hit[0], hit[1], "hit"))
-            return
-        if refused:
-            self.perf.count("serve.corrupt")
-        self._run(key, cell, ctx, trace, fut)
+    def _probed(self, batch: list, ctx: ExecContext, trace: bool) -> None:
+        """On the loop: settle each probed key of a batch with its hit, or
+        hand the miss to the runner."""
+        for key, cell, fut, result in batch:
+            if fut.done():  # cancelled by close()
+                continue
+            if isinstance(result, Exception):
+                fut.set_exception(result)
+                continue
+            hit, refused, seconds = result
+            self.perf.observe("serve.probe_seconds", seconds)
+            if hit is not None:
+                self.perf.count("serve.cache_hit")
+                fut.set_result((hit[0], hit[1], "hit"))
+                continue
+            if refused:
+                self.perf.count("serve.corrupt")
+            self._run(key, cell, ctx, trace, fut)
 
     def _run(self, key: str, cell: SweepCell, ctx: ExecContext, trace: bool,
              fut: asyncio.Future) -> None:
@@ -387,68 +420,119 @@ class SweepServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection's requests in turn, until it ends (see the
+        module docstring for when)."""
         task = asyncio.current_task()
         if task is not None:
             self._conns.add(task)
+        self.perf.count("serve.connection")
+        served = False
         try:
-            try:
-                method, path, body = await asyncio.wait_for(
-                    self._read_request(reader), READ_TIMEOUT_SECONDS
-                )
-            except asyncio.TimeoutError:
-                self.perf.count("serve.read_timeout")
-                await self._respond_json(
-                    writer, 408, {"error": "request not received in time"}
-                )
-                return
-            except _HttpError as exc:
-                await self._respond_json(
-                    writer, exc.status, {"error": str(exc)}
-                )
-                return
-            if method == "GET" and path in ("/healthz", "/health"):
-                await self._respond_json(writer, 200, {"ok": True})
-            elif method == "GET" and path == "/stats":
-                await self._respond_json(writer, 200, self.stats())
-            elif method == "POST" and path == "/sweep":
-                await self._handle_sweep(writer, body)
-            else:
-                await self._respond_json(
-                    writer, 404, {"error": f"no route {method} {path}"}
-                )
+            while True:
+                try:
+                    request = await asyncio.wait_for(
+                        self._read_request(reader, writer), READ_TIMEOUT_SECONDS
+                    )
+                except asyncio.TimeoutError:
+                    if not served:
+                        self.perf.count("serve.read_timeout")
+                        await self._respond_json(
+                            writer, 408, {"error": "request not received in time"}
+                        )
+                    return
+                except _HttpError as exc:
+                    await self._respond_json(
+                        writer, exc.status, {"error": str(exc)}
+                    )
+                    return
+                if request is None:  # closed between requests, or shutting down
+                    return
+                method, path, body, close = request
+                if method == "GET" and path in ("/healthz", "/health"):
+                    await self._respond_json(writer, 200, {"ok": True}, close)
+                elif method == "GET" and path == "/stats":
+                    await self._respond_json(writer, 200, self.stats(), close)
+                elif method == "POST" and path == "/sweep":
+                    close = await self._handle_sweep(writer, body, close)
+                else:
+                    await self._respond_json(
+                        writer, 404, {"error": f"no route {method} {path}"}
+                    )
+                    return
+                if close:
+                    return
+                served = True
         except (ConnectionError, asyncio.IncompleteReadError):
             self.perf.count("serve.client_dropped")  # nothing to answer
         finally:
             if task is not None:
                 self._conns.discard(task)
+            self._hang_up(writer)
             try:
-                writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
     @staticmethod
-    async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
-        request_line = await reader.readline()
+    def _hang_up(writer: asyncio.StreamWriter) -> None:
+        """Shut the connection's socket down, then close it.
+
+        A pool worker forked while the connection was open holds a copy
+        of its fd, and a bare close sends no FIN while any copy is open:
+        the client's next request on a kept-alive connection would then
+        wait out its timeout.  The shutdown sends the FIN whoever holds
+        the fd, so that request fails at once and the client retries.
+        """
+        try:
+            if writer.can_write_eof():
+                writer.write_eof()
+        except OSError:  # the client reset it first
+            pass
+        writer.close()
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[tuple[str, str, bytes, bool]]:
+        """Read one request: its method, path, body and whether the client
+        asked to close the connection after it; ``None`` when the
+        connection ends before a request line arrives, or the server is
+        closing."""
+        # the check and the registration run in one step, so close()
+        # either sees this connection idle or this sees close() began
+        if self._closing:
+            return None
+        self._idle.add(writer)
+        try:
+            request_line = await reader.readline()
+        except ConnectionError:  # reset while idle: nothing was asked
+            return None
+        finally:
+            self._idle.discard(writer)
+        if not request_line:
+            return None
         parts = request_line.decode("latin-1").split()
         if len(parts) < 3:
             raise _HttpError(400, "malformed request line")
         method, target = parts[0].upper(), parts[1]
+        close = parts[2] == "HTTP/1.0"
         content_length = 0
         while True:
             line = await reader.readline()
             if line in (_CRLF, b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
+            name = name.strip().lower()
+            if name == "content-length":
                 try:
                     content_length = int(value.strip())
                 except ValueError as exc:
                     raise _HttpError(400, "bad Content-Length") from exc
+            elif name == "connection" and "close" in value.lower():
+                close = True
         if content_length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(content_length) if content_length else b""
-        return method, target.split("?", 1)[0], body
+        return method, target.split("?", 1)[0], body, close
 
     @staticmethod
     def _head(
@@ -457,14 +541,19 @@ class SweepServer:
         *,
         content_length: Optional[int] = None,
         chunked: bool = False,
+        close: bool = False,
     ) -> bytes:
-        """The status line and headers.
+        """The status line and headers; ``Connection: close`` when the
+        server ends the connection after this answer.
 
         Responses are explicitly framed (``Content-Length`` or chunked
-        transfer-encoding) rather than close-delimited: pool workers
-        forked mid-stream inherit the connection fd, so a client
-        waiting for EOF could wait for the *worker's* lifetime, not the
-        response's.
+        transfer-encoding) rather than close-delimited, which is what
+        lets a connection carry the next request.  Framing matters even
+        for a connection that ends: pool workers forked mid-stream
+        inherit the connection fd, so a client waiting for EOF could wait
+        for the *worker's* lifetime, not the response's; and the server
+        shuts the socket down before closing it (:meth:`_hang_up`), or a
+        kept-alive client's next request would wait on that worker too.
         """
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                   408: "Request Timeout", 413: "Payload Too Large",
@@ -473,8 +562,9 @@ class SweepServer:
             f"HTTP/1.1 {status} {reason.get(status, 'Status')}\r\n"
             f"Content-Type: {content_type}\r\n"
             "Cache-Control: no-store\r\n"
-            "Connection: close\r\n"
         )
+        if close:
+            head += "Connection: close\r\n"
         if chunked:
             head += "Transfer-Encoding: chunked\r\n"
         elif content_length is not None:
@@ -491,16 +581,22 @@ class SweepServer:
         out.append(_CRLF)
 
     async def _respond_json(
-        self, writer: asyncio.StreamWriter, status: int, doc: dict[str, Any]
+        self, writer: asyncio.StreamWriter, status: int, doc: dict[str, Any],
+        close: bool = True,
     ) -> None:
         body = json.dumps(doc, separators=(",", ":")).encode("utf-8") + b"\n"
-        writer.write(self._head(status, "application/json", content_length=len(body)) + body)
+        writer.write(self._head(status, "application/json", content_length=len(body),
+                                close=close) + body)
         await writer.drain()
 
     # ------------------------------------------------------------------
     # the sweep route
     # ------------------------------------------------------------------
-    async def _handle_sweep(self, writer: asyncio.StreamWriter, body: bytes) -> None:
+    async def _handle_sweep(self, writer: asyncio.StreamWriter, body: bytes,
+                            close: bool) -> bool:
+        """Answer one ``POST /sweep``; whether the connection must close
+        after it (the client asked, the query was refused, or a cell
+        crashed)."""
         self.perf.count("serve.request")
         t0 = perf_counter()
         try:
@@ -510,7 +606,7 @@ class SweepServer:
             # KeyError: get_workload's unknown-workload complaint
             self.perf.count("serve.bad_request")
             await self._respond_json(writer, 400, {"error": str(exc)})
-            return
+            return True
         ctx = self.ctx.with_fidelity(query.fidelity)
         keys = [cache_key(c, ctx, trace=query.trace) for c in cells]
         self.perf.count("serve.cells", len(cells))
@@ -536,7 +632,7 @@ class SweepServer:
 
         counters = {"cells": len(cells), "hits": 0, "runs": 0, "errors": 0,
                     "dedup_joins": 0}
-        out = [self._head(200, "application/x-ndjson", chunked=True)]
+        out = [self._head(200, "application/x-ndjson", chunked=True, close=close)]
         self._chunk(out, protocol.encode_event(protocol.start_event(
             len(cells), query.workload, self._ctx_digest)))
         left = len(cells)
@@ -557,7 +653,7 @@ class SweepServer:
                         self._chunk(out)
                         writer.write(b"".join(out))
                         await writer.drain()
-                        return
+                        return True
                     data, error, status = futs[i].result()
                     futs[i] = None  # the batch holds the body until it is sent
                     if joined[i]:
@@ -588,7 +684,7 @@ class SweepServer:
                     out = []
                     await writer.drain()
                 if not left:
-                    return
+                    return close
         finally:
             # a crashed cell, a dropped client or a closing server ends the
             # request's waiting, not the resolutions its keys share

@@ -185,21 +185,21 @@ def _cilk_leaf_edges(niter: int, grainsize: int) -> np.ndarray:
 
     The recursion partitions ``[0, niter)`` contiguously, so the sorted
     leaf ``lo`` values plus ``niter`` form a consecutive edge array
-    usable with :meth:`IterSpace.chunk_costs`.
+    usable with :meth:`IterSpace.chunk_costs`.  One numpy pass per
+    recursion level: ranges of at most ``grainsize`` iterations are
+    leaves, the rest split at ``(lo + hi) // 2``.
     """
-    los: list[int] = []
-    stack = [(0, niter)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo <= grainsize:
-            los.append(lo)
-        else:
-            mid = (lo + hi) // 2
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    los.sort()
-    los.append(niter)
-    return np.asarray(los, dtype=np.float64)
+    los = []
+    lo = np.zeros(1, dtype=np.int64)
+    hi = np.full(1, niter, dtype=np.int64)
+    while lo.size:
+        leaf = hi - lo <= grainsize
+        los.append(lo[leaf])
+        lo, hi = lo[~leaf], hi[~leaf]
+        mid = (lo + hi) // 2
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    edges = np.sort(np.concatenate(los))
+    return np.append(edges, niter).astype(np.float64)
 
 
 def _steal_cilkfor_estimate(

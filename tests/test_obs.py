@@ -178,6 +178,20 @@ class TestZeroOverheadPath:
         res = plain_run("fib", "cilk_spawn", 4)
         assert res.trace is None
 
+    def test_passed_tracer_is_used_not_dropped(self):
+        """A fresh ``Tracer`` is empty, so falsy: ``run_program`` must
+        still trace into it, exactly as ``trace=True`` would, and
+        ``trace=False`` must stay untraced."""
+        spec = get_workload("lud")
+        prog = spec.build("omp_task", CTX.machine)
+        tracer = Tracer()
+        assert not tracer
+        res = run_program(prog, 4, CTX, "omp_task", trace=tracer)
+        assert res.trace is tracer
+        reference = run_program(prog, 4, CTX, "omp_task", trace=True).trace
+        assert len(tracer) == len(reference) > 0
+        assert run_program(prog, 4, CTX, "omp_task", trace=False).trace is None
+
 
 class TestMetrics:
     def test_counter_gauge_histogram_arithmetic(self):

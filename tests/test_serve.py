@@ -17,6 +17,7 @@ import json
 import os
 import signal
 import socket
+import sys
 import threading
 import time
 import types
@@ -478,7 +479,8 @@ class TestWarmPath:
     def test_warm_query_is_one_probe_job_and_the_same_bytes(self, tmp_path, monkeypatch):
         """A warm all-hit query reads its keys in one executor job, one
         after the other on one thread, and its response is byte for byte
-        the head, one chunk per event and the terminator."""
+        the head (which keeps the connection open: no ``Connection:
+        close``), one chunk per event and the terminator."""
         query = MatrixQuery("axpy", versions=("omp_for", "cxx_thread"), threads=(1, 2, 4),
                             params={"n": 120_000}, fidelity=0)
         _spec, _config, cells = protocol.expand_query(query)
@@ -511,11 +513,34 @@ class TestWarmPath:
             {"cells": len(cells), "hits": len(cells), "runs": 0, "errors": 0,
              "dedup_joins": 0})))
         head = (b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
-                b"Cache-Control: no-store\r\nConnection: close\r\n"
-                b"Transfer-Encoding: chunked\r\n\r\n")
+                b"Cache-Control: no-store\r\nTransfer-Encoding: chunked\r\n\r\n")
         assert data == head + b"".join(chunked(line) for line in lines) + b"0\r\n\r\n"
         assert stats["observations"]["serve.probe_seconds"]["count"] == 2 * len(cells)
         assert stats["counters"]["serve.cache_hit"] == len(cells)
+
+    def test_warm_many_cell_query_is_a_few_writes(self, tmp_path, monkeypatch):
+        """A warm 36-cell query reaches its client in a few writes even
+        when the event loop and the probe job run on different CPUs, as
+        they do here unless the test process is pinned to one: the job
+        hands results over in growing batches, not one loop wake-up per
+        key."""
+        writes = []
+        real_write = asyncio.StreamWriter.write
+
+        def counting_write(writer, data):
+            writes.append(len(data))
+            return real_write(writer, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+        with running_server(tmp_path) as srv, SweepClient(srv.url) as client:
+            list(client.query(WIDE))
+            counts, statuses = [], []
+            for _ in range(20):
+                del writes[:]
+                statuses += [e["status"] for e in client.query(WIDE) if e["type"] == "cell"]
+                counts.append(len(writes))
+        assert statuses == ["hit"] * 36 * 20
+        assert sum(count <= 4 for count in counts) >= 15, counts
 
 
 # ---------------------------------------------------------------------------
@@ -856,3 +881,182 @@ class TestServeRefusals:
     def test_bad_url_rejected(self):
         with pytest.raises(ValueError, match="http"):
             SweepClient("ftp://example.com/")
+
+
+# ---------------------------------------------------------------------------
+# persistent connections
+# ---------------------------------------------------------------------------
+#: two tier-0 cells: cheap to warm, and a hit is all transport
+SMALL = MatrixQuery("axpy", versions=("omp_for",), threads=(1, 4),
+                    params={"n": 120_000}, fidelity=0)
+
+
+class TestKeepAlive:
+    def test_warm_queries_share_one_connection(self, tmp_path):
+        """Every query of a client thread, and its ``/stats`` call, travel
+        on one kept-alive connection."""
+        with running_server(tmp_path) as srv, SweepClient(srv.url) as client:
+            list(client.query(SMALL))
+            for _ in range(20):
+                statuses = [e["status"] for e in client.query(SMALL) if e["type"] == "cell"]
+                assert statuses == ["hit", "hit"]
+            counters = client.stats()["counters"]
+        assert counters["serve.connection"] == 1
+        assert counters["serve.request"] == 21
+        assert counters["serve.cache_hit"] == 40
+
+    @pytest.mark.parametrize("nthreads", [2, 4])
+    def test_threads_querying_at_once_use_at_most_one_connection_each(
+        self, tmp_path, nthreads
+    ):
+        """Threads sharing one client each hold their own connection while
+        they stream, and each gets its own query's documents; the pool
+        loses and duplicates no connection (a short switch interval makes
+        its races likely)."""
+        versions = ("omp_for", "cxx_thread", "omp_task", "cilk_for")[:nthreads]
+        queries = [MatrixQuery("axpy", versions=(v,), threads=(1, 2, 4),
+                               params={"n": 120_000}, fidelity=0) for v in versions]
+        interval = sys.getswitchinterval()
+        with running_server(tmp_path) as srv:
+            client = SweepClient(srv.url)
+            want = [{e["key"]: e["payload"] for e in client.query(q) if e["type"] == "cell"}
+                    for q in queries]
+            got, errors = [[] for _ in queries], []
+
+            def work(slot):
+                try:
+                    for _ in range(15):
+                        got[slot].append({e["key"]: (e["status"], e["payload"])
+                                          for e in client.query(queries[slot])
+                                          if e["type"] == "cell"})
+                except BaseException as exc:  # pragma: no cover - diagnostic
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(nthreads)]
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30)
+                    assert not t.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            counters = client.stats()["counters"]
+        assert not errors, errors
+        for slot in range(nthreads):
+            assert len(got[slot]) == 15
+            for answer in got[slot]:
+                assert answer == {k: ("hit", doc) for k, doc in want[slot].items()}
+        assert counters["serve.connection"] <= nthreads
+        assert len(client._idle) == counters["serve.connection"]
+        assert counters["serve.request"] == 16 * nthreads
+        client.close()
+
+    def test_idle_close_under_a_forked_worker_is_retried(self, tmp_path, monkeypatch):
+        """A pool worker forked while the client's connection was open
+        holds a copy of its fd.  The server closes the connection once it
+        sits idle past the read deadline, and shuts the socket down first:
+        the client's next request on it fails at once instead of waiting
+        out its timeout, and goes again on a new connection."""
+        monkeypatch.setattr(server_mod, "READ_TIMEOUT_SECONDS", 0.5)
+        query = MatrixQuery("axpy", versions=("omp_for",), threads=(1,),
+                            params={"n": 120_000}, fidelity=2)
+        with running_server(tmp_path, jobs=1) as srv, SweepClient(srv.url, timeout=5) as client:
+            cold = [e["status"] for e in client.query(query) if e["type"] == "cell"]
+            assert cold == ["run"]
+            assert srv._runner._pool._processes  # forked while the connection was open
+            deadline = time.monotonic() + 5
+            while srv._conns:  # the idle close
+                assert time.monotonic() < deadline, "the idle connection was never closed"
+                time.sleep(0.05)
+            t0 = time.monotonic()
+            warm = [e["status"] for e in client.query(query) if e["type"] == "cell"]
+            elapsed = time.monotonic() - t0
+            counters = dict(srv.perf.counters)
+        assert warm == ["hit"]
+        assert elapsed < 2.0
+        assert counters["serve.connection"] == 2
+        assert "serve.read_timeout" not in counters  # closed quietly, no 408
+
+    def test_close_does_not_wait_for_idle_connections(self, tmp_path):
+        """Shutdown hangs up a kept-alive connection that waits for its
+        next request, rather than waiting out the read deadline."""
+        with running_server(tmp_path) as srv:
+            client = SweepClient(srv.url)
+            for _ in range(2):
+                list(client.query(SMALL))
+            assert srv.perf.counters["serve.connection"] == 1
+            assert len(srv._conns) == 1  # the client's idle connection
+            t0 = time.monotonic()
+        assert time.monotonic() - t0 < 1.0
+        assert not client.health()
+
+    def test_error_answer_closes_its_connection(self, tmp_path):
+        """A 400 says ``Connection: close`` and the client does not keep
+        that connection; the next query opens a new one."""
+        with running_server(tmp_path) as srv:
+            with socket.create_connection((srv.host, srv.port), timeout=30) as sock:
+                sock.sendall(b"POST /sweep HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
+                resp = http.client.HTTPResponse(sock)
+                resp.begin()
+                assert resp.status == 400
+                assert resp.getheader("Connection") == "close"
+                resp.read()
+            with SweepClient(srv.url) as client:
+                with pytest.raises(ServerError, match="400"):
+                    list(client.query(MatrixQuery("no_such_workload")))
+                assert client._idle == []
+                list(client.query(SMALL))
+                assert len(client._idle) == 1
+            counters = dict(srv.perf.counters)
+        assert counters["serve.connection"] == 3
+        assert counters["serve.bad_request"] == 2
+
+    def test_fatal_stream_ends_its_connection(self, tmp_path, monkeypatch):
+        """A stream that ends in ``fatal`` ends its connection on both
+        sides: the client does not keep it and the server closes it."""
+        def boom(cell, ctx, trace, validate, metrics=None):
+            raise RuntimeError("injected estimator crash")
+
+        monkeypatch.setattr(executor_mod, "_run_cell", boom)
+        with running_server(tmp_path) as srv:
+            client = SweepClient(srv.url)
+            with pytest.raises(ServerError, match="server aborted"):
+                list(client.query(SMALL))
+            assert client._idle == []
+            deadline = time.monotonic() + 5
+            while srv._conns:
+                assert time.monotonic() < deadline, "the server kept the connection"
+                time.sleep(0.05)
+            assert srv.perf.counters["serve.failed_request"] == 1
+
+    def test_close_requests_end_their_connection(self, tmp_path):
+        """A client that sends ``Connection: close``, or speaks HTTP/1.0,
+        gets an answer marked ``Connection: close`` and then the end of
+        the stream, not the idle deadline."""
+        with running_server(tmp_path) as srv:
+            for request in (b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+                            b"GET /healthz HTTP/1.0\r\n\r\n"):
+                with socket.create_connection((srv.host, srv.port), timeout=5) as sock:
+                    sock.sendall(request)
+                    data = b""
+                    while chunk := sock.recv(1 << 16):
+                        data += chunk
+                head, _, body = data.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 200 OK") and b"Connection: close" in head
+                assert json.loads(body) == {"ok": True}
+
+    def test_client_close_closes_idle_connections(self, tmp_path):
+        """Leaving a ``with SweepClient(...)`` block closes its idle
+        connection, and the server sees the client leave."""
+        with running_server(tmp_path) as srv:
+            with SweepClient(srv.url) as client:
+                list(client.query(SMALL))
+                assert len(client._idle) == 1
+            assert client._idle == []
+            deadline = time.monotonic() + 5
+            while srv._conns:
+                assert time.monotonic() < deadline, "the server kept the connection"
+                time.sleep(0.05)
+            assert "serve.client_dropped" not in srv.perf.counters

@@ -133,6 +133,38 @@ def test_batched_builder_falls_back_past_exactness_guard():
     assert [t for t in g_fast.tasks] == [t for t in g_ref.tasks]
 
 
+def _leaf_edges_reference(niter: int, grainsize: int) -> np.ndarray:
+    """The halving recursion walked with a stack, one leaf at a time."""
+    los: list[int] = []
+    stack = [(0, niter)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo <= grainsize:
+            los.append(lo)
+        else:
+            mid = (lo + hi) // 2
+            stack.append((lo, mid))
+            stack.append((mid, hi))
+    los.sort()
+    los.append(niter)
+    return np.asarray(los, dtype=np.float64)
+
+
+def test_tier0_cilk_leaf_edges_match_the_stack_walk():
+    """Tier 0's numpy level sweep finds exactly the leaves of the halving
+    recursion: 300 random ranges and grain sizes, plus the two largest
+    leaf counts tier 0 walks (about 2**17 leaves) and a tiny range."""
+    from repro.sim.tiers import _cilk_leaf_edges
+
+    rng = random.Random(9)
+    cases = [(rng.randint(0, 50_000), rng.randint(1, 2_000)) for _ in range(300)]
+    for niter, grainsize in cases + [(10**7, 77), (2**20, 8), (3, 1)]:
+        edges = _cilk_leaf_edges(niter, grainsize)
+        assert edges.dtype == np.float64
+        assert np.array_equal(edges, _leaf_edges_reference(niter, grainsize)), (
+            niter, grainsize)
+
+
 def _flat_reference(space: IterSpace, nchunks: int, **kwargs) -> TaskGraph:
     """:func:`flat_chunk_graph` as a per-chunk :meth:`TaskGraph.add`
     loop over :meth:`IterSpace.chunk_cost`."""
