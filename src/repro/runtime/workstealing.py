@@ -127,7 +127,7 @@ class StealingScheduler:
         self.ctx = ctx
         self.deque_kind = deque
         if spawn_cost is None:
-            spawn_cost = ctx.costs.cilk_spawn if deque == "the" else ctx.costs.omp_task_spawn
+            spawn_cost = ctx.costs.deque_ops(deque)[0]
         self.spawn_cost = spawn_cost
         self.undeferred_single = undeferred_single
         self.per_task_overhead = per_task_overhead

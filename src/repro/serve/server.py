@@ -72,7 +72,7 @@ Connections are persistent (HTTP/1.1 keep-alive): one connection serves
 its client's requests in turn, so a warm hit pays no TCP connect, accept
 or close.  A connection ends when the client closes it or sends
 ``Connection: close`` (or speaks HTTP/1.0), after an error answer
-(400/404/408/413) or a ``fatal`` stream, when it sits idle for
+(400/404/408/413/431) or a ``fatal`` stream, when it sits idle for
 :data:`READ_TIMEOUT_SECONDS` between requests, and at shutdown, which
 hangs up idle connections at once and lets requests in flight finish.
 Only a connection that never sent its first request in time gets a 408;
@@ -503,7 +503,7 @@ class SweepServer:
             return None
         self._idle.add(writer)
         try:
-            request_line = await reader.readline()
+            request_line = await self._readline(reader)
         except ConnectionError:  # reset while idle: nothing was asked
             return None
         finally:
@@ -517,7 +517,7 @@ class SweepServer:
         close = parts[2] == "HTTP/1.0"
         content_length = 0
         while True:
-            line = await reader.readline()
+            line = await self._readline(reader)
             if line in (_CRLF, b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -533,6 +533,14 @@ class SweepServer:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(content_length) if content_length else b""
         return method, target.split("?", 1)[0], body, close
+
+    async def _readline(self, reader: asyncio.StreamReader) -> bytes:
+        """One request line or header; 431 past the stream's line limit."""
+        try:
+            return await reader.readline()
+        except ValueError as exc:  # asyncio's LimitOverrunError, re-raised
+            self.perf.count("serve.bad_request")
+            raise _HttpError(431, "request line or header too large") from exc
 
     @staticmethod
     def _head(
@@ -557,6 +565,7 @@ class SweepServer:
         """
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                   408: "Request Timeout", 413: "Payload Too Large",
+                  431: "Request Header Fields Too Large",
                   500: "Internal Server Error"}
         head = (
             f"HTTP/1.1 {status} {reason.get(status, 'Status')}\r\n"

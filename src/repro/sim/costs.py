@@ -202,6 +202,13 @@ class CostModel:
             return 0.0
         return self.barrier_base + self.barrier_per_step * math.log2(nthreads)
 
+    def deque_ops(self, deque: str) -> tuple[float, float, float, float]:
+        """Spawn, push, pop and steal cost of a ``"the"`` (Cilk THE) or
+        any other (lock-protected) deque."""
+        if deque == "the":
+            return self.cilk_spawn, self.the_push, self.the_pop, self.the_steal
+        return self.omp_task_spawn, self.locked_push, self.locked_pop, self.locked_steal
+
     def with_overrides(self, **overrides: Any) -> "CostModel":
         """Return a copy with some constants replaced (for ablations)."""
         return replace(self, **overrides)

@@ -21,12 +21,9 @@ static worksharing, thread pools) are *delegated*, not re-modelled:
 their tier-0 estimate equals the tier-2 result exactly and their error
 bound is zero.
 
-Calibration groups observations at three nesting levels — one global
-group (level 0), per estimator kind (level 1), per kind/version
-(level 2).  Each group's scale is the log-midrange of observed
-``t2 / t0_raw`` ratios and its bound the half-range plus margin; by
-construction the worst-case bound tightens (never widens) as the
-partition refines, which ``tests/test_tiers_accuracy.py`` asserts.
+Calibration groups observations by estimator kind.  Each group's scale
+is the log-midrange of observed ``t2 / t0_raw`` ratios and its bound
+the half-range plus margin.
 """
 
 from __future__ import annotations
@@ -76,37 +73,28 @@ class Tier0Result(SimResult):
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Calibration:
-    """Per-estimator scale factors and error bounds from tier-2 runs.
-
-    ``level`` selects the partition the tables were built at: ``0`` one
-    global group (key ``"*"``), ``1`` per estimator kind (``"steal_cilkfor"``),
-    ``2`` per kind/version (``"steal_cilkfor/cilk_for"``).  Lookups fall
-    back from the finest key the level allows down to ``"*"`` and then
-    to the defaults (scale 1.0, ``fallback_bound``).
+    """Per-estimator scale factors and error bounds from tier-2 runs,
+    keyed by estimator kind (``"steal_cilkfor"``).  Lookups fall back
+    from the kind to ``"*"`` and then to the defaults (scale 1.0,
+    ``fallback_bound``).
     """
 
-    level: int = 1
     scales: Mapping[str, float] = field(default_factory=dict)
     bounds: Mapping[str, float] = field(default_factory=dict)
     fallback_bound: float = 0.5
 
-    def _lookup(self, table: Mapping[str, float], kind: str, version: str, default: float) -> float:
-        if self.level >= 2:
-            v = table.get(f"{kind}/{version}")
-            if v is not None:
-                return v
-        if self.level >= 1:
-            v = table.get(kind)
-            if v is not None:
-                return v
-        v = table.get("*")
+    @staticmethod
+    def _lookup(table: Mapping[str, float], kind: str, default: float) -> float:
+        v = table.get(kind)
+        if v is None:
+            v = table.get("*")
         return default if v is None else v
 
-    def scale(self, kind: str, version: str = "") -> float:
-        return self._lookup(self.scales, kind, version, 1.0)
+    def scale(self, kind: str) -> float:
+        return self._lookup(self.scales, kind, 1.0)
 
-    def bound(self, kind: str, version: str = "") -> float:
-        return self._lookup(self.bounds, kind, version, self.fallback_bound)
+    def bound(self, kind: str) -> float:
+        return self._lookup(self.bounds, kind, self.fallback_bound)
 
     @property
     def max_bound(self) -> float:
@@ -238,11 +226,7 @@ def _steal_cilkfor_estimate(
     splits = leaves - 1
     ntasks = leaves + splits
     split_dur = memory.duration(costs.cilk_split, active=active)
-    spawn = costs.cilk_spawn if params.get("deque", "the") == "the" else costs.omp_task_spawn
-    if params.get("deque", "the") == "the":
-        push, pop, steal = costs.the_push, costs.the_pop, costs.the_steal
-    else:
-        push, pop, steal = costs.locked_push, costs.locked_pop, costs.locked_steal
+    spawn, push, pop, steal = costs.deque_ops(params.get("deque", "the"))
     per_task = spawn + push + pop
     t1 = busy + splits * split_dur
     overhead = ntasks * per_task
@@ -279,11 +263,7 @@ def _steal_flat_estimate(
     nck = min(nck, space.niter)
     pto = params.get("per_task_overhead", 0.0)
     deque = params.get("deque", "the")
-    spawn = costs.cilk_spawn if deque == "the" else costs.omp_task_spawn
-    if deque == "the":
-        push, pop, steal = costs.the_push, costs.the_pop, costs.the_steal
-    else:
-        push, pop, steal = costs.locked_push, costs.locked_pop, costs.locked_steal
+    spawn, push, pop, steal = costs.deque_ops(deque)
     # no more workers can be concurrently busy than there are chunks
     active = min(p, nck) if p > 1 else 1
     edges = (np.arange(nck + 1, dtype=np.int64) * space.niter) // nck
@@ -333,14 +313,9 @@ def _steal_graph_estimate(
     n = len(g)
     if n == 0:
         return _aggregate_result(entry + exit_c, p, busy=0.0, overhead=0.0, tasks=0)
-    deque = params.get("deque", "the")
-    default_spawn = params.get("spawn_cost")
-    if default_spawn is None:
-        default_spawn = costs.cilk_spawn if deque == "the" else costs.omp_task_spawn
-    if deque == "the":
-        push, pop, steal = costs.the_push, costs.the_pop, costs.the_steal
-    else:
-        push, pop, steal = costs.locked_push, costs.locked_pop, costs.locked_steal
+    default_spawn, push, pop, steal = costs.deque_ops(params.get("deque", "the"))
+    if params.get("spawn_cost") is not None:
+        default_spawn = params["spawn_cost"]
     pto = params.get("per_task_overhead", 0.0)
     active = p if p > 1 else 1
     busy = float(ctx.memory.durations(g.work, g.membytes, g.locality, active).sum())
@@ -530,8 +505,8 @@ def estimate_program(
                 bound = 0.0
                 scale = 1.0
             else:
-                scale = cal.scale(kind, ver)
-                bound = cal.bound(kind, ver)
+                scale = cal.scale(kind)
+                bound = cal.bound(kind)
                 res = RegionResult(
                     time=res.time * scale, nthreads=res.nthreads, workers=res.workers, meta=res.meta
                 )
@@ -560,7 +535,7 @@ def estimate_program(
 # ---------------------------------------------------------------------------
 # Calibration fitting
 # ---------------------------------------------------------------------------
-def _synthetic_calibration_programs() -> list[tuple[str, Program]]:
+def _synthetic_calibration_programs() -> list[Program]:
     """Dynamic/guided worksharing loops for :func:`calibrate`.
 
     Covers the schedule × profile-shape space the registry does not:
@@ -573,20 +548,19 @@ def _synthetic_calibration_programs() -> list[tuple[str, Program]]:
     skew_work = np.linspace(5e-9, 120e-9, 2048)
     skewed = IterSpace.from_profile(skew_work, np.full(2048, 24.0), name="cal-skewed")
     membound = IterSpace.uniform(8192, 2e-9, 512.0, locality=0.4, name="cal-membound")
-    programs: list[tuple[str, Program]] = []
+    programs: list[Program] = []
     for schedule in ("dynamic", "guided"):
         for chunk in (None, 16):
             prog = Program(name=f"cal-ws-{schedule}-{chunk or 'auto'}")
             for space in (uniform, skewed, membound):
                 prog.add(parallel_for(space, schedule=schedule, chunk=chunk))
-            programs.append((f"omp_for_{schedule}", prog))
+            programs.append(prog)
     return programs
 
 
 def calibrate(
     ctx=None,
     *,
-    level: int = 1,
     threads: Iterable[int] = (1, 2, 4, 8, 16),
     workloads: Optional[Iterable[str]] = None,
     margin: float = 1.25,
@@ -596,16 +570,11 @@ def calibrate(
 
     Runs every registered workload × version × thread count (at
     validation parameters) at tier 2, pairs each region's reference
-    time with its raw tier-0 estimate, and groups the log-ratios at the
-    requested ``level``.  Scale is the log-midrange (the multiplicative
+    time with its raw tier-0 estimate, and groups the log-ratios by
+    estimator kind.  Scale is the log-midrange (the multiplicative
     centre of the observed ratios); the bound is the relative error the
     scaled estimate can reach at the range's edges
     (``exp(half_range) - 1``) widened by ``margin`` and ``floor``.
-
-    The bound is monotone in the half-range, and refining the partition
-    can only shrink each group's half-range, so
-    ``calibrate(level=2).max_bound <= calibrate(level=1).max_bound <=
-    calibrate(level=0).max_bound`` holds by construction.
     """
     from repro.core.registry import WORKLOADS
     from repro.runtime.base import ExecContext, ThreadExplosionError
@@ -613,7 +582,7 @@ def calibrate(
 
     if ctx is None:
         ctx = ExecContext()
-    observations: list[tuple[str, str, float]] = []
+    groups: dict[str, list[float]] = defaultdict(list)
     names = sorted(WORKLOADS)
     if workloads is not None:
         wanted = set(workloads)
@@ -634,30 +603,19 @@ def calibrate(
                         continue
                     if reg_res.time <= 0.0 or est.time <= 0.0:
                         continue
-                    observations.append(
-                        (kind, version, math.log(reg_res.time / est.time))
-                    )
+                    groups[kind].append(math.log(reg_res.time / est.time))
     # No registry workload exercises dynamic/guided worksharing at
     # validation parameters, so those estimator kinds are fitted against
     # synthetic loops (uniform and skewed profiles, with and without a
     # chunk clause) — otherwise they would fall back to the wide default.
-    for version, program in _synthetic_calibration_programs():
+    for program in _synthetic_calibration_programs():
         for p in threads:
-            ref = run_program(program, p, ctx, version)
+            ref = run_program(program, p, ctx)
             for region, reg_res in zip(program, ref.regions):
                 kind, est = estimate_region(region, p, ctx)
                 if kind == "exact" or reg_res.time <= 0.0 or est.time <= 0.0:
                     continue
-                observations.append((kind, version, math.log(reg_res.time / est.time)))
-    if level <= 0:
-        key_for = lambda kind, version: "*"
-    elif level == 1:
-        key_for = lambda kind, version: kind
-    else:
-        key_for = lambda kind, version: f"{kind}/{version}"
-    groups: dict[str, list[float]] = defaultdict(list)
-    for kind, version, logr in observations:
-        groups[key_for(kind, version)].append(logr)
+                groups[kind].append(math.log(reg_res.time / est.time))
     scales: dict[str, float] = {}
     bounds: dict[str, float] = {}
     for key, logs in sorted(groups.items()):
@@ -666,16 +624,15 @@ def calibrate(
         half = (hi - lo) / 2.0
         bounds[key] = (math.exp(half) - 1.0) * margin + floor
     fallback = max(bounds.values(), default=0.5)
-    return Calibration(level=level, scales=scales, bounds=bounds, fallback_bound=fallback)
+    return Calibration(scales=scales, bounds=bounds, fallback_bound=fallback)
 
 
-#: Shipped calibration: ``calibrate(level=1)`` over the full registry at
+#: Shipped calibration: ``calibrate()`` over the full registry at
 #: validation parameters, threads (1, 2, 4, 8, 16), committed as
 #: literals so tier-0 estimates are reproducible without a fitting run.
 #: Regenerate with ``python -c "from repro.sim.tiers import calibrate;
 #: print(calibrate())"`` after any cost-model or estimator change.
 DEFAULT_CALIBRATION = Calibration(
-    level=1,
     scales={
         "amt_charm": 1.000000,
         "amt_hpx": 1.289837,

@@ -45,7 +45,6 @@ from repro.sim.task import IterSpace, TaskGraph
 from repro.sim.trace import RegionResult
 from repro.validate.invariants import (
     ValidationReport,
-    _tol,
     check_graphs,
     check_region,
     check_result,
@@ -175,26 +174,6 @@ def graph_runtime_matrix() -> dict[str, Callable[[TaskGraph, int, ExecContext], 
     }
 
 
-def _check_trace_busy(
-    rep: ValidationReport, res: RegionResult, trace: Tracer, where: str
-) -> None:
-    """Tracer-vs-stats cross-check: the execution spans each worker
-    emitted must account for exactly the busy seconds its stats claim."""
-    if res.meta and res.meta.get("aggregate_workers"):
-        return
-    sums = [0.0] * len(res.workers)
-    for s in trace.exec_spans():
-        if 0 <= s.worker < len(sums):
-            sums[s.worker] += s.duration
-    for i, (w, got) in enumerate(zip(res.workers, sums)):
-        rep.check(
-            abs(w.busy - got) <= _tol(w.busy),
-            "trace-busy-mismatch",
-            f"{where} worker[{i}]",
-            f"stats busy {w.busy:.9g} != traced exec spans {got:.9g}",
-        )
-
-
 def _check_case(
     rep: ValidationReport,
     runner: Callable[[int], RegionResult],
@@ -234,8 +213,7 @@ def _check_case(
                     f"{where} p={p}",
                     "repeated runs emitted different event traces",
                 )
-            check_trace(trace, horizon=r1.time, report=rep, where=f"{where} p={p}")
-            _check_trace_busy(rep, r1, trace, f"{where} p={p}")
+            check_trace(trace, [r1], report=rep, where=f"{where} p={p}")
         results[p] = r1
     if 1 in threads:
         t1 = results[1].time

@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from repro.obs.tracer import EXEC_KINDS
 from repro.runtime.base import ExecContext
 from repro.sim.task import Program, TaskRegion
 from repro.sim.trace import RegionResult, SimResult
@@ -222,23 +223,33 @@ def check_event_times(
     report: Optional[ValidationReport] = None,
     where: str = "engine",
 ) -> ValidationReport:
-    """Audit an engine event log ``(time, seq)``.
+    """Audit one engine's region-local event log ``(time, seq)``.
 
     The simulated clock must never run backwards, and simultaneous
     events must fire in insertion order (the determinism guarantee the
     whole reproduction rests on).
     """
     rep = report if report is not None else ValidationReport()
+    _check_clock(events, rep, where, strict=True)
+    return rep
+
+
+def _check_clock(events, rep: ValidationReport, where: str, *, strict: bool) -> None:
+    """Hold ``(time, seq)`` pairs to a clock that never runs backwards;
+    a tie must keep insertion order (``strict``) or be a distinct pair."""
     prev_t, prev_seq = None, None
     for t, seq in events:
         if prev_t is not None:
             rep.check(t >= prev_t, "event-monotonic", where,
                       f"clock went backwards: {prev_t} -> {t}")
             if t == prev_t:
-                rep.check(seq > prev_seq, "event-tie-order", where,
-                          f"tie at t={t} fired seq {seq} after seq {prev_seq}")
+                if strict:
+                    rep.check(seq > prev_seq, "event-tie-order", where,
+                              f"tie at t={t} fired seq {seq} after seq {prev_seq}")
+                else:
+                    rep.check(seq != prev_seq, "event-tie-order", where,
+                              f"duplicate event (t={t}, seq={seq})")
         prev_t, prev_seq = t, seq
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -416,53 +427,86 @@ def check_region(
 
 def check_trace(
     tracer,
+    regions: Sequence[RegionResult],
     *,
     horizon: Optional[float] = None,
-    nworkers: Optional[int] = None,
     report: Optional[ValidationReport] = None,
     where: str = "trace",
 ) -> ValidationReport:
-    """Audit a unified :class:`~repro.obs.tracer.Tracer` event stream.
+    """Audit a :class:`~repro.obs.tracer.Tracer` against the region
+    results it covers, in run order: ``[result]`` for one executor run,
+    ``result.regions`` for a program (:func:`check_result` does this).
 
-    This is the tracer-era entry point that subsumes the per-log checks
-    above: execution spans (task/chunk/serial/kernel/transfer) are held
-    to the per-worker no-overlap invariant, overhead spans (steals, lock
+    Execution spans (task/chunk/serial/kernel/transfer) are held to the
+    per-worker no-overlap invariant, and every other span (steals, lock
     waits, barriers) to well-formedness only — a worker legitimately
-    waits on the same row it later executes on.  Every recorded lock's
-    grant log is checked for causality and mutual exclusion, and the
-    engine event stream for a monotonic clock.
+    waits on the same row it later executes on.  Spans end by
+    ``horizon`` (default: the regions' summed time).  Every recorded
+    lock's grant log is checked for causality and mutual exclusion.
 
-    A program tracer concatenates events from several event loops (one
-    per work-stealing region, each numbering its pushes from 1), so the
-    strict same-time insertion-order tie-break is only asserted per loop
-    by :func:`check_event_times`; here ties are just required to be
-    distinct ``(time, seq)`` pairs.
+    The engine events are cut into one slice per region, sized by the
+    region's ``meta["events"]`` (how many its event loop popped), and
+    each slice is held to a monotonic clock: a loop may pop leftover
+    wake-ups after its region's reported end, where the next region's
+    offset begins.  Adding that offset can round two region-local times
+    onto one float, so a tie inside a slice need only be a distinct
+    ``(time, seq)`` pair (:func:`check_event_times` holds one loop's
+    region-local log to strict insertion order).
+
+    Last, each non-aggregate region's per-worker execution-span seconds
+    must equal the busy seconds its ``WorkerStats`` claim.
     """
     rep = report if report is not None else ValidationReport()
-    p = nworkers if nworkers is not None else max(1, tracer.nworkers)
-    check_intervals(
-        tracer.intervals(), p, horizon=horizon, report=rep, where=f"{where} exec"
+    if horizon is None:
+        horizon = sum(r.time for r in regions)
+    # an executor run outside a program begins no region: its spans
+    # carry index -1 and belong to its one result
+    single = not tracer.region_names and len(regions) == 1
+    rep.check(
+        single or len(tracer.region_names) == len(regions), "trace-regions", where,
+        f"{len(tracer.region_names)} traced regions, {len(regions)} results",
     )
+    busy = [[0.0] * len(r.workers) for r in regions]
+    intervals = []
     for s in tracer.spans:
+        if s.kind in EXEC_KINDS:
+            intervals.append((s.worker, s.start, s.end, s.name or s.kind))
+            k = 0 if single else s.region
+            if 0 <= k < len(busy) and 0 <= s.worker < len(busy[k]):
+                busy[k][s.worker] += s.end - s.start
+            continue
         tag = f"{where} {s.kind}"
         rep.check(s.start >= -_ATOL, "span-nonnegative", tag,
                   f"worker {s.worker} span starts at {s.start}")
         rep.check(s.end >= s.start - _tol(s.end), "span-ordered", tag,
                   f"worker {s.worker} span [{s.start}, {s.end}) ends before it starts")
-        if horizon is not None:
-            rep.check(s.end <= horizon + _tol(horizon), "span-horizon", tag,
-                      f"worker {s.worker} span ends at {s.end} past horizon {horizon}")
+        rep.check(s.end <= horizon + _tol(horizon), "span-horizon", tag,
+                  f"worker {s.worker} span ends at {s.end} past horizon {horizon}")
+    check_intervals(intervals, max(1, tracer.nworkers), horizon=horizon, report=rep,
+                    where=f"{where} exec")
     for name, log in sorted(tracer.lock_events.items()):
         check_lock_log(log, report=rep, where=f"{where} {name}")
-    prev_t, prev_seq = None, None
-    for t, seq in tracer.engine_events:
-        if prev_t is not None:
-            rep.check(t >= prev_t, "event-monotonic", f"{where} engine",
-                      f"clock went backwards: {prev_t} -> {t}")
-            if t == prev_t:
-                rep.check(seq != prev_seq, "event-tie-order", f"{where} engine",
-                          f"duplicate event (t={t}, seq={seq})")
-        prev_t, prev_seq = t, seq
+
+    events = tracer.engine_events
+    sizes = [int((r.meta or {}).get("events", 0)) for r in regions]
+    if rep.check(sum(sizes) == len(events), "event-count", f"{where} engine",
+                 f"{len(events)} engine events, regions' meta['events'] sum to {sum(sizes)}"):
+        start = 0
+        for i, n in enumerate(sizes):
+            _check_clock(events[start:start + n], rep, f"{where} region[{i}] engine",
+                         strict=False)
+            start += n
+
+    for i, (r, sums) in enumerate(zip(regions, busy)):
+        if (r.meta or {}).get("aggregate_workers"):
+            continue
+        for w, (stats, got) in enumerate(zip(r.workers, sums)):
+            rep.check(
+                abs(stats.busy - got) <= _tol(stats.busy),
+                "trace-busy-mismatch",
+                f"{where} region[{i}] worker[{w}]",
+                f"stats busy {stats.busy:.9g} != traced exec spans {got:.9g}",
+            )
     return rep
 
 
@@ -477,7 +521,8 @@ def check_result(
 
     Runs :func:`check_region` on every region and checks program-level
     consistency: non-negative total time that covers the sum of region
-    times (program-level costs like pool setup may only add).
+    times (program-level costs like pool setup may only add).  A traced
+    result's tracer is audited against its regions (:func:`check_trace`).
     """
     rep = report if report is not None else ValidationReport()
     tag = where or f"{result.program}/{result.version} p={result.nthreads}"
@@ -494,6 +539,9 @@ def check_result(
     )
     for i, region in enumerate(result.regions):
         check_region(region, ctx=ctx, report=rep, where=f"{tag} region[{i}]")
+    if result.trace is not None:
+        check_trace(result.trace, result.regions, horizon=result.time, report=rep,
+                    where=f"{tag} trace")
 
     # Retry idempotency: under a fault plan each source region may appear
     # several times (one RegionResult per attempt, grouped by the

@@ -7,10 +7,9 @@ parallel loops under every executor, and random DAGs, built from a
 seeded :class:`random.Random` so every failure is reproducible from its
 program index alone.  Each generated program is executed at several
 thread counts (including an SMT-oversubscribed one on a deliberately
-tiny machine), audited with :func:`repro.validate.invariants.check_result`,
-and re-run region by region with a tracer attached to confirm
-determinism and audit each region's event stream
-(:func:`~repro.validate.invariants.check_trace`).
+tiny machine) twice: traced, with the result and its trace audited by
+:func:`repro.validate.invariants.check_result`, and untraced, which must
+give the same region stats (tracing changes nothing).
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.obs.tracer import Tracer
 from repro.runtime.base import ExecContext
-from repro.runtime.run import execute_region, run_program
+from repro.runtime.run import run_program
 from repro.sim.machine import Machine
 from repro.sim.task import (
     IterSpace,
@@ -35,7 +33,6 @@ from repro.sim.task import (
 from repro.validate.invariants import (
     ValidationReport,
     check_result,
-    check_trace,
     stats_snapshot,
 )
 
@@ -166,19 +163,14 @@ def run_property_suite(
         prog = random_program(rng, i)
         for p in threads:
             where = f"prop[seed={seed} i={i}] p={p}"
-            res = run_program(prog, p, ctx)
-            check_result(res, ctx=ctx, report=rep, where=where)
-            # one tracer per region: an engine may drain past its region's
-            # reported end, so event streams are audited region by region
-            for r, (region, first) in enumerate(zip(prog, res.regions)):
-                tracer = Tracer()
-                rerun = execute_region(region, p, ctx, tracer=tracer)
-                rtag = f"{where} region[{r}]"
-                rep.check(
-                    stats_snapshot(first) == stats_snapshot(rerun),
-                    "determinism",
-                    rtag,
-                    f"repeated runs disagree: {first.time!r} vs {rerun.time!r}",
-                )
-                check_trace(tracer, horizon=rerun.time, report=rep, where=rtag)
+            traced = run_program(prog, p, ctx, trace=True)
+            check_result(traced, ctx=ctx, report=rep, where=where)
+            plain = run_program(prog, p, ctx)
+            rep.check(
+                [stats_snapshot(r) for r in traced.regions]
+                == [stats_snapshot(r) for r in plain.regions],
+                "determinism",
+                where,
+                f"traced and untraced runs disagree: {traced.time!r} vs {plain.time!r}",
+            )
     return rep

@@ -107,11 +107,11 @@ class TestTracer:
 
     def test_check_trace_flags_injected_overlap(self):
         res = traced_run("fib", "omp_task", 4)
-        rep = check_trace(res.trace, horizon=res.time)
+        rep = check_trace(res.trace, res.regions, horizon=res.time)
         assert rep.ok, rep.describe()
         res.trace.span(0, 0.0, res.time, "task", "tamper")
         res.trace.span(0, 0.0, res.time / 2, "task", "tamper")
-        rep2 = check_trace(res.trace, horizon=res.time)
+        rep2 = check_trace(res.trace, res.regions, horizon=res.time)
         assert not rep2.ok
         assert any(v.invariant == "interval-overlap" for v in rep2.violations)
 

@@ -695,6 +695,28 @@ class TestServeRefusals:
             assert resp.status == 400, detail
             assert srv.perf.counters["serve.bad_request"] == 1
 
+    @pytest.mark.parametrize("where", ["request line", "header"])
+    def test_oversized_line_is_a_431(self, tmp_path, where):
+        """A line past the stream's 64 KiB limit answers 431 and closes
+        the connection; it never kills the handler with a bare close."""
+        long = "x" * 70_000
+        if where == "request line":
+            request = f"GET /{long} HTTP/1.1\r\nHost: t\r\n\r\n"
+        else:
+            request = f"GET /healthz HTTP/1.1\r\nX-Long: {long}\r\n\r\n"
+        with running_server(tmp_path) as srv:
+            host, port = srv.url.split("//", 1)[1].rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=10) as sock:
+                sock.sendall(request.encode("latin-1"))
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            head = reply.split(b"\r\n\r\n", 1)[0].decode("latin-1")
+            assert head.startswith("HTTP/1.1 431 Request Header Fields Too Large"), reply
+            assert "Connection: close" in head
+            assert srv.perf.counters["serve.bad_request"] == 1
+            assert SweepClient(srv.url).health()
+
     def test_unknown_route_is_a_404(self, tmp_path):
         with running_server(tmp_path) as srv:
             client = SweepClient(srv.url)

@@ -128,39 +128,26 @@ def test_static_schedule_is_delegated_exact():
 # ---------------------------------------------------------------------------
 # calibration machinery
 # ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def calibrations():
-    kwargs = dict(threads=(1, 4), workloads=("axpy", "sum", "fib", "bfs"))
-    return {lvl: calibrate(level=lvl, **kwargs) for lvl in (0, 1, 2)}
-
-
-def test_bound_tightens_monotonically_with_level(calibrations):
-    """Refining the calibration partition never widens the worst bound."""
-    b0 = calibrations[0].max_bound
-    b1 = calibrations[1].max_bound
-    b2 = calibrations[2].max_bound
-    assert b2 <= b1 <= b0
-    assert b0 > 0.0
-
-
-def test_calibration_levels_key_granularity(calibrations):
-    assert set(calibrations[0].scales) == {"*"}
-    assert all("/" not in k for k in calibrations[1].scales)
-    assert any("/" in k for k in calibrations[2].scales)
+def test_calibration_is_keyed_by_estimator_kind():
+    cal = calibrate(threads=(1, 4), workloads=("axpy", "sum", "fib", "bfs"))
+    assert cal.scales and set(cal.scales) == set(cal.bounds)
+    assert all("/" not in k and k != "*" for k in cal.scales)
+    assert cal.fallback_bound == cal.max_bound > 0.0
 
 
 def test_calibration_lookup_fallback():
     cal = Calibration(
-        level=2,
-        scales={"steal_flat/omp_task": 2.0, "steal_flat": 1.5, "*": 1.1},
-        bounds={"steal_flat/omp_task": 0.1, "steal_flat": 0.2, "*": 0.3},
+        scales={"steal_flat": 1.5, "*": 1.1},
+        bounds={"steal_flat": 0.2, "*": 0.3},
         fallback_bound=0.4,
     )
-    assert cal.scale("steal_flat", "omp_task") == 2.0
-    assert cal.scale("steal_flat", "other") == 1.5
-    assert cal.scale("unknown", "x") == 1.1
-    assert cal.bound("unknown", "x") == 0.3
-    assert Calibration(level=1, scales={}, bounds={}).bound("anything") == 0.5
+    assert cal.scale("steal_flat") == 1.5
+    assert cal.bound("steal_flat") == 0.2
+    assert cal.scale("unknown") == 1.1
+    assert cal.bound("unknown") == 0.3
+    bare = Calibration(scales={}, bounds={})
+    assert bare.scale("anything") == 1.0
+    assert bare.bound("anything") == 0.5
 
 
 def test_shipped_calibration_covers_every_modelled_kind():

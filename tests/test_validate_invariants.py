@@ -1,5 +1,7 @@
 """Tests for the trace invariant checker (repro.validate.invariants)."""
 
+import random
+
 import pytest
 
 from repro.kernels import axpy, fib
@@ -21,6 +23,7 @@ from repro.validate.invariants import (
     check_result,
     check_trace,
 )
+from repro.validate.properties import SMALL_MACHINE, random_program
 
 CTX = ExecContext()
 
@@ -144,7 +147,7 @@ class TestCheckRegion:
         tracer = Tracer()
         res = run_stealing_loop(space, 4, CTX, tracer=tracer)
         rep = check_region(res, ctx=CTX)
-        check_trace(tracer, horizon=res.time, report=rep)
+        check_trace(tracer, [res], report=rep)
         assert rep.ok, rep.describe()
         assert rep.checks > 100  # intervals + locks + events all audited
 
@@ -153,7 +156,7 @@ class TestCheckRegion:
         tracer = Tracer()
         res = run_stealing_loop(space, 4, CTX, tracer=tracer)
         tracer.span(0, 0.0, res.time, "task", "tamper")
-        rep = check_trace(tracer, horizon=res.time)
+        rep = check_trace(tracer, [res])
         assert any(v.invariant == "interval-overlap" for v in rep.violations)
 
     def test_dropped_work_caught(self):
@@ -214,6 +217,80 @@ class TestCheckResult:
         assert any(
             v.invariant == "program-time-covers-regions" for v in rep.violations
         )
+
+
+def _two_region_trace(first, second):
+    """A program trace of two engine regions, each popping the
+    region-local ``(time, seq)`` events given, the second offset by the
+    first's reported end of 1.0."""
+    tracer = Tracer()
+    regions = []
+    for offset, events in ((0.0, first), (1.0, second)):
+        tracer.begin_region(f"r{len(regions)}", offset=offset)
+        for t, seq in events:
+            tracer.engine_event(t, seq)
+        regions.append(RegionResult(time=1.0, nthreads=1, workers=[WorkerStats()],
+                                    meta={"events": len(events)}))
+    return tracer, regions
+
+
+def _p91_small_machine():
+    """Program 91 of the ``Random(0)`` property stream, whose stealing
+    loop pops leftover wake-ups after its region's reported end."""
+    rng = random.Random(0)
+    for i in range(92):
+        prog = random_program(rng, i)
+    return prog, ExecContext(machine=SMALL_MACHINE)
+
+
+class TestCheckTrace:
+    def test_engine_drain_past_region_end_passes(self):
+        prog, ctx = _p91_small_machine()
+        res = run_program(prog, 9, ctx, trace=True, validate=True)
+        # the whole trace does run backwards across a region boundary
+        assert not check_event_times(res.trace.engine_events).ok
+        assert check_result(res, ctx=ctx).ok
+
+    def test_slices_may_overlap_across_regions(self):
+        # region 0 drains to 1.2, past its end; region 1 starts at 1.0
+        tracer, regions = _two_region_trace([(0.0, 1), (1.2, 2)], [(0.0, 1), (0.5, 2)])
+        assert check_trace(tracer, regions).ok
+
+    def test_backwards_clock_inside_one_region_flagged(self):
+        tracer, regions = _two_region_trace([(0.0, 1), (0.5, 2)], [(0.5, 1), (0.2, 2)])
+        rep = check_trace(tracer, regions)
+        assert [v.invariant for v in rep.violations] == ["event-monotonic"]
+        assert "region[1]" in rep.violations[0].where
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_event_count_mismatch_is_a_violation(self, extra):
+        tracer, regions = _two_region_trace([(0.0, 1), (0.5, 2)], [(0.2, 1)])
+        regions[1].meta["events"] += extra
+        rep = check_trace(tracer, regions)
+        assert [v.invariant for v in rep.violations] == ["event-count"]
+
+    def test_slice_ties_need_only_be_distinct_pairs(self):
+        # one region-local loop keeps insertion order; after the offset
+        # two of its times may round onto one float in either seq order
+        tracer, regions = _two_region_trace([], [(0.3, 2), (0.3, 1)])
+        assert check_trace(tracer, regions).ok
+        assert not check_event_times([(0.3, 2), (0.3, 1)]).ok
+        tracer, regions = _two_region_trace([], [(0.3, 1), (0.3, 1)])
+        rep = check_trace(tracer, regions)
+        assert [v.invariant for v in rep.violations] == ["event-tie-order"]
+
+    def test_exec_spans_must_match_busy_time(self):
+        prog = fib.program("omp_task", machine=CTX.machine, n=8)
+        res = run_program(prog, 2, CTX, trace=True)
+        assert check_result(res, ctx=CTX).ok
+        res.regions[-1].workers[1].busy *= 1.01
+        rep = check_result(res, ctx=CTX)
+        assert "trace-busy-mismatch" in {v.invariant for v in rep.violations}
+
+    def test_region_count_mismatch_flagged(self):
+        tracer, regions = _two_region_trace([(0.0, 1)], [(0.0, 1)])
+        rep = check_trace(tracer, regions[:1] * 3)
+        assert "trace-regions" in {v.invariant for v in rep.violations}
 
 
 class TestRunProgramValidate:

@@ -79,6 +79,39 @@ class TestPropertySuite:
             res = run_program(prog, 5, ctx, validate=True)
             assert check_result(res, ctx=ctx).ok
 
+    def test_each_program_runs_once_traced_once_untraced(self, monkeypatch):
+        import repro.runtime.run as run_mod
+
+        real = run_mod.execute_region
+        calls = []
+
+        def counting(region, nthreads, ctx, tracer=None, faults=None):
+            calls.append(tracer is not None)
+            return real(region, nthreads, ctx, tracer=tracer, faults=faults)
+
+        monkeypatch.setattr(run_mod, "execute_region", counting)
+        rep = run_property_suite(seed=4, programs=3, threads=(1, 5))
+        assert rep.ok, rep.describe()
+        rng = random.Random(4)
+        nregions = sum(len(random_program(rng, i)) for i in range(3))
+        assert calls.count(True) == calls.count(False) == 2 * nregions
+
+    def test_suite_audits_the_program_trace(self, monkeypatch):
+        import repro.runtime.run as run_mod
+
+        real = run_mod.run_stealing_graph
+
+        def tampered(graph, nthreads, ctx, *, tracer, **kw):
+            res = real(graph, nthreads, ctx, tracer=tracer, **kw)
+            if tracer is not None:
+                tracer.span(0, 0.0, 1e-6, "task", "x")
+                tracer.span(0, 0.5e-6, 1.5e-6, "task", "x")
+            return res
+
+        monkeypatch.setattr(run_mod, "run_stealing_graph", tampered)
+        rep = run_property_suite(seed=5, programs=5, threads=(2,))
+        assert "interval-overlap" in {v.invariant for v in rep.violations}
+
     def test_oversubscribed_thread_count_is_audited(self):
         # 9 threads on an 8-core/16-context machine exercises SMT sharing
         rep = run_property_suite(seed=13, programs=3, threads=(9,))

@@ -25,11 +25,11 @@ CTX = ExecContext()
 
 
 def audit(res, tracer, where):
-    """Stats invariants plus the tracer's intervals, lock grants and
-    engine events; one engine ran, so its ties must also keep
-    insertion order."""
+    """Stats invariants plus the tracer's intervals, lock grants, engine
+    events and per-worker busy seconds; one engine ran outside a program,
+    so its region-local ties must also keep insertion order."""
     rep = check_region(res, ctx=CTX, where=where)
-    check_trace(tracer, horizon=res.time, report=rep, where=where)
+    check_trace(tracer, [res], report=rep, where=where)
     check_event_times(tracer.engine_events, report=rep, where=where)
     busy = [0.0] * len(res.workers)
     for w, start, end, _tag in tracer.intervals():
