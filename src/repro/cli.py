@@ -640,7 +640,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         from repro.faults.demos import FAULT_DEMOS
 
         for name, demo in sorted(FAULT_DEMOS.items()):
-            print(f"{name:<10} mode={demo.mode:<12} runtime={demo.runtime:<12} "
+            print(f"{name:<10} mode={demo.mode:<14} executor={demo.executor:<14} "
                   f"inject={demo.spec:<14} — {demo.construct}")
         return 0
     if args.workload is None or args.model is None:

@@ -36,15 +36,14 @@ class SweepResult:
 
     ``metrics`` holds the :class:`~repro.obs.metrics.MetricsRegistry`
     the sweep executor accounted into (cache hits/misses, simulation
-    counts, and the merged per-run metrics); it is ``None`` only for
-    results rebuilt from the lossy serialized form.
+    counts, and the merged per-run metrics).
 
     ``perf`` is the host-telemetry snapshot of the executing sweep
     (:meth:`repro.perf.PerfRecorder.snapshot`): host wall/CPU seconds
     plus the executor's span/counter detail.  It is ``None`` when
-    telemetry is disabled (``REPRO_PERF_OFF=1``) or for rebuilt
-    results — host cost is a property of one execution, so it is never
-    serialized into the result cache.
+    telemetry is disabled (``REPRO_PERF_OFF=1``) — host cost is a
+    property of one execution, so it is never serialized into the
+    result cache.
     """
 
     config: ExperimentConfig

@@ -21,14 +21,17 @@ Each region attempt executed under a fault plan carries a plain-JSON
 ``attempt``             0-based attempt index under a retry policy
 ``triggered``           list of ``[kind, time]`` pairs that fired
 
-Every executor builds the document with :func:`fault_doc`;
-:func:`fault_summary` folds these into one program-level document used
-by the CLI, the metrics layer, and CI smoke assertions.
+Every executor builds the document with :func:`fault_doc`.  The one
+fold over them is :func:`repro.obs.metrics.result_metrics` (its fault
+counters and gauges); :func:`fault_summary` renames those into the
+program-level document the CLI prints and writes to ``--metrics-out``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Optional
+
+from repro.obs.metrics import result_metrics
 
 __all__ = ["fault_doc", "fault_summary"]
 
@@ -69,41 +72,35 @@ def fault_doc(
     }
 
 
+#: ``fault_summary`` field -> :func:`~repro.obs.metrics.result_metrics`
+#: gauge (seconds) or counter of the same fold.
+_SUMMARY_GAUGES = {
+    "useful_seconds": "useful_work_seconds",
+    "wasted_seconds": "wasted_work_seconds",
+    "recovery_seconds": "recovery_seconds",
+}
+_SUMMARY_COUNTERS = {
+    "faults_injected": "faults_injected",
+    "failed_regions": "region_failures",
+    "cancelled_regions": "regions_cancelled",
+    "retries": "retries",
+    "skipped_items": "skipped_items",
+}
+
+
 def fault_summary(result: Any) -> dict[str, Any]:
     """Aggregate useful/wasted/recovery accounting over a SimResult.
 
-    Regions without a ``fault`` meta entry count their whole busy time
-    as useful (nothing was injected there).
+    A renaming of the fault counters and gauges that
+    :func:`~repro.obs.metrics.result_metrics` folds from the regions'
+    ``meta["fault"]`` documents: regions without one count their whole
+    busy time as useful (nothing was injected there), and a counter or
+    gauge no region touched reads 0.
     """
-    useful = wasted = recovery = 0.0
-    faults_injected = 0
-    failed_regions = 0
-    cancelled_regions = 0
-    retries = 0
-    skipped = 0
-    for region in result.regions:
-        fault = region.meta.get("fault")
-        if not fault:
-            useful += region.total_busy
-            continue
-        useful += float(fault.get("useful", 0.0))
-        wasted += float(fault.get("wasted", 0.0))
-        recovery += float(fault.get("recovery", 0.0))
-        faults_injected += len(fault.get("triggered", ()))
-        if fault.get("failed"):
-            failed_regions += 1
-        if fault.get("cancelled"):
-            cancelled_regions += 1
-        if fault.get("recovery", 0.0) > 0.0:
-            retries += 1  # a backoff was charged: this attempt was retried
-        skipped += int(fault.get("skipped", 0))
+    m = result_metrics(result)
+    gauges = {name: g.value for name, g in m.gauges.items()}
+    counters = {name: c.value for name, c in m.counters.items()}
     return {
-        "useful_seconds": useful,
-        "wasted_seconds": wasted,
-        "recovery_seconds": recovery,
-        "faults_injected": faults_injected,
-        "failed_regions": failed_regions,
-        "cancelled_regions": cancelled_regions,
-        "retries": retries,
-        "skipped_items": skipped,
+        **{key: gauges.get(name, 0.0) for key, name in _SUMMARY_GAUGES.items()},
+        **{key: counters.get(name, 0) for key, name in _SUMMARY_COUNTERS.items()},
     }

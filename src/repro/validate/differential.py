@@ -19,11 +19,14 @@ module provides two:
     (no hidden parallel-only work), and adding threads must never slow
     a run down by more than the modelled overhead slack;
   * every trace-level invariant from :mod:`repro.validate.invariants`:
-    each matrix run carries its own :class:`~repro.obs.tracer.Tracer`
-    (stashed in ``meta["trace"]``) whose unified event stream —
-    execution spans, lock grants, engine events — is put through
-    :func:`~repro.validate.invariants.check_trace`, and whose
-    per-worker execution-span seconds are cross-checked against the
+    each matrix entry names a region's executor and params
+    (:func:`loop_runtime_matrix`, :func:`graph_runtime_matrix`), every
+    run of it goes through :func:`~repro.runtime.run.execute_region`
+    — the dispatcher programs use — with its own
+    :class:`~repro.obs.tracer.Tracer`, and that tracer's unified event
+    stream — execution spans, lock grants, engine events — is put
+    through :func:`~repro.validate.invariants.check_trace`, which also
+    cross-checks its per-worker execution-span seconds against the
     runtime's own ``WorkerStats`` busy accounting.
 
 - :func:`run_registry_audit` — every registered workload x version
@@ -33,15 +36,12 @@ module provides two:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.runtime.base import ExecContext, ThreadExplosionError
-from repro.runtime.run import run_program
-from repro.runtime.threadpool import run_threadpool_graph, run_threadpool_loop
-from repro.runtime.worksharing import run_worksharing_loop
-from repro.runtime.workstealing import run_stealing_graph, run_stealing_loop
+from repro.runtime.run import execute_region, run_program
 from repro.obs.tracer import Tracer
-from repro.sim.task import IterSpace, TaskGraph
+from repro.sim.task import IterSpace, LoopRegion, TaskRegion
 from repro.sim.trace import RegionResult
 from repro.validate.invariants import (
     ValidationReport,
@@ -93,90 +93,44 @@ def _kernel_space(name: str, machine, n: int) -> IterSpace:
     return modules[name].space(machine, n)
 
 
-def _traced(run):
-    """Give every matrix run a fresh tracer, stashed in ``meta["trace"]``."""
-
-    def wrapped(item, p, ctx):
-        tracer = Tracer()
-        res = run(item, p, ctx, tracer)
-        res.meta["trace"] = tracer
-        return res
-
-    return wrapped
-
-
-def loop_runtime_matrix() -> dict[str, Callable[[IterSpace, int, ExecContext], RegionResult]]:
-    """Every loop runtime x schedule combination under test."""
-
-    def ws(schedule):
-        return _traced(
-            lambda s, p, ctx, tr: run_worksharing_loop(s, p, ctx, schedule=schedule, tracer=tr)
-        )
-
-    def steal(style, deque):
-        return _traced(
-            lambda s, p, ctx, tr: run_stealing_loop(
-                s, p, ctx, style=style, deque=deque, tracer=tr
-            )
-        )
-
-    def pool(mode):
-        return _traced(
-            lambda s, p, ctx, tr: run_threadpool_loop(s, p, ctx, mode=mode, tracer=tr)
-        )
-
-    from repro.runtime.amt import run_charm_loop, run_hpx_loop, run_mpi_loop
-
-    def amt(run_loop):
-        return _traced(lambda s, p, ctx, tr: run_loop(s, p, ctx, tracer=tr))
-
+def loop_runtime_matrix() -> dict[str, tuple[str, dict]]:
+    """Every loop runtime x schedule combination under test, as
+    ``label -> (executor, params)`` of a :class:`LoopRegion`."""
     return {
-        "worksharing/static": ws("static"),
-        "worksharing/dynamic": ws("dynamic"),
-        "worksharing/guided": ws("guided"),
-        "workstealing/cilk_for/the": steal("cilk_for", "the"),
-        "workstealing/cilk_for/locked": steal("cilk_for", "locked"),
-        "workstealing/flat/the": steal("flat", "the"),
-        "workstealing/flat/locked": steal("flat", "locked"),
-        "threadpool/thread": pool("thread"),
-        "threadpool/async": pool("async"),
-        "charm/loop": amt(run_charm_loop),
-        "hpx/loop": amt(run_hpx_loop),
-        "mpi/loop": amt(run_mpi_loop),
+        "worksharing/static": ("worksharing", {"schedule": "static"}),
+        "worksharing/dynamic": ("worksharing", {"schedule": "dynamic"}),
+        "worksharing/guided": ("worksharing", {"schedule": "guided"}),
+        "workstealing/cilk_for/the": ("stealing_loop", {"style": "cilk_for", "deque": "the"}),
+        "workstealing/cilk_for/locked": (
+            "stealing_loop", {"style": "cilk_for", "deque": "locked"}
+        ),
+        "workstealing/flat/the": ("stealing_loop", {"style": "flat", "deque": "the"}),
+        "workstealing/flat/locked": ("stealing_loop", {"style": "flat", "deque": "locked"}),
+        "threadpool/thread": ("threadpool", {"mode": "thread"}),
+        "threadpool/async": ("threadpool", {"mode": "async"}),
+        "charm/loop": ("charm_loop", {}),
+        "hpx/loop": ("hpx_loop", {}),
+        "mpi/loop": ("mpi_loop", {}),
     }
 
 
-def graph_runtime_matrix() -> dict[str, Callable[[TaskGraph, int, ExecContext], RegionResult]]:
-    """Every task-graph runtime under test (fib-style spawn trees)."""
-
-    def steal(deque, work_first=False):
-        return _traced(
-            lambda g, p, ctx, tr: run_stealing_graph(
-                g, p, ctx, deque=deque, work_first=work_first, tracer=tr
-            )
-        )
-
-    from repro.runtime.amt import run_charm_graph, run_hpx_graph, run_mpi_graph
-
-    def amt(run_graph):
-        return _traced(lambda g, p, ctx, tr: run_graph(g, p, ctx, tracer=tr))
-
+def graph_runtime_matrix() -> dict[str, tuple[str, dict]]:
+    """Every task-graph runtime under test (fib-style spawn trees), as
+    ``label -> (executor, params)`` of a :class:`TaskRegion`."""
     return {
-        "stealing/the": steal("the"),
-        "stealing/locked": steal("locked"),
-        "stealing/the/work_first": steal("the", work_first=True),
-        "threadpool_graph/async": _traced(
-            lambda g, p, ctx, tr: run_threadpool_graph(g, p, ctx, mode="async", tracer=tr)
-        ),
-        "charm_graph": amt(run_charm_graph),
-        "hpx_graph": amt(run_hpx_graph),
-        "mpi_graph": amt(run_mpi_graph),
+        "stealing/the": ("stealing", {"deque": "the"}),
+        "stealing/locked": ("stealing", {"deque": "locked"}),
+        "stealing/the/work_first": ("stealing", {"deque": "the", "work_first": True}),
+        "threadpool_graph/async": ("threadpool_graph", {"mode": "async"}),
+        "charm_graph": ("charm_graph", {}),
+        "hpx_graph": ("hpx_graph", {}),
+        "mpi_graph": ("mpi_graph", {}),
     }
 
 
 def _check_case(
     rep: ValidationReport,
-    runner: Callable[[int], RegionResult],
+    region: Union[LoopRegion, TaskRegion],
     threads: Sequence[int],
     ctx: ExecContext,
     where: str,
@@ -186,6 +140,10 @@ def _check_case(
 ) -> dict[int, RegionResult]:
     """Run one (workload, runtime) cell across ``threads`` and check it.
 
+    Each run goes through :func:`~repro.runtime.run.execute_region` with
+    a fresh :class:`~repro.obs.tracer.Tracer`; the first run's trace is
+    audited by :func:`~repro.validate.invariants.check_trace`.
+
     ``per_thread`` is the modelled per-thread fixed cost (serial thread
     creation + join for the bare-thread runtime) that legitimately makes
     T_p grow with p on small inputs — the speedup-ordering check allows
@@ -193,8 +151,9 @@ def _check_case(
     """
     results: dict[int, RegionResult] = {}
     for p in threads:
-        r1 = runner(p)
-        r2 = runner(p)
+        trace, trace2 = Tracer(), Tracer()
+        r1 = execute_region(region, p, ctx, tracer=trace)
+        r2 = execute_region(region, p, ctx, tracer=trace2)
         rep.check(
             stats_snapshot(r1) == stats_snapshot(r2),
             "determinism",
@@ -202,18 +161,13 @@ def _check_case(
             f"repeated runs disagree: {r1.time!r} vs {r2.time!r}",
         )
         check_region(r1, ctx=ctx, report=rep, where=f"{where} p={p}")
-        trace = (r1.meta or {}).get("trace")
-        if trace is not None:
-            trace2 = (r2.meta or {}).get("trace")
-            if trace2 is not None:
-                rep.check(
-                    trace.spans == trace2.spans
-                    and trace.engine_events == trace2.engine_events,
-                    "determinism-trace",
-                    f"{where} p={p}",
-                    "repeated runs emitted different event traces",
-                )
-            check_trace(trace, [r1], report=rep, where=f"{where} p={p}")
+        rep.check(
+            trace.spans == trace2.spans and trace.engine_events == trace2.engine_events,
+            "determinism-trace",
+            f"{where} p={p}",
+            "repeated runs emitted different event traces",
+        )
+        check_trace(trace, [r1], report=rep, where=f"{where} p={p}")
         results[p] = r1
     if 1 in threads:
         t1 = results[1].time
@@ -270,10 +224,10 @@ def run_differential_matrix(
         space = _kernel_space(kernel, ctx.machine, n)
         serial = ctx.duration(space.total_work, space.total_bytes, space.locality, 1)
         busy_at_1: dict[str, float] = {}
-        for combo, run in loop_runtime_matrix().items():
+        for combo, (executor, params) in loop_runtime_matrix().items():
             where = f"diff[{kernel}] {combo}"
             results = _check_case(
-                rep, lambda p, run=run: run(space, p, ctx), threads, ctx, where,
+                rep, LoopRegion(space, executor, params), threads, ctx, where,
                 serial=serial, per_thread=_per_thread_allowance(combo, ctx),
             )
             if 1 in results:
@@ -293,14 +247,14 @@ def run_differential_matrix(
 
     graph = fib.graph(fib_n)
     serial_graph = graph.total_work()
-    for combo, run in graph_runtime_matrix().items():
+    for combo, (executor, params) in graph_runtime_matrix().items():
         where = f"diff[fib({fib_n})] {combo}"
         # threadpool graphs pay a huge (modelled, intentional) per-task
         # thread-creation cost, so the serial band only applies to the
         # work-stealing runtimes.
         band = serial_graph if combo.startswith("stealing") else None
         _check_case(
-            rep, lambda p, run=run: run(graph, p, ctx), threads, ctx, where,
+            rep, TaskRegion(graph, executor, params), threads, ctx, where,
             serial=band,
         )
     return rep

@@ -143,7 +143,7 @@ def _tol(scale: float) -> float:
 # ---------------------------------------------------------------------------
 def check_intervals(
     intervals: Iterable[tuple[int, float, float, str]],
-    nworkers: int,
+    nworkers: Optional[int],
     *,
     horizon: Optional[float] = None,
     report: Optional[ValidationReport] = None,
@@ -151,15 +151,17 @@ def check_intervals(
 ) -> ValidationReport:
     """Audit recorded busy intervals ``(worker, start, end, tag)``.
 
-    Checks: worker ids in range, intervals well-ordered (start <= end)
-    and non-negative, within the region horizon when given, and — the
-    key one — **no two intervals of the same worker overlap**.
+    Checks: worker ids in ``0..nworkers-1`` (``None``: the caller
+    bounds them), intervals well-ordered (start <= end) and
+    non-negative, within the region horizon when given, and — the key
+    one — **no two intervals of the same worker overlap**.
     """
     rep = report if report is not None else ValidationReport()
     per_worker: dict[int, list[tuple[float, float]]] = {}
     for w, s, e, _tag in intervals:
-        rep.check(0 <= w < nworkers, "interval-worker-range", where,
-                  f"worker {w} outside 0..{nworkers - 1}")
+        if nworkers is not None:
+            rep.check(0 <= w < nworkers, "interval-worker-range", where,
+                      f"worker {w} outside 0..{nworkers - 1}")
         rep.check(s >= -_ATOL, "interval-nonnegative", where,
                   f"worker {w} interval starts at {s}")
         rep.check(e >= s - _tol(e), "interval-ordered", where,
@@ -438,7 +440,9 @@ def check_trace(
     ``result.regions`` for a program (:func:`check_result` does this).
 
     Execution spans (task/chunk/serial/kernel/transfer) are held to the
-    per-worker no-overlap invariant, and every other span (steals, lock
+    per-worker no-overlap invariant and must sit on a row of their
+    region's workers (any row >= 0 in an aggregate, thread-per-task
+    region, which draws one row per task), and every other span (steals, lock
     waits, barriers) to well-formedness only — a worker legitimately
     waits on the same row it later executes on.  Spans end by
     ``horizon`` (default: the regions' summed time).  Every recorded
@@ -467,13 +471,23 @@ def check_trace(
         f"{len(tracer.region_names)} traced regions, {len(regions)} results",
     )
     busy = [[0.0] * len(r.workers) for r in regions]
+    # a thread-per-task (aggregate) region draws one row per task, not
+    # per worker: its rows have no upper bound
+    rows = [
+        None if (r.meta or {}).get("aggregate_workers") else len(r.workers)
+        for r in regions
+    ]
     intervals = []
     for s in tracer.spans:
         if s.kind in EXEC_KINDS:
             intervals.append((s.worker, s.start, s.end, s.name or s.kind))
             k = 0 if single else s.region
-            if 0 <= k < len(busy) and 0 <= s.worker < len(busy[k]):
-                busy[k][s.worker] += s.end - s.start
+            n = rows[k] if 0 <= k < len(rows) else 0
+            if rep.check(0 <= s.worker and (n is None or s.worker < n),
+                         "interval-worker-range", f"{where} exec",
+                         f"region[{k}] worker {s.worker} not in 0..{'' if n is None else n - 1}"):
+                if n is not None:
+                    busy[k][s.worker] += s.end - s.start
             continue
         tag = f"{where} {s.kind}"
         rep.check(s.start >= -_ATOL, "span-nonnegative", tag,
@@ -482,8 +496,7 @@ def check_trace(
                   f"worker {s.worker} span [{s.start}, {s.end}) ends before it starts")
         rep.check(s.end <= horizon + _tol(horizon), "span-horizon", tag,
                   f"worker {s.worker} span ends at {s.end} past horizon {horizon}")
-    check_intervals(intervals, max(1, tracer.nworkers), horizon=horizon, report=rep,
-                    where=f"{where} exec")
+    check_intervals(intervals, None, horizon=horizon, report=rep, where=f"{where} exec")
     for name, log in sorted(tracer.lock_events.items()):
         check_lock_log(log, report=rep, where=f"{where} {name}")
 

@@ -289,6 +289,119 @@ class TestRunProgramFaults:
 # ---------------------------------------------------------------------------
 # Table III demos
 # ---------------------------------------------------------------------------
+#: Every demo at p=4 under its default spec: ``repr`` of the region
+#: time and the ``meta["fault"]`` document, bit for bit.
+_DEMO_PINS = {
+    "C++11": (
+        "8.985454545454545e-05",
+        {
+            "kind": "task_fail", "error": "injected fault", "mode": "rethrow",
+            "time": 3.545454545454545e-05, "failed": True, "cancelled": False,
+            "cancel_time": 0.0, "issued_after_cancel": 0, "skipped": 0, "useful": 0.0,
+            "wasted": 0.00013963636363636367, "triggered": [["task_fail", 1.8e-05]],
+        },
+    ),
+    "CUDA": (
+        "0.00018833333333333335",
+        {
+            "kind": "task_fail", "error": "injected fault", "mode": "none",
+            "time": 9.833333333333334e-05, "failed": False, "cancelled": False,
+            "cancel_time": 0.0, "issued_after_cancel": 0, "skipped": 0, "useful": 0.0,
+            "wasted": 8.333333333333334e-06, "triggered": [["task_fail", 9e-05]],
+        },
+    ),
+    "Charm++": (
+        "2.074153846153846e-05",
+        {
+            "kind": "task_fail", "error": "injected fault", "mode": "msg_loss",
+            "time": 3.4076923076923077e-06, "failed": True, "cancelled": False,
+            "cancel_time": 0.0, "issued_after_cancel": 0, "skipped": 0, "useful": 0.0,
+            "wasted": 7.384615384615384e-05,
+            "triggered": [["task_fail", 1.0999999999999998e-06]],
+        },
+    ),
+    "Cilk Plus": (
+        "4.338355222725089e-05",
+        {
+            "kind": "task_fail", "error": "injected fault", "mode": "none",
+            "time": 5.12e-07, "failed": False, "cancelled": False, "cancel_time": 0.0,
+            "issued_after_cancel": 0, "skipped": 0, "useful": 0.0,
+            "wasted": 0.00014117820890900354,
+            "triggered": [["task_fail", 4.520000000000001e-07]],
+        },
+    ),
+    "HPX": (
+        "0.0003125399999999993",
+        {
+            "kind": "task_fail", "error": "injected fault", "mode": "future_poison",
+            "time": 8.490000000000002e-06, "failed": True, "cancelled": False,
+            "cancel_time": 0.0, "issued_after_cancel": 0, "skipped": 65, "useful": 0.0,
+            "wasted": 0.0004952999999999963,
+            "triggered": [["task_fail", 7.640000000000001e-06]],
+        },
+    ),
+    "MPI": (
+        "3.1076923076923076e-06",
+        {
+            "kind": "task_fail", "error": "injected fault", "mode": "rank_fail",
+            "time": 2.3076923076923077e-06, "failed": True, "cancelled": True,
+            "cancel_time": 2.3076923076923077e-06, "issued_after_cancel": 0,
+            "skipped": 28, "useful": 0.0, "wasted": 9.23076923076923e-06,
+            "triggered": [["task_fail", 0.0]],
+        },
+    ),
+    "OpenACC": (
+        "0.00018833333333333335",
+        {
+            "kind": "task_fail", "error": "injected fault", "mode": "none",
+            "time": 9.833333333333334e-05, "failed": False, "cancelled": False,
+            "cancel_time": 0.0, "issued_after_cancel": 0, "skipped": 0, "useful": 0.0,
+            "wasted": 8.333333333333334e-06, "triggered": [["task_fail", 9e-05]],
+        },
+    ),
+    "OpenCL": (
+        "9.833333333333334e-05",
+        {
+            "kind": "task_fail", "error": "injected fault", "mode": "rethrow",
+            "time": 9.833333333333334e-05, "failed": True, "cancelled": True,
+            "cancel_time": 9.833333333333334e-05, "issued_after_cancel": 0,
+            "skipped": 1, "useful": 0.0, "wasted": 8.333333333333334e-06,
+            "triggered": [["task_fail", 9e-05]],
+        },
+    ),
+    "OpenMP": (
+        "6.857692307692308e-06",
+        {
+            "kind": "task_fail", "error": "injected fault", "mode": "cancel",
+            "time": 4.0038461538461534e-06, "failed": True, "cancelled": True,
+            "cancel_time": 4.0038461538461534e-06, "issued_after_cancel": 0,
+            "skipped": 58, "useful": 0.0, "wasted": 6.9230769230769225e-06,
+            "triggered": [["task_fail", 2.85e-06]],
+        },
+    ),
+    "PThreads": (
+        "2.5365454545454544e-05",
+        {
+            "kind": "task_fail", "error": "injected fault", "mode": "async_cancel",
+            "time": 2.2865454545454545e-05, "failed": True, "cancelled": True,
+            "cancel_time": 2.2865454545454545e-05, "issued_after_cancel": 0,
+            "skipped": 63, "useful": 0.0, "wasted": 1.0865454545454544e-05,
+            "triggered": [["task_fail", 1.2e-05]],
+        },
+    ),
+    "TBB": (
+        "5.21e-06",
+        {
+            "kind": "task_fail", "error": "injected fault", "mode": "poison",
+            "time": 3.6719999999999997e-06, "failed": True, "cancelled": True,
+            "cancel_time": 3.6719999999999997e-06, "issued_after_cancel": 0,
+            "skipped": 689, "useful": 0.0, "wasted": 6.8e-06,
+            "triggered": [["task_fail", 2.822e-06]],
+        },
+    ),
+}
+
+
 class TestDemos:
     def test_every_supported_model_has_a_demo(self):
         for model in ALL_MODELS:
@@ -306,6 +419,13 @@ class TestDemos:
     def test_unknown_demo_rejected(self):
         with pytest.raises(KeyError):
             run_demo("Fortran coarrays")
+
+    @pytest.mark.parametrize("name", sorted(FAULT_DEMOS))
+    def test_demo_is_pinned(self, name):
+        res = run_demo(name, nthreads=4)
+        time, doc = _DEMO_PINS[name]
+        assert repr(res.time) == time
+        assert res.meta["fault"] == doc
 
     @pytest.mark.parametrize("name", sorted(FAULT_DEMOS))
     def test_demo_matches_declared_semantics(self, name):

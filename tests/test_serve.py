@@ -138,15 +138,15 @@ class TestProtocol:
 # ---------------------------------------------------------------------------
 class TestServeEndToEnd:
     def test_health_and_stats(self, tmp_path):
-        with running_server(tmp_path) as srv:
-            client = SweepClient(srv.url)
+        with running_server(tmp_path) as srv, SweepClient(srv.url) as client:
             assert client.health()
             stats = client.stats()
             assert stats["store"]["root"] == str(tmp_path)
             assert stats["inflight"] == 0
 
     def test_dead_server_is_unhealthy(self):
-        assert not SweepClient("http://127.0.0.1:9").health()
+        with SweepClient("http://127.0.0.1:9") as client:
+            assert not client.health()
 
     def test_cold_then_warm_query(self, tmp_path):
         with running_server(tmp_path, jobs=2) as srv:
@@ -159,7 +159,8 @@ class TestServeEndToEnd:
             assert sweep_fingerprint(warm) == sweep_fingerprint(cold)
             assert srv.perf.counters["serve.request"] == 2
             assert srv.perf.counters["serve.cache_hit"] == NCELLS
-            observed = SweepClient(srv.url).stats()["observations"]
+            with SweepClient(srv.url) as client:
+                observed = client.stats()["observations"]
             counts = {"serve.request_seconds": 2, "serve.probe_seconds": 2 * NCELLS,
                       "serve.run_seconds": NCELLS, "serve.store_seconds": NCELLS}
             for name, count in counts.items():
@@ -185,10 +186,10 @@ class TestServeEndToEnd:
                 return real_read(key)
 
             monkeypatch.setattr(srv.cache, "read", read_with_stalled_loop)
-            client = SweepClient(srv.url)
-            for q in (query, query, refresh):
-                list(client.query(q))
-            stats = client.stats()
+            with SweepClient(srv.url) as client:
+                for q in (query, query, refresh):
+                    list(client.query(q))
+                stats = client.stats()
         probe = stats["observations"]["serve.probe_seconds"]
         assert probe["count"] == 4
         assert stats["counters"]["serve.cache_hit"] == 2
@@ -211,8 +212,9 @@ class TestServeEndToEnd:
         query = MatrixQuery("axpy", versions=("omp_for",), threads=(1, 4),
                             params={"n": 120_000}, fidelity=2)
         with running_server(tmp_path, jobs=1) as srv:
-            list(SweepClient(srv.url).query(query))
-            observed = SweepClient(srv.url).stats()["observations"]
+            with SweepClient(srv.url) as client:
+                list(client.query(query))
+                observed = client.stats()["observations"]
         queue, run = observed["serve.queue_seconds"], observed["serve.run_seconds"]
         assert queue["count"] == run["count"] == 2
         assert queue["min"] < hold <= queue["max"]
@@ -273,8 +275,8 @@ class TestServeEndToEnd:
         monkeypatch.setattr(codec, "result_from_dict", no_decode)
         query = MatrixQuery(workload="axpy", versions=("omp_for",), threads=(1, 4),
                             params={"n": 120_000}, fidelity=2)
-        with running_server(tmp_path, jobs=2) as srv:
-            events = list(SweepClient(srv.url).query(query))
+        with running_server(tmp_path, jobs=2) as srv, SweepClient(srv.url) as client:
+            events = list(client.query(query))
             assert srv.perf.counters["serve.simulations"] == 2
         cells = [e for e in events if e["type"] == "cell"]
         assert [e["status"] for e in cells] == ["run", "run"]
@@ -375,8 +377,8 @@ class TestServeEndToEnd:
         monkeypatch.setattr(executor_mod, "encode_entry", counting_encode)
         query = MatrixQuery("axpy", versions=("omp_for", "cxx_thread"), threads=(1, 4),
                             params={"n": 120_000}, fidelity=0)
-        with running_server(tmp_path) as srv:
-            cold = list(SweepClient(srv.url).query(query))
+        with running_server(tmp_path) as srv, SweepClient(srv.url) as client:
+            cold = list(client.query(query))
             assert len(encodes) == NCELLS  # tier 0 encodes in a server thread
             monkeypatch.setattr(codec, "result_from_dict", no_decode)
             monkeypatch.setattr(executor_mod, "encode_entry", no_decode)
@@ -388,7 +390,7 @@ class TestServeEndToEnd:
 
             monkeypatch.setattr(cache_mod, "json", types.SimpleNamespace(
                 loads=header_only, dumps=json.dumps))
-            warm = list(SweepClient(srv.url).query(query))
+            warm = list(client.query(query))
         assert len(parsed) == NCELLS and max(parsed) < cache_mod.HEADER_CAP
         assert [e["status"] for e in warm if e["type"] == "cell"] == ["hit"] * NCELLS
         assert ({e["key"]: e["payload"] for e in warm if e["type"] == "cell"}
@@ -457,7 +459,8 @@ class TestWarmPath:
         that probes every key before it writes fails here."""
         first_cell = threading.Event()
         with running_server(tmp_path) as srv:
-            cells = sum(1 for e in SweepClient(srv.url).query(WIDE) if e["type"] == "cell")
+            with SweepClient(srv.url) as client:
+                cells = sum(1 for e in client.query(WIDE) if e["type"] == "cell")
             assert cells >= 32
             real_read, reads, waited = srv.cache.read, [], []
 
@@ -469,10 +472,11 @@ class TestWarmPath:
 
             monkeypatch.setattr(srv.cache, "read", read)
             statuses = []
-            for event in SweepClient(srv.url, timeout=30).query(WIDE):
-                if event["type"] == "cell":
-                    first_cell.set()
-                    statuses.append(event["status"])
+            with SweepClient(srv.url, timeout=30) as client:
+                for event in client.query(WIDE):
+                    if event["type"] == "cell":
+                        first_cell.set()
+                        statuses.append(event["status"])
         assert waited == [True], "the first cell waited for the last probe"
         assert statuses == ["hit"] * cells
 
@@ -484,8 +488,8 @@ class TestWarmPath:
         query = MatrixQuery("axpy", versions=("omp_for", "cxx_thread"), threads=(1, 2, 4),
                             params={"n": 120_000}, fidelity=0)
         _spec, _config, cells = protocol.expand_query(query)
-        with running_server(tmp_path) as srv:
-            cold = [e for e in SweepClient(srv.url).query(query) if e["type"] == "cell"]
+        with running_server(tmp_path) as srv, SweepClient(srv.url) as client:
+            cold = [e for e in client.query(query) if e["type"] == "cell"]
             keys = {(e["version"], e["nthreads"]): e["key"] for e in cold}
             real_read, reads = srv.cache.read, []
 
@@ -498,7 +502,7 @@ class TestWarmPath:
 
             monkeypatch.setattr(srv.cache, "read", read)
             data = raw_response(srv.url, query)
-            stats = SweepClient(srv.url).stats()
+            stats = client.stats()
         assert len(reads) == len(cells)
         assert len({ident for ident, _t0, _t1 in reads}) == 1
         assert all(a[2] <= b[1] for a, b in zip(reads, reads[1:]))
@@ -612,7 +616,8 @@ class TestSingleFlight:
 
             def work(slot):
                 try:
-                    streams[slot] = list(SweepClient(srv.url).query(query))
+                    with SweepClient(srv.url) as client:
+                        streams[slot] = list(client.query(query))
                 except BaseException as exc:  # pragma: no cover - diagnostic
                     errors.append(exc)
 
@@ -621,7 +626,8 @@ class TestSingleFlight:
                 t.start()
             for t in threads:
                 t.join()
-            counters = SweepClient(srv.url).stats()["counters"]
+            with SweepClient(srv.url) as client:
+                counters = client.stats()["counters"]
         assert not errors
         docs = []
         for events in streams:
@@ -662,8 +668,7 @@ class TestServeRefusals:
                 run_sweep("axpy", server=srv.url, **KWARGS)
 
     def test_unknown_workload_is_a_400(self, tmp_path):
-        with running_server(tmp_path) as srv:
-            client = SweepClient(srv.url)
+        with running_server(tmp_path) as srv, SweepClient(srv.url) as client:
             with pytest.raises(ServerError, match="400"):
                 list(client.query(MatrixQuery("no_such_workload")))
             assert srv.perf.counters["serve.bad_request"] == 1
@@ -715,11 +720,11 @@ class TestServeRefusals:
             assert head.startswith("HTTP/1.1 431 Request Header Fields Too Large"), reply
             assert "Connection: close" in head
             assert srv.perf.counters["serve.bad_request"] == 1
-            assert SweepClient(srv.url).health()
+            with SweepClient(srv.url) as client:
+                assert client.health()
 
     def test_unknown_route_is_a_404(self, tmp_path):
-        with running_server(tmp_path) as srv:
-            client = SweepClient(srv.url)
+        with running_server(tmp_path) as srv, SweepClient(srv.url) as client:
             with pytest.raises(ServerError, match="404"):
                 client._get_json("/nope")
 
@@ -757,7 +762,8 @@ class TestServeRefusals:
 
             def work(name, query):
                 try:
-                    answers[name] = list(SweepClient(srv.url, timeout=30).query(query))
+                    with SweepClient(srv.url, timeout=30) as client:
+                        answers[name] = list(client.query(query))
                 except ServerError as exc:
                     answers[name] = str(exc)
 
@@ -769,7 +775,8 @@ class TestServeRefusals:
             for t in threads:
                 t.join(30)
                 assert not t.is_alive()
-            counters = SweepClient(srv.url).stats()["counters"]
+            with SweepClient(srv.url) as client:
+                counters = client.stats()["counters"]
         assert "injected estimator crash" in answers["owner"]
         events = answers["joiner"]
         assert not isinstance(events, str), events
@@ -787,8 +794,7 @@ class TestServeRefusals:
             return MatrixQuery("axpy", versions=("omp_for",), threads=(1,),
                                params={"n": n}, fidelity=2)
 
-        with running_server(tmp_path, jobs=1) as srv:
-            client = SweepClient(srv.url, timeout=60)
+        with running_server(tmp_path, jobs=1) as srv, SweepClient(srv.url, timeout=60) as client:
             list(client.query(query(120_000)))
             (pid,) = list(srv._runner._pool._processes)
             os.kill(pid, signal.SIGKILL)
@@ -817,8 +823,7 @@ class TestServeRefusals:
             return MatrixQuery("axpy", versions=("omp_for",), threads=(1,),
                                params={"n": n}, fidelity=2)
 
-        with running_server(tmp_path, jobs=1) as srv:
-            client = SweepClient(srv.url, timeout=60)
+        with running_server(tmp_path, jobs=1) as srv, SweepClient(srv.url, timeout=60) as client:
             with pytest.raises(ServerError, match="BrokenProcessPool"):
                 list(client.query(query(130_000)))
             events = list(client.query(query(120_000)))
@@ -869,8 +874,7 @@ class TestServeRefusals:
         monkeypatch.setattr(executor_mod, "_run_cell", staggered)
         query = MatrixQuery("axpy", versions=("omp_for",), threads=(1, 2, 4),
                             params={"n": 120_000}, fidelity=0)
-        with running_server(tmp_path) as srv:
-            client = SweepClient(srv.url, timeout=30)
+        with running_server(tmp_path) as srv, SweepClient(srv.url, timeout=30) as client:
             conn = client._connection()
             conn.request("POST", "/sweep", body=json.dumps(query.to_dict()))
             resp = conn.getresponse()
@@ -1013,6 +1017,7 @@ class TestKeepAlive:
             t0 = time.monotonic()
         assert time.monotonic() - t0 < 1.0
         assert not client.health()
+        client.close()
 
     def test_error_answer_closes_its_connection(self, tmp_path):
         """A 400 says ``Connection: close`` and the client does not keep
@@ -1042,8 +1047,7 @@ class TestKeepAlive:
             raise RuntimeError("injected estimator crash")
 
         monkeypatch.setattr(executor_mod, "_run_cell", boom)
-        with running_server(tmp_path) as srv:
-            client = SweepClient(srv.url)
+        with running_server(tmp_path) as srv, SweepClient(srv.url) as client:
             with pytest.raises(ServerError, match="server aborted"):
                 list(client.query(SMALL))
             assert client._idle == []

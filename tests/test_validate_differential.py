@@ -20,6 +20,7 @@ class TestDifferentialMatrix:
         rep = run_differential_matrix(CTX, threads=(1, 2), fib_n=10)
         assert rep.ok, rep.describe()
         assert rep.checks > 1000
+        assert rep.checks == 71285
 
     def test_matrix_covers_all_runtimes(self):
         loops = loop_runtime_matrix()

@@ -287,6 +287,33 @@ class TestCheckTrace:
         rep = check_result(res, ctx=CTX)
         assert "trace-busy-mismatch" in {v.invariant for v in rep.violations}
 
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_exec_span_past_region_workers_flagged(self, p):
+        # the bound is the region's p workers, not the trace's top row
+        res = run_program(fib.program("omp_task", machine=CTX.machine, n=8), p, CTX,
+                          trace=True)
+        assert not res.regions[-1].meta.get("aggregate_workers")
+        assert check_result(res, ctx=CTX).ok
+        res.trace.span(p, 0.0, 0.0, "task", "stray")
+        rep = check_result(res, ctx=CTX)
+        assert [v.invariant for v in rep.violations] == ["interval-worker-range"]
+
+    def test_exec_span_past_single_run_workers_flagged(self):
+        tracer = Tracer()
+        res = run_stealing_loop(axpy.space(CTX.machine, 4_000), 2, CTX, tracer=tracer)
+        assert check_trace(tracer, [res]).ok
+        tracer.span(2, 0.0, 0.0, "chunk", "stray")
+        rep = check_trace(tracer, [res])
+        assert [v.invariant for v in rep.violations] == ["interval-worker-range"]
+
+    def test_aggregate_region_rows_are_unbounded(self):
+        # thread-per-task: one row per task, far past the region's one worker
+        res = run_program(fib.program("cxx_async", machine=CTX.machine, n=8), 2, CTX,
+                          trace=True)
+        assert res.regions[-1].meta["aggregate_workers"]
+        assert res.trace.nworkers > len(res.regions[-1].workers)
+        assert check_result(res, ctx=CTX).ok
+
     def test_region_count_mismatch_flagged(self):
         tracer, regions = _two_region_trace([(0.0, 1)], [(0.0, 1)])
         rep = check_trace(tracer, regions[:1] * 3)
