@@ -93,10 +93,7 @@ def nested_times(
 
     # --- Cilk Plus: composed spawns, same worker pool -------------------
     composed = IterSpace.uniform(outer * inner_n, work_per_iter, 0.0, name="composed")
-    cilk = run_stealing_loop(
-        composed, nthreads, ctx, style="cilk_for", deque="the",
-        exit_cost=costs.taskwait,
-    )
+    cilk = run_stealing_loop(composed, nthreads, ctx, style="cilk_for", deque="the")
     return {
         "omp_nested": omp_nested,
         "omp_serialized": omp_serialized,

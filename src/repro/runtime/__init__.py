@@ -13,9 +13,12 @@ threading runtimes:
   :mod:`repro.runtime.threadpool`, where the programmer does the
   chunking and the runtime does almost nothing.
 
-:mod:`repro.runtime.run` dispatches each region of a
-:class:`~repro.sim.task.Program` to the executor its programming model
-chose, and assembles a :class:`~repro.sim.trace.SimResult`.
+A stealing loop is a task graph on the stealing scheduler, and the
+stealing executors price a region's ``entry``/``exit`` markers
+themselves.  :mod:`repro.runtime.run` dispatches each region of a
+:class:`~repro.sim.task.Program` through one table per region kind
+(loop or task graph), calling every executor the same way, and
+assembles a :class:`~repro.sim.trace.SimResult`.
 """
 
 from repro.runtime.base import ExecContext, ThreadExplosionError

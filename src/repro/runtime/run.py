@@ -2,12 +2,14 @@
 
 A :class:`~repro.sim.task.Program` is a sequence of regions, each
 annotated (by the programming-model layer) with an executor name and
-parameters.  :func:`run_program` executes the regions in order on a
-given thread count and returns a :class:`~repro.sim.trace.SimResult`.
-
-Symbolic region entry/exit markers (``entry="omp_parallel"``,
-``exit="barrier"``) are resolved to costs here because they depend on
-the thread count.
+parameters.  :func:`execute_region` looks the name up in
+:data:`LOOP_EXECUTORS` or :data:`GRAPH_EXECUTORS` and calls every
+executor the same way, ``(space | graph, nthreads, ctx, tracer=,
+faults=, **region.params)``; the stealing executors price a region's
+symbolic ``entry``/``exit`` markers themselves
+(:func:`~repro.runtime.workstealing.marker_costs`).
+:func:`run_program` executes the regions in order on a given thread
+count and returns a :class:`~repro.sim.trace.SimResult`.
 """
 
 from __future__ import annotations
@@ -16,40 +18,35 @@ from typing import Union
 
 from repro.faults import fault_doc
 from repro.perf.gcpause import paused_gc
+from repro.runtime import amt
 from repro.runtime.base import ExecContext
+from repro.runtime.offload import run_offload_loop
 from repro.runtime.threadpool import run_threadpool_graph, run_threadpool_loop
 from repro.runtime.worksharing import run_worksharing_loop
 from repro.runtime.workstealing import run_stealing_graph, run_stealing_loop
 from repro.sim.task import LoopRegion, Program, SerialRegion, TaskRegion
 from repro.sim.trace import RegionResult, SimResult, WorkerStats
 
-__all__ = ["execute_region", "run_program"]
+__all__ = ["GRAPH_EXECUTORS", "LOOP_EXECUTORS", "execute_region", "run_program"]
 
-
-def _entry_cost(marker: str, p: int, ctx: ExecContext) -> float:
-    if marker in ("none", ""):
-        return 0.0
-    if marker == "omp_parallel":
-        return ctx.costs.fork_cost(p)
-    if marker == "cilk":
-        # Cilk workers persist across the program; entering a parallel
-        # section costs one spawn.
-        return ctx.costs.cilk_spawn
-    raise ValueError(f"unknown entry marker {marker!r}")
-
-
-def _exit_cost(marker: str, p: int, ctx: ExecContext) -> float:
-    if marker in ("none", ""):
-        return 0.0
-    if marker == "barrier":
-        return ctx.costs.barrier_cost(p)
-    if marker == "taskwait":
-        return ctx.costs.taskwait
-    if marker == "sync":
-        return ctx.costs.taskwait
-    if marker == "taskwait+barrier":
-        return ctx.costs.taskwait + ctx.costs.barrier_cost(p)
-    raise ValueError(f"unknown exit marker {marker!r}")
+#: executor name -> ``run(space, nthreads, ctx, *, tracer, faults, **params)``
+LOOP_EXECUTORS = {
+    "worksharing": run_worksharing_loop,
+    "stealing_loop": run_stealing_loop,
+    "threadpool": run_threadpool_loop,
+    "offload": run_offload_loop,
+    "charm_loop": amt.run_charm_loop,
+    "hpx_loop": amt.run_hpx_loop,
+    "mpi_loop": amt.run_mpi_loop,
+}
+#: executor name -> ``run(graph, nthreads, ctx, *, tracer, faults, **params)``
+GRAPH_EXECUTORS = {
+    "stealing": run_stealing_graph,
+    "threadpool_graph": run_threadpool_graph,
+    "charm_graph": amt.run_charm_graph,
+    "hpx_graph": amt.run_hpx_graph,
+    "mpi_graph": amt.run_mpi_graph,
+}
 
 
 def execute_region(
@@ -93,72 +90,19 @@ def execute_region(
         return RegionResult(time=stall + dur, nthreads=1, workers=[w], meta=meta)
 
     if isinstance(region, LoopRegion):
-        params = dict(region.params)
-        executor = region.executor
-        if executor == "worksharing":
-            return run_worksharing_loop(
-                region.space, nthreads, ctx, tracer=tracer, faults=faults, **params
-            )
-        if executor == "stealing_loop":
-            entry = _entry_cost(params.pop("entry", "none"), nthreads, ctx)
-            exit_marker = params.pop("exit", None)
-            exit_c = (
-                _exit_cost(exit_marker, nthreads, ctx) if exit_marker is not None else None
-            )
-            return run_stealing_loop(
-                region.space, nthreads, ctx, entry_cost=entry, exit_cost=exit_c,
-                tracer=tracer, faults=faults, **params
-            )
-        if executor == "threadpool":
-            return run_threadpool_loop(
-                region.space, nthreads, ctx, tracer=tracer, faults=faults, **params
-            )
-        if executor == "offload":
-            from repro.runtime.offload import run_offload_loop
-
-            return run_offload_loop(
-                region.space, nthreads, ctx, tracer=tracer, faults=faults, **params
-            )
-        if executor in ("charm_loop", "hpx_loop", "mpi_loop"):
-            from repro.runtime import amt
-
-            run_loop = {
-                "charm_loop": amt.run_charm_loop,
-                "hpx_loop": amt.run_hpx_loop,
-                "mpi_loop": amt.run_mpi_loop,
-            }[executor]
-            return run_loop(
-                region.space, nthreads, ctx, tracer=tracer, faults=faults, **params
-            )
-        raise ValueError(f"unknown loop executor {executor!r}")
+        run = LOOP_EXECUTORS.get(region.executor)
+        if run is None:
+            raise ValueError(f"unknown loop executor {region.executor!r}")
+        return run(region.space, nthreads, ctx, tracer=tracer, faults=faults, **region.params)
 
     if isinstance(region, TaskRegion):
-        params = dict(region.params)
-        executor = region.executor
-        graph = region.graph_for(nthreads)
-        if executor == "stealing":
-            entry = _entry_cost(params.pop("entry", "none"), nthreads, ctx)
-            exit_c = _exit_cost(params.pop("exit", "none"), nthreads, ctx)
-            return run_stealing_graph(
-                graph, nthreads, ctx, entry_cost=entry, exit_cost=exit_c,
-                tracer=tracer, faults=faults, **params
-            )
-        if executor == "threadpool_graph":
-            return run_threadpool_graph(
-                graph, nthreads, ctx, tracer=tracer, faults=faults, **params
-            )
-        if executor in ("charm_graph", "hpx_graph", "mpi_graph"):
-            from repro.runtime import amt
-
-            run_graph = {
-                "charm_graph": amt.run_charm_graph,
-                "hpx_graph": amt.run_hpx_graph,
-                "mpi_graph": amt.run_mpi_graph,
-            }[executor]
-            return run_graph(
-                graph, nthreads, ctx, tracer=tracer, faults=faults, **params
-            )
-        raise ValueError(f"unknown task executor {executor!r}")
+        run = GRAPH_EXECUTORS.get(region.executor)
+        if run is None:
+            raise ValueError(f"unknown task executor {region.executor!r}")
+        return run(
+            region.graph_for(nthreads), nthreads, ctx, tracer=tracer, faults=faults,
+            **region.params
+        )
 
     raise TypeError(f"unknown region type {type(region).__name__}")
 

@@ -9,7 +9,10 @@ locked deque serializes everything through the deque lock — the
 contention mechanism the paper blames for ``omp task`` losing to
 ``cilk_spawn`` on Fibonacci.
 
-Two loop front-ends are provided:
+A stealing loop is a task graph on the same scheduler:
+:func:`run_stealing_loop` builds the graph :func:`loop_shape` sizes and
+runs it through :func:`run_stealing_graph`.  Two loop decompositions
+are provided:
 
 - :func:`cilk_for_graph` — the recursive binary splitter tree that
   ``cilk_for`` compiles to; chunk distribution happens through steals of
@@ -22,10 +25,15 @@ Two loop front-ends are provided:
 
 Bandwidth-placement penalty: subtree stealing randomizes which worker
 touches which subrange, defeating first-touch NUMA placement and
-prefetch streaming.  :func:`run_stealing_loop` charges stolen-range
+prefetch streaming.  :func:`loop_shape` charges stolen-range
 executions a memory-traffic penalty that is strongest for small chunks
 and fades once the memory bus is saturated anyway (when everyone is
 bandwidth-bound, placement matters less).
+
+A region's symbolic ``entry``/``exit`` markers (``"cilk"``,
+``"omp_parallel"``, ``"taskwait"``, ...) are priced here too
+(:func:`marker_costs`), because they depend on the thread count.  Tier 0
+(:mod:`repro.sim.tiers`) reads the same markers and shapes.
 """
 
 from __future__ import annotations
@@ -51,8 +59,11 @@ __all__ = [
     "run_stealing_loop",
     "cilk_for_graph",
     "cilk_for_graph_batched",
+    "cilk_for_tasks",
     "flat_chunk_graph",
     "default_grainsize",
+    "loop_shape",
+    "marker_costs",
     "scatter_penalty",
 ]
 
@@ -588,6 +599,28 @@ def cilk_for_graph(
     return g
 
 
+def cilk_for_tasks(niter: int, grainsize: int) -> int:
+    """Task count of the ``cilk_for`` splitter tree over ``niter``
+    iterations: its leaves plus one split fewer."""
+    return _tree_size(niter, grainsize, {})
+
+
+def _tree_size(length: int, grainsize: int, sizes: dict[int, int]) -> int:
+    # memoized on range length: each level of the halving recursion has
+    # at most two distinct lengths.  A module-level recursion: a
+    # recursive closure would be a reference cycle, left for the
+    # (paused) cyclic collector
+    if length <= grainsize:
+        return 1
+    s = sizes.get(length)
+    if s is None:
+        half = length // 2
+        s = sizes[length] = (
+            1 + _tree_size(half, grainsize, sizes) + _tree_size(length - half, grainsize, sizes)
+        )
+    return s
+
+
 def _cum_at_vec(cum: np.ndarray, pos: np.ndarray, nblocks: int, niter: int) -> np.ndarray:
     """Vectorized :meth:`IterSpace._cum_at` with the scalar's exact
     operation order: ``x = (pos * nblocks) / niter``, truncate, clamp,
@@ -633,16 +666,7 @@ def cilk_for_graph_batched(
         )
     # pass 1: the tree, one level per step
     sizes: dict[int, int] = {}
-
-    def size(length: int) -> int:
-        if length <= grainsize:
-            return 1
-        s = sizes.get(length)
-        if s is None:
-            s = sizes[length] = 1 + size(length // 2) + size(length - length // 2)
-        return s
-
-    ntasks = size(niter)
+    ntasks = _tree_size(niter, grainsize, sizes)
     is_leaf = np.zeros(ntasks, dtype=bool)
     lo_a = np.zeros(ntasks, dtype=np.int64)
     hi_a = np.zeros(ntasks, dtype=np.int64)
@@ -667,7 +691,9 @@ def cilk_for_graph_batched(
         # halving keeps a level's range lengths within {m, m + 1}
         right_len = hi - mid
         m = int(right_len.min())
-        left = right + np.where(right_len == m, size(m), size(m + 1))
+        left = right + np.where(
+            right_len == m, _tree_size(m, grainsize, sizes), _tree_size(m + 1, grainsize, sizes)
+        )
         parent[right] = parent[left] = ids
         ids = np.concatenate((right, left))
         lo, hi = np.concatenate((mid, lo)), np.concatenate((hi, mid))
@@ -784,6 +810,72 @@ def scatter_penalty(space: IterSpace, nchunks: int, nthreads: int, ctx: ExecCont
     return 1.0 + penalty
 
 
+def marker_costs(entry: str, exit: str, p: int, ctx: ExecContext) -> tuple[float, float]:
+    """Price a region's symbolic ``entry`` and ``exit`` markers at ``p``
+    threads; returns ``(entry_seconds, exit_seconds)``."""
+    costs = ctx.costs
+    if entry in ("none", ""):
+        enter = 0.0
+    elif entry == "omp_parallel":
+        enter = costs.fork_cost(p)
+    elif entry == "cilk":
+        # Cilk workers persist across the program; entering a parallel
+        # section costs one spawn.
+        enter = costs.cilk_spawn
+    else:
+        raise ValueError(f"unknown entry marker {entry!r}")
+    if exit in ("none", ""):
+        leave = 0.0
+    elif exit == "barrier":
+        leave = costs.barrier_cost(p)
+    elif exit in ("taskwait", "sync"):
+        leave = costs.taskwait
+    elif exit == "taskwait+barrier":
+        leave = costs.taskwait + costs.barrier_cost(p)
+    else:
+        raise ValueError(f"unknown exit marker {exit!r}")
+    return enter, leave
+
+
+def loop_shape(
+    space: IterSpace,
+    p: int,
+    ctx: ExecContext,
+    *,
+    style: str = "cilk_for",
+    grainsize: Optional[int] = None,
+    nchunks: Optional[int] = None,
+    chunks_per_thread: int = 1,
+    reducer: bool = False,
+    apply_scatter_penalty: bool = True,
+    **_loop_params,
+) -> tuple[IterSpace, int, float]:
+    """The decomposition a stealing loop runs at ``p`` threads:
+    ``(space, grainsize_or_nchunks, bytes_penalty)``.
+
+    ``space`` carries the reducer's per-iteration hypermap lookup;
+    ``style="cilk_for"`` gives the splitter tree's grainsize and its
+    placement penalty, ``style="flat"`` the chunk count (at most one
+    chunk per iteration; the FIFO steal order hands thieves long
+    contiguous runs, so no penalty).  A stealing loop region's other
+    params are accepted and ignored, so its params pass straight through.
+    """
+    if reducer:
+        # Reducer hyperobject updates cost a hypermap lookup per access.
+        space = space.with_extra_work_per_iter(ctx.costs.reducer_access)
+    if style == "cilk_for":
+        gsize = grainsize if grainsize is not None else default_grainsize(space.niter, p)
+        penalty = (
+            scatter_penalty(space, -(-space.niter // gsize), p, ctx)
+            if apply_scatter_penalty else 1.0
+        )
+        return space, gsize, penalty
+    if style == "flat":
+        nck = nchunks if nchunks is not None else p * max(1, chunks_per_thread)
+        return space, min(nck, space.niter), 1.0
+    raise ValueError(f"unknown stealing loop style {style!r}")
+
+
 def run_stealing_loop(
     space: IterSpace,
     nthreads: int,
@@ -797,18 +889,19 @@ def run_stealing_loop(
     reducer: bool = False,
     per_task_overhead: float = 0.0,
     work_scale: float = 1.0,
-    entry_cost: float = 0.0,
-    exit_cost: Optional[float] = None,
+    entry: str = "none",
+    exit: str = "taskwait",
     apply_scatter_penalty: bool = True,
     undeferred_single: bool = False,
     tracer=None,
     faults=None,
 ) -> RegionResult:
-    """Execute a parallel loop on the work-stealing runtime.
+    """Execute a parallel loop on the work-stealing runtime: the graph
+    :func:`loop_shape` sizes, run by :func:`run_stealing_graph`.
 
     ``style="cilk_for"`` builds the splitter tree (with placement
-    penalty); ``style="flat"`` builds master-spawned chunk tasks (the
-    FIFO steal order hands thieves long contiguous runs, so no penalty).
+    penalty); ``style="flat"`` builds master-spawned chunk tasks.  The
+    loop ends in a ``taskwait`` unless ``exit`` says otherwise.
 
     Under ``faults`` the loop's mode is usually ``"none"``: Table III
     gives Cilk-style data parallelism no cancellation story, so an
@@ -817,51 +910,21 @@ def run_stealing_loop(
     """
     if nthreads <= 0:
         raise ValueError("nthreads must be positive")
-    costs = ctx.costs
-    if reducer:
-        # Reducer hyperobject updates cost a hypermap lookup per access.
-        space = space.with_extra_work_per_iter(costs.reducer_access)
-    if style == "cilk_for":
-        gsize = grainsize if grainsize is not None else default_grainsize(space.niter, nthreads)
-        nleaves = -(-space.niter // gsize)
-        penalty = (
-            scatter_penalty(space, nleaves, nthreads, ctx) if apply_scatter_penalty else 1.0
-        )
-        graph = cilk_for_graph_batched(
-            space, gsize, ctx, bytes_penalty=penalty, work_scale=work_scale
-        )
-        exit_c = costs.taskwait if exit_cost is None else exit_cost
-    elif style == "flat":
-        nck = nchunks if nchunks is not None else nthreads * max(1, chunks_per_thread)
-        graph = flat_chunk_graph(space, nck, ctx, work_scale=work_scale)
-        penalty = 1.0
-        exit_c = costs.taskwait if exit_cost is None else exit_cost
-    else:
-        raise ValueError(f"unknown stealing loop style {style!r}")
-    if tracer is not None:
-        # spans inside the scheduler are region-local starting after the
-        # (already charged) entry cost
-        tracer.offset += entry_cost
-    sched = StealingScheduler(
-        graph,
-        nthreads,
-        ctx,
-        deque=deque,
-        per_task_overhead=per_task_overhead,
-        reducer=reducer,
-        undeferred_single=undeferred_single,
-        tracer=tracer,
-        faults=faults,
+    space, size, penalty = loop_shape(
+        space, nthreads, ctx, style=style, grainsize=grainsize, nchunks=nchunks,
+        chunks_per_thread=chunks_per_thread, reducer=reducer,
+        apply_scatter_penalty=apply_scatter_penalty,
     )
-    res = sched.run()
+    build = cilk_for_graph_batched if style == "cilk_for" else flat_chunk_graph
+    res = run_stealing_graph(
+        build(space, size, ctx, bytes_penalty=penalty, work_scale=work_scale),
+        nthreads, ctx, deque=deque, per_task_overhead=per_task_overhead, reducer=reducer,
+        entry=entry, exit=exit, undeferred_single=undeferred_single,
+        tracer=tracer, faults=faults,
+    )
     res.meta["bytes_penalty"] = penalty
     res.meta["style"] = style
-    return RegionResult(
-        time=entry_cost + res.time + exit_c,
-        nthreads=nthreads,
-        workers=res.workers,
-        meta=res.meta,
-    )
+    return res
 
 
 def run_stealing_graph(
@@ -873,17 +936,22 @@ def run_stealing_graph(
     spawn_cost: Optional[float] = None,
     per_task_overhead: float = 0.0,
     reducer: bool = False,
-    entry_cost: float = 0.0,
-    exit_cost: float = 0.0,
+    entry: str = "none",
+    exit: str = "none",
     undeferred_single: bool = False,
     central_queue: bool = False,
     work_first: bool = False,
     tracer=None,
     faults=None,
 ) -> RegionResult:
-    """Execute an explicit task DAG on the work-stealing runtime."""
+    """Execute an explicit task DAG on the work-stealing runtime,
+    charging its ``entry`` and ``exit`` markers (:func:`marker_costs`)
+    around the scheduler's makespan."""
+    enter, leave = marker_costs(entry, exit, nthreads, ctx)
     if tracer is not None:
-        tracer.offset += entry_cost
+        # spans inside the scheduler are region-local starting after the
+        # (already charged) entry cost
+        tracer.offset += enter
     sched = StealingScheduler(
         graph,
         nthreads,
@@ -900,7 +968,7 @@ def run_stealing_graph(
     )
     res = sched.run()
     return RegionResult(
-        time=entry_cost + res.time + exit_cost,
+        time=enter + res.time + leave,
         nthreads=nthreads,
         workers=res.workers,
         meta=res.meta,

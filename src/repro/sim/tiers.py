@@ -74,32 +74,19 @@ class Tier0Result(SimResult):
 @dataclass(frozen=True)
 class Calibration:
     """Per-estimator scale factors and error bounds from tier-2 runs,
-    keyed by estimator kind (``"steal_cilkfor"``).  Lookups fall back
-    from the kind to ``"*"`` and then to the defaults (scale 1.0,
-    ``fallback_bound``).
+    keyed by estimator kind (``"steal_cilkfor"``).  A kind without an
+    entry gets the defaults (scale 1.0, ``fallback_bound``).
     """
 
     scales: Mapping[str, float] = field(default_factory=dict)
     bounds: Mapping[str, float] = field(default_factory=dict)
     fallback_bound: float = 0.5
 
-    @staticmethod
-    def _lookup(table: Mapping[str, float], kind: str, default: float) -> float:
-        v = table.get(kind)
-        if v is None:
-            v = table.get("*")
-        return default if v is None else v
-
     def scale(self, kind: str) -> float:
-        return self._lookup(self.scales, kind, 1.0)
+        return self.scales.get(kind, 1.0)
 
     def bound(self, kind: str) -> float:
-        return self._lookup(self.bounds, kind, self.fallback_bound)
-
-    @property
-    def max_bound(self) -> float:
-        """Worst-case bound over every calibrated group."""
-        return max(self.bounds.values(), default=self.fallback_bound)
+        return self.bounds.get(kind, self.fallback_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +135,6 @@ def _ws_dispatch_estimate(space: IterSpace, p: int, ctx, params: dict) -> Region
     return _aggregate_result(time, p, busy=total_dur, overhead=n * c, tasks=n)
 
 
-def _cilk_leaf_count(niter: int, grainsize: int) -> int:
-    """Exact leaf count of the halving splitter recursion (memoized on
-    range size — each recursion level has at most two distinct sizes)."""
-    return _leaf_count(niter, grainsize, {})
-
-
-def _leaf_count(n: int, grainsize: int, counts: dict[int, int]) -> int:
-    # a module-level recursion: a recursive closure would be a
-    # reference cycle, left for the (paused) cyclic collector
-    if n <= grainsize:
-        return 1
-    cached = counts.get(n)
-    if cached is not None:
-        return cached
-    m = n // 2
-    r = _leaf_count(m, grainsize, counts) + _leaf_count(n - m, grainsize, counts)
-    counts[n] = r
-    return r
-
-
 def _cilk_leaf_edges(niter: int, grainsize: int) -> np.ndarray:
     """Sorted leaf boundaries of the halving recursion.
 
@@ -191,24 +158,16 @@ def _cilk_leaf_edges(niter: int, grainsize: int) -> np.ndarray:
 
 
 def _steal_cilkfor_estimate(
-    space: IterSpace, p: int, ctx, params: dict, entry: float, exit_c: float
+    space: IterSpace, p: int, ctx, params: dict, gsize: int, penalty: float
 ) -> RegionResult:
-    """Closed form for the ``cilk_for`` splitter tree under work stealing."""
-    from repro.runtime.workstealing import default_grainsize, scatter_penalty
+    """Closed form for the ``cilk_for`` splitter tree under work stealing,
+    over the shape :func:`~repro.runtime.workstealing.loop_shape` gives."""
+    from repro.runtime.workstealing import cilk_for_tasks
 
     costs = ctx.costs
     work_scale = params.get("work_scale", 1.0)
-    if params.get("reducer", False):
-        space = space.with_extra_work_per_iter(costs.reducer_access)
-    grainsize = params.get("grainsize")
-    gsize = grainsize if grainsize is not None else default_grainsize(space.niter, p)
-    nleaves_cap = -(-space.niter // gsize)
-    penalty = (
-        scatter_penalty(space, nleaves_cap, p, ctx)
-        if params.get("apply_scatter_penalty", True)
-        else 1.0
-    )
-    leaves = _cilk_leaf_count(space.niter, gsize)
+    ntasks = cilk_for_tasks(space.niter, gsize)
+    leaves = (ntasks + 1) // 2
     # no more workers can be concurrently busy than there are leaves
     active = min(p, leaves) if p > 1 else 1
     memory = ctx.memory
@@ -223,8 +182,7 @@ def _steal_cilkfor_estimate(
     if by_block:
         iters_per_block = space.niter / space.nblocks
         leaf_max = leaf_max / iters_per_block * min(gsize, space.niter)
-    splits = leaves - 1
-    ntasks = leaves + splits
+    splits = ntasks - leaves
     split_dur = memory.duration(costs.cilk_split, active=active)
     spawn, push, pop, steal = costs.deque_ops(params.get("deque", "the"))
     per_task = spawn + push + pop
@@ -247,20 +205,17 @@ def _steal_cilkfor_estimate(
             # one view per steal on the thief, all views merged serially
             # at the sync
             time += steals * costs.reducer_merge + steals * costs.reducer_view / p
-    return _aggregate_result(entry + time + exit_c, p, busy=t1, overhead=overhead, tasks=ntasks)
+    return _aggregate_result(time, p, busy=t1, overhead=overhead, tasks=ntasks)
 
 
 def _steal_flat_estimate(
-    space: IterSpace, p: int, ctx, params: dict, entry: float, exit_c: float
+    space: IterSpace, p: int, ctx, params: dict, nck: int, penalty: float
 ) -> RegionResult:
-    """Closed form for master-spawned flat chunk tasks (``omp task`` loops)."""
+    """Closed form for master-spawned flat chunk tasks (``omp task``
+    loops), over the shape :func:`~repro.runtime.workstealing.loop_shape`
+    gives (a flat loop's ``penalty`` is 1.0)."""
     costs = ctx.costs
     work_scale = params.get("work_scale", 1.0)
-    if params.get("reducer", False):
-        space = space.with_extra_work_per_iter(costs.reducer_access)
-    nchunks = params.get("nchunks")
-    nck = nchunks if nchunks is not None else p * max(1, params.get("chunks_per_thread", 1))
-    nck = min(nck, space.niter)
     pto = params.get("per_task_overhead", 0.0)
     deque = params.get("deque", "the")
     spawn, push, pop, steal = costs.deque_ops(deque)
@@ -268,7 +223,9 @@ def _steal_flat_estimate(
     active = min(p, nck) if p > 1 else 1
     edges = (np.arange(nck + 1, dtype=np.int64) * space.niter) // nck
     work, membytes = space.chunk_costs(edges.astype(np.float64))
-    chunk_dur = ctx.memory.durations(work * work_scale, membytes, space.locality, active)
+    chunk_dur = ctx.memory.durations(
+        work * work_scale, membytes * penalty, space.locality, active
+    )
     busy = float(chunk_dur.sum())
     if p <= 1:
         if params.get("undeferred_single", False):
@@ -299,12 +256,10 @@ def _steal_flat_estimate(
         if params.get("reducer", False):
             time += nsteals * costs.reducer_merge
         overhead = seed + nck * (pop + pto) + nsteals * steal
-    return _aggregate_result(entry + time + exit_c, p, busy=busy, overhead=overhead, tasks=nck)
+    return _aggregate_result(time, p, busy=busy, overhead=overhead, tasks=nck)
 
 
-def _steal_graph_estimate(
-    region: TaskRegion, p: int, ctx, params: dict, entry: float, exit_c: float
-) -> RegionResult:
+def _steal_graph_estimate(region: TaskRegion, p: int, ctx, params: dict) -> RegionResult:
     """Closed form for an explicit task DAG under work stealing:
     greedy-scheduling bound ``max(T1/p, T_inf)`` on roofline-inflated
     durations plus per-task queue overheads."""
@@ -312,7 +267,7 @@ def _steal_graph_estimate(
     g = region.graph_for(p)
     n = len(g)
     if n == 0:
-        return _aggregate_result(entry + exit_c, p, busy=0.0, overhead=0.0, tasks=0)
+        return _aggregate_result(0.0, p, busy=0.0, overhead=0.0, tasks=0)
     default_spawn, push, pop, steal = costs.deque_ops(params.get("deque", "the"))
     if params.get("spawn_cost") is not None:
         default_spawn = params["spawn_cost"]
@@ -335,7 +290,7 @@ def _steal_graph_estimate(
         overhead = total_spawn + n * (push + pop + pto)
         chain = math.log2(p) * (steal + costs.steal_latency + costs.wake_latency)
         time = max((busy + overhead + steals * steal) / p, tinf * inflation + chain)
-    return _aggregate_result(entry + time + exit_c, p, busy=busy, overhead=overhead, tasks=n)
+    return _aggregate_result(time, p, busy=busy, overhead=overhead, tasks=n)
 
 
 def _amt_graph_estimate(region: TaskRegion, p: int, ctx, kind: str) -> RegionResult:
@@ -418,6 +373,10 @@ def _amt_graph_estimate(region: TaskRegion, p: int, ctx, kind: str) -> RegionRes
     return _aggregate_result(time, p, busy=busy, overhead=overhead, tasks=n)
 
 
+#: AMT graph executor -> its tier-0 estimator kind
+_AMT_GRAPH_KINDS = {"charm_graph": "amt_charm", "hpx_graph": "amt_hpx", "mpi_graph": "amt_mpi"}
+
+
 def estimate_region(region, nthreads: int, ctx) -> tuple[str, RegionResult]:
     """Estimate one region; returns ``(estimator_kind, raw_result)``.
 
@@ -425,49 +384,46 @@ def estimate_region(region, nthreads: int, ctx) -> tuple[str, RegionResult]:
     executor (already analytic — serial, static worksharing, thread
     pools, offload): the result *is* the tier-2 result and needs no
     calibration.  Every other kind is a closed-form estimate whose raw
-    time a :class:`Calibration` scales and bounds.
+    time a :class:`Calibration` scales and bounds.  A stealing region is
+    estimated over the decomposition the runtime runs
+    (:func:`~repro.runtime.workstealing.loop_shape`) and pays the same
+    entry/exit markers (:func:`~repro.runtime.workstealing.marker_costs`).
     """
-    from repro.runtime.run import _entry_cost, _exit_cost, execute_region
+    from repro.runtime.run import execute_region
+    from repro.runtime.workstealing import loop_shape, marker_costs
 
     p = nthreads
-    if isinstance(region, LoopRegion) and region.executor == "stealing_loop":
-        params = dict(region.params)
-        entry = _entry_cost(params.pop("entry", "none"), p, ctx)
-        exit_marker = params.pop("exit", None)
-        exit_c = (
-            _exit_cost(exit_marker, p, ctx) if exit_marker is not None else ctx.costs.taskwait
-        )
-        style = params.get("style", "cilk_for")
-        if style == "cilk_for":
-            return "steal_cilkfor", _steal_cilkfor_estimate(
-                region.space, p, ctx, params, entry, exit_c
-            )
-        if style == "flat":
-            return "steal_flat", _steal_flat_estimate(
-                region.space, p, ctx, params, entry, exit_c
-            )
-        raise ValueError(f"unknown stealing loop style {style!r}")
-    if isinstance(region, LoopRegion) and region.executor == "worksharing":
+    executor = getattr(region, "executor", "")
+    if isinstance(region, LoopRegion) and executor == "worksharing":
         schedule = region.params.get("schedule", "static")
         if schedule in ("dynamic", "guided"):
             return f"ws_{schedule}", _ws_dispatch_estimate(region.space, p, ctx, region.params)
         # static worksharing is already closed-form in the reference runtime
         return "exact", execute_region(region, p, ctx)
-    if isinstance(region, TaskRegion) and region.executor == "stealing":
-        params = dict(region.params)
-        entry = _entry_cost(params.pop("entry", "none"), p, ctx)
-        exit_c = _exit_cost(params.pop("exit", "none"), p, ctx)
-        return "steal_graph", _steal_graph_estimate(region, p, ctx, params, entry, exit_c)
-    if isinstance(region, TaskRegion) and region.executor in (
-        "charm_graph", "hpx_graph", "mpi_graph"
-    ):
-        kind = {"charm_graph": "amt_charm", "hpx_graph": "amt_hpx", "mpi_graph": "amt_mpi"}[
-            region.executor
-        ]
+    if isinstance(region, TaskRegion) and executor in _AMT_GRAPH_KINDS:
+        kind = _AMT_GRAPH_KINDS[executor]
         return kind, _amt_graph_estimate(region, p, ctx, kind)
-    # SerialRegion, threadpool loop/graph, offload, AMT loops: the
-    # reference executors are analytic already — delegate (exact, bound 0).
-    return "exact", execute_region(region, p, ctx)
+    if isinstance(region, LoopRegion) and executor == "stealing_loop":
+        params = region.params
+        space, size, penalty = loop_shape(region.space, p, ctx, **params)
+        if params.get("style", "cilk_for") == "cilk_for":
+            kind, estimate = "steal_cilkfor", _steal_cilkfor_estimate
+        else:
+            kind, estimate = "steal_flat", _steal_flat_estimate
+        res = estimate(space, p, ctx, params, size, penalty)
+        exit_marker = params.get("exit", "taskwait")
+    elif isinstance(region, TaskRegion) and executor == "stealing":
+        params = region.params
+        kind, res = "steal_graph", _steal_graph_estimate(region, p, ctx, params)
+        exit_marker = params.get("exit", "none")
+    else:
+        # SerialRegion, threadpool loop/graph, offload, AMT loops: the
+        # reference executors are analytic already — delegate (exact,
+        # bound 0).
+        return "exact", execute_region(region, p, ctx)
+    enter, leave = marker_costs(params.get("entry", "none"), exit_marker, p, ctx)
+    res.time = enter + res.time + leave
+    return kind, res
 
 
 @paused_gc

@@ -32,8 +32,8 @@ def run_tier_audit(
     """Audit tier-0 accuracy over the registry.
 
     Every registered workload × version × thread count (at validation
-    parameters) is run at tier 2 with the tracer attached and estimated
-    at tier 0; ``calibration`` defaults to the shipped
+    parameters) is built once, run at tier 2 and estimated at tier 0;
+    ``calibration`` defaults to the shipped
     :data:`~repro.sim.tiers.DEFAULT_CALIBRATION`.
     """
     from repro.core.registry import WORKLOADS
@@ -55,14 +55,11 @@ def run_tier_audit(
                 where = f"{name}/{version} p={p}"
                 program = spec.build(version, ctx2.machine, **params)
                 try:
-                    ref = run_program(program, p, ctx2, version, trace=True)
+                    ref = run_program(program, p, ctx2, version)
                 except ThreadExplosionError:
                     # the estimate must refuse identically
                     try:
-                        estimate_program(
-                            spec.build(version, ctx2.machine, **params), p, ctx2,
-                            version, calibration=calibration,
-                        )
+                        estimate_program(program, p, ctx2, version, calibration=calibration)
                     except ThreadExplosionError:
                         rep.check(True, "tier-explosion-parity", where)
                     else:
@@ -72,10 +69,7 @@ def run_tier_audit(
                         )
                     continue
                 # tier 0: reference time within the declared error bound
-                est = estimate_program(
-                    spec.build(version, ctx2.machine, **params), p, ctx2, version,
-                    calibration=calibration,
-                )
+                est = estimate_program(program, p, ctx2, version, calibration=calibration)
                 if est.time > 0.0 and est.error_bound > 0.0:
                     rel = abs(ref.time - est.time) / est.time
                     rep.check(

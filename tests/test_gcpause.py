@@ -226,3 +226,21 @@ def test_graphs_die_with_their_region(
         gc.enable()
     assert graph_refs
     assert alive == []
+
+
+@pytest.mark.parametrize("version", ["cilk_for", "omp_task"])
+def test_a_stealing_loop_leaves_no_cyclic_garbage(collector_enabled, version):
+    """A stealing-loop cell allocates no reference cycle (sizing the
+    splitter tree with a recursive closure made one per graph), so a
+    paused collector has nothing to hold back."""
+    ctx = ExecContext()
+    program = get_workload("axpy").build(version, ctx.machine)
+    gc.collect()
+    gc.disable()
+    try:
+        run_program(program, 4, ctx, version)
+        estimate_program(program, 4, ctx, version)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0

@@ -2,23 +2,19 @@
 
 import pytest
 
+from repro.core.registry import WORKLOADS
+from repro.faults.demos import FAULT_DEMOS
+from repro.faults.semantics import _EXECUTOR_MODES
 from repro.models import cilk, cxx11, openmp
-from repro.runtime import amt
-from repro.runtime.offload import run_offload_loop
+from repro.runtime import run as run_mod
+from repro.runtime.base import ThreadExplosionError
 from repro.runtime.run import execute_region, run_program
-from repro.runtime.threadpool import run_threadpool_graph, run_threadpool_loop
-from repro.runtime.worksharing import run_worksharing_loop
-from repro.runtime.workstealing import run_stealing_graph, run_stealing_loop
 from repro.sim.task import IterSpace, LoopRegion, Program, SerialRegion, TaskGraph, TaskRegion
+from repro.sim.tiers import DEFAULT_CALIBRATION, estimate_region
+from repro.validate.differential import graph_runtime_matrix, loop_runtime_matrix
 
-LOOP_EXECUTORS = (
-    run_worksharing_loop, run_stealing_loop, run_threadpool_loop, run_offload_loop,
-    amt.run_charm_loop, amt.run_hpx_loop, amt.run_mpi_loop,
-)
-GRAPH_EXECUTORS = (
-    run_stealing_graph, run_threadpool_graph,
-    amt.run_charm_graph, amt.run_hpx_graph, amt.run_mpi_graph,
-)
+LOOP_EXECUTORS = tuple(run_mod.LOOP_EXECUTORS.values())
+GRAPH_EXECUTORS = tuple(run_mod.GRAPH_EXECUTORS.values())
 
 
 @pytest.fixture
@@ -89,6 +85,73 @@ class TestDispatch:
         region = LoopRegion(space, "stealing_loop", {"exit": "warp"})
         with pytest.raises(ValueError, match="unknown exit marker"):
             execute_region(region, 2, ctx)
+
+
+class TestDispatchTables:
+    """Every executor name the code base puts on a region is a key of
+    ``execute_region``'s two tables and of the Table III mode table, and
+    tier 0 answers each one."""
+
+    def test_tables_and_modes_name_the_same_executors(self):
+        loops, graphs = set(run_mod.LOOP_EXECUTORS), set(run_mod.GRAPH_EXECUTORS)
+        assert not loops & graphs
+        assert loops | graphs == set(_EXECUTOR_MODES)
+
+    def test_every_executor_in_use_is_dispatched(self, ctx):
+        loops, graphs = set(), set()
+        for spec in WORKLOADS.values():
+            params = dict(spec.validation_params or spec.default_params)
+            for version in spec.versions:
+                for region in spec.build(version, ctx.machine, **params):
+                    if isinstance(region, LoopRegion):
+                        loops.add(region.executor)
+                    elif isinstance(region, TaskRegion):
+                        graphs.add(region.executor)
+        loops |= {executor for executor, _ in loop_runtime_matrix().values()}
+        graphs |= {executor for executor, _ in graph_runtime_matrix().values()}
+        for demo in FAULT_DEMOS.values():
+            region = demo.region(ctx)
+            (loops if isinstance(region, LoopRegion) else graphs).add(demo.executor)
+        assert loops <= set(run_mod.LOOP_EXECUTORS)
+        assert graphs <= set(run_mod.GRAPH_EXECUTORS)
+        # the registry, the oracle and the demos reach every table entry
+        assert loops | graphs == set(_EXECUTOR_MODES)
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_tier0_answers_every_registry_region(self, ctx, p):
+        kinds = set(DEFAULT_CALIBRATION.scales) | {"exact"}
+        for spec in WORKLOADS.values():
+            params = dict(spec.validation_params or spec.default_params)
+            for version in spec.versions:
+                for region in spec.build(version, ctx.machine, **params):
+                    try:
+                        kind, res = estimate_region(region, p, ctx)
+                    except ThreadExplosionError:
+                        continue  # a thread-per-task version past the cap
+                    assert kind in kinds, (spec.name, version, region.name, kind)
+                    assert res.time >= 0.0
+
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("executor", sorted(_EXECUTOR_MODES))
+    def test_tier0_answers_every_executor(self, executor, p, space, ctx):
+        kinds = set(DEFAULT_CALIBRATION.scales) | {"exact"}
+        if executor in run_mod.LOOP_EXECUTORS:
+            region = LoopRegion(space, executor)
+        else:
+            g = TaskGraph("g")
+            g.add(1e-6, deps=[g.add(1e-6)])
+            region = TaskRegion(g, executor)
+        kind, res = estimate_region(region, p, ctx)
+        assert kind in kinds
+        assert res.time > 0.0
+
+    def test_tier0_rejects_unknown_executors(self, space, ctx):
+        g = TaskGraph()
+        g.add(1.0)
+        with pytest.raises(ValueError, match="unknown loop executor"):
+            estimate_region(LoopRegion(space, "mystery"), 2, ctx)
+        with pytest.raises(ValueError, match="unknown task executor"):
+            estimate_region(TaskRegion(g, "mystery"), 2, ctx)
 
 
 class TestProgram:

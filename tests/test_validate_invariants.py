@@ -329,7 +329,7 @@ class TestRunProgramValidate:
     def test_validate_flag_raises_on_tampered_executor(self, monkeypatch):
         import repro.runtime.run as run_mod
 
-        real = run_mod.run_stealing_graph
+        real = run_mod.GRAPH_EXECUTORS["stealing"]
 
         def tampered(graph, nthreads, ctx, *, tracer, **kw):
             res = real(graph, nthreads, ctx, tracer=tracer, **kw)
@@ -337,7 +337,7 @@ class TestRunProgramValidate:
             tracer.span(0, 0.5e-6, 1.5e-6, "task", "x")
             return res
 
-        monkeypatch.setattr(run_mod, "run_stealing_graph", tampered)
+        monkeypatch.setitem(run_mod.GRAPH_EXECUTORS, "stealing", tampered)
         prog = fib.program("cilk_spawn", machine=CTX.machine, n=10)
         with pytest.raises(SimulationInvariantError, match="interval-overlap"):
             run_program(prog, 4, CTX, validate=True, trace=True)

@@ -99,7 +99,7 @@ class TestPropertySuite:
     def test_suite_audits_the_program_trace(self, monkeypatch):
         import repro.runtime.run as run_mod
 
-        real = run_mod.run_stealing_graph
+        real = run_mod.GRAPH_EXECUTORS["stealing"]
 
         def tampered(graph, nthreads, ctx, *, tracer, **kw):
             res = real(graph, nthreads, ctx, tracer=tracer, **kw)
@@ -108,7 +108,7 @@ class TestPropertySuite:
                 tracer.span(0, 0.5e-6, 1.5e-6, "task", "x")
             return res
 
-        monkeypatch.setattr(run_mod, "run_stealing_graph", tampered)
+        monkeypatch.setitem(run_mod.GRAPH_EXECUTORS, "stealing", tampered)
         rep = run_property_suite(seed=5, programs=5, threads=(2,))
         assert "interval-overlap" in {v.invariant for v in rep.violations}
 

@@ -250,5 +250,6 @@ class TestGraphEntryExit:
     def test_entry_exit_costs_added(self, small_ctx):
         g = wide_graph(10, 1e-6)
         base = run_stealing_graph(wide_graph(10, 1e-6), 2, small_ctx).time
-        wrapped = run_stealing_graph(g, 2, small_ctx, entry_cost=1e-3, exit_cost=1e-3).time
-        assert wrapped == pytest.approx(base + 2e-3, rel=0.01)
+        wrapped = run_stealing_graph(g, 2, small_ctx, entry="cilk", exit="taskwait").time
+        costs = small_ctx.costs
+        assert wrapped == base + costs.cilk_spawn + costs.taskwait
