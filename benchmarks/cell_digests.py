@@ -16,7 +16,13 @@ bandwidth window from t=0 (every work item's slowdown factor), a stall
 at 1 us and a failure at 2 us.  A ``graphs`` pass runs the
 ``add``-built task graphs outside the registry (UTS, the wavefront,
 a ``tbb::pipeline`` and 40 random programs from one ``Random(0)``
-stream) at p in {1, 4}, plus one traced p4 run each.  Each cell's codec document
+stream) at p in {1, 4}, plus one traced p4 run each.  An ``extensions``
+pass pins the callers outside the registry that run executors directly
+or reach tier 0's dynamic/guided worksharing: three synthesized apps
+(``synth.generate(0, 3)``) at fidelity 0 and 2 and p in {1, 4}, the
+composability study's ``nested_times`` at p in {4, 8, 16, 36}, the
+EPCC-style overhead table and the task-runtime comparison (Cilk, Intel
+OpenMP, GCC libgomp).  Each cell's codec document
 (times, worker stats, executor meta, and for the traced pass the full
 event streams) is serialized the way the result store writes it and
 hashed with SHA-256; a cell that fails with an expected error (the
@@ -124,10 +130,38 @@ def graph_digests() -> dict[str, str]:
     return out
 
 
+SYNTH_THREADS = (1, 4)
+NESTED_THREADS = (4, 8, 16, 36)
+
+
+def extension_digests() -> dict[str, str]:
+    """Digest of every ``extensions``-pass run, keyed
+    ``extensions/<synth/app/version/p<n>/<f0|f2>|composability/p<n>|
+    microbench|runtimes>``."""
+    from repro.extensions.composability import nested_times
+    from repro.extensions.runtimes import compare_task_runtimes
+    from repro.microbench.overheads import run_suite
+    from repro.runtime.base import ExecContext
+    from repro.workloads.synth import generate, registered
+
+    out = {}
+    with registered(generate(0, 3)) as specs:
+        for spec in specs:
+            for fid in FIDELITIES:
+                for k, v in _sweep_digests(spec.name, SYNTH_THREADS, fid, False).items():
+                    out[f"extensions/synth/{k}"] = v
+    ctx = ExecContext()
+    for p in NESTED_THREADS:
+        out[f"extensions/composability/p{p}"] = _digest(nested_times(ctx, p))
+    out["extensions/microbench"] = _digest(run_suite(ctx=ctx).rows)
+    out["extensions/runtimes"] = _digest(compare_task_runtimes(ctx))
+    return out
+
+
 def cell_digests() -> dict[str, str]:
     """Digest of every cell, keyed
     ``workload/version/p<n>/<f0|f2|trace|fault|timeout|degrade>``, plus the
-    ``graphs`` pass."""
+    ``graphs`` and ``extensions`` passes."""
     from repro.core.registry import WORKLOADS
 
     digests: dict[str, str] = {}
@@ -138,6 +172,7 @@ def cell_digests() -> dict[str, str]:
         for tag, kw in FAULT_PASSES.items():
             digests.update(_sweep_digests(name, FAULT_THREADS, 2, False, tag, **kw))
     digests.update(graph_digests())
+    digests.update(extension_digests())
     return dict(sorted(digests.items()))
 
 

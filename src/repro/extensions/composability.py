@@ -72,9 +72,9 @@ def nested_times(
     oversub = concurrent * nthreads
     slowdown = machine.compute_speed(nthreads) / machine.compute_speed(oversub)
     rounds = -(-outer // concurrent)
-    inner = run_worksharing_loop(
-        space, nthreads, ctx, work_scale=slowdown, fork=True, barrier=False
-    )
+    # time-sliced threads retire each iteration ``slowdown`` times slower
+    sliced = IterSpace.uniform(inner_n, work_per_iter * slowdown, 0.0, name="inner-loop")
+    inner = run_worksharing_loop(sliced, nthreads, ctx, barrier=False)
     if oversub > machine.hw_threads:
         # the inner region's mandatory barrier waits for descheduled
         # teammates: OS-quantum scale, growing with the oversubscription

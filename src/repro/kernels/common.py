@@ -43,11 +43,8 @@ def dispatch_loop(
     *,
     reduction: bool = False,
     schedule: str = "static",
-    nchunks: Optional[int] = None,
     chunks_per_thread: int = 1,
     grainsize: Optional[int] = None,
-    fork: bool = True,
-    barrier: bool = True,
     persistent_pool: bool = False,
 ) -> LoopRegion:
     """Build one data-parallel loop region in the named version.
@@ -58,33 +55,23 @@ def dispatch_loop(
     versions, which chunk at task-creation time.
     """
     if version == "omp_for":
-        return openmp.parallel_for(
-            space, schedule=schedule, reduction=reduction, fork=fork, barrier=barrier
-        )
+        return openmp.parallel_for(space, schedule=schedule, reduction=reduction)
     if version == "omp_task":
-        return openmp.task_loop(
-            space, nchunks=nchunks, chunks_per_thread=chunks_per_thread, reduction=reduction
-        )
+        return openmp.task_loop(space, chunks_per_thread=chunks_per_thread, reduction=reduction)
     if version == "cilk_for":
         return cilk.cilk_for(space, grainsize=grainsize, reducer=reduction)
     if version == "cilk_spawn":
-        return cilk.spawn_loop(
-            space, nchunks=nchunks, chunks_per_thread=chunks_per_thread, reducer=False
-        )
+        return cilk.spawn_loop(space, chunks_per_thread=chunks_per_thread, reducer=False)
     if version == "cxx_thread":
-        return cxx11.thread_for(
-            space, nchunks=nchunks, reduction=reduction, persistent=persistent_pool
-        )
+        return cxx11.thread_for(space, reduction=reduction, persistent=persistent_pool)
     if version == "cxx_async":
-        return cxx11.async_for(
-            space, nchunks=nchunks, reduction=reduction, persistent=persistent_pool
-        )
+        return cxx11.async_for(space, reduction=reduction, persistent=persistent_pool)
     if version == "charm":
-        return charm.chare_for(space, nchares=nchunks, reduction=reduction)
+        return charm.chare_for(space, reduction=reduction)
     if version == "hpx":
-        return hpx.async_for(space, nchunks=nchunks, reduction=reduction)
+        return hpx.async_for(space, reduction=reduction)
     if version == "mpi":
-        return mpi.rank_for(space, nchunks=nchunks, reduction=reduction)
+        return mpi.rank_for(space, reduction=reduction)
     raise ValueError(
         f"unknown version {version!r}; expected one of {VERSIONS + AMT_VERSIONS}"
     )

@@ -30,7 +30,6 @@ def chare_for(
     *,
     nchares: Optional[int] = None,
     reduction: bool = False,
-    work_scale: float = 1.0,
     name: Optional[str] = None,
 ) -> LoopRegion:
     """A loop as a chare array driven by seed messages.
@@ -42,7 +41,6 @@ def chare_for(
     params = {
         "nchares": nchares,
         "reduction": reduction,
-        "work_scale": work_scale,
     }
     return LoopRegion(space, "charm_loop", params, name or f"charm[{space.name}]")
 

@@ -25,7 +25,6 @@ def cilk_for(
     *,
     grainsize: Optional[int] = None,
     reducer: bool = False,
-    work_scale: float = 1.0,
     name: Optional[str] = None,
 ) -> LoopRegion:
     """``cilk_for`` over ``space``.
@@ -41,7 +40,6 @@ def cilk_for(
         "reducer": reducer,
         "entry": "cilk",
         "exit": "sync",
-        "work_scale": work_scale,
     }
     return LoopRegion(space, "stealing_loop", params, name or f"cilk_for[{space.name}]")
 
@@ -52,7 +50,6 @@ def spawn_loop(
     nchunks: Optional[int] = None,
     chunks_per_thread: int = 1,
     reducer: bool = False,
-    work_scale: float = 1.0,
     name: Optional[str] = None,
 ) -> LoopRegion:
     """The "task version" in Cilk: a loop of ``cilk_spawn`` chunk calls.
@@ -71,7 +68,6 @@ def spawn_loop(
         "reducer": reducer,
         "entry": "cilk",
         "exit": "sync",
-        "work_scale": work_scale,
     }
     return LoopRegion(space, "stealing_loop", params, name or f"cilk_spawn[{space.name}]")
 

@@ -34,7 +34,6 @@ def thread_for(
     *,
     nchunks: Optional[int] = None,
     reduction: bool = False,
-    work_scale: float = 1.0,
     persistent: bool = False,
     name: Optional[str] = None,
 ) -> LoopRegion:
@@ -50,7 +49,6 @@ def thread_for(
         "mode": "thread",
         "nchunks": nchunks,
         "reduction": reduction,
-        "work_scale": work_scale,
         "persistent": persistent,
     }
     return LoopRegion(space, "threadpool", params, name or f"cxx_thread[{space.name}]")
@@ -61,7 +59,6 @@ def async_for(
     *,
     nchunks: Optional[int] = None,
     reduction: bool = False,
-    work_scale: float = 1.0,
     persistent: bool = False,
     name: Optional[str] = None,
 ) -> LoopRegion:
@@ -74,7 +71,6 @@ def async_for(
         "mode": "async",
         "nchunks": nchunks,
         "reduction": reduction,
-        "work_scale": work_scale,
         "persistent": persistent,
     }
     return LoopRegion(space, "threadpool", params, name or f"cxx_async[{space.name}]")

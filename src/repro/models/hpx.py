@@ -27,14 +27,12 @@ def async_for(
     *,
     nchunks: Optional[int] = None,
     reduction: bool = False,
-    work_scale: float = 1.0,
     name: Optional[str] = None,
 ) -> LoopRegion:
     """A loop as ``hpx::async`` futures (4 chunks per worker by default)."""
     params = {
         "nchunks": nchunks,
         "reduction": reduction,
-        "work_scale": work_scale,
     }
     return LoopRegion(space, "hpx_loop", params, name or f"hpx[{space.name}]")
 

@@ -27,7 +27,6 @@ def rank_for(
     *,
     nchunks: Optional[int] = None,
     reduction: bool = False,
-    work_scale: float = 1.0,
     name: Optional[str] = None,
 ) -> LoopRegion:
     """A loop block-partitioned over the ranks (one chunk per rank).
@@ -38,7 +37,6 @@ def rank_for(
     params = {
         "nchunks": nchunks,
         "reduction": reduction,
-        "work_scale": work_scale,
     }
     return LoopRegion(space, "mpi_loop", params, name or f"mpi[{space.name}]")
 

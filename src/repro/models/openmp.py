@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
+from repro.sim.costs import CostModel
 from repro.sim.task import IterSpace, LoopRegion, TaskGraph, TaskRegion
 
 __all__ = ["parallel_for", "task_loop", "task_graph", "simd_hint", "target_parallel_for"]
@@ -31,7 +32,6 @@ def parallel_for(
     reduction: bool = False,
     fork: bool = True,
     barrier: bool = True,
-    work_scale: float = 1.0,
     name: Optional[str] = None,
 ) -> LoopRegion:
     """``#pragma omp parallel for`` over ``space``.
@@ -46,7 +46,6 @@ def parallel_for(
         "reduction": reduction,
         "fork": fork,
         "barrier": barrier,
-        "work_scale": work_scale,
     }
     return LoopRegion(space, "worksharing", params, name or f"omp_for[{space.name}]")
 
@@ -57,8 +56,6 @@ def task_loop(
     nchunks: Optional[int] = None,
     chunks_per_thread: int = 1,
     reduction: bool = False,
-    atomic_reduction_cost: Optional[float] = None,
-    work_scale: float = 1.0,
     name: Optional[str] = None,
 ) -> LoopRegion:
     """``parallel single`` creating one ``task`` per chunk, then ``taskwait``.
@@ -66,7 +63,8 @@ def task_loop(
     ``nchunks=None`` gives ``chunks_per_thread`` chunks per thread
     (default 1, the paper's ``BASE = N / nthreads`` cut-off; irregular
     workloads use more for load balancing).  With ``reduction`` each
-    task ends in an atomic accumulate into the shared result.
+    task ends in an atomic accumulate into the shared result, priced at
+    the default ``CostModel.atomic_op`` when the region is built.
     """
     params = {
         "style": "flat",
@@ -76,14 +74,9 @@ def task_loop(
         "entry": "omp_parallel",
         "exit": "taskwait+barrier",
         "undeferred_single": True,
-        "work_scale": work_scale,
     }
     if reduction:
-        # per-task atomic accumulate; resolved against ctx.costs at run
-        # time unless explicitly given.
-        params["per_task_overhead"] = (
-            atomic_reduction_cost if atomic_reduction_cost is not None else 22e-9
-        )
+        params["per_task_overhead"] = CostModel.atomic_op
     return LoopRegion(space, "stealing_loop", params, name or f"omp_task[{space.name}]")
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Union
 
+from repro.sim.costs import CostModel
 from repro.sim.task import IterSpace, LoopRegion, TaskGraph, TaskRegion
 
 __all__ = ["parallel_for", "parallel_reduce", "task_spawn_graph", "pipeline_graph", "pipeline"]
@@ -33,7 +34,6 @@ def parallel_for(
     *,
     partitioner: str = "auto",
     grainsize: Optional[int] = None,
-    work_scale: float = 1.0,
     name: Optional[str] = None,
 ) -> LoopRegion:
     """``tbb::parallel_for(range, body, partitioner)``.
@@ -48,7 +48,6 @@ def parallel_for(
         "deque": "the",
         "entry": "none",
         "exit": "sync",
-        "work_scale": work_scale,
     }
     if partitioner == "simple":
         params["grainsize"] = grainsize if grainsize is not None else 1
@@ -85,7 +84,7 @@ def parallel_reduce(
     # one join per split, charged with the taskwait at region exit; the
     # splitter tasks already exist, so fold the join cost into per-task
     # overhead
-    params["per_task_overhead"] = 120e-9
+    params["per_task_overhead"] = CostModel.tbb_join
     return LoopRegion(region.space, region.executor, params, region.name)
 
 
@@ -97,7 +96,7 @@ def task_spawn_graph(
     """``task::spawn`` / ``wait_for_all`` over an explicit DAG."""
     params = {
         "deque": "the",
-        "spawn_cost": 110e-9,
+        "spawn_cost": CostModel.tbb_spawn,
         "entry": "none",
         "exit": "sync",
     }
@@ -108,14 +107,14 @@ def pipeline_graph(
     stage_works: Sequence[float],
     serial_stages: Sequence[bool],
     ntokens: int,
-    token_cost: float = 90e-9,
 ) -> TaskGraph:
     """Build a ``tbb::pipeline`` DAG: ``ntokens`` items through stages.
 
     Item *i* at stage *s* depends on item *i* at stage *s-1*; a
     *serial* stage additionally depends on item *i-1* at the same stage
     (in-order token processing) — giving the classic result that the
-    slowest serial stage bounds throughput.
+    slowest serial stage bounds throughput.  Every stage task pays one
+    token handoff (the default ``CostModel.pipeline_token``).
     """
     if len(stage_works) != len(serial_stages):
         raise ValueError("stage_works and serial_stages must align")
@@ -123,6 +122,7 @@ def pipeline_graph(
         raise ValueError("need at least one stage")
     if ntokens <= 0:
         raise ValueError("ntokens must be positive")
+    token_cost = CostModel.pipeline_token
     g = TaskGraph(f"pipeline[{len(stage_works)}x{ntokens}]")
     prev_row: list[int] = []
     for s, (work, serial) in enumerate(zip(stage_works, serial_stages)):

@@ -142,21 +142,20 @@ class _MinTree:
             i >>= 1
 
 
-def _even_chunks(space: IterSpace, n: int, active: int, ctx: ExecContext,
-                 work_scale: float) -> np.ndarray:
+def _even_chunks(space: IterSpace, n: int, active: int, ctx: ExecContext) -> np.ndarray:
     """Duration of each of ``n`` even chunks with ``active`` workers."""
     edges = np.linspace(0, space.niter, n + 1).astype(np.int64)
     edges[0], edges[-1] = 0, space.niter
     work, membytes = space.chunk_costs(edges)
-    return ctx.memory.durations(work * work_scale, membytes, space.locality, active)
+    return ctx.memory.durations(work, membytes, space.locality, active)
 
 
-def _loop_meta(mode: str, n: int, space: IterSpace, work_scale: float) -> dict:
+def _loop_meta(mode: str, n: int, space: IterSpace) -> dict:
     return {
         "mode": mode,
         "nthreads_created": 0,  # AMT workers persist across the program
         "ntasks_created": n,
-        **space.expected_meta(work_scale),
+        **space.expected_meta(),
     }
 
 
@@ -169,7 +168,6 @@ def run_charm_loop(
     ctx: ExecContext,
     *,
     nchares: Optional[int] = None,
-    work_scale: float = 1.0,
     reduction: bool = False,
     tracer=None,
     faults=None,
@@ -190,7 +188,7 @@ def run_charm_loop(
     costs = ctx.costs
     n = _chunk_count(nchares, 4 * p, space.niter)
     active = min(p, n)
-    durations = _even_chunks(space, n, active, ctx, work_scale)
+    durations = _even_chunks(space, n, active, ctx)
     recv = costs.charm_msg_recv + costs.charm_entry_dispatch
     depth = math.ceil(math.log2(p)) if p > 1 else 0
     arrival = costs.charm_chare_create + costs.charm_msg_send * (1 + depth)
@@ -229,7 +227,7 @@ def run_charm_loop(
         time += depth * (costs.charm_msg_send + costs.charm_msg_recv)
     # completion detection: the last chare's done-message to the mainchare
     time += costs.charm_msg_send + costs.charm_msg_recv
-    meta = _loop_meta("charm", n, space, work_scale)
+    meta = _loop_meta("charm", n, space)
     if faults is not None:
         busy = sum(w.busy for w in workers)
         meta["fault"] = fault_doc(faults.triggered, err, err_time, faults.mode, busy)
@@ -245,7 +243,6 @@ def run_hpx_loop(
     ctx: ExecContext,
     *,
     nchunks: Optional[int] = None,
-    work_scale: float = 1.0,
     reduction: bool = False,
     tracer=None,
     faults=None,
@@ -263,7 +260,7 @@ def run_hpx_loop(
     costs = ctx.costs
     n = _chunk_count(nchunks, 4 * p, space.niter)
     active = min(p, n)
-    durations = _even_chunks(space, n, active, ctx, work_scale)
+    durations = _even_chunks(space, n, active, ctx)
     create = costs.hpx_future_create
     cont = costs.hpx_continuation
 
@@ -305,7 +302,7 @@ def run_hpx_loop(
         t_join = max(t_join, ends[i]) + costs.hpx_future_get
     if reduction:
         t_join += n * costs.atomic_op
-    meta = _loop_meta("hpx", n, space, work_scale)
+    meta = _loop_meta("hpx", n, space)
     if faults is not None:
         busy = sum(w.busy for w in workers)
         meta["fault"] = fault_doc(faults.triggered, err, err_time, faults.mode, busy)
@@ -321,7 +318,6 @@ def run_mpi_loop(
     ctx: ExecContext,
     *,
     nchunks: Optional[int] = None,
-    work_scale: float = 1.0,
     reduction: bool = False,
     tracer=None,
     faults=None,
@@ -341,7 +337,7 @@ def run_mpi_loop(
     costs = ctx.costs
     n = _chunk_count(nchunks, p, space.niter)
     active = min(p, n)
-    durations = _even_chunks(space, n, active, ctx, work_scale)
+    durations = _even_chunks(space, n, active, ctx)
 
     # pass 1: per-rank serial chunk layout with stall/slow/fail hooks
     starts = [0.0] * n
@@ -403,7 +399,7 @@ def run_mpi_loop(
                 workers[r].overhead += coll
                 if tracer is not None:
                     tracer.span(r, t_rank[r], time, "barrier", "mpi_collective")
-    meta = _loop_meta("mpi", n, space, work_scale)
+    meta = _loop_meta("mpi", n, space)
     if faults is not None:
         busy = sum(w.busy for w in workers)
         meta["fault"] = fault_doc(

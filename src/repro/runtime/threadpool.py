@@ -38,7 +38,6 @@ def run_threadpool_loop(
     *,
     mode: str = "thread",
     nchunks: Optional[int] = None,
-    work_scale: float = 1.0,
     reduction: bool = False,
     persistent: bool = False,
     tracer=None,
@@ -94,7 +93,7 @@ def run_threadpool_loop(
     edges[0], edges[-1] = 0, space.niter
     work, membytes = space.chunk_costs(edges)
     # every chunk gets its own software thread: n are active
-    durations = ctx.memory.durations(work * work_scale, membytes, space.locality, n)
+    durations = ctx.memory.durations(work, membytes, space.locality, n)
 
     # Serial creation: thread i starts at (i+1) * create and runs its
     # chunk, after any stall, slowed by any bandwidth window.
@@ -146,7 +145,7 @@ def run_threadpool_loop(
         "mode": mode,
         "nthreads_created": 0 if persistent else n,
         "persistent": persistent,
-        **space.expected_meta(work_scale),
+        **space.expected_meta(),
     }
     if faults is not None:
         meta["fault"] = fault_doc(

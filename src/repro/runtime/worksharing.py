@@ -58,7 +58,6 @@ def run_worksharing_loop(
     reduction: bool = False,
     fork: bool = True,
     barrier: bool = True,
-    work_scale: float = 1.0,
     tracer=None,
     faults=None,
 ) -> RegionResult:
@@ -78,8 +77,6 @@ def run_worksharing_loop(
     fork, barrier:
         Charge the parallel-region fork / end barrier.  Disabled when a
         model fuses several loops inside one parallel region (``nowait``).
-    work_scale:
-        Multiplier on compute work (models codegen differences).
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`: emits per-chunk
         execution spans, loop-counter lock waits (dynamic/guided) and,
@@ -116,7 +113,7 @@ def run_worksharing_loop(
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
     work, membytes = space.chunk_costs(edges)
-    durations = ctx.memory.durations(work * work_scale, membytes, space.locality, p)
+    durations = ctx.memory.durations(work, membytes, space.locality, p)
     meta = {"schedule": schedule, "nchunks": int(durations.size)}
     hold = costs.static_chunk if static else costs.dynamic_dispatch
     free, loop_time, lock_wait, fdoc = _walk(
@@ -142,7 +139,7 @@ def run_worksharing_loop(
         for w in workers:
             w.overhead += costs.reduction_per_thread
     meta["loop_time"] = loop_time
-    meta.update(space.expected_meta(work_scale))
+    meta.update(space.expected_meta())
     if faults is not None:
         meta["fault"] = fdoc
     return RegionResult(time=total, nthreads=p, workers=workers, meta=meta)

@@ -569,7 +569,6 @@ def cilk_for_graph(
     ctx: ExecContext,
     *,
     bytes_penalty: float = 1.0,
-    work_scale: float = 1.0,
 ) -> TaskGraph:
     """The recursive binary splitter tree ``cilk_for`` compiles to.
 
@@ -584,13 +583,7 @@ def cilk_for_graph(
         lo, hi, deps = stack.pop()
         if hi - lo <= grainsize:
             work, membytes = space.chunk_cost(lo, hi)
-            g.add(
-                work * work_scale,
-                membytes * bytes_penalty,
-                space.locality,
-                deps=deps,
-                tag="chunk",
-            )
+            g.add(work, membytes * bytes_penalty, space.locality, deps=deps, tag="chunk")
         else:
             tid = g.add(split_cost, deps=deps, tag="split")
             mid = (lo + hi) // 2
@@ -641,7 +634,6 @@ def cilk_for_graph_batched(
     ctx: ExecContext,
     *,
     bytes_penalty: float = 1.0,
-    work_scale: float = 1.0,
 ) -> TaskGraph:
     """Fast builder for :func:`cilk_for_graph`: identical tree
     (same task ids, deps, tags, creation order), built from whole
@@ -661,9 +653,7 @@ def cilk_for_graph_batched(
     niter = space.niter
     nblocks = space.nblocks
     if niter * nblocks >= 2 ** 53:
-        return cilk_for_graph(
-            space, grainsize, ctx, bytes_penalty=bytes_penalty, work_scale=work_scale
-        )
+        return cilk_for_graph(space, grainsize, ctx, bytes_penalty=bytes_penalty)
     # pass 1: the tree, one level per step
     sizes: dict[int, int] = {}
     ntasks = _tree_size(niter, grainsize, sizes)
@@ -711,7 +701,7 @@ def cilk_for_graph_batched(
     # pass 3: the columns; splits take add()'s defaults
     split_cost = ctx.costs.cilk_split
     work_col = np.full(ntasks, split_cost)
-    work_col[is_leaf] = works * work_scale
+    work_col[is_leaf] = works
     bytes_col = np.zeros(ntasks)
     bytes_col[is_leaf] = membytes * bytes_penalty
     # T_inf: a split at depth d ends at the sequential sum ends[d + 1] of
@@ -735,7 +725,6 @@ def flat_chunk_graph(
     ctx: ExecContext,
     *,
     bytes_penalty: float = 1.0,
-    work_scale: float = 1.0,
 ) -> TaskGraph:
     """One independent task per contiguous chunk (``omp task`` loops):
     chunk ``i`` covers ``[i * niter // nchunks, (i + 1) * niter //
@@ -751,7 +740,7 @@ def flat_chunk_graph(
         g = TaskGraph(name)
         for i in range(nchunks):
             work, membytes = space.chunk_cost(i * niter // nchunks, (i + 1) * niter // nchunks)
-            g.add(work * work_scale, membytes * bytes_penalty, space.locality, tag="chunk")
+            g.add(work, membytes * bytes_penalty, space.locality, tag="chunk")
         return g
     # i * niter // nchunks without the int64 product i * niter
     q, r = divmod(niter, nchunks)
@@ -761,7 +750,7 @@ def flat_chunk_graph(
     cw, cb = space._cum_work, space._cum_bytes
     at_w = _cum_at_vec(cw, edges, nblocks, niter)
     at_b = _cum_at_vec(cb, edges, nblocks, niter)
-    work = np.maximum(at_w[1:] - at_w[:-1], 0.0) * work_scale
+    work = np.maximum(at_w[1:] - at_w[:-1], 0.0)
     # T_inf as the forward pass sums it: every chunk starts at 0.0
     return TaskGraph.from_columns(
         name, work, np.maximum(at_b[1:] - at_b[:-1], 0.0) * bytes_penalty, space.locality,
@@ -842,13 +831,12 @@ def loop_shape(
     p: int,
     ctx: ExecContext,
     *,
-    style: str = "cilk_for",
-    grainsize: Optional[int] = None,
-    nchunks: Optional[int] = None,
-    chunks_per_thread: int = 1,
-    reducer: bool = False,
-    apply_scatter_penalty: bool = True,
-    **_loop_params,
+    style: str,
+    grainsize: Optional[int],
+    nchunks: Optional[int],
+    chunks_per_thread: int,
+    reducer: bool,
+    apply_scatter_penalty: bool,
 ) -> tuple[IterSpace, int, float]:
     """The decomposition a stealing loop runs at ``p`` threads:
     ``(space, grainsize_or_nchunks, bytes_penalty)``.
@@ -857,8 +845,8 @@ def loop_shape(
     ``style="cilk_for"`` gives the splitter tree's grainsize and its
     placement penalty, ``style="flat"`` the chunk count (at most one
     chunk per iteration; the FIFO steal order hands thieves long
-    contiguous runs, so no penalty).  A stealing loop region's other
-    params are accepted and ignored, so its params pass straight through.
+    contiguous runs, so no penalty).  The options are
+    :func:`run_stealing_loop`'s, whose signature states their defaults.
     """
     if reducer:
         # Reducer hyperobject updates cost a hypermap lookup per access.
@@ -888,7 +876,6 @@ def run_stealing_loop(
     chunks_per_thread: int = 1,
     reducer: bool = False,
     per_task_overhead: float = 0.0,
-    work_scale: float = 1.0,
     entry: str = "none",
     exit: str = "taskwait",
     apply_scatter_penalty: bool = True,
@@ -917,7 +904,7 @@ def run_stealing_loop(
     )
     build = cilk_for_graph_batched if style == "cilk_for" else flat_chunk_graph
     res = run_stealing_graph(
-        build(space, size, ctx, bytes_penalty=penalty, work_scale=work_scale),
+        build(space, size, ctx, bytes_penalty=penalty),
         nthreads, ctx, deque=deque, per_task_overhead=per_task_overhead, reducer=reducer,
         entry=entry, exit=exit, undeferred_single=undeferred_single,
         tracer=tracer, faults=faults,

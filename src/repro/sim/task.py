@@ -502,12 +502,11 @@ class IterSpace:
     def total_bytes(self) -> float:
         return float(self._cum_bytes[-1])
 
-    def expected_meta(self, work_scale: float = 1.0) -> dict:
+    def expected_meta(self) -> dict:
         """Useful-work accounting for the invariant checker: worker busy
-        time must conserve exactly this iteration space, its work scaled
-        by ``work_scale``."""
+        time must conserve exactly this iteration space."""
         return {
-            "expected_work": self.total_work * work_scale,
+            "expected_work": self.total_work,
             "expected_bytes": self.total_bytes,
             "expected_locality": self.locality,
         }

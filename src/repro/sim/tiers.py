@@ -19,7 +19,11 @@ event-driven simulation is estimated in well under a millisecond
 that are already analytic in the reference runtime (serial regions,
 static worksharing, thread pools) are *delegated*, not re-modelled:
 their tier-0 estimate equals the tier-2 result exactly and their error
-bound is zero.
+bound is zero.  A modelled region's params are bound to the signature
+of the executor it models, so tier 0 restates no executor default and
+rejects a param the executor would reject.  The front-end constants a
+region carries (``per_task_overhead``, ``spawn_cost``) are the
+:class:`~repro.sim.costs.CostModel` defaults, fixed when it is built.
 
 Calibration groups observations by estimator kind.  Each group's scale
 is the log-midrange of observed ``t2 / t0_raw`` ratios and its bound
@@ -28,6 +32,8 @@ the half-range plus margin.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -37,7 +43,7 @@ import numpy as np
 
 from repro.perf.gcpause import paused_gc
 from repro.perf.spans import span as _perf_span
-from repro.sim.task import IterSpace, LoopRegion, Program, SerialRegion, TaskRegion
+from repro.sim.task import IterSpace, LoopRegion, Program, SerialRegion, TaskGraph, TaskRegion
 from repro.sim.trace import RegionResult, SimResult, WorkerStats
 
 __all__ = [
@@ -99,7 +105,35 @@ def _aggregate_result(
     return RegionResult(time=time, nthreads=p, workers=[w], meta={"aggregate_workers": True})
 
 
-def _ws_dispatch_estimate(space: IterSpace, p: int, ctx, params: dict) -> RegionResult:
+@functools.lru_cache(maxsize=None)
+def _options(run) -> tuple[inspect.Signature, dict]:
+    """Executor ``run``'s signature and its region options (every
+    keyword-only parameter but ``tracer`` and ``faults``) with their
+    defaults."""
+    sig = inspect.signature(run)
+    options = {
+        name: prm.default for name, prm in sig.parameters.items()
+        if prm.kind is prm.KEYWORD_ONLY and name not in ("tracer", "faults")
+    }
+    return sig, options
+
+
+def _bind(run, head, p: int, ctx, params: Mapping) -> dict:
+    """``params`` bound to executor ``run`` the way
+    :func:`~repro.runtime.run.execute_region` calls it, every default
+    applied: the executor's signature is the only statement of its
+    options and their defaults, and a name it does not take raises the
+    same :class:`TypeError` here as at tier 2."""
+    sig, options = _options(run)
+    if params.keys() <= options.keys():
+        # what bind() + apply_defaults() give, without their ~10-20 us
+        return {**options, **params}
+    bound = sig.bind(head, p, ctx, tracer=None, faults=None, **params)
+    bound.apply_defaults()
+    return bound.arguments
+
+
+def _ws_dispatch_estimate(space: IterSpace, p: int, ctx, args: dict) -> RegionResult:
     """Closed form for dynamic/guided worksharing dispatch.
 
     The reference executor walks chunks through a lock-serialized
@@ -111,12 +145,9 @@ def _ws_dispatch_estimate(space: IterSpace, p: int, ctx, params: dict) -> Region
     from repro.runtime.worksharing import _schedule_edges
 
     costs = ctx.costs
-    schedule = params.get("schedule", "static")
-    edges = _schedule_edges(space, schedule, params.get("chunk"), p)
+    edges = _schedule_edges(space, args["schedule"], args["chunk"], p)
     work, membytes = space.chunk_costs(edges)
-    durations = ctx.memory.durations(
-        work * params.get("work_scale", 1.0), membytes, space.locality, p
-    )
+    durations = ctx.memory.durations(work, membytes, space.locality, p)
     n = int(durations.size)
     total_dur = float(durations.sum())
     dmax = float(durations.max()) if n else 0.0
@@ -126,11 +157,11 @@ def _ws_dispatch_estimate(space: IterSpace, p: int, ctx, params: dict) -> Region
     else:
         loop = max(total_dur / p + n * c / p, n * c) + dmax * (p - 1) / p
     time = loop
-    if params.get("fork", True):
+    if args["fork"]:
         time += costs.fork_cost(p)
-    if params.get("barrier", True):
+    if args["barrier"]:
         time += costs.barrier_cost(p)
-    if params.get("reduction", False):
+    if args["reduction"]:
         time += p * costs.reduction_per_thread
     return _aggregate_result(time, p, busy=total_dur, overhead=n * c, tasks=n)
 
@@ -158,14 +189,13 @@ def _cilk_leaf_edges(niter: int, grainsize: int) -> np.ndarray:
 
 
 def _steal_cilkfor_estimate(
-    space: IterSpace, p: int, ctx, params: dict, gsize: int, penalty: float
+    space: IterSpace, p: int, ctx, args: dict, gsize: int, penalty: float
 ) -> RegionResult:
     """Closed form for the ``cilk_for`` splitter tree under work stealing,
     over the shape :func:`~repro.runtime.workstealing.loop_shape` gives."""
     from repro.runtime.workstealing import cilk_for_tasks
 
     costs = ctx.costs
-    work_scale = params.get("work_scale", 1.0)
     ntasks = cilk_for_tasks(space.niter, gsize)
     leaves = (ntasks + 1) // 2
     # no more workers can be concurrently busy than there are leaves
@@ -176,7 +206,7 @@ def _steal_cilkfor_estimate(
         work, membytes = np.diff(space._cum_work), np.diff(space._cum_bytes)
     else:
         work, membytes = space.chunk_costs(_cilk_leaf_edges(space.niter, gsize))
-    dur = memory.durations(work * work_scale, membytes * penalty, space.locality, active)
+    dur = memory.durations(work, membytes * penalty, space.locality, active)
     busy = float(dur.sum())
     leaf_max = float(dur.max())
     if by_block:
@@ -184,7 +214,7 @@ def _steal_cilkfor_estimate(
         leaf_max = leaf_max / iters_per_block * min(gsize, space.niter)
     splits = ntasks - leaves
     split_dur = memory.duration(costs.cilk_split, active=active)
-    spawn, push, pop, steal = costs.deque_ops(params.get("deque", "the"))
+    spawn, push, pop, steal = costs.deque_ops(args["deque"])
     per_task = spawn + push + pop
     t1 = busy + splits * split_dur
     overhead = ntasks * per_task
@@ -201,7 +231,7 @@ def _steal_cilkfor_estimate(
         )
         tinf += leaf_max
         time = max((t1 + overhead + steals * (steal + costs.steal_latency)) / p, tinf)
-        if params.get("reducer", False):
+        if args["reducer"]:
             # one view per steal on the thief, all views merged serially
             # at the sync
             time += steals * costs.reducer_merge + steals * costs.reducer_view / p
@@ -209,26 +239,23 @@ def _steal_cilkfor_estimate(
 
 
 def _steal_flat_estimate(
-    space: IterSpace, p: int, ctx, params: dict, nck: int, penalty: float
+    space: IterSpace, p: int, ctx, args: dict, nck: int, penalty: float
 ) -> RegionResult:
     """Closed form for master-spawned flat chunk tasks (``omp task``
     loops), over the shape :func:`~repro.runtime.workstealing.loop_shape`
     gives (a flat loop's ``penalty`` is 1.0)."""
     costs = ctx.costs
-    work_scale = params.get("work_scale", 1.0)
-    pto = params.get("per_task_overhead", 0.0)
-    deque = params.get("deque", "the")
+    pto = args["per_task_overhead"]
+    deque = args["deque"]
     spawn, push, pop, steal = costs.deque_ops(deque)
     # no more workers can be concurrently busy than there are chunks
     active = min(p, nck) if p > 1 else 1
     edges = (np.arange(nck + 1, dtype=np.int64) * space.niter) // nck
     work, membytes = space.chunk_costs(edges.astype(np.float64))
-    chunk_dur = ctx.memory.durations(
-        work * work_scale, membytes * penalty, space.locality, active
-    )
+    chunk_dur = ctx.memory.durations(work, membytes * penalty, space.locality, active)
     busy = float(chunk_dur.sum())
     if p <= 1:
-        if params.get("undeferred_single", False):
+        if args["undeferred_single"]:
             time = busy + nck * (spawn + pto)
             overhead = nck * (spawn + pto)
         else:
@@ -253,30 +280,29 @@ def _steal_flat_estimate(
         time = seed + costs.wake_latency + max(
             busy / p + nck * (pop + pto) / p, chain
         )
-        if params.get("reducer", False):
+        if args["reducer"]:
             time += nsteals * costs.reducer_merge
         overhead = seed + nck * (pop + pto) + nsteals * steal
     return _aggregate_result(time, p, busy=busy, overhead=overhead, tasks=nck)
 
 
-def _steal_graph_estimate(region: TaskRegion, p: int, ctx, params: dict) -> RegionResult:
+def _steal_graph_estimate(g: TaskGraph, p: int, ctx, args: dict) -> RegionResult:
     """Closed form for an explicit task DAG under work stealing:
     greedy-scheduling bound ``max(T1/p, T_inf)`` on roofline-inflated
     durations plus per-task queue overheads."""
     costs = ctx.costs
-    g = region.graph_for(p)
     n = len(g)
     if n == 0:
         return _aggregate_result(0.0, p, busy=0.0, overhead=0.0, tasks=0)
-    default_spawn, push, pop, steal = costs.deque_ops(params.get("deque", "the"))
-    if params.get("spawn_cost") is not None:
-        default_spawn = params["spawn_cost"]
-    pto = params.get("per_task_overhead", 0.0)
+    default_spawn, push, pop, steal = costs.deque_ops(args["deque"])
+    if args["spawn_cost"] is not None:
+        default_spawn = args["spawn_cost"]
+    pto = args["per_task_overhead"]
     active = p if p > 1 else 1
     busy = float(ctx.memory.durations(g.work, g.membytes, g.locality, active).sum())
     total_spawn = float(sum(sc if sc > 0 else default_spawn for sc in g.spawn_cost))
     if p <= 1:
-        if params.get("undeferred_single", False):
+        if args["undeferred_single"]:
             overhead = total_spawn + n * pto
         else:
             overhead = total_spawn + n * (push + pop + pto)
@@ -293,7 +319,7 @@ def _steal_graph_estimate(region: TaskRegion, p: int, ctx, params: dict) -> Regi
     return _aggregate_result(time, p, busy=busy, overhead=overhead, tasks=n)
 
 
-def _amt_graph_estimate(region: TaskRegion, p: int, ctx, kind: str) -> RegionResult:
+def _amt_graph_estimate(g: TaskGraph, p: int, ctx, kind: str) -> RegionResult:
     """Analytic estimate for the AMT graph executors (charm/hpx/mpi).
 
     The static-placement models are exactly analyzable: charm (round-
@@ -306,7 +332,6 @@ def _amt_graph_estimate(region: TaskRegion, p: int, ctx, kind: str) -> RegionRes
     dependency-induced idling is what its calibrated bound absorbs.
     """
     costs = ctx.costs
-    g = region.graph_for(p)
     n = len(g)
     if n == 0:
         return _aggregate_result(0.0, p, busy=0.0, overhead=0.0, tasks=0)
@@ -384,44 +409,50 @@ def estimate_region(region, nthreads: int, ctx) -> tuple[str, RegionResult]:
     executor (already analytic — serial, static worksharing, thread
     pools, offload): the result *is* the tier-2 result and needs no
     calibration.  Every other kind is a closed-form estimate whose raw
-    time a :class:`Calibration` scales and bounds.  A stealing region is
-    estimated over the decomposition the runtime runs
+    time a :class:`Calibration` scales and bounds.  A modelled region's
+    params are bound to its executor's signature first (:func:`_bind`),
+    so every default comes from the executor and a misspelt param fails
+    as it would at tier 2.  A stealing region is estimated over the
+    decomposition the runtime runs
     (:func:`~repro.runtime.workstealing.loop_shape`) and pays the same
     entry/exit markers (:func:`~repro.runtime.workstealing.marker_costs`).
     """
-    from repro.runtime.run import execute_region
+    from repro.runtime.run import GRAPH_EXECUTORS, LOOP_EXECUTORS, execute_region
     from repro.runtime.workstealing import loop_shape, marker_costs
 
     p = nthreads
     executor = getattr(region, "executor", "")
-    if isinstance(region, LoopRegion) and executor == "worksharing":
-        schedule = region.params.get("schedule", "static")
-        if schedule in ("dynamic", "guided"):
-            return f"ws_{schedule}", _ws_dispatch_estimate(region.space, p, ctx, region.params)
-        # static worksharing is already closed-form in the reference runtime
-        return "exact", execute_region(region, p, ctx)
-    if isinstance(region, TaskRegion) and executor in _AMT_GRAPH_KINDS:
-        kind = _AMT_GRAPH_KINDS[executor]
-        return kind, _amt_graph_estimate(region, p, ctx, kind)
-    if isinstance(region, LoopRegion) and executor == "stealing_loop":
-        params = region.params
-        space, size, penalty = loop_shape(region.space, p, ctx, **params)
-        if params.get("style", "cilk_for") == "cilk_for":
+    if isinstance(region, LoopRegion) and executor in ("worksharing", "stealing_loop"):
+        args = _bind(LOOP_EXECUTORS[executor], region.space, p, ctx, region.params)
+        if executor == "worksharing":
+            schedule = args["schedule"]
+            if schedule in ("dynamic", "guided"):
+                return f"ws_{schedule}", _ws_dispatch_estimate(region.space, p, ctx, args)
+            # static worksharing is already closed-form in the reference runtime
+            return "exact", execute_region(region, p, ctx)
+        space, size, penalty = loop_shape(
+            region.space, p, ctx, style=args["style"], grainsize=args["grainsize"],
+            nchunks=args["nchunks"], chunks_per_thread=args["chunks_per_thread"],
+            reducer=args["reducer"], apply_scatter_penalty=args["apply_scatter_penalty"],
+        )
+        if args["style"] == "cilk_for":
             kind, estimate = "steal_cilkfor", _steal_cilkfor_estimate
         else:
             kind, estimate = "steal_flat", _steal_flat_estimate
-        res = estimate(space, p, ctx, params, size, penalty)
-        exit_marker = params.get("exit", "taskwait")
-    elif isinstance(region, TaskRegion) and executor == "stealing":
-        params = region.params
-        kind, res = "steal_graph", _steal_graph_estimate(region, p, ctx, params)
-        exit_marker = params.get("exit", "none")
+        res = estimate(space, p, ctx, args, size, penalty)
+    elif isinstance(region, TaskRegion) and (executor == "stealing" or executor in _AMT_GRAPH_KINDS):
+        g = region.graph_for(p)
+        args = _bind(GRAPH_EXECUTORS[executor], g, p, ctx, region.params)
+        if executor in _AMT_GRAPH_KINDS:
+            kind = _AMT_GRAPH_KINDS[executor]
+            return kind, _amt_graph_estimate(g, p, ctx, kind)
+        kind, res = "steal_graph", _steal_graph_estimate(g, p, ctx, args)
     else:
         # SerialRegion, threadpool loop/graph, offload, AMT loops: the
         # reference executors are analytic already — delegate (exact,
         # bound 0).
         return "exact", execute_region(region, p, ctx)
-    enter, leave = marker_costs(params.get("entry", "none"), exit_marker, p, ctx)
+    enter, leave = marker_costs(args["entry"], args["exit"], p, ctx)
     res.time = enter + res.time + leave
     return kind, res
 

@@ -315,7 +315,6 @@ class TestFrontEnds:
             assert isinstance(region, LoopRegion)
             assert region.executor == executor
             assert region.params["reduction"] is True
-            assert region.params["work_scale"] == 1.0
 
     def test_graph_builders(self):
         g = fib_kernel.graph(8)

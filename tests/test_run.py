@@ -153,6 +153,24 @@ class TestDispatchTables:
         with pytest.raises(ValueError, match="unknown task executor"):
             estimate_region(TaskRegion(g, "mystery"), 2, ctx)
 
+    @pytest.mark.parametrize("executor,params,typo", [
+        ("worksharing", {"schedule": "dynamic", "chunks": 4}, "chunks"),
+        ("stealing_loop", {"style": "flat", "grain_size": 7}, "grain_size"),
+        ("stealing", {"dequeue": "locked"}, "dequeue"),
+    ], ids=["ws_dynamic", "steal_flat", "steal_graph"])
+    def test_both_tiers_reject_a_misspelt_param(self, executor, params, typo, space, ctx):
+        """Tier 0 reads region params through the executor's signature,
+        so a name the executor does not take fails at both tiers."""
+        if executor in run_mod.LOOP_EXECUTORS:
+            region = LoopRegion(space, executor, params)
+        else:
+            g = TaskGraph("g")
+            g.add(1e-6, deps=[g.add(1e-6)])
+            region = TaskRegion(g, executor, params)
+        for tier in (estimate_region, execute_region):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{typo}'"):
+                tier(region, 4, ctx)
+
 
 class TestProgram:
     def test_times_accumulate(self, space, ctx):

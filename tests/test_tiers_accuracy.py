@@ -4,7 +4,9 @@ The tier-0 estimator's contract is not "close" but *bounded*: every
 estimate carries a calibrated relative error bound, and the tier-2
 reference time must land inside it — across the entire workload
 registry (every kernel × runtime × schedule the paper compares), at
-serial and parallel thread counts.  A second battery covers the three
+serial and parallel thread counts, and at the paper's top thread counts
+(32, 36), which the calibration fit (1, 2, 4, 8, 16) never saw.  A
+second battery covers the three
 OpenMP worksharing schedules directly (the registry's validation
 parameters exercise only ``static``), and a third pins the calibration
 machinery itself: refining the calibration partition must tighten the
@@ -35,11 +37,23 @@ from repro.sim.tiers import (
 
 CTX = ExecContext()
 
+#: the paper's top thread counts, held out of the calibration fit
+HELD_OUT_THREADS = (32, 36)
+#: held-out cells whose tier-2 time leaves the declared bound: HPX's
+#: greedy-bound estimate of fib at validation size n=12 errs 0.787 (p=32)
+#: and 0.654 (p=36) against a bound of 0.382; at n=22 it holds
+HELD_OUT_MISSES = {("fib", "hpx", 32), ("fib", "hpx", 36)}
+
 REGISTRY_CELLS = [
-    (name, version, p)
+    pytest.param(
+        name, version, p, id=f"{name}-{version}-p{p}",
+        marks=[pytest.mark.xfail(strict=True, reason="tier-0 HPX graph bound misses fib "
+                                 "past the fitted thread counts")]
+        if (name, version, p) in HELD_OUT_MISSES else [],
+    )
     for name in sorted(WORKLOADS)
     for version in WORKLOADS[name].versions
-    for p in (1, 4)
+    for p in (1, 4) + HELD_OUT_THREADS
 ]
 
 
@@ -52,9 +66,7 @@ def _build(name: str, version: str) -> Program:
 # ---------------------------------------------------------------------------
 # the registry-wide bound battery
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "name,version,p", REGISTRY_CELLS, ids=[f"{n}-{v}-p{p}" for n, v, p in REGISTRY_CELLS]
-)
+@pytest.mark.parametrize("name,version,p", REGISTRY_CELLS)
 def test_registry_estimate_within_declared_bound(name, version, p):
     """Every kernel × runtime × schedule: |t2 - t0| <= t0 * bound."""
     try:

@@ -100,7 +100,7 @@ def _skewed(niter: int) -> IterSpace:
 ])
 def test_batched_cilk_graph_equals_scalar(niter, grainsize):
     space = _skewed(niter)
-    for kwargs in ({}, {"bytes_penalty": 1.5, "work_scale": 0.9}):
+    for kwargs in ({}, {"bytes_penalty": 1.5}):
         g_ref = cilk_for_graph(space, grainsize, CTX2, **kwargs)
         g_fast = cilk_for_graph_batched(space, grainsize, CTX2, **kwargs)
         assert len(g_fast) == len(g_ref)
@@ -172,8 +172,7 @@ def _flat_reference(space: IterSpace, nchunks: int, **kwargs) -> TaskGraph:
     n = min(nchunks, space.niter)
     for i in range(n):
         work, membytes = space.chunk_cost(i * space.niter // n, (i + 1) * space.niter // n)
-        g.add(work * kwargs.get("work_scale", 1.0), membytes * kwargs.get("bytes_penalty", 1.0),
-              space.locality, tag="chunk")
+        g.add(work, membytes * kwargs.get("bytes_penalty", 1.0), space.locality, tag="chunk")
     return g
 
 
@@ -185,7 +184,7 @@ def test_flat_chunk_graph_equals_add_loop(niter, nchunks):
     and the critical path bit for bit, also with more chunks than
     iterations."""
     for space in (_skewed(niter), IterSpace.uniform(niter, 3e-8, 48.0, locality=0.5)):
-        for kwargs in ({}, {"bytes_penalty": 1.5, "work_scale": 0.9}):
+        for kwargs in ({}, {"bytes_penalty": 1.5}):
             g_ref = _flat_reference(space, nchunks, **kwargs)
             g_fast = flat_chunk_graph(space, nchunks, CTX2, **kwargs)
             assert list(g_fast.tasks) == list(g_ref.tasks)

@@ -127,13 +127,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_worksharing_loop(uniform, 0, ctx)
 
-    def test_work_scale(self, uniform, ctx):
-        base = run_worksharing_loop(uniform, 1, ctx, fork=False, barrier=False).time
-        doubled = run_worksharing_loop(
-            uniform, 1, ctx, fork=False, barrier=False, work_scale=2.0
-        ).time
-        assert doubled == pytest.approx(2 * base, rel=1e-3)
-
 
 class TestBarrierSpans:
     """Every traced worker waits at the end barrier in one ``barrier``
