@@ -22,15 +22,15 @@ def bench_ablation_deque(benchmark, ctx, save):
         out = {}
         out["cilk (the)"] = run_stealing_graph(graph, P, ctx, deque="the").time
         out["omp (locked)"] = run_stealing_graph(
-            graph, P, ctx, deque="locked", spawn_cost=ctx.costs.omp_task_spawn
+            graph, P, ctx, deque="locked", spawn_cost="omp_task_spawn"
         ).time
         # the ablation: OpenMP spawn cost on a THE deque
         out["omp-spawn on THE deque"] = run_stealing_graph(
-            graph, P, ctx, deque="the", spawn_cost=ctx.costs.omp_task_spawn
+            graph, P, ctx, deque="the", spawn_cost="omp_task_spawn"
         ).time
         # and Cilk spawn cost on a locked deque
         out["cilk-spawn on locked deque"] = run_stealing_graph(
-            graph, P, ctx, deque="locked", spawn_cost=ctx.costs.cilk_spawn
+            graph, P, ctx, deque="locked", spawn_cost="cilk_spawn"
         ).time
         return out
 

@@ -10,6 +10,8 @@ by 1/4x ... 4x:
 
 "Stable" here means the *direction* of the finding never flips (ratio
 stays > 1); magnitudes may drift — that is the point of the table.
+Every row must be reached: a constant the metric never reads would
+show a flat row that proves nothing.
 """
 
 from conftest import run_once
@@ -57,6 +59,9 @@ def bench_ablation_sensitivity(benchmark, ctx, save):
         render_sensitivity(fib_rows) + "\n\n" + render_sensitivity(axpy_rows),
     )
 
+    # every row's parameter reaches its metric
+    for r in fib_rows + axpy_rows:
+        assert not r.unreached, r.parameter
     # direction of every finding survives the whole factor band
     for r in fib_rows:
         assert all(v > 1.0 for v in r.metric_values), r.parameter

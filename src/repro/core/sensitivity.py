@@ -10,6 +10,8 @@ a quarter to four times its default.
 
 ``bench_ablation_sensitivity`` uses this to show the headline findings
 are stable across at least a 4x band of every constant they depend on.
+A parameter the metric never reads gives bit-identical values at every
+factor; the result then says ``unreached``, not "perfectly stable".
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ class SensitivityResult:
     factors: tuple[float, ...]
     metric_values: tuple[float, ...]
     metric_name: str
+    unreached: bool = False
+    """Every factor gave a bit-identical value: the spread shows nothing."""
 
     def spread(self) -> float:
         """max/min of the metric across the factor range."""
@@ -40,8 +44,16 @@ class SensitivityResult:
         return hi / lo if lo > 0 else float("inf")
 
     def stable_within(self, band: float) -> bool:
-        """True if the metric stays within a multiplicative band."""
-        return self.spread() <= band
+        """True if the parameter reaches the metric and the metric stays
+        within a multiplicative band."""
+        return not self.unreached and self.spread() <= band
+
+
+def _scan(factors: Sequence[float], evaluate: Callable[[float], float]) -> dict:
+    """The result fields of ``evaluate`` over ``factors``."""
+    values = tuple(float(evaluate(f)) for f in factors)
+    unreached = len(set(factors)) > 1 and len(set(values)) == 1
+    return dict(factors=tuple(factors), metric_values=values, unreached=unreached)
 
 
 def cost_sensitivity(
@@ -59,16 +71,11 @@ def cost_sensitivity(
     """
     ctx = ctx or ExecContext()
     base = getattr(ctx.costs, param)  # raises AttributeError for typos
-    values = []
-    for f in factors:
-        scaled = ctx.with_costs(**{param: base * f})
-        values.append(float(metric(scaled)))
     return SensitivityResult(
         parameter=f"costs.{param}",
         base_value=base,
-        factors=tuple(factors),
-        metric_values=tuple(values),
         metric_name=metric_name,
+        **_scan(factors, lambda f: metric(ctx.with_costs(**{param: base * f}))),
     )
 
 
@@ -85,16 +92,12 @@ def machine_sensitivity(
     base = getattr(ctx.machine, param)
     if not isinstance(base, (int, float)):
         raise TypeError(f"machine.{param} is not numeric")
-    values = []
-    for f in factors:
-        machine = replace(ctx.machine, **{param: type(base)(base * f)})
-        values.append(float(metric(ctx.with_machine(machine))))
     return SensitivityResult(
         parameter=f"machine.{param}",
         base_value=float(base),
-        factors=tuple(factors),
-        metric_values=tuple(values),
         metric_name=metric_name,
+        **_scan(factors, lambda f: metric(
+            ctx.with_machine(replace(ctx.machine, **{param: type(base)(base * f)})))),
     )
 
 
@@ -113,5 +116,6 @@ def render_sensitivity(results: Sequence[SensitivityResult]) -> str:
         if r.factors != factors:
             raise ValueError("all results must share the factor grid")
         cells = "".join(f"{v:9.3f}" for v in r.metric_values)
-        lines.append(f"{r.parameter:<{width}}{cells}{r.spread():9.2f}")
+        spread = "  unreached" if r.unreached else f"{r.spread():9.2f}"
+        lines.append(f"{r.parameter:<{width}}{cells}{spread}")
     return "\n".join(lines)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from repro.sim.costs import CostModel
 from repro.sim.task import IterSpace, LoopRegion, TaskGraph, TaskRegion
 
 __all__ = ["parallel_for", "task_loop", "task_graph", "simd_hint", "target_parallel_for"]
@@ -63,8 +62,7 @@ def task_loop(
     ``nchunks=None`` gives ``chunks_per_thread`` chunks per thread
     (default 1, the paper's ``BASE = N / nthreads`` cut-off; irregular
     workloads use more for load balancing).  With ``reduction`` each
-    task ends in an atomic accumulate into the shared result, priced at
-    the default ``CostModel.atomic_op`` when the region is built.
+    task ends in an atomic accumulate (``atomic_op``) into the result.
     """
     params = {
         "style": "flat",
@@ -76,14 +74,13 @@ def task_loop(
         "undeferred_single": True,
     }
     if reduction:
-        params["per_task_overhead"] = CostModel.atomic_op
+        params["per_task_overhead"] = "atomic_op"
     return LoopRegion(space, "stealing_loop", params, name or f"omp_task[{space.name}]")
 
 
 def task_graph(
     graph: Union[TaskGraph, Callable[[int], TaskGraph]],
     *,
-    per_task_overhead: float = 0.0,
     name: str = "omp-task-graph",
 ) -> TaskRegion:
     """An explicit OpenMP task DAG (``task``/``depend``/``taskwait``).
@@ -96,7 +93,6 @@ def task_graph(
         "entry": "omp_parallel",
         "exit": "taskwait+barrier",
         "undeferred_single": True,
-        "per_task_overhead": per_task_overhead,
     }
     return TaskRegion(graph, "stealing", params, name)
 

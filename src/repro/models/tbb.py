@@ -80,12 +80,11 @@ def parallel_reduce(
         space, partitioner=partitioner, grainsize=grainsize,
         name=name or f"tbb_reduce[{space.name}]",
     )
-    params = dict(region.params)
     # one join per split, charged with the taskwait at region exit; the
     # splitter tasks already exist, so fold the join cost into per-task
     # overhead
-    params["per_task_overhead"] = CostModel.tbb_join
-    return LoopRegion(region.space, region.executor, params, region.name)
+    region.params["per_task_overhead"] = "tbb_join"
+    return region
 
 
 def task_spawn_graph(
@@ -96,7 +95,7 @@ def task_spawn_graph(
     """``task::spawn`` / ``wait_for_all`` over an explicit DAG."""
     params = {
         "deque": "the",
-        "spawn_cost": CostModel.tbb_spawn,
+        "spawn_cost": "tbb_spawn",
         "entry": "none",
         "exit": "sync",
     }
@@ -114,7 +113,8 @@ def pipeline_graph(
     *serial* stage additionally depends on item *i-1* at the same stage
     (in-order token processing) — giving the classic result that the
     slowest serial stage bounds throughput.  Every stage task pays one
-    token handoff (the default ``CostModel.pipeline_token``).
+    token handoff, the default ``CostModel.pipeline_token`` folded into
+    its work.
     """
     if len(stage_works) != len(serial_stages):
         raise ValueError("stage_works and serial_stages must align")

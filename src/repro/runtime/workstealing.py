@@ -32,8 +32,8 @@ bandwidth-bound, placement matters less).
 
 A region's symbolic ``entry``/``exit`` markers (``"cilk"``,
 ``"omp_parallel"``, ``"taskwait"``, ...) are priced here too
-(:func:`marker_costs`), because they depend on the thread count.  Tier 0
-(:mod:`repro.sim.tiers`) reads the same markers and shapes.
+(:func:`marker_costs`), as are its cost names (:func:`task_costs`).  Tier 0
+(:mod:`repro.sim.tiers`) reads the same markers, names and shapes.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ __all__ = [
     "loop_shape",
     "marker_costs",
     "scatter_penalty",
+    "task_costs",
 ]
 
 #: event kind of a wake-up (a finish event's kind is the task id)
@@ -79,8 +80,9 @@ class StealingScheduler:
     deque:
         ``"the"`` (Cilk THE protocol) or ``"locked"`` (Intel OpenMP).
     spawn_cost:
-        Default task-creation cost charged to the spawner when a task
-        becomes ready; a task's own ``spawn_cost`` field overrides it.
+        Name of the ``CostModel`` field charged to the spawner when a task
+        becomes ready (``None``: the deque's spawn); a task's own
+        ``spawn_cost`` field overrides it.
     undeferred_single:
         With one thread, execute tasks immediately at creation without
         touching the deque (Intel OpenMP's if-clause style serialization;
@@ -99,7 +101,8 @@ class StealingScheduler:
         discipline, also saving the push/pop cost); the default queues
         every created task (breadth-first, the OpenMP default).
     per_task_overhead:
-        Extra post-task cost, e.g. an atomic accumulate per task.
+        Name of the ``CostModel`` field charged after every task, e.g.
+        ``"atomic_op"`` for an atomic accumulate (``None``: no charge).
     reducer:
         Charge Cilk reducer semantics: a view creation per steal and a
         view merge per steal at the final sync.
@@ -122,9 +125,9 @@ class StealingScheduler:
         ctx: ExecContext,
         *,
         deque: str = "the",
-        spawn_cost: Optional[float] = None,
+        spawn_cost: Optional[str] = None,
         undeferred_single: bool = False,
-        per_task_overhead: float = 0.0,
+        per_task_overhead: Optional[str] = None,
         reducer: bool = False,
         central_queue: bool = False,
         work_first: bool = False,
@@ -137,11 +140,9 @@ class StealingScheduler:
         self.p = nthreads
         self.ctx = ctx
         self.deque_kind = deque
-        if spawn_cost is None:
-            spawn_cost = ctx.costs.deque_ops(deque)[0]
-        self.spawn_cost = spawn_cost
+        self.spawn_cost, self.per_task_overhead = task_costs(
+            deque, spawn_cost, per_task_overhead, ctx)
         self.undeferred_single = undeferred_single
-        self.per_task_overhead = per_task_overhead
         self.reducer = reducer
         self.tracer = tracer
 
@@ -799,6 +800,18 @@ def scatter_penalty(space: IterSpace, nchunks: int, nthreads: int, ctx: ExecCont
     return 1.0 + penalty
 
 
+def task_costs(
+    deque: str, spawn_cost: Optional[str], per_task_overhead: Optional[str], ctx: ExecContext
+) -> tuple[float, float]:
+    """Price a region's cost names against ``ctx.costs``, once per region;
+    returns ``(spawn_seconds, per_task_seconds)``.  A name that is not a
+    ``CostModel`` field raises ``AttributeError``."""
+    costs = ctx.costs
+    spawn = costs.deque_ops(deque)[0] if spawn_cost is None else getattr(costs, spawn_cost)
+    extra = 0.0 if per_task_overhead is None else getattr(costs, per_task_overhead)
+    return spawn, extra
+
+
 def marker_costs(entry: str, exit: str, p: int, ctx: ExecContext) -> tuple[float, float]:
     """Price a region's symbolic ``entry`` and ``exit`` markers at ``p``
     threads; returns ``(entry_seconds, exit_seconds)``."""
@@ -875,7 +888,7 @@ def run_stealing_loop(
     nchunks: Optional[int] = None,
     chunks_per_thread: int = 1,
     reducer: bool = False,
-    per_task_overhead: float = 0.0,
+    per_task_overhead: Optional[str] = None,
     entry: str = "none",
     exit: str = "taskwait",
     apply_scatter_penalty: bool = True,
@@ -889,6 +902,8 @@ def run_stealing_loop(
     ``style="cilk_for"`` builds the splitter tree (with placement
     penalty); ``style="flat"`` builds master-spawned chunk tasks.  The
     loop ends in a ``taskwait`` unless ``exit`` says otherwise.
+    ``per_task_overhead`` names the ``CostModel`` field charged after
+    every task (:func:`task_costs`).
 
     Under ``faults`` the loop's mode is usually ``"none"``: Table III
     gives Cilk-style data parallelism no cancellation story, so an
@@ -920,8 +935,8 @@ def run_stealing_graph(
     ctx: ExecContext,
     *,
     deque: str = "the",
-    spawn_cost: Optional[float] = None,
-    per_task_overhead: float = 0.0,
+    spawn_cost: Optional[str] = None,
+    per_task_overhead: Optional[str] = None,
     reducer: bool = False,
     entry: str = "none",
     exit: str = "none",
@@ -933,7 +948,8 @@ def run_stealing_graph(
 ) -> RegionResult:
     """Execute an explicit task DAG on the work-stealing runtime,
     charging its ``entry`` and ``exit`` markers (:func:`marker_costs`)
-    around the scheduler's makespan."""
+    around the scheduler's makespan.  ``spawn_cost`` and
+    ``per_task_overhead`` name ``CostModel`` fields (:func:`task_costs`)."""
     enter, leave = marker_costs(entry, exit, nthreads, ctx)
     if tracer is not None:
         # spans inside the scheduler are region-local starting after the

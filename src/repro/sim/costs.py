@@ -8,13 +8,6 @@ cost of a few function calls, lock-based vs. THE-protocol deque
 operations).  They are deliberately exposed as one flat dataclass so that
 experiments can ablate a single mechanism (see ``benchmarks/bench_ablation_*``).
 
-Four constants are also read by the model front-ends when a region is
-built, from the class defaults: ``atomic_op`` (the per-task reduction of
-``openmp.task_loop``), ``tbb_join`` (``tbb.parallel_reduce``),
-``tbb_spawn`` (``tbb.task_spawn_graph``) and ``pipeline_token``
-(``tbb.pipeline_graph``).  Those four uses are fixed at build time, so an
-override on the context does not reach them.
-
 Magnitude cheat-sheet (one 2.3 GHz cycle is ~0.43 ns):
 
 ========================  =========  =====================================
@@ -219,10 +212,6 @@ class CostModel:
     def with_overrides(self, **overrides: Any) -> "CostModel":
         """Return a copy with some constants replaced (for ablations)."""
         return replace(self, **overrides)
-
-    def zeroed(self, *names: str) -> "CostModel":
-        """Return a copy with the named constants set to zero."""
-        return replace(self, **{name: 0.0 for name in names})
 
 
 #: The default calibration: the Intel stack the paper used (icc 13,

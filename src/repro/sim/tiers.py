@@ -21,9 +21,7 @@ static worksharing, thread pools) are *delegated*, not re-modelled:
 their tier-0 estimate equals the tier-2 result exactly and their error
 bound is zero.  A modelled region's params are bound to the signature
 of the executor it models, so tier 0 restates no executor default and
-rejects a param the executor would reject.  The front-end constants a
-region carries (``per_task_overhead``, ``spawn_cost``) are the
-:class:`~repro.sim.costs.CostModel` defaults, fixed when it is built.
+rejects a param the executor would reject.
 
 Calibration groups observations by estimator kind.  Each group's scale
 is the log-midrange of observed ``t2 / t0_raw`` ratios and its bound
@@ -43,7 +41,11 @@ import numpy as np
 
 from repro.perf.gcpause import paused_gc
 from repro.perf.spans import span as _perf_span
-from repro.sim.task import IterSpace, LoopRegion, Program, SerialRegion, TaskGraph, TaskRegion
+from repro.runtime.base import ExecContext, ThreadExplosionError
+from repro.runtime.run import GRAPH_EXECUTORS, LOOP_EXECUTORS, execute_region, run_program
+from repro.runtime.worksharing import _schedule_edges
+from repro.runtime.workstealing import cilk_for_tasks, loop_shape, marker_costs, task_costs
+from repro.sim.task import IterSpace, LoopRegion, Program, TaskGraph, TaskRegion
 from repro.sim.trace import RegionResult, SimResult, WorkerStats
 
 __all__ = [
@@ -142,8 +144,6 @@ def _ws_dispatch_estimate(space: IterSpace, p: int, ctx, args: dict) -> RegionRe
     lock-bound (every dispatch serializes through the loop counter),
     plus a tail term of the largest chunk.
     """
-    from repro.runtime.worksharing import _schedule_edges
-
     costs = ctx.costs
     edges = _schedule_edges(space, args["schedule"], args["chunk"], p)
     work, membytes = space.chunk_costs(edges)
@@ -193,8 +193,6 @@ def _steal_cilkfor_estimate(
 ) -> RegionResult:
     """Closed form for the ``cilk_for`` splitter tree under work stealing,
     over the shape :func:`~repro.runtime.workstealing.loop_shape` gives."""
-    from repro.runtime.workstealing import cilk_for_tasks
-
     costs = ctx.costs
     ntasks = cilk_for_tasks(space.niter, gsize)
     leaves = (ntasks + 1) // 2
@@ -214,8 +212,9 @@ def _steal_cilkfor_estimate(
         leaf_max = leaf_max / iters_per_block * min(gsize, space.niter)
     splits = ntasks - leaves
     split_dur = memory.duration(costs.cilk_split, active=active)
-    spawn, push, pop, steal = costs.deque_ops(args["deque"])
-    per_task = spawn + push + pop
+    spawn, pto = task_costs(args["deque"], None, args["per_task_overhead"], ctx)
+    _, push, pop, steal = costs.deque_ops(args["deque"])
+    per_task = spawn + push + pop + pto
     t1 = busy + splits * split_dur
     overhead = ntasks * per_task
     if p <= 1:
@@ -245,9 +244,9 @@ def _steal_flat_estimate(
     loops), over the shape :func:`~repro.runtime.workstealing.loop_shape`
     gives (a flat loop's ``penalty`` is 1.0)."""
     costs = ctx.costs
-    pto = args["per_task_overhead"]
     deque = args["deque"]
-    spawn, push, pop, steal = costs.deque_ops(deque)
+    spawn, pto = task_costs(deque, None, args["per_task_overhead"], ctx)
+    _, push, pop, steal = costs.deque_ops(deque)
     # no more workers can be concurrently busy than there are chunks
     active = min(p, nck) if p > 1 else 1
     edges = (np.arange(nck + 1, dtype=np.int64) * space.niter) // nck
@@ -291,13 +290,12 @@ def _steal_graph_estimate(g: TaskGraph, p: int, ctx, args: dict) -> RegionResult
     greedy-scheduling bound ``max(T1/p, T_inf)`` on roofline-inflated
     durations plus per-task queue overheads."""
     costs = ctx.costs
+    default_spawn, pto = task_costs(
+        args["deque"], args["spawn_cost"], args["per_task_overhead"], ctx)
     n = len(g)
     if n == 0:
         return _aggregate_result(0.0, p, busy=0.0, overhead=0.0, tasks=0)
-    default_spawn, push, pop, steal = costs.deque_ops(args["deque"])
-    if args["spawn_cost"] is not None:
-        default_spawn = args["spawn_cost"]
-    pto = args["per_task_overhead"]
+    _, push, pop, steal = costs.deque_ops(args["deque"])
     active = p if p > 1 else 1
     busy = float(ctx.memory.durations(g.work, g.membytes, g.locality, active).sum())
     total_spawn = float(sum(sc if sc > 0 else default_spawn for sc in g.spawn_cost))
@@ -417,9 +415,6 @@ def estimate_region(region, nthreads: int, ctx) -> tuple[str, RegionResult]:
     (:func:`~repro.runtime.workstealing.loop_shape`) and pays the same
     entry/exit markers (:func:`~repro.runtime.workstealing.marker_costs`).
     """
-    from repro.runtime.run import GRAPH_EXECUTORS, LOOP_EXECUTORS, execute_region
-    from repro.runtime.workstealing import loop_shape, marker_costs
-
     p = nthreads
     executor = getattr(region, "executor", "")
     if isinstance(region, LoopRegion) and executor in ("worksharing", "stealing_loop"):
@@ -564,8 +559,6 @@ def calibrate(
     (``exp(half_range) - 1``) widened by ``margin`` and ``floor``.
     """
     from repro.core.registry import WORKLOADS
-    from repro.runtime.base import ExecContext, ThreadExplosionError
-    from repro.runtime.run import run_program
 
     if ctx is None:
         ctx = ExecContext()

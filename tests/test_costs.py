@@ -55,11 +55,6 @@ class TestOverrides:
         changed = base.with_overrides(cilk_spawn=1e-9)
         assert base.cilk_spawn != changed.cilk_spawn
 
-    def test_zeroed(self):
-        c = CostModel().zeroed("fork_base", "fork_per_step", "barrier_base", "barrier_per_step")
-        assert c.fork_cost(36) == 0.0
-        assert c.barrier_cost(36) == 0.0
-
     def test_unknown_override_rejected(self):
         with pytest.raises(TypeError):
             CostModel().with_overrides(not_a_cost=1.0)

@@ -101,7 +101,8 @@ def observe(case) -> dict:
         kwargs["faults"] = FaultPlan.parse(
             "stall:worker=1,at=1e-6,duration=2e-6").for_region("r", 0, mode="none")
     elif extra == "reducer":
-        kwargs.update(reducer=True, per_task_overhead=3e-8)
+        ctx = ctx.with_costs(atomic_op=3e-8)
+        kwargs.update(reducer=True, per_task_overhead="atomic_op")
     sched = StealingScheduler(_graph(g, ctx), p, ctx, deque=dq, work_first=wf,
                               central_queue=cq, **kwargs)
     res = sched.run()

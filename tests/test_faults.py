@@ -602,8 +602,8 @@ def _undeferred_fib(p, ctx, tracer, faults):
     from repro.runtime.workstealing import run_stealing_graph
 
     return run_stealing_graph(
-        fib.graph(12), 1, ctx, deque="locked", undeferred_single=True,
-        per_task_overhead=3e-9, tracer=tracer, faults=faults,
+        fib.graph(12), 1, ctx.with_costs(atomic_op=3e-9), deque="locked",
+        undeferred_single=True, per_task_overhead="atomic_op", tracer=tracer, faults=faults,
     )
 
 

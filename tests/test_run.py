@@ -171,6 +171,25 @@ class TestDispatchTables:
             with pytest.raises(TypeError, match=f"unexpected keyword argument '{typo}'"):
                 tier(region, 4, ctx)
 
+    @pytest.mark.parametrize("executor,params", [
+        ("stealing_loop", {"style": "cilk_for", "per_task_overhead": "tbb_joint"}),
+        ("stealing_loop", {"style": "flat", "per_task_overhead": "atomic"}),
+        ("stealing", {"spawn_cost": "tbb_spwn"}),
+        ("stealing", {"per_task_overhead": "atomic"}),
+    ], ids=["steal_cilkfor", "steal_flat", "steal_graph-spawn", "steal_graph-per_task"])
+    def test_both_tiers_reject_a_misspelt_cost_name(self, executor, params, space, ctx):
+        """A region's cost names are ``CostModel`` fields, resolved by
+        ``workstealing.task_costs`` at both tiers."""
+        if executor in run_mod.LOOP_EXECUTORS:
+            region = LoopRegion(space, executor, params)
+        else:
+            g = TaskGraph("g")
+            g.add(1e-6, deps=[g.add(1e-6)])
+            region = TaskRegion(g, executor, params)
+        for tier in (estimate_region, execute_region):
+            with pytest.raises(AttributeError, match="CostModel"):
+                tier(region, 4, ctx)
+
 
 class TestProgram:
     def test_times_accumulate(self, space, ctx):

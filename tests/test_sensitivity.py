@@ -46,6 +46,29 @@ class TestCostSensitivity:
         r = cost_sensitivity("the_steal", lambda c: 1.0, factors=(1.0,), ctx=ctx)
         assert r.base_value == ctx.costs.the_steal
 
+    def test_unread_cost_reports_unreached(self):
+        r = cost_sensitivity("lock_acquire", fib_ratio, factors=(0.25, 1.0, 4.0))
+        assert r.unreached
+        assert r.spread() == 1.0
+        assert not r.stable_within(2.0)
+        assert "unreached" in render_sensitivity([r])
+
+    def test_tbb_spawn_reaches_uts_tbb_task(self):
+        from repro.extensions import uts
+        from repro.runtime.run import run_program
+
+        def uts_time(ctx):
+            return run_program(uts.program("tbb_task", machine=ctx.machine, max_nodes=5000),
+                               8, ctx).time
+
+        r = cost_sensitivity("tbb_spawn", uts_time, factors=(0.25, 1.0, 4.0))
+        assert not r.unreached
+        assert r.spread() > 1.0
+
+    def test_one_factor_is_not_unreached(self):
+        r = cost_sensitivity("the_steal", lambda c: 1.0, factors=(1.0,))
+        assert not r.unreached and r.stable_within(1.0)
+
 
 class TestMachineSensitivity:
     def test_bandwidth_drives_axpy_gap(self):
@@ -58,6 +81,10 @@ class TestMachineSensitivity:
     def test_non_numeric_rejected(self):
         with pytest.raises(TypeError):
             machine_sensitivity("name", axpy_gap)
+
+    def test_unread_machine_parameter_reports_unreached(self):
+        r = machine_sensitivity("core_bandwidth", lambda ctx: 1.0, factors=(0.5, 1.0, 2.0))
+        assert r.unreached and not r.stable_within(2.0)
 
 
 class TestRender:
@@ -80,6 +107,12 @@ class TestRender:
         assert r.spread() == pytest.approx(2.0)
         assert r.stable_within(2.0)
         assert not r.stable_within(1.5)
+
+    def test_unreached_row(self):
+        reached = SensitivityResult("a", 1.0, (0.5, 1.0), (1.0, 2.0), "m")
+        unreached = SensitivityResult("b", 1.0, (0.5, 1.0), (1.0, 1.0), "m", unreached=True)
+        lines = render_sensitivity([reached, unreached]).splitlines()
+        assert lines[2].endswith("2.00") and lines[3].endswith("unreached")
 
 
 class TestPlacement:

@@ -133,6 +133,20 @@ def test_stealing_loop_task_count_matches_the_runtime(style, p):
         assert est.total_tasks == ref.total_tasks, (space.name, params)
 
 
+def test_cilkfor_estimate_charges_the_per_task_overhead():
+    """``tbb.parallel_reduce`` is ``parallel_for`` plus a ``tbb_join``
+    after every task; at one thread tier 0 adds exactly what tier 2 adds."""
+    from repro.models import tbb
+
+    space = IterSpace.uniform(200_000, 5e-9, 16.0)
+    pair = [build(space, partitioner="simple", grainsize=64)
+            for build in (tbb.parallel_reduce, tbb.parallel_for)]
+    t0 = [estimate_region(region, 1, CTX)[1].time for region in pair]
+    t2 = [execute_region(region, 1, CTX).time for region in pair]
+    assert t2[0] - t2[1] > 0.0
+    assert t0[0] - t0[1] == pytest.approx(t2[0] - t2[1], rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # direct schedule coverage (static / dynamic / guided)
 # ---------------------------------------------------------------------------

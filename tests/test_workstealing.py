@@ -114,7 +114,8 @@ class TestScheduler:
     def test_per_task_overhead_charged(self, small_ctx):
         g = wide_graph(50, 1e-6)
         base = StealingScheduler(wide_graph(50, 1e-6), 1, small_ctx).run().time
-        extra = StealingScheduler(g, 1, small_ctx, per_task_overhead=1e-6).run().time
+        ctx = small_ctx.with_costs(atomic_op=1e-6)
+        extra = StealingScheduler(g, 1, ctx, per_task_overhead="atomic_op").run().time
         assert extra == pytest.approx(base + 50e-6, rel=0.01)
 
     def test_reducer_views_merge_at_end(self, small_ctx):
@@ -127,14 +128,16 @@ class TestScheduler:
 
     def test_explicit_spawn_cost_overrides_default(self, small_ctx):
         g = wide_graph(50, 1e-6)
-        cheap = StealingScheduler(wide_graph(50, 1e-6), 1, small_ctx, spawn_cost=0.0).run()
-        costly = StealingScheduler(g, 1, small_ctx, spawn_cost=1e-5).run()
+        free, dear = small_ctx.with_costs(tbb_spawn=0.0), small_ctx.with_costs(tbb_spawn=1e-5)
+        cheap = StealingScheduler(wide_graph(50, 1e-6), 1, free, spawn_cost="tbb_spawn").run()
+        costly = StealingScheduler(g, 1, dear, spawn_cost="tbb_spawn").run()
         assert costly.time > cheap.time
 
     def test_task_level_spawn_cost_wins(self, small_ctx):
         g = TaskGraph()
         g.add(1e-6, spawn_cost=1e-3)
-        res = StealingScheduler(g, 1, small_ctx, spawn_cost=0.0).run()
+        ctx = small_ctx.with_costs(tbb_spawn=0.0)
+        res = StealingScheduler(g, 1, ctx, spawn_cost="tbb_spawn").run()
         assert res.time >= 1e-3
 
     def test_invalid_thread_count(self, small_ctx):
