@@ -133,7 +133,9 @@ url, store = sys.argv[1], ResultCache(sys.argv[2])
 query = MatrixQuery.from_dict(
     {"workload": "axpy", "versions": ["omp_for"], "threads": [2, 4], "trace": True})
 client = SweepClient(url)
-key = next(e["key"] for e in client.query(query) if e["type"] == "cell")
+# read the whole answer: its later cells' hits are counted as their
+# probes land, which may be after the first cell streamed
+key = next(e["key"] for e in list(client.query(query)) if e["type"] == "cell")
 path = store.path_for(key)
 entry = path.read_bytes()
 # one digit of the result's time, in place: same length, still JSON

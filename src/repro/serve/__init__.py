@@ -18,7 +18,8 @@ millions of entries:
   through it, and the assembled ``SweepResult`` is byte-identical to
   a locally executed sweep.
 
-Stdlib only (``asyncio`` + ``http.client``): no new dependencies.
+Stdlib only (``asyncio`` on the server, ``socket`` in the client, each
+framing its own HTTP/1.1): no new dependencies.
 """
 
 from repro.serve.client import SERVER_ENV, ServerError, SweepClient, run_sweep_remote

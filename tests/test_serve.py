@@ -21,6 +21,7 @@ import sys
 import threading
 import time
 import types
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -46,9 +47,17 @@ KWARGS = dict(
 NCELLS = 4  # 2 versions x 2 thread counts
 
 
+def http_connection(url, timeout=60):
+    """A stdlib ``http.client`` connection to the service at ``url``: an
+    HTTP implementation independent of :class:`SweepClient` checks the
+    server's framing."""
+    parts = urlsplit(url)
+    return http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+
+
 def raw_lines(url, query):
     """POST ``query`` and return the NDJSON lines exactly as streamed."""
-    conn = SweepClient(url)._connection()
+    conn = http_connection(url)
     try:
         conn.request("POST", "/sweep", body=json.dumps(query.to_dict()))
         resp = conn.getresponse()
@@ -689,7 +698,7 @@ class TestServeRefusals:
         """Wrong field types answer 400 and count as a bad request —
         never a dropped connection, never a silent coercion."""
         with running_server(tmp_path) as srv:
-            conn = SweepClient(srv.url)._connection()
+            conn = http_connection(srv.url)
             try:
                 conn.request("POST", "/sweep",
                              body=json.dumps({"workload": "axpy", **body}))
@@ -875,7 +884,7 @@ class TestServeRefusals:
         query = MatrixQuery("axpy", versions=("omp_for",), threads=(1, 2, 4),
                             params={"n": 120_000}, fidelity=0)
         with running_server(tmp_path) as srv, SweepClient(srv.url, timeout=30) as client:
-            conn = client._connection()
+            conn = http_connection(srv.url, timeout=30)
             conn.request("POST", "/sweep", body=json.dumps(query.to_dict()))
             resp = conn.getresponse()
             assert json.loads(resp.readline())["type"] == "start"
